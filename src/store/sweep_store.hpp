@@ -57,6 +57,14 @@ namespace mtg {
 /// would contain: every record written by older engines becomes a miss.
 inline constexpr std::uint32_t kSweepStoreEngineVersion = 1;
 
+/// stable_hash64 over the record bytes of a fixed grid of coverage reports
+/// (tests/store/test_semantics_digest.cpp), pinned at engine version
+/// kSweepStoreSemanticsDigestVersion.  The test fails when the reports move
+/// while kSweepStoreEngineVersion does not; re-pin both after a bump.
+inline constexpr std::uint64_t kSweepStoreSemanticsDigest =
+    0xc5d94ddea2103f39ull;
+inline constexpr std::uint32_t kSweepStoreSemanticsDigestVersion = 1;
+
 /// Identity of one sweep point result (see the key scheme above).
 struct SweepKey {
   std::uint64_t test_hash = 0;
