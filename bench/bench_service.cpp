@@ -11,8 +11,8 @@
 //    bench-smoke job records as BENCH_service.json (compared against
 //    bench/BENCH_service_baseline.json by scripts/compare_bench_service.py).
 //    The run *fails* if any job ends in a non-Completed state or the shared
-//    caches miss more than once per artifact — those are correctness bars,
-//    not timings.
+//    compiled-test cache misses more than once per test — those are
+//    correctness bars, not timings.
 //
 // Usage: bench_service [--quick] [--json <path|->]
 //        bench_service [google-benchmark flags]
@@ -35,7 +35,7 @@ using namespace mtg;
 
 /// The bench batch: every catalog test crossed with a few memory sizes
 /// against one shared list.  Same-test jobs share compiled-test cache
-/// entries; same-(list, n) jobs share instantiation cache entries.
+/// entries.
 struct Batch {
   std::shared_ptr<const FaultList> list;
   std::vector<MatrixJob> jobs;
@@ -119,14 +119,10 @@ void write_json(std::FILE* out, std::size_t jobs,
                "  \"jobs\": %zu,\n"
                "  \"compiled_cache_hits\": %llu,"
                " \"compiled_cache_misses\": %llu,\n"
-               "  \"instances_cache_hits\": %llu,"
-               " \"instances_cache_misses\": %llu,\n"
                "  \"instance_evaluations\": %llu,\n"
                "  \"threads\": [\n",
                jobs, static_cast<unsigned long long>(last.compiled_cache_hits),
                static_cast<unsigned long long>(last.compiled_cache_misses),
-               static_cast<unsigned long long>(last.instances_cache_hits),
-               static_cast<unsigned long long>(last.instances_cache_misses),
                static_cast<unsigned long long>(last.instance_evaluations));
   for (std::size_t i = 0; i < timings.size(); ++i) {
     std::fprintf(out,
@@ -179,21 +175,17 @@ int run_saturation_bench(bool quick, const char* json_path) {
                 timing.instance_evals_per_sec);
   }
 
-  // Correctness bar: the single-flight caches must compute each distinct
-  // artifact exactly once per service — 4 tests, 1 (list, n) triple per
-  // size.  More misses means the cache key or the single-flight broke.
-  const std::uint64_t distinct_tests = 4, distinct_instantiations = 3;
-  if (last_stats.compiled_cache_misses != distinct_tests ||
-      last_stats.instances_cache_misses != distinct_instantiations) {
+  // Correctness bar: the single-flight cache must compile each distinct
+  // test exactly once per service.  More misses means the cache key or the
+  // single-flight broke.
+  const std::uint64_t distinct_tests = 4;
+  if (last_stats.compiled_cache_misses != distinct_tests) {
     std::fprintf(stderr,
-                 "error: cache misses %llu/%llu, expected %llu/%llu — the "
-                 "single-flight caches recomputed shared artifacts\n",
+                 "error: compiled-test cache misses %llu, expected %llu — "
+                 "the single-flight cache recompiled shared tests\n",
                  static_cast<unsigned long long>(
                      last_stats.compiled_cache_misses),
-                 static_cast<unsigned long long>(
-                     last_stats.instances_cache_misses),
-                 static_cast<unsigned long long>(distinct_tests),
-                 static_cast<unsigned long long>(distinct_instantiations));
+                 static_cast<unsigned long long>(distinct_tests));
     return 1;
   }
 

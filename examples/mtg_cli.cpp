@@ -564,7 +564,7 @@ int cmd_matrix(const std::string& path, std::size_t threads,
   std::optional<MarchSuite> suite;
   if (!file.suite_path.empty()) suite = load_march_suite_file(file.suite_path);
   // Catalogs load once and are shared: many jobs typically name the same
-  // list, and the service's instantiation cache borrows the shared object.
+  // list.
   std::map<std::string, std::shared_ptr<const FaultList>> lists;
   for (const auto& [alias, list_path] : file.fault_list_files) {
     lists[alias] =

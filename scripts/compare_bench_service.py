@@ -64,11 +64,10 @@ def main() -> int:
             warnings += 1
 
     # Shape drift: correctness signals, not noise.  bench_service already
-    # hard-fails on the ones that matter (completion, single-flight misses);
+    # hard-fails on the ones that matter (completion, compiled-test misses);
     # these catch a silently changed workload so stale baselines get
     # refreshed instead of quietly comparing different work.
-    for field in ("jobs", "compiled_cache_misses", "instances_cache_misses",
-                  "instance_evaluations"):
+    for field in ("jobs", "compiled_cache_misses", "instance_evaluations"):
         if current.get(field, 0) != baseline.get(field, 0):
             warn(f"{field} changed: {current.get(field)} vs baseline "
                  f"{baseline.get(field)} (workload drift — refresh the "

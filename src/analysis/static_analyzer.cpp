@@ -519,31 +519,6 @@ StaticResult analyze_machine(const MarchTest& test, const SlotMachine& machine,
   return escape_result(live.front());
 }
 
-/// C(n, k) saturating at uint64 max — the uncapped instantiate() count.
-std::uint64_t subset_count(std::size_t n, std::size_t k) {
-  if (k > n) return 0;
-  std::uint64_t result = 1;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::uint64_t factor = n - i;
-    if (result > std::numeric_limits<std::uint64_t>::max() / factor) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    result = result * factor / (i + 1);
-  }
-  return result;
-}
-
-/// Number of values below `m` with address bit `bit` clear.
-std::uint64_t count_bit_clear_below(std::uint64_t m, std::size_t bit) {
-  const std::uint64_t block = std::uint64_t{1} << bit;
-  const std::uint64_t period = block << 1;
-  return (m / period) * block + std::min(m % period, block);
-}
-
-bool decoder_instantiable(const DecoderFault& fault, std::size_t n) {
-  return fault.bit < 63 && (std::size_t{1} << fault.bit) < n;
-}
-
 StaticResult no_instances_result(const std::string& subject, std::size_t n) {
   return not_detected_result(subject + ": no instances fit a memory of " +
                              std::to_string(n) + " cells");
@@ -701,7 +676,7 @@ StaticResult analyze_fault(const MarchTest& test, const LinkedFault& fault,
 
 StaticResult analyze_fault(const MarchTest& test, const DecoderFault& fault,
                            std::size_t n, const AnalysisOptions& options) {
-  if (!decoder_instantiable(fault, n)) {
+  if (decoder_address_count(fault, n) == 0) {
     return no_instances_result(fault.name(), n);
   }
   // Two behaviour classes per fault, both feasible whenever 2^bit < n:
@@ -731,24 +706,15 @@ StaticResult analyze_fault(const MarchTest& test, const DecoderFault& fault,
 }
 
 std::uint64_t static_instance_count(const SimpleFault& fault, std::size_t n) {
-  return subset_count(n, static_cast<std::size_t>(fault.num_cells()));
+  return kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), 0);
 }
 
 std::uint64_t static_instance_count(const LinkedFault& fault, std::size_t n) {
-  return subset_count(n, static_cast<std::size_t>(fault.num_cells()));
+  return kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), 0);
 }
 
 std::uint64_t static_instance_count(const DecoderFault& fault, std::size_t n) {
-  if (!decoder_instantiable(fault, n)) return 0;
-  if (fault.cls == DecoderFaultClass::NoAccess) return n;
-  // Corrupted addresses a < n whose partner a XOR 2^bit also fits: every a
-  // with the bit set (the partner is below a), plus every bit-clear a whose
-  // partner a + 2^bit is still below n.
-  const std::uint64_t block = std::uint64_t{1} << fault.bit;
-  const std::uint64_t with_bit_set = n - count_bit_clear_below(n, fault.bit);
-  const std::uint64_t clear_and_fits =
-      n > block ? count_bit_clear_below(n - block, fault.bit) : 0;
-  return with_bit_set + clear_and_fits;
+  return decoder_address_count(fault, n);
 }
 
 std::string StaticCoverage::summary() const {
@@ -803,20 +769,15 @@ StaticCoverage analyze_coverage(const MarchTest& test, const FaultList& list,
 
 namespace {
 
-/// Exact number of layouts instantiate() keeps for an FP fault under `cap`,
-/// or nullopt when the kept count is not analytic: the uncapped count
-/// saturated uint64, or bounded_subsets' seeded-random tier (count > 4*cap)
-/// whose attempt bound may keep fewer than `cap` layouts.
-std::optional<std::uint64_t> exact_fp_kept(std::uint64_t uncapped,
+/// Number of layouts instantiate() keeps for an FP fault under `cap`, or
+/// nullopt when the uncapped count saturated uint64 (not analytic).
+template <class Fault>
+std::optional<std::uint64_t> exact_fp_kept(const Fault& fault, std::size_t n,
                                            std::size_t cap) {
-  if (uncapped == std::numeric_limits<std::uint64_t>::max()) {
-    return std::nullopt;
-  }
-  if (cap == 0 || uncapped <= cap) return uncapped;
-  // Mirror of bounded_subsets' tier test: the evenly-spaced tier keeps
-  // exactly `cap` distinct layouts.
-  if (uncapped <= 4 * static_cast<std::uint64_t>(cap)) return cap;
-  return std::nullopt;
+  const std::uint64_t kept =
+      kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), cap);
+  if (kept == std::numeric_limits<std::uint64_t>::max()) return std::nullopt;
+  return kept;
 }
 
 }  // namespace
@@ -867,7 +828,7 @@ std::optional<CoverageReport> static_coverage_report(
       return std::nullopt;  // instantiate() refuses; the job must Fail
     }
     if (!serve(fault.name, analyze_fault(test, fault, n, options),
-               exact_fp_kept(static_instance_count(fault, n), cap))) {
+               exact_fp_kept(fault, n, cap))) {
       return std::nullopt;
     }
   }
@@ -876,7 +837,7 @@ std::optional<CoverageReport> static_coverage_report(
       return std::nullopt;
     }
     if (!serve(fault.name(), analyze_fault(test, fault, n, options),
-               exact_fp_kept(static_instance_count(fault, n), cap))) {
+               exact_fp_kept(fault, n, cap))) {
       return std::nullopt;
     }
   }
@@ -884,7 +845,7 @@ std::optional<CoverageReport> static_coverage_report(
     // Decoder sampling keeps exactly min(count, cap) addresses: always
     // analytic (a fault on a missing address line has zero instances —
     // no throw, unlike the FP layouts).
-    const std::uint64_t count = static_instance_count(fault, n);
+    const std::uint64_t count = decoder_address_count(fault, n);
     const std::uint64_t kept =
         cap == 0 ? count : std::min<std::uint64_t>(count, cap);
     if (!serve(fault.name(), analyze_fault(test, fault, n, options), kept)) {

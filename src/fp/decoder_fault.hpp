@@ -19,9 +19,9 @@
 //     waits are dropped; a read senses the floating data line, which couples
 //     to the driver of the broken address line, so it returns *bit `bit` of
 //     the applied address a*.  This read-back is a function of the absolute
-//     address — the property that makes decoder faults incompatible with the
-//     address-free instance collapsing of the prefix engine (see
-//     PackedFaultSim::signature()).
+//     address, so instances of one fault behave differently: behaviour
+//     classes (PackedFaultSim::signature()) split on that bit, which for the
+//     two-cell classes also says whether a lies before or after v.
 //   * WrongCell         — ops addressed at `a` are redirected wholly to `v`:
 //     reads at a return v's value, writes at a write v, and cell a itself is
 //     frozen at its power-on content (it is never selected).

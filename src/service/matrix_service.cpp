@@ -268,43 +268,6 @@ std::shared_ptr<const CompiledTest> MatrixService::compiled_for(
   }
 }
 
-std::shared_ptr<const std::vector<FaultInstance>> MatrixService::instances_for(
-    const FaultList& list, std::uint64_t list_hash, std::size_t n,
-    std::size_t cap, bool& cache_hit) {
-  const auto key = std::make_tuple(list_hash, static_cast<std::uint64_t>(n),
-                                   static_cast<std::uint64_t>(cap));
-  std::promise<std::shared_ptr<const std::vector<FaultInstance>>> promise;
-  std::shared_future<std::shared_ptr<const std::vector<FaultInstance>>> future;
-  bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = instances_cache_.find(key);
-    if (it != instances_cache_.end()) {
-      ++stats_.instances_cache_hits;
-      cache_hit = true;
-      future = it->second;
-    } else {
-      ++stats_.instances_cache_misses;
-      cache_hit = false;
-      owner = true;
-      future = promise.get_future().share();
-      instances_cache_.emplace(key, future);
-    }
-  }
-  if (!owner) return future.get();
-  try {
-    auto instances = std::make_shared<const std::vector<FaultInstance>>(
-        instantiate_all(list, n, cap));
-    promise.set_value(instances);
-    return instances;
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-    std::lock_guard<std::mutex> lock(mutex_);
-    instances_cache_.erase(key);
-    throw;
-  }
-}
-
 std::shared_ptr<const std::optional<CoverageReport>>
 MatrixService::static_report_for(const MarchTest& test, const FaultList& list,
                                  std::uint64_t test_hash,
@@ -467,18 +430,13 @@ void MatrixService::run_job(const std::shared_ptr<JobState>& state) {
     }
 
     bool compiled_hit = false;
-    bool instances_hit = false;
     const std::shared_ptr<const CompiledTest> compiled =
         options_.use_packed_engine
             ? compiled_for(job.test, test_hash, compiled_hit)
             : nullptr;
-    const std::shared_ptr<const std::vector<FaultInstance>> instances =
-        instances_for(*job.list, list_hash, job.memory_size,
-                      job.max_instances_per_fault, instances_hit);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       state->result.compiled_cache_hit = compiled_hit;
-      state->result.instances_cache_hit = instances_hit;
     }
 
     if (fault.action == SchedulerFaultAction::CancelMidRun) {
@@ -498,7 +456,6 @@ void MatrixService::run_job(const std::shared_ptr<JobState>& state) {
     sim_options.coverage_threads = 1;
     CoverageContext context;
     context.compiled = compiled.get();
-    context.instances = instances.get();
     CoverageReport report = evaluate_coverage(
         FaultSimulator(sim_options), job.test, *job.list,
         job.max_instances_per_fault, &state->token, &context);

@@ -16,17 +16,18 @@
 //    submission, so queue time counts), service-wide cancel_all()/shutdown
 //    and an optional external token (SIGINT) all trip the same cooperative
 //    switch.  evaluate_coverage polls it at chunk granularity, so a doomed
-//    job stops within a few instance simulations and reports
+//    job stops within a few class simulations and reports
 //    Cancelled/DeadlineExceeded — never a partial report.
 //  * Engine exceptions (invalid tests, internal errors) are captured on the
 //    worker (the pool's exception plumbing) and surface as a per-job Failed
 //    status with the message; the service keeps serving.
-//  * Shared caches keyed by the canonical-form stable hashes (the sweep
+//  * A shared cache keyed by the canonical-form stable hash (the sweep
 //    store's key scheme): the CompiledTest (per test — includes the shared
-//    fault-free trace) and the instantiation (per list × n × cap) are
-//    computed ONCE and reused by every job that names them, with
-//    single-flight deduplication — concurrent jobs for the same key wait on
-//    the first computation instead of duplicating it.
+//    fault-free trace) is computed ONCE and reused by every job that names
+//    it, with single-flight deduplication — concurrent jobs for the same
+//    test wait on the first compilation instead of duplicating it.  Fault
+//    lists need no cache: evaluate_coverage simulates one representative
+//    per behaviour class and never instantiates the sampled layouts.
 //  * Optional SweepStore read-through/write-back: a verified record is a
 //    store hit (no evaluation); computed jobs persist their report.  The
 //    store's own degradation ladder applies unchanged — retries with
@@ -99,8 +100,8 @@ const char* to_string(JobStatus status) noexcept;
 /// `max_instances_per_fault` (the sweep-store key fields, exactly).
 struct MatrixJob {
   MarchTest test;
-  /// Shared: many jobs typically name the same list, and the instantiation
-  /// cache borrows it during evaluation.  Must not be null at submit().
+  /// Shared: many jobs typically name the same list.  Must not be null at
+  /// submit().
   std::shared_ptr<const FaultList> list;
   std::size_t memory_size = 8;
   std::size_t max_instances_per_fault = 4096;
@@ -121,7 +122,6 @@ struct MatrixJobResult {
   bool from_store = false;          ///< report loaded, not evaluated
   bool served_statically = false;   ///< report proved by the analyzer
   bool compiled_cache_hit = false;  ///< reused a cached CompiledTest
-  bool instances_cache_hit = false; ///< reused a cached instantiation
 };
 
 enum class BackpressurePolicy : unsigned char {
@@ -143,10 +143,9 @@ struct MatrixServiceStats {
   std::uint64_t static_served = 0;
   std::uint64_t compiled_cache_hits = 0;
   std::uint64_t compiled_cache_misses = 0;
-  std::uint64_t instances_cache_hits = 0;
-  std::uint64_t instances_cache_misses = 0;
-  /// Fault-instance evaluations actually simulated (store hits excluded):
-  /// the throughput numerator of bench_service.
+  /// Fault instances covered by evaluated reports (store hits excluded):
+  /// the throughput numerator of bench_service.  Simulation work is one run
+  /// per behaviour class, far fewer (see evaluate_coverage).
   std::uint64_t instance_evaluations = 0;
 };
 
@@ -251,9 +250,6 @@ class MatrixService {
   std::shared_ptr<const CompiledTest> compiled_for(const MarchTest& test,
                                                    std::uint64_t test_hash,
                                                    bool& cache_hit);
-  std::shared_ptr<const std::vector<FaultInstance>> instances_for(
-      const FaultList& list, std::uint64_t list_hash, std::size_t n,
-      std::size_t cap, bool& cache_hit);
   /// Single-flight static_coverage_report per (test, list, n, cap) key.
   /// The pointee optional is empty when the analyzer declined the job.
   std::shared_ptr<const std::optional<CoverageReport>> static_report_for(
@@ -279,9 +275,6 @@ class MatrixService {
   std::map<std::uint64_t,
            std::shared_future<std::shared_ptr<const CompiledTest>>>
       compiled_cache_;
-  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-           std::shared_future<std::shared_ptr<const std::vector<FaultInstance>>>>
-      instances_cache_;
   std::map<
       std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>,
       std::shared_future<std::shared_ptr<const std::optional<CoverageReport>>>>

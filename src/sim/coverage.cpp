@@ -1,5 +1,6 @@
 #include "sim/coverage.hpp"
 
+#include <array>
 #include <iomanip>
 #include <optional>
 #include <ostream>
@@ -81,6 +82,55 @@ std::ostream& operator<<(std::ostream& os, const CoverageReport& report) {
   return os << report.summary();
 }
 
+namespace {
+
+/// One behaviour class of one fault: its first sampled instance, simulated
+/// on behalf of the `weight` sampled instances the class holds.
+struct BehaviourClass {
+  FaultInstance representative;
+  std::size_t weight = 0;
+};
+
+/// The behaviour classes of every fault of `list` on an n-cell memory, in
+/// fault order and, within a fault, in order of first sampled instance.
+/// Nothing is instantiated beyond the representatives.
+std::vector<BehaviourClass> behaviour_classes(const FaultList& list,
+                                              std::size_t n,
+                                              std::size_t cap) {
+  std::vector<BehaviourClass> classes;
+  std::size_t index = 0;
+  // Every layout of an FP fault has the same relative cell order: one class,
+  // represented by the lowest layout, weighted by the analytic layout count.
+  const auto add_fp_fault = [&](const auto& fault) {
+    BehaviourClass cls;
+    cls.representative = instantiate(fault, n, index, 1).front();
+    cls.weight = static_cast<std::size_t>(
+        kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), cap));
+    classes.push_back(std::move(cls));
+    ++index;
+  };
+  for (const SimpleFault& fault : list.simple) add_fp_fault(fault);
+  for (const LinkedFault& fault : list.linked) add_fp_fault(fault);
+  // A decoder machine reads one address fact, bit `bit` of the corrupted
+  // address: at most two classes per fault, tallied over the sample.
+  for (const DecoderFault& fault : list.decoder) {
+    std::array<std::size_t, 2> slot_of_bit = {0, 0};  // 1 + class position
+    const std::size_t first = classes.size();
+    for (const std::size_t a : decoder_sample(fault, n, cap)) {
+      std::size_t& slot = slot_of_bit[(a >> fault.bit) & 1u];
+      if (slot == 0) {
+        classes.push_back(BehaviourClass{bind_decoder(fault, a, index), 0});
+        slot = classes.size() - first;
+      }
+      ++classes[first + slot - 1].weight;
+    }
+    ++index;
+  }
+  return classes;
+}
+
+}  // namespace
+
 CoverageReport evaluate_coverage(const FaultSimulator& simulator,
                                  const MarchTest& test, const FaultList& list,
                                  std::size_t max_instances_per_fault,
@@ -101,85 +151,69 @@ CoverageReport evaluate_coverage(const FaultSimulator& simulator,
     report.entries[i].covered = true;
   }
 
-  // Borrow the context's instantiation when supplied (the service shares one
-  // immutable vector across every job naming the same (list, n, cap)).
-  std::vector<FaultInstance> owned_instances;
-  const std::vector<FaultInstance>* instances_ptr =
-      context != nullptr ? context->instances : nullptr;
-  if (instances_ptr == nullptr) {
-    owned_instances = instantiate_all(
-        list, simulator.options().memory_size, max_instances_per_fault);
-    instances_ptr = &owned_instances;
-  }
-  const std::vector<FaultInstance>& instances = *instances_ptr;
-  std::vector<std::uint8_t> detected(instances.size(), 0);
+  const std::vector<BehaviourClass> classes = behaviour_classes(
+      list, simulator.options().memory_size, max_instances_per_fault);
+  std::vector<std::uint8_t> detected(classes.size(), 0);
 
-  if (simulator.options().use_packed_engine) {
-    // Packed fast path: compile the test once (shared good-machine trace and
-    // ⇕ numbering), then spread the instances over a bounded thread pool.
-    // Per-instance state is stack-only (PackedFaultSim + lane blocks), so
-    // workers share nothing but the compiled test and the verdict array.
-    std::optional<CompiledTest> owned_compiled;
-    const CompiledTest* compiled =
-        context != nullptr ? context->compiled : nullptr;
-    if (compiled == nullptr) {
-      owned_compiled.emplace(compile_march_test(test));
-      compiled = &*owned_compiled;
+  // Packed engine: compile the test once (shared good-machine trace and ⇕
+  // numbering), then spread the representatives over a bounded thread pool.
+  // Per-class state is stack-only, so workers share nothing but the
+  // compiled test and the verdict array.  The scalar reference engine runs
+  // sequentially.
+  const bool packed = simulator.options().use_packed_engine;
+  std::optional<CompiledTest> owned_compiled;
+  const CompiledTest* compiled =
+      context != nullptr ? context->compiled : nullptr;
+  if (packed && compiled == nullptr) {
+    owned_compiled.emplace(compile_march_test(test));
+    compiled = &*owned_compiled;
+  }
+  const auto evaluate = [&](std::size_t, std::size_t begin, std::size_t end) {
+    // The per-chunk poll is the cooperative cancellation point: a tripped
+    // token stops every worker within one chunk (the throw lands in the
+    // pool's first_error and is rethrown on the calling thread).
+    if (cancel != nullptr) cancel->check();
+    for (std::size_t i = begin; i < end; ++i) {
+      const FaultInstance& instance = classes[i].representative;
+      detected[i] = packed
+                        ? simulator.detects_compiled(test, *compiled, instance)
+                        : simulator.detects_scalar(test, instance);
     }
-    const auto evaluate = [&](std::size_t, std::size_t begin,
-                              std::size_t end) {
-      // The per-chunk poll is the cooperative cancellation point: a tripped
-      // token stops every worker within one chunk (the throw lands in the
-      // pool's first_error and is rethrown on the calling thread).
-      if (cancel != nullptr) cancel->check();
-      for (std::size_t i = begin; i < end; ++i) {
-        detected[i] = simulator.detects_compiled(test, *compiled,
-                                                 instances[i]);
-      }
-    };
-    const std::size_t chunk = 16;
-    const std::size_t threads = ThreadPool::resolve_thread_count(
-        simulator.options().coverage_threads);
-    // The caller participates, so the pool only needs enough workers to
-    // cover the remaining chunks; tiny lists skip pool construction (and
-    // its thread create/join cost) entirely.
-    const std::size_t workers = std::min(
-        threads - 1, instances.size() / chunk);
-    if (threads <= 1 || workers == 0) {
-      if (cancel == nullptr) {
-        evaluate(0, 0, instances.size());
-      } else {
-        // Sequential path: chunk manually so the poll frequency matches the
-        // pooled path's cancellation latency.
-        for (std::size_t begin = 0; begin < instances.size();
-             begin += chunk) {
-          evaluate(0, begin, std::min(instances.size(), begin + chunk));
-        }
-      }
-    } else {
-      ThreadPool pool(workers);
-      pool.parallel_for(instances.size(), chunk, evaluate);
+  };
+  const std::size_t chunk = 16;
+  const std::size_t threads =
+      packed ? ThreadPool::resolve_thread_count(
+                   simulator.options().coverage_threads)
+             : 1;
+  // The caller participates, so the pool only needs enough workers to cover
+  // the remaining chunks; small lists skip pool construction (and its
+  // thread create/join cost) entirely.
+  const std::size_t workers = std::min(threads - 1, classes.size() / chunk);
+  if (workers == 0) {
+    // Sequential path: chunk manually so the poll frequency matches the
+    // pooled path's cancellation latency.
+    for (std::size_t begin = 0; begin < classes.size(); begin += chunk) {
+      evaluate(0, begin, std::min(classes.size(), begin + chunk));
     }
   } else {
-    // Scalar reference path (sequential — the benchmarks' seed baseline).
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      if (cancel != nullptr && (i % 16) == 0) cancel->check();
-      detected[i] = simulator.detects_scalar(test, instances[i]);
-    }
+    ThreadPool pool(workers);
+    pool.parallel_for(classes.size(), chunk, evaluate);
   }
 
-  // Deterministic aggregation in instance order, regardless of the thread
-  // schedule: counts and the first escaping instance per fault match the
-  // sequential scalar path bit for bit.
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    CoverageEntry& entry = report.entries[instances[i].fault_index];
-    ++entry.instances;
+  // Deterministic aggregation in class order, regardless of the thread
+  // schedule.  A fault's classes are ordered by first sampled instance, so
+  // the first escaping class holds the first escaping instance of the
+  // per-instance enumeration.
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const BehaviourClass& cls = classes[i];
+    CoverageEntry& entry = report.entries[cls.representative.fault_index];
+    entry.instances += cls.weight;
     if (detected[i] != 0) {
-      ++entry.detected;
+      entry.detected += cls.weight;
     } else {
       entry.covered = false;
       if (entry.escape_description.empty()) {
-        entry.escape_description = instances[i].description;
+        entry.escape_description = cls.representative.description;
       }
     }
   }

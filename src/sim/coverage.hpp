@@ -19,10 +19,10 @@ struct CompiledTest;     // sim/packed_engine.hpp
 struct CoverageEntry {
   std::size_t fault_index = 0;
   std::string fault;               ///< fault name
-  std::size_t instances = 0;       ///< concrete instances simulated
+  std::size_t instances = 0;       ///< sampled concrete instances
   std::size_t detected = 0;        ///< instances detected
   bool covered = false;            ///< all instances detected
-  std::string escape_description;  ///< an undetected instance, if any
+  std::string escape_description;  ///< the first undetected instance, if any
 };
 
 struct CoverageReport {
@@ -60,29 +60,37 @@ struct CoverageReport {
 std::ostream& operator<<(std::ostream& os, const CoverageReport& report);
 
 /// Precomputed evaluation artifacts the matrix service shares across jobs
-/// (service/matrix_service.hpp).  Both pointers are optional; when set they
-/// MUST match the (test, list, memory size, cap) of the call — the service
-/// guarantees that by keying its caches on the canonical-form stable hashes.
-/// The borrowed artifacts are read-only and may be shared by any number of
-/// concurrent evaluations.
+/// (service/matrix_service.hpp).  The pointer is optional; when set it MUST
+/// match the test of the call — the service guarantees that by keying its
+/// cache on the canonical-form stable hash.  The borrowed artifact is
+/// read-only and may be shared by any number of concurrent evaluations.
 struct CoverageContext {
   /// compile_march_test(test) — the compiled traces and ⇕ numbering
   /// (packed path only; the scalar path ignores it).
   const CompiledTest* compiled = nullptr;
-  /// instantiate_all(list, memory_size, max_instances_per_fault).
-  const std::vector<FaultInstance>* instances = nullptr;
 };
 
-/// Simulates every instance of every fault of `list` against `test`.
-/// `max_instances_per_fault` bounds the instantiation for large memories
-/// (0 = full enumeration; see instantiate_all): per-fault verdicts then
-/// refer to the deterministic layout sample, not the full layout space.
+/// Coverage of every fault of `list` by `test`, as if every sampled
+/// instance (instantiate_all(list, n, max_instances_per_fault); 0 = full
+/// enumeration) were simulated: per-fault verdicts refer to that
+/// deterministic layout sample, not the full layout space.
+///
+/// No instance is materialized beyond one representative per *behaviour
+/// class* — the instances of a fault with equal PackedFaultSim::signature(),
+/// which evolve identically against every test.  An FP fault is one class
+/// (all its layouts share their relative cell order), weighted by
+/// kept_layouts(); a decoder fault has at most two, split by bit `bit` of
+/// the corrupted address and tallied over decoder_sample().  Each class
+/// adds its weight to the instance (and, if detected, the detected) count,
+/// and the escape description is the first sampled instance of the first
+/// escaping class — byte-identical to simulating every instance.
 ///
 /// `cancel` (optional) is polled at chunk granularity: once the token trips,
 /// the evaluation throws CancelledError in bounded time — a handful of
-/// instance simulations — and NO report is produced (an interrupted
-/// evaluation never returns partial counts).  `context` (optional) supplies
-/// pre-compiled artifacts; see CoverageContext.
+/// class simulations — and NO report is produced (an interrupted evaluation
+/// never returns partial counts).  `context` (optional) supplies the
+/// pre-compiled test; see CoverageContext.  Reports are identical for every
+/// thread count and for both engines.
 CoverageReport evaluate_coverage(const FaultSimulator& simulator,
                                  const MarchTest& test, const FaultList& list,
                                  std::size_t max_instances_per_fault = 0,

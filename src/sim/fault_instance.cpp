@@ -34,22 +34,6 @@ std::vector<std::vector<std::size_t>> ascending_subsets(std::size_t n,
   }
 }
 
-/// C(n, k), saturating at uint64 max (only compared against small caps).
-std::uint64_t subset_count_saturated(std::size_t n, std::size_t k) {
-  if (k > n) return 0;
-  std::uint64_t result = 1;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::uint64_t factor = n - i;
-    if (result > std::numeric_limits<std::uint64_t>::max() / factor) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    // Exact at every step: the running product of i+1 consecutive integers
-    // is divisible by (i+1)!.
-    result = result * factor / (i + 1);
-  }
-  return result;
-}
-
 /// splitmix64 — the same stdlib-independent PRNG as the fuzz harness, so
 /// sampled layouts are identical on every platform.
 struct SplitMix {
@@ -67,14 +51,20 @@ struct SplitMix {
   }
 };
 
+/// Position of the j-th of `keep` evenly spaced picks among `count` items:
+/// the first and last are always picked.
+std::size_t evenly_spaced(std::size_t j, std::size_t keep, std::size_t count) {
+  return keep == 1 ? 0 : j * (count - 1) / (keep - 1);
+}
+
 /// The layouts instantiate() binds: all ascending k-subsets when they fit
 /// `cap` (or cap == 0), a deterministic sample otherwise (see the header
-/// comment on instantiate()).
+/// comment on instantiate()).  Exactly kept_layouts(n, k, cap) of them.
 std::vector<std::vector<std::size_t>> bounded_subsets(std::size_t n,
                                                       std::size_t k,
                                                       std::size_t cap,
                                                       std::uint64_t seed) {
-  const std::uint64_t count = subset_count_saturated(n, k);
+  const std::uint64_t count = kept_layouts(n, k, 0);
   if (cap == 0 || count <= cap) return ascending_subsets(n, k);
 
   // Moderate overshoot: enumerate fully, keep `cap` evenly spaced layouts
@@ -84,7 +74,7 @@ std::vector<std::vector<std::size_t>> bounded_subsets(std::size_t n,
     std::vector<std::vector<std::size_t>> picked;
     picked.reserve(cap);
     for (std::size_t j = 0; j < cap; ++j) {
-      picked.push_back(all[cap == 1 ? 0 : j * (all.size() - 1) / (cap - 1)]);
+      picked.push_back(all[evenly_spaced(j, cap, all.size())]);
     }
     return picked;
   }
@@ -99,10 +89,9 @@ std::vector<std::vector<std::size_t>> bounded_subsets(std::size_t n,
   chosen.insert(lowest);
   chosen.insert(highest);
   SplitMix rng{seed};
-  // count > 4·cap, so fresh layouts stay likely; the attempt bound is a
-  // safety net, not the expected exit.
-  for (std::size_t attempts = 0; chosen.size() < cap && attempts < 64 * cap;
-       ++attempts) {
+  // count > 4·cap, so every draw is fresh with probability above 3/4 and
+  // the loop ends with exactly `cap` layouts.
+  while (chosen.size() < cap) {
     std::vector<std::size_t> pick;
     pick.reserve(k);
     while (pick.size() < k) {
@@ -127,6 +116,22 @@ std::uint64_t layout_seed(std::size_t fault_index, std::size_t n,
 }
 
 }  // namespace
+
+std::uint64_t kept_layouts(std::size_t n, std::size_t k, std::size_t cap) {
+  if (k > n) return 0;
+  std::uint64_t count = 1;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::uint64_t factor = n - i;
+    if (count > std::numeric_limits<std::uint64_t>::max() / factor) {
+      count = std::numeric_limits<std::uint64_t>::max();
+      break;
+    }
+    // Exact at every step: the running product of i+1 consecutive integers
+    // is divisible by (i+1)!.
+    count = count * factor / (i + 1);
+  }
+  return cap == 0 ? count : std::min<std::uint64_t>(count, cap);
+}
 
 std::vector<FaultInstance> instantiate(const SimpleFault& fault, std::size_t n,
                                        std::size_t fault_index,
@@ -170,45 +175,65 @@ std::vector<FaultInstance> instantiate(const LinkedFault& fault, std::size_t n,
   return result;
 }
 
+std::size_t decoder_address_count(const DecoderFault& fault, std::size_t n) {
+  // The broken address line must exist in an n-cell memory; a fault on a
+  // line the memory does not have simply has no instances there.
+  if (fault.bit >= 63 || (std::size_t{1} << fault.bit) >= n) return 0;
+  if (fault.cls == DecoderFaultClass::NoAccess) return n;
+  // Every address of a whole 2^(bit+1)-aligned period below n has its
+  // partner in the same period.  In the partial period [whole, n) of
+  // r = n - whole addresses, the first r - 2^bit of each half pair up.
+  const std::size_t half = std::size_t{1} << fault.bit;
+  const std::size_t whole = n / (2 * half) * (2 * half);
+  const std::size_t rest = n - whole;
+  return whole + (rest > half ? 2 * (rest - half) : 0);
+}
+
+std::vector<std::size_t> decoder_sample(const DecoderFault& fault,
+                                        std::size_t n,
+                                        std::size_t max_instances) {
+  std::vector<std::size_t> addresses;
+  const std::size_t count = decoder_address_count(fault, n);
+  if (count == 0) return addresses;
+  const std::size_t keep =
+      max_instances == 0 ? count : std::min(count, max_instances);
+  // The ordinal-th valid address in ascending order, by the period
+  // decomposition of decoder_address_count: whole periods first, then the
+  // paired prefixes of the two halves of the partial period.
+  const std::size_t half = std::size_t{1} << fault.bit;
+  const std::size_t whole = n / (2 * half) * (2 * half);
+  const std::size_t low = count > whole ? (count - whole) / 2 : 0;
+  const bool two_cell = fault.cls != DecoderFaultClass::NoAccess;
+  addresses.reserve(keep);
+  for (std::size_t j = 0; j < keep; ++j) {
+    const std::size_t ordinal = evenly_spaced(j, keep, count);
+    if (!two_cell || ordinal < whole + low) {
+      addresses.push_back(ordinal);
+    } else {
+      addresses.push_back(ordinal - low + half);
+    }
+  }
+  return addresses;
+}
+
+FaultInstance bind_decoder(const DecoderFault& fault, std::size_t a,
+                           std::size_t fault_index) {
+  const std::size_t partner = a ^ (std::size_t{1} << fault.bit);
+  const std::size_t v =
+      fault.cls == DecoderFaultClass::NoAccess ? a : partner;
+  FaultInstance inst;
+  inst.fault_index = fault_index;
+  inst.decoders.push_back(BoundDecoder(fault, a, v));
+  inst.description = fault.name() + " @ " + inst.decoders[0].to_string();
+  return inst;
+}
+
 std::vector<FaultInstance> instantiate(const DecoderFault& fault,
                                        std::size_t n, std::size_t fault_index,
                                        std::size_t max_instances) {
   std::vector<FaultInstance> result;
-  // The broken address line must exist in an n-cell memory; a fault on a
-  // line the memory does not have simply has no instances there.
-  if (fault.bit >= 63 || (std::size_t{1} << fault.bit) >= n) return result;
-  const std::size_t partner_bit = std::size_t{1} << fault.bit;
-  const bool two_cell = fault.cls != DecoderFaultClass::NoAccess;
-  const auto valid = [&](std::size_t a) {
-    return !two_cell || (a ^ partner_bit) < n;
-  };
-
-  std::size_t count = 0;
-  for (std::size_t a = 0; a < n; ++a) count += valid(a) ? 1 : 0;
-  if (count == 0) return result;
-
-  // Deterministic evenly-spaced sample over the valid addresses (first and
-  // last always included), mirroring the layout-sampling contract of the
-  // FP instantiations: identical across runs and thread counts.
-  const std::size_t keep =
-      max_instances == 0 ? count : std::min(count, max_instances);
-  std::vector<std::size_t> targets;
-  targets.reserve(keep);
-  for (std::size_t j = 0; j < keep; ++j) {
-    targets.push_back(keep == 1 ? 0 : j * (count - 1) / (keep - 1));
-  }
-
-  std::size_t ordinal = 0, next = 0;
-  for (std::size_t a = 0; a < n && next < targets.size(); ++a) {
-    if (!valid(a)) continue;
-    if (ordinal++ != targets[next]) continue;
-    ++next;
-    const std::size_t v = two_cell ? (a ^ partner_bit) : a;
-    FaultInstance inst;
-    inst.fault_index = fault_index;
-    inst.decoders.push_back(BoundDecoder(fault, a, v));
-    inst.description = fault.name() + " @ " + inst.decoders[0].to_string();
-    result.push_back(std::move(inst));
+  for (const std::size_t a : decoder_sample(fault, n, max_instances)) {
+    result.push_back(bind_decoder(fault, a, fault_index));
   }
   return result;
 }

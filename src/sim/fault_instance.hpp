@@ -6,9 +6,17 @@
 // every relative address order the layout describes is exercised at every
 // position in the memory (including the boundary cells, which matters for
 // march address-order corner cases).
+//
+// Every layout of one FP fault has the same relative cell order, so all of
+// them behave alike (one behaviour class, see PackedFaultSim::signature());
+// coverage evaluation therefore needs only their count, kept_layouts(), and
+// the lowest layout.  A decoder fault's instances split into at most two
+// classes by bit `bit` of the corrupted address; decoder_sample() lists the
+// sampled addresses without building instances.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,22 +36,22 @@ struct FaultInstance {
   std::vector<BoundDecoder> decoders;
   std::size_t fault_index = 0;
   std::string description;
-
-  /// True when simulating the instance never reads absolute cell addresses
-  /// — the precondition of the prefix engine's signature-based instance
-  /// collapsing (PackedFaultSim::signature()).  Decoder faults read
-  /// addresses by construction.
-  bool address_free() const noexcept { return decoders.empty(); }
 };
 
-/// Instances of a simple fault on an `n`-cell memory.  `max_instances`
-/// bounds the enumeration for large memories (0 = unlimited): when the full
-/// ascending-subset enumeration exceeds the bound, a deterministic
-/// boundary-biased sample of at most `max_instances` layouts is used instead
-/// — always including the lowest ({0..k-1}) and highest ({n-k..n-1})
-/// layouts, with the rest evenly spaced or drawn from a seeded PRNG (the
-/// seed depends only on fault_index, n and k, so sampling is identical
-/// across runs and thread counts).
+/// Number of layouts instantiate() keeps for a fault with a k-cell layout
+/// on an n-cell memory under `cap` (0 = unlimited): min(cap, C(n, k)), with
+/// C(n, k) saturating at uint64 max.  Exact in every sampling tier.
+std::uint64_t kept_layouts(std::size_t n, std::size_t k, std::size_t cap);
+
+/// Instances of a simple fault on an `n`-cell memory, lowest layout first.
+/// `max_instances` bounds the enumeration for large memories (0 =
+/// unlimited): when the full ascending-subset enumeration exceeds the bound,
+/// a deterministic boundary-biased sample of exactly `max_instances`
+/// layouts is used instead — always including the lowest ({0..k-1}) and
+/// (above one layout) highest ({n-k..n-1}) layouts, with the rest evenly
+/// spaced or drawn from a seeded PRNG (the seed depends only on
+/// fault_index, n and k, so sampling is identical across runs and thread
+/// counts).  The count is kept_layouts(n, k, max_instances).
 std::vector<FaultInstance> instantiate(const SimpleFault& fault, std::size_t n,
                                        std::size_t fault_index,
                                        std::size_t max_instances = 0);
@@ -54,13 +62,27 @@ std::vector<FaultInstance> instantiate(const LinkedFault& fault, std::size_t n,
                                        std::size_t fault_index,
                                        std::size_t max_instances = 0);
 
-/// Instances of a decoder fault on an `n`-cell memory: one per corrupted
-/// address a < n whose partner a XOR 2^bit also fits (every a for NoAccess).
-/// Returns no instances — not an error — when the memory has no address
-/// line `bit` (2^bit >= n): the fault cannot exist there, and
-/// evaluate_coverage reports it uncovered at that size.  Above
-/// `max_instances` the enumeration keeps a deterministic evenly-spaced
+/// Number of corrupted addresses a < n a decoder fault can bind: those
+/// whose partner a XOR 2^bit also fits (every a for NoAccess), and none when
+/// the memory has no address line `bit` (2^bit >= n).
+std::size_t decoder_address_count(const DecoderFault& fault, std::size_t n);
+
+/// The corrupted addresses instantiate() binds, ascending: all of them, or
+/// above `max_instances` (0 = unlimited) a deterministic evenly-spaced
 /// sample that always includes the lowest and highest valid addresses.
+/// O(kept addresses): each sample ordinal maps to its address arithmetically.
+std::vector<std::size_t> decoder_sample(const DecoderFault& fault,
+                                        std::size_t n,
+                                        std::size_t max_instances = 0);
+
+/// The instance binding `fault` at corrupted address `a` (partner derived).
+FaultInstance bind_decoder(const DecoderFault& fault, std::size_t a,
+                           std::size_t fault_index);
+
+/// Instances of a decoder fault on an `n`-cell memory: bind_decoder() over
+/// decoder_sample().  Returns no instances — not an error — when the memory
+/// has no address line `bit`: the fault cannot exist there, and
+/// evaluate_coverage reports it uncovered at that size.
 std::vector<FaultInstance> instantiate(const DecoderFault& fault,
                                        std::size_t n, std::size_t fault_index,
                                        std::size_t max_instances = 0);

@@ -1,7 +1,6 @@
 #include "sim/packed_engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/error.hpp"
 
@@ -186,16 +185,8 @@ PackedFaultSim::PackedFaultSim(const FaultInstance& instance) {
 }
 
 std::string PackedFaultSim::signature() const {
-  // Collapsing-soundness gate: an address-reading machine has no
-  // address-free signature (see the header comment).  The assert backs the
-  // runtime check in assert-enabled builds.
-  assert(address_free() &&
-         "signature() called on an address-reading fault instance");
-  require(address_free(),
-          "PackedFaultSim::signature(): address-decoder instances read "
-          "absolute addresses and must not be signature-collapsed");
   std::string out;
-  out.reserve(2 + num_fps_ * 5);
+  out.reserve(2 + num_fps_ * 5 + 4);
   out.push_back(static_cast<char>(num_slots_));
   out.push_back(static_cast<char>(num_fps_));
   for (std::size_t i = 0; i < num_fps_; ++i) {
@@ -209,6 +200,12 @@ std::string PackedFaultSim::signature() const {
         (fp.op_on_victim ? 4 : 0) | (fp.v_state_one ? 8 : 0) |
         (fp.a_state_one ? 16 : 0) | (fp.fault_one ? 32 : 0) |
         (fp.read_one ? 64 : 0)));
+  }
+  if (has_decoder_) {
+    out.push_back(static_cast<char>(decoder_cls_));
+    out.push_back(static_cast<char>(decoder_a_slot_));
+    out.push_back(static_cast<char>(decoder_v_slot_));
+    out.push_back(static_cast<char>(decoder_read_one_ ? 1 : 0));
   }
   return out;
 }

@@ -65,12 +65,11 @@
 //
 // Address-decoder instances (fp/decoder_fault.hpp) are cell-collapsed the
 // same way — every deviation they introduce is confined to the corrupted
-// address and its partner, so (1)–(3) go through verbatim — but unlike FP
-// instances their behaviour is *address-aware*: the compiled machine keeps
-// the absolute involved addresses (e.g. the AF-na read-back is a bit of the
-// corrupted address), not just their relative order.  That is why
-// signature(), the prefix engine's instance-collapsing key, refuses them:
-// see address_free().
+// address and its partner, so (1)–(3) go through verbatim.  The one address
+// fact their machine reads is bit `bit` of the corrupted address a: it is
+// the AF-na read-back, and for the two-cell classes it says whether a comes
+// before or after its partner.  It is lowered at construction like the FP
+// fields, so signature() covers decoder instances too.
 //
 // -- Shared good-machine trace ----------------------------------------------
 //
@@ -193,29 +192,18 @@ class PackedFaultSim {
   /// Memory address of involved cell `slot` (slots are address-ascending).
   std::size_t slot_address(std::size_t slot) const { return cells_[slot]; }
 
-  /// True when the compiled machine never reads absolute cell addresses —
-  /// its lane evolution depends only on the relative (slot) order of the
-  /// involved cells.  All FP instances qualify; decoder instances do not
-  /// (their semantics are defined on address bits).  This is the enforced
-  /// precondition of signature() and of the prefix engine's instance
-  /// collapsing.
-  bool address_free() const noexcept { return !has_decoder_; }
-
   /// Canonical byte string of the compiled fault structure — the slot count
-  /// and every lowered FP field — *excluding* the involved-cell addresses.
-  /// For address-free instances the simulation never reads the addresses
-  /// (power_on/run_element touch cells only through their dense slot
-  /// indices, and slots are address-ascending), so two instances with equal
-  /// signatures have bit-identical lane evolutions against every test: the
-  /// layout only contributes its relative order, which the slot numbering
-  /// captures.  The prefix engine (sim/prefix_sim.hpp) collapses
-  /// equal-signature instances of a fault into one weighted item.
-  ///
-  /// Throws (and asserts) unless address_free(): an address-reading
-  /// instance — today, any decoder fault — has no address-free signature,
-  /// and collapsing two of them with equal structure but different
-  /// addresses would silently produce wrong weighted counts (e.g. two AF-na
-  /// instances whose read-back bits differ).
+  /// and every lowered FP or decoder field — *excluding* the involved-cell
+  /// addresses.  The simulation never reads the addresses (power_on and
+  /// run_element touch cells only through their dense slot indices, slots
+  /// are address-ascending, and a decoder's address bit is lowered into
+  /// its slot roles and read-back), so two instances with equal signatures
+  /// have bit-identical lane evolutions against every test.  Equal
+  /// signatures define a *behaviour class*: the prefix engine
+  /// (sim/prefix_sim.hpp) collapses a fault's equal-signature instances
+  /// into one weighted item, and evaluate_coverage simulates one
+  /// representative per class.  For decoder instances the key amounts to
+  /// (class, wired, bit `bit` of the corrupted address).
   std::string signature() const;
 
   /// Per-block lane state; plain data, copyable (the greedy engine's trial

@@ -125,11 +125,9 @@ std::size_t PrefixEngine::run_steps(
 void PrefixEngine::initialize(const std::vector<FaultInstance>& instances,
                               const MarchTest& prefix, ThreadPool* pool) {
   // Collapse equal-signature instances of a fault into one weighted
-  // representative: an *address-free* packed simulation never reads
-  // absolute addresses (see PackedFaultSim::signature), so all layout
-  // instances with the same relative cell order evolve identically.
-  // Address-reading instances (decoder faults) are exempt below.
-  // Representatives keep the first-occurrence order of the input set.
+  // representative: instances in one behaviour class evolve identically
+  // (see PackedFaultSim::signature).  Representatives keep the
+  // first-occurrence order of the input set.
   std::unordered_map<std::string, std::size_t> groups;
   for (const FaultInstance& inst : instances) {
     require_addresses_fit(inst, memory_size_);
@@ -140,19 +138,6 @@ void PrefixEngine::initialize(const std::vector<FaultInstance>& instances,
                 std::to_string(PackedFaultSim::kMaxFps) +
                 " bound FPs per fault instance");
     PackedFaultSim sim(inst);
-    if (!sim.address_free()) {
-      // Collapsing gate: an address-reading instance (decoder fault) has no
-      // address-free signature — two structurally equal instances at
-      // different addresses can evolve differently (e.g. AF-na read-back
-      // bits), so each one is simulated as its own weight-1 item.
-      // Detection-based *dropping* stays exact for them: stickiness of
-      // detection does not depend on how the fault reads addresses.
-      Item item;
-      item.instance = &inst;
-      item.sim = sim;
-      items_.push_back(std::move(item));
-      continue;
-    }
     std::string key = std::to_string(inst.fault_index);
     key.push_back('#');
     key += sim.signature();

@@ -215,9 +215,9 @@ class PrefixEngine {
   struct Item {
     const FaultInstance* instance = nullptr;
     PackedFaultSim sim;  ///< the instance compiled to involved-cell slots
-    /// Number of collapsed layout instances this item stands for: instances
-    /// of one fault whose packed signatures match (equal relative layout
-    /// order) have bit-identical lane evolutions, so one representative is
+    /// Number of collapsed instances this item stands for: instances of one
+    /// fault whose packed signatures match (one behaviour class) have
+    /// bit-identical lane evolutions, so one representative is
     /// simulated and every count is weighted — sums over items equal the
     /// sums the uncollapsed instance set would produce, term for term.
     std::size_t weight = 1;

@@ -2,9 +2,10 @@
 // across many simulated memory sizes (n ≫ 64 included).
 //
 // The packed engine's cost per fault instance is independent of n (cell
-// collapsing keeps only the ≤ 3 involved cells), so the sweep's cost is
-// governed by the number of instantiated layouts, not by the memory size —
-// `max_instances_per_fault` bounds that deterministically (instantiate_all).
+// collapsing keeps only the ≤ 3 involved cells), and evaluate_coverage
+// simulates one instance per behaviour class — one per FP fault, at most two
+// per decoder fault — so a point costs about one packed run per fault.  Only
+// the decoder sample walk grows with `max_instances_per_fault`, never with n.
 // Sweep points are independent, so they are spread over the bounded thread
 // pool (common/parallel.hpp); each point evaluates sequentially on its
 // worker, and results land in size-list order, so the sweep output is
@@ -17,7 +18,8 @@
 // (fp/decoder_fault.hpp, decoder_fault_list()) are what bend it: a fault on
 // address line `bit` exists only in memories with 2^bit < n, so the
 // instantiable — and coverable — fraction of the list grows with the memory
-// size, and the per-point instance counts track the address space.  See
+// size, and the per-point instance counts (analytic sample sizes, not
+// simulated instances) track the address space.  See
 // tests/sim/test_decoder.cpp (SweepCurveVariesWithN) and
 // bench_decoder_sweep.
 #pragma once
@@ -38,8 +40,9 @@ struct SweepOptions {
   bool both_power_on_states = true;
   std::size_t max_any_order_elements = 10;
   bool use_packed_engine = true;
-  /// Per-fault layout bound per sweep point (0 = full enumeration — beware:
-  /// two-cell faults enumerate O(n²) layouts).
+  /// Per-fault layout bound per sweep point (0 = full enumeration: counts
+  /// cover all O(n²) layouts of a two-cell fault, and every corrupted
+  /// address of a decoder fault is walked).
   std::size_t max_instances_per_fault = 4096;
   /// Worker threads across sweep points; 0 picks the hardware concurrency.
   std::size_t threads = 0;
@@ -52,7 +55,7 @@ struct SweepOptions {
   SweepStore* store = nullptr;
   /// Optional cooperative cancellation (common/cancel.hpp).  Once the token
   /// trips, points not yet completed are skipped (marked cancelled) and the
-  /// one mid-evaluation stops within a few instance simulations; completed
+  /// one mid-evaluation stops within a few class simulations; completed
   /// points are returned intact — with a store, an interrupted sweep has
   /// already persisted them and a re-run resumes from there.
   const CancelToken* cancel = nullptr;

@@ -16,6 +16,7 @@
 #include "sim/coverage.hpp"
 #include "sim/sweep.hpp"
 #include "store/sweep_store.hpp"
+#include "../sim/coverage_helpers.hpp"
 
 namespace mtg {
 namespace {
@@ -114,24 +115,25 @@ TEST(CancelEvaluate, PreCancelledTokenThrowsBeforeEvaluating) {
 }
 
 TEST(CancelEvaluate, DeadlineInterruptsMidEvaluationInBoundedTime) {
-  // A workload that takes well over the deadline (March SL against list 2 at
-  // n=4096 is tens of milliseconds even on fast hardware) must stop a few
-  // chunks after the deadline passes — and produce no report at all.
+  // A workload that takes well over the deadline (hundreds of milliseconds
+  // even on fast hardware) must stop a few chunks after the deadline
+  // passes — and produce no report at all.
   CancelToken token;
   token.set_deadline_after(std::chrono::milliseconds(1));
   SimulatorOptions options;
   options.memory_size = 4096;
   options.coverage_threads = 2;
+  const FaultList list = slow_coverage_list();
   const auto start = std::chrono::steady_clock::now();
   try {
-    evaluate_coverage(FaultSimulator(options), march_sl(), fault_list_2(), 0,
+    evaluate_coverage(FaultSimulator(options), slow_coverage_test(), list, 0,
                       &token);
     FAIL() << "a 1ms deadline must interrupt a multi-ten-ms evaluation";
   } catch (const CancelledError& e) {
     EXPECT_EQ(e.cause(), CancelCause::DeadlineExceeded);
   }
   // Bounded-latency assertion, deliberately generous for loaded CI machines:
-  // the poll happens every chunk (16 instances), so even slow hardware stops
+  // the poll happens every chunk (16 classes), so even slow hardware stops
   // orders of magnitude below an uncancelled run.
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
@@ -139,6 +141,7 @@ TEST(CancelEvaluate, DeadlineInterruptsMidEvaluationInBoundedTime) {
 }
 
 TEST(CancelEvaluate, CancelFromAnotherThreadStopsTheEvaluation) {
+  const FaultList list = slow_coverage_list();
   CancelToken token;
   std::thread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -150,7 +153,7 @@ TEST(CancelEvaluate, CancelFromAnotherThreadStopsTheEvaluation) {
   bool interrupted = false;
   CancelCause cause = CancelCause::None;
   try {
-    evaluate_coverage(FaultSimulator(options), march_sl(), fault_list_2(), 0,
+    evaluate_coverage(FaultSimulator(options), slow_coverage_test(), list, 0,
                       &token);
   } catch (const CancelledError& e) {
     interrupted = true;

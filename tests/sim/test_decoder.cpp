@@ -205,30 +205,41 @@ TEST(DecoderSweep, RejectsSizesBelowTheSimulatorMinimumUpFront) {
 
 // --- collapsing-soundness guards --------------------------------------------
 
-TEST(DecoderCollapsing, SignatureRefusesAddressReadingInstances) {
-  const auto instances =
+TEST(DecoderCollapsing, SignatureKeysOnTheAddressBitTheMachineReads) {
+  // AFna@b1 at n=4: addresses 0 and 1 read back 0, addresses 2 and 3 read
+  // back 1 — two behaviour classes, split by bit 1 of the address.
+  const auto na =
       instantiate(DecoderFault{DecoderFaultClass::NoAccess, 1, Bit::Zero}, 4,
                   /*fault_index=*/0);
-  ASSERT_FALSE(instances.empty());
-  const PackedFaultSim sim(instances[0]);
-  EXPECT_FALSE(sim.address_free());
-  EXPECT_THROW(sim.signature(), Error);
-  // FP instances keep their address-free signature.
+  ASSERT_EQ(na.size(), 4u);
+  const auto key = [](const FaultInstance& inst) {
+    return PackedFaultSim(inst).signature();
+  };
+  EXPECT_EQ(key(na[0]), key(na[1]));
+  EXPECT_EQ(key(na[2]), key(na[3]));
+  EXPECT_NE(key(na[0]), key(na[2]));
+  // Two-cell classes: the bit says whether the corrupted address comes
+  // before its partner (a=0, v=2) or after it (a=2, v=0).
+  const auto wc =
+      instantiate(DecoderFault{DecoderFaultClass::WrongCell, 1, Bit::Zero}, 4,
+                  /*fault_index=*/0);
+  ASSERT_EQ(wc.size(), 4u);
+  EXPECT_EQ(key(wc[0]), key(wc[1]));
+  EXPECT_NE(key(wc[0]), key(wc[2]));
+  // Decoder and FP signatures never collide.
   const auto fp_instances =
       instantiate(SimpleFault::single(FaultPrimitive::sf(Bit::Zero)), 4, 0);
-  const PackedFaultSim fp_sim(fp_instances[0]);
-  EXPECT_TRUE(fp_sim.address_free());
-  EXPECT_FALSE(fp_sim.signature().empty());
+  EXPECT_NE(key(fp_instances[0]), key(na[0]));
 }
 
 TEST(DecoderCollapsing, PrefixEngineKeepsStructurallyEqualInstancesApart) {
-  // Regression for the latent collapsing-soundness bug: the four AFna@b1
-  // instances at n=4 are structurally identical (one involved cell, same
-  // class), but their read-back is an *address bit* — addresses 2 and 3
-  // read back 1, addresses 0 and 1 read back 0.  Against {⇕(w0); ⇑(r0)}
-  // exactly the read-back-1 instances are detected.  A signature collapse
-  // (which cannot see the addresses) would have merged all four into one
-  // weighted representative and reported 0 or 4 undetected instead of 2.
+  // Regression for a collapsing-soundness bug: the four AFna@b1 instances
+  // at n=4 are structurally identical (one involved cell, same class), but
+  // their read-back is an *address bit* — addresses 2 and 3 read back 1,
+  // addresses 0 and 1 read back 0.  Against {⇕(w0); ⇑(r0)} exactly the
+  // read-back-1 instances are detected.  A signature blind to the address
+  // bit would merge all four into one weighted representative and report
+  // 0 or 4 undetected instead of 2.
   const std::size_t n = 4;
   const auto instances =
       instantiate(DecoderFault{DecoderFaultClass::NoAccess, 1, Bit::Zero}, n,
@@ -239,7 +250,7 @@ TEST(DecoderCollapsing, PrefixEngineKeepsStructurallyEqualInstancesApart) {
                       PrefixEngine::Options{/*both_power_on_states=*/true,
                                             /*record_checkpoints=*/false});
   EXPECT_EQ(engine.num_instances(), 4u);
-  EXPECT_EQ(engine.num_representatives(), 4u);  // no collapsing: weight 1 each
+  EXPECT_EQ(engine.num_representatives(), 2u);  // one per read-back bit
   EXPECT_EQ(engine.undetected_instances(), 2u);
 
   // The engine's verdict matches the per-instance simulator term for term.

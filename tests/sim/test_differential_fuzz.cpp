@@ -18,7 +18,10 @@
 // before being reported.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,8 +33,11 @@
 #include "march/march_test.hpp"
 #include "sim/coverage.hpp"
 #include "sim/fault_instance.hpp"
+#include "sim/packed_engine.hpp"
 #include "sim/prefix_sim.hpp"
 #include "sim/simulator.hpp"
+#include "store/sweep_store.hpp"
+#include "coverage_helpers.hpp"
 
 namespace mtg {
 namespace {
@@ -82,6 +88,44 @@ MarchTest random_march_test(Rng& rng) {
     ops.reserve(num_ops);
     for (std::size_t i = 0; i < num_ops; ++i) ops.push_back(kOps[rng.below(6)]);
     elements.emplace_back(order, std::move(ops));
+  }
+  return MarchTest("fuzz", std::move(elements));
+}
+
+/// Random march test that passes FaultSimulator::validate: it powers up
+/// with a ⇕ write, and every read expects the value the fault-free machine
+/// holds (all cells are uniform at element boundaries).
+MarchTest random_valid_march_test(Rng& rng) {
+  static const AddressOrder kOrders[] = {AddressOrder::Up, AddressOrder::Down,
+                                         AddressOrder::Any};
+  bool value = rng.coin();
+  std::vector<MarchElement> elements;
+  elements.emplace_back(AddressOrder::Any,
+                        std::vector<Op>{value ? Op::W1 : Op::W0});
+  const std::size_t num_elements = 1 + rng.below(5);
+  for (std::size_t e = 0; e < num_elements; ++e) {
+    std::vector<Op> ops;
+    const std::size_t num_ops = 1 + rng.below(5);
+    for (std::size_t i = 0; i < num_ops; ++i) {
+      switch (rng.below(4)) {
+        case 0:
+          ops.push_back(value ? Op::R1 : Op::R0);
+          break;
+        case 1:
+          value = rng.coin();
+          ops.push_back(value ? Op::W1 : Op::W0);
+          break;
+        case 2:
+          ops.push_back(Op::T);
+          break;
+        default:
+          ops.push_back(value ? Op::R1 : Op::R0);
+          value = !value;
+          ops.push_back(value ? Op::W1 : Op::W0);
+          break;
+      }
+    }
+    elements.emplace_back(kOrders[rng.below(3)], std::move(ops));
   }
   return MarchTest("fuzz", std::move(elements));
 }
@@ -485,7 +529,109 @@ TEST(DifferentialFuzz, SubsumptionVerdictsMatchPackedCoverageContainment) {
   }
 }
 
+TEST(DifferentialFuzz, CollapsedCoverageMatchesPerInstanceReference) {
+  // Class soundness: evaluate_coverage simulates one representative per
+  // behaviour class and weights it analytically; the per-instance reference
+  // simulates every sampled instance.  At random n and cap — spanning cap 0
+  // and all three sampler tiers — the two reports must be byte-identical on
+  // both engines, and random same-signature instance pairs must give the
+  // same PackedOutcome.
+  const FaultList pool = [] {
+    FaultList all = fault_list_1();
+    const FaultList retention = retention_fault_list();
+    all.simple.insert(all.simple.end(), retention.simple.begin(),
+                      retention.simple.end());
+    all.linked.insert(all.linked.end(), retention.linked.begin(),
+                      retention.linked.end());
+    all.decoder = decoder_fault_list(8).decoder;
+    return all;
+  }();
+
+  const std::uint64_t base_seed = env_u64("MTG_FUZZ_SEED", 0);
+  const bool replay_single = std::getenv("MTG_FUZZ_SEED") != nullptr;
+  const std::uint64_t cases =
+      replay_single ? 1 : env_u64("MTG_FUZZ_CASES", 1500) / 15;
+
+  std::size_t failures = 0;
+  for (std::uint64_t i = 0; i < cases && failures < 3; ++i) {
+    const std::uint64_t seed = replay_single ? base_seed : 0xC1A55ull + i;
+    SCOPED_TRACE("seed " + std::to_string(seed) +
+                 " (replay: MTG_FUZZ_SEED=" + std::to_string(seed) + ")");
+    Rng rng(seed);
+    const MarchTest test = random_valid_march_test(rng);
+    const std::size_t n = 3 + rng.below(198);  // 3..200
+    // Cap 0 only where full enumeration stays small; otherwise a cap from
+    // 1 up to past C(n, 2), so every fault lands in some sampler tier.
+    static const std::size_t kCaps[] = {1, 2, 3, 7, 40, 300, 5000};
+    const std::size_t cap = n <= 24 && rng.below(4) == 0
+                                ? 0
+                                : kCaps[rng.below(std::size(kCaps))];
+    FaultList list;
+    list.name = "fuzz sample";
+    for (int f = 0; f < 4; ++f) {
+      list.simple.push_back(pool.simple[rng.below(pool.simple.size())]);
+      list.linked.push_back(pool.linked[rng.below(pool.linked.size())]);
+      list.decoder.push_back(pool.decoder[rng.below(pool.decoder.size())]);
+    }
+
+    SweepKey key;
+    key.memory_size = n;
+    key.max_instances_per_fault = cap;
+    for (const bool packed : {true, false}) {
+      // The scalar machine costs O(n) per operation: keep its leg small.
+      if (!packed && n > 40) continue;
+      SimulatorOptions options;
+      options.memory_size = n;
+      options.use_packed_engine = packed;
+      options.coverage_threads = 1 + rng.below(3);
+      const FaultSimulator simulator(options);
+      const CoverageReport collapsed =
+          evaluate_coverage(simulator, test, list, cap);
+      const CoverageReport reference =
+          evaluate_coverage_per_instance(simulator, test, list, cap);
+      if (SweepStore::encode_record(key, collapsed) !=
+          SweepStore::encode_record(key, reference)) {
+        ADD_FAILURE() << (packed ? "packed" : "scalar")
+                      << " collapsed report differs from the per-instance "
+                      << "reference (n=" << n << ", cap=" << cap << ")\n  "
+                      << test.to_string(true) << "\n  collapsed: "
+                      << collapsed.summary() << "\n  reference: "
+                      << reference.summary();
+        ++failures;
+      }
+    }
+
+    // Same-class pairs: equal signatures ⇒ identical packed outcomes.
+    const std::vector<FaultInstance> instances =
+        instantiate_all(list, n, cap == 0 ? 64 : cap);
+    const CompiledTest compiled = compile_march_test(test);
+    for (int pair = 0; pair < 16; ++pair) {
+      const FaultInstance& x = instances[rng.below(instances.size())];
+      // Instances are grouped by fault: draw y from x's fault.
+      const auto same_fault = std::equal_range(
+          instances.begin(), instances.end(), x,
+          [](const FaultInstance& l, const FaultInstance& r) {
+            return l.fault_index < r.fault_index;
+          });
+      const auto width =
+          static_cast<std::size_t>(same_fault.second - same_fault.first);
+      const FaultInstance& y =
+          *(same_fault.first + static_cast<std::ptrdiff_t>(rng.below(width)));
+      const PackedFaultSim sx(x), sy(y);
+      if (sx.signature() != sy.signature()) continue;
+      const PackedOutcome ox = packed_run(test, compiled, sx, true, false);
+      const PackedOutcome oy = packed_run(test, compiled, sy, true, false);
+      if (ox.all_detected != oy.all_detected ||
+          ox.first_detected != oy.first_detected ||
+          ox.first_escape != oy.first_escape) {
+        ADD_FAILURE() << "same-class instances diverge:\n  " << x.description
+                      << "\n  " << y.description << "\n  "
+                      << test.to_string(true);
+        ++failures;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mtg
-
-

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.hpp"
 #include "memory/pattern_graph.hpp"
 
@@ -85,6 +88,70 @@ TEST(FaultInstance, InstantiateAllIndexing) {
   for (const FaultInstance& inst : instances) {
     EXPECT_LT(inst.fault_index, 3u);
     EXPECT_FALSE(inst.description.empty());
+  }
+}
+
+TEST(FaultInstance, KeptLayoutsIsExactAndLowestComesFirstInEveryTier) {
+  // One fault per layout width (1, 2 and 3 cells), every sampling tier:
+  // cap 0 and cap >= C(n, k) enumerate, C(n, k) <= 4·cap samples evenly,
+  // above that the seeded tier draws — each keeps exactly kept_layouts().
+  const FaultList list = fault_list_1();
+  std::vector<const LinkedFault*> by_width(4, nullptr);
+  for (const LinkedFault& fault : list.linked) {
+    const auto k = static_cast<std::size_t>(fault.num_cells());
+    if (by_width[k] == nullptr) by_width[k] = &fault;
+  }
+  for (std::size_t k = 1; k <= 3; ++k) {
+    ASSERT_NE(by_width[k], nullptr) << k;
+    const LinkedFault& fault = *by_width[k];
+    for (const std::size_t n : {3, 5, 9, 40}) {
+      const auto all = instantiate(fault, n, 7);
+      EXPECT_EQ(all.size(), kept_layouts(n, k, 0));
+      for (const std::size_t cap : {0, 1, 2, 3, 7, 16, 100, 1000}) {
+        const auto kept = instantiate(fault, n, 7, cap);
+        EXPECT_EQ(kept.size(), kept_layouts(n, k, cap))
+            << fault.name() << " n=" << n << " cap=" << cap;
+        ASSERT_FALSE(kept.empty());
+        EXPECT_EQ(kept.front().description, all.front().description)
+            << fault.name() << " n=" << n << " cap=" << cap;
+      }
+    }
+  }
+  EXPECT_EQ(kept_layouts(2, 3, 0), 0u);
+  EXPECT_EQ(kept_layouts(4096, 3, 0), 11444858880ull);  // C(4096, 3)
+  EXPECT_EQ(kept_layouts(4096, 3, 256), 256u);
+}
+
+TEST(FaultInstance, DecoderSampleMatchesBruteForceEnumeration) {
+  // decoder_sample() maps each sample ordinal to its address arithmetically;
+  // this is the address loop it replaced.
+  for (const DecoderFaultClass cls :
+       {DecoderFaultClass::NoAccess, DecoderFaultClass::WrongCell}) {
+    for (std::size_t bit = 0; bit < 8; ++bit) {
+      const DecoderFault fault{cls, bit, Bit::Zero};
+      for (std::size_t n = 3; n <= 300; n += (n < 40 ? 1 : 37)) {
+        std::vector<std::size_t> valid;
+        for (std::size_t a = 0; a < n && (std::size_t{1} << bit) < n; ++a) {
+          if (cls == DecoderFaultClass::NoAccess ||
+              (a ^ (std::size_t{1} << bit)) < n) {
+            valid.push_back(a);
+          }
+        }
+        ASSERT_EQ(decoder_address_count(fault, n), valid.size())
+            << fault.name() << " n=" << n;
+        for (const std::size_t cap : {0, 1, 2, 5, 64}) {
+          const std::size_t keep =
+              cap == 0 ? valid.size() : std::min(cap, valid.size());
+          std::vector<std::size_t> expected;
+          for (std::size_t j = 0; j < keep; ++j) {
+            expected.push_back(
+                valid[keep == 1 ? 0 : j * (valid.size() - 1) / (keep - 1)]);
+          }
+          EXPECT_EQ(decoder_sample(fault, n, cap), expected)
+              << fault.name() << " n=" << n << " cap=" << cap;
+        }
+      }
+    }
   }
 }
 
