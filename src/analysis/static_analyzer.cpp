@@ -767,21 +767,6 @@ StaticCoverage analyze_coverage(const MarchTest& test, const FaultList& list,
   return coverage;
 }
 
-namespace {
-
-/// Number of layouts instantiate() keeps for an FP fault under `cap`, or
-/// nullopt when the uncapped count saturated uint64 (not analytic).
-template <class Fault>
-std::optional<std::uint64_t> exact_fp_kept(const Fault& fault, std::size_t n,
-                                           std::size_t cap) {
-  const std::uint64_t kept =
-      kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), cap);
-  if (kept == std::numeric_limits<std::uint64_t>::max()) return std::nullopt;
-  return kept;
-}
-
-}  // namespace
-
 std::optional<CoverageReport> static_coverage_report(
     const MarchTest& test, const FaultList& list, std::size_t n,
     std::size_t max_instances_per_fault, const AnalysisOptions& options) {
@@ -793,17 +778,20 @@ std::optional<CoverageReport> static_coverage_report(
   report.entries.resize(fault_count(list));
 
   std::size_t index = 0;
+  // `kept` is the analytic instance count; a saturated count (uncapped
+  // C(n, k) beyond uint64) is not exact and declines the job.
   const auto serve = [&report, &index](const std::string& name,
                                        const StaticResult& result,
-                                       std::optional<std::uint64_t> kept) {
+                                       std::uint64_t kept) {
     CoverageEntry& entry = report.entries[index];
     entry.fault_index = index;
     entry.fault = name;
     ++index;
-    if (result.verdict == StaticVerdict::Unknown || !kept.has_value()) {
+    if (result.verdict == StaticVerdict::Unknown ||
+        kept == std::numeric_limits<std::uint64_t>::max()) {
       return false;
     }
-    if (*kept == 0) {
+    if (kept == 0) {
       // evaluate_coverage's zero-instance convention, byte for byte.
       entry.covered = false;
       entry.escape_description = "no instances fit the simulated memory";
@@ -815,8 +803,8 @@ std::optional<CoverageReport> static_coverage_report(
       // does not determine.
       return false;
     }
-    if (*kept > std::numeric_limits<std::size_t>::max()) return false;
-    entry.instances = static_cast<std::size_t>(*kept);
+    if (kept > std::numeric_limits<std::size_t>::max()) return false;
+    entry.instances = static_cast<std::size_t>(kept);
     entry.detected = entry.instances;
     entry.covered = true;
     return true;
@@ -828,7 +816,8 @@ std::optional<CoverageReport> static_coverage_report(
       return std::nullopt;  // instantiate() refuses; the job must Fail
     }
     if (!serve(fault.name, analyze_fault(test, fault, n, options),
-               exact_fp_kept(fault, n, cap))) {
+               kept_layouts(n, static_cast<std::size_t>(fault.num_cells()),
+                            cap))) {
       return std::nullopt;
     }
   }
@@ -837,7 +826,8 @@ std::optional<CoverageReport> static_coverage_report(
       return std::nullopt;
     }
     if (!serve(fault.name(), analyze_fault(test, fault, n, options),
-               exact_fp_kept(fault, n, cap))) {
+               kept_layouts(n, static_cast<std::size_t>(fault.num_cells()),
+                            cap))) {
       return std::nullopt;
     }
   }

@@ -231,8 +231,11 @@ FaultInstance bind_decoder(const DecoderFault& fault, std::size_t a,
 std::vector<FaultInstance> instantiate(const DecoderFault& fault,
                                        std::size_t n, std::size_t fault_index,
                                        std::size_t max_instances) {
+  const std::vector<std::size_t> sample =
+      decoder_sample(fault, n, max_instances);
   std::vector<FaultInstance> result;
-  for (const std::size_t a : decoder_sample(fault, n, max_instances)) {
+  result.reserve(sample.size());
+  for (const std::size_t a : sample) {
     result.push_back(bind_decoder(fault, a, fault_index));
   }
   return result;

@@ -372,7 +372,7 @@ TEST(DecoderGeneration, GeneratorCoversEveryCertifiableDecoderFault) {
 
 TEST(DecoderGeneration, MixedListsSimulateDecoderAndFpFaultsTogether) {
   // A list mixing cell-array and decoder faults exercises both item kinds in
-  // one engine (collapsed FP items + weight-1 decoder items).
+  // one engine (collapsed FP items + collapsed decoder items).
   FaultList list = fault_list_2();
   list.decoder = decoder_fault_list(2).decoder;
   const GenerationResult result = generate_march_test(list);

@@ -9,7 +9,9 @@
 // the diagnostics (first detection event, first escaping scenario), and
 // that every *definite* verdict of the static analyzer
 // (analysis/static_analyzer.hpp) matches them — the soundness contract that
-// licenses the generator's static pre-filter.
+// licenses the generator's static pre-filter.  A further leg checks
+// class-level coverage evaluation against the per-instance reference
+// (coverage_helpers.hpp).
 //
 // Reproducibility: every case derives from a single 64-bit seed printed on
 // failure.  Replay one case with MTG_FUZZ_SEED=<seed>; change the case count

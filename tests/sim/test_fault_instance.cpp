@@ -143,6 +143,7 @@ TEST(FaultInstance, DecoderSampleMatchesBruteForceEnumeration) {
           const std::size_t keep =
               cap == 0 ? valid.size() : std::min(cap, valid.size());
           std::vector<std::size_t> expected;
+          expected.reserve(keep);
           for (std::size_t j = 0; j < keep; ++j) {
             expected.push_back(
                 valid[keep == 1 ? 0 : j * (valid.size() - 1) / (keep - 1)]);
