@@ -12,6 +12,13 @@ struct PublishedComplexity {
   std::size_t complexity;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, which hold the
+// address of `name`; that address moves with every change to the test binary
+// and with address-space randomisation, so the listed test names would too.
+void PrintTo(const PublishedComplexity& param, std::ostream* os) {
+  *os << param.name << " " << param.complexity << "n";
+}
+
 class CatalogComplexity
     : public ::testing::TestWithParam<PublishedComplexity> {};
 
