@@ -18,12 +18,12 @@ namespace mtg {
 namespace {
 
 /// The greedy loop of Figure 5: append the best-scoring valid SO until the
-/// engine's fault set is covered or no candidate helps.  Candidate gains are
-/// evaluated in parallel on `workers` (candidates are independent; each
-/// candidate's gain reduces by sum over its instance blocks); the reduction
-/// runs sequentially in pool order, so the selected element — and hence the
-/// generated test — is identical for every thread count.  Returns the fault
-/// indices reported uncoverable (step d.i).
+/// engine's fault set is covered or no candidate helps.  Each round scores
+/// every eligible candidate in one batched PrefixEngine::gain_scan on
+/// `workers`; its pruning keeps the exact gain of every candidate that can
+/// win or tie, and the reduction runs sequentially in pool order, so the
+/// selected element — and hence the generated test — is identical for every
+/// thread count.  Returns the fault indices reported uncoverable (step d.i).
 std::set<std::size_t> greedy_cover(PrefixEngine& engine,
                                    const std::vector<MarchElement>& pool,
                                    MarchTest& test,
@@ -52,45 +52,22 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
   while (engine.undetected_instances() > 0 &&
          stats.greedy_rounds < options.max_rounds) {
     // Candidates compatible with the memory state the test leaves behind.
-    std::vector<std::size_t> eligible;
+    std::vector<const MarchElement*> eligible;
+    std::vector<const ElementTrace*> eligible_traces;
     eligible.reserve(pool.size());
+    eligible_traces.reserve(pool.size());
     for (std::size_t c = 0; c < pool.size(); ++c) {
       if (auto entry = pool[c].required_entry_value()) {
         if (!current_final.has_value() || *entry != *current_final) continue;
       }
-      eligible.push_back(c);
+      eligible.push_back(&pool[c]);
+      eligible_traces.push_back(&pool_traces[c]);
     }
 
-    // The total undetected (instance, scenario) count is the same for every
-    // candidate of the scan: compute the O(items × blocks) rescan once per
-    // round instead of once per gain() call.
-    const std::size_t undetected_before = engine.undetected_scenarios();
-
-    // Parallel gain scan.  Each worker prunes against its own running best
-    // score — a lower bound of the global maximum, so pruning only abandons
-    // candidates that cannot win.  The bound is compared strictly: a
-    // candidate whose exact score ties the eventual winner is never aborted
-    // (its upper bound so_far + remaining never drops *below* its exact
-    // gain), so every candidate that can win the score/gain/cost tie-breaks
-    // reports its exact gain and the reduction below is schedule-invariant.
-    std::vector<std::size_t> gains(eligible.size(), 0);
-    std::vector<double> local_best(workers.num_workers() + 1, 0.0);
-    workers.parallel_for(
-        eligible.size(), /*chunk=*/8,
-        [&](std::size_t worker, std::size_t begin, std::size_t end) {
-          double& bound = local_best[worker];
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t c = eligible[i];
-            const double cost = static_cast<double>(pool[c].cost());
-            gains[i] = engine.gain(
-                pool[c], pool_traces[c], undetected_before,
-                [&](std::size_t so_far, std::size_t remaining) {
-                  return static_cast<double>(so_far + remaining) / cost <
-                         bound;
-                });
-            bound = std::max(bound, static_cast<double>(gains[i]) / cost);
-          }
-        });
+    // Every candidate that can win or tie gets its exact gain (see
+    // PrefixEngine::gain_scan), so the reduction below is schedule-invariant.
+    const std::vector<std::size_t> gains =
+        engine.gain_scan(eligible, eligible_traces, &workers);
 
     // Deterministic reduction in pool order.
     const MarchElement* best = nullptr;
@@ -98,10 +75,9 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
     std::size_t best_gain = 0;
     double best_score = 0.0;
     for (std::size_t i = 0; i < eligible.size(); ++i) {
-      const std::size_t c = eligible[i];
       const std::size_t g = gains[i];
       if (g == 0) continue;
-      const MarchElement& candidate = pool[c];
+      const MarchElement& candidate = *eligible[i];
       const double score =
           static_cast<double>(g) / static_cast<double>(candidate.cost());
       const bool better =
@@ -111,7 +87,7 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
             (g == best_gain && candidate.cost() < best->cost())));
       if (better) {
         best = &candidate;
-        best_trace = &pool_traces[c];
+        best_trace = eligible_traces[i];
         best_gain = g;
         best_score = score;
       }

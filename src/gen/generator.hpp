@@ -56,10 +56,11 @@ struct GeneratorOptions {
   /// SimulatorOptions::both_power_on_states; applies to the greedy engine
   /// and the certification/minimization simulators alike.
   bool both_power_on_states = true;
-  /// Threads for the greedy engine's candidate gain scan (candidates are
-  /// independent; each round spreads them over a bounded pool).  0 picks the
-  /// hardware concurrency, 1 runs the scan on the calling thread.  The
-  /// generated test is identical for every thread count.
+  /// Threads for the greedy engine's candidate gain scan (each round spreads
+  /// its batch words, 64/S candidates each, over a bounded pool; all
+  /// threads prune against one shared bound).  0 picks the hardware
+  /// concurrency, 1 runs the scan on the calling thread.  The generated test
+  /// is identical for every thread count.
   std::size_t gain_threads = 0;
   /// Threads for the persistent certification engine (building the packed
   /// prefix state and replaying appended suffixes spreads the surviving

@@ -446,6 +446,48 @@ std::uint64_t PackedFaultSim::run_element(Lanes& lanes,
   return lanes.detected & ~before;
 }
 
+void ElementBatch::add(const MarchElement& element, const ElementTrace& trace,
+                       std::uint64_t lanes) {
+  const std::vector<Op>& ops = element.ops();
+  if (steps.size() < ops.size()) steps.resize(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Op op = ops[i];
+    const Kind kind = is_read(op)   ? kRead
+                      : is_wait(op) ? kWait
+                      : op == Op::W1 ? kW1
+                                     : kW0;
+    Step& step = steps[i];
+    step.kind[kind] |= lanes;
+    if (trace.pre[i] == TraceVal::One) step.expect_one |= lanes;
+    if (trace.pre[i] == TraceVal::Prev) step.expect_prev |= lanes;
+  }
+  if (trace.final_value == TraceVal::One) final_one |= lanes;
+  if (trace.final_value == TraceVal::Prev) final_prev |= lanes;
+}
+
+std::uint64_t PackedFaultSim::run_batch(Lanes& lanes,
+                                        const ElementBatch& batch) const {
+  // apply_op tells reads apart only through `expected`, so one read op
+  // stands for every read kind.
+  static constexpr Op kKindOp[ElementBatch::kKinds] = {Op::R0, Op::W0, Op::W1,
+                                                       Op::T};
+  const std::uint64_t before = lanes.detected;
+  const std::uint64_t entry_uniform = lanes.uniform;
+  for (std::size_t visit = 0; visit < num_slots_; ++visit) {
+    const std::size_t slot = batch.down ? num_slots_ - 1 - visit : visit;
+    for (const ElementBatch::Step& step : batch.steps) {
+      const std::uint64_t expected =
+          step.expect_one | (step.expect_prev & entry_uniform);
+      for (std::size_t k = 0; k < ElementBatch::kKinds; ++k) {
+        const std::uint64_t group = step.kind[k] & lanes.active;
+        if (group != 0) apply_op(lanes, kKindOp[k], slot, group, expected);
+      }
+    }
+  }
+  lanes.uniform = batch.final_one | (batch.final_prev & entry_uniform);
+  return lanes.detected & ~before;
+}
+
 PackedOutcome packed_run(const MarchTest& test, const CompiledTest& compiled,
                          const PackedFaultSim& sim, bool both_power_on_states,
                          bool stop_at_first_escape) {

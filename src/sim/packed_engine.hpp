@@ -165,6 +165,8 @@ std::size_t lowest_lane_portable(std::uint64_t word) noexcept;
 /// contract (FaultyMemory's constructor) intact.
 void require_addresses_fit(const FaultInstance& instance, std::size_t n);
 
+struct ElementBatch;  // below
+
 /// One fault instance compiled for packed execution: its involved cells are
 /// renamed to dense slots and its fault primitives preprocessed into
 /// slot-indexed bit tests.  Construction is allocation-free.
@@ -234,6 +236,23 @@ class PackedFaultSim {
                             const ElementTrace& trace,
                             std::uint64_t down) const;
 
+  /// Replays the batch's elements side by side, each over its own lanes
+  /// (see ElementBatch), and returns the lanes newly detected.  `lanes`
+  /// holds one scenario block replicated into every element's lanes, with
+  /// `uniform` the good machine's entry value per lane.
+  ///
+  /// Soundness: the result in every lane equals run_element() of that
+  /// lane's element.  The slots are visited in the batch's sweep order and,
+  /// at each slot, op position after op position, so every lane sees its
+  /// own element's operations in exactly run_element's order.  At one
+  /// (slot, position) apply_op runs once per op kind present, masked to the
+  /// lanes of that kind.  Every apply_op update is masked to its lane group
+  /// and lanes never read each other's bits, so the kinds' masks being
+  /// disjoint makes the order in which kinds run at one position
+  /// irrelevant.  Reads take the per-lane expected word
+  /// expect_one | (expect_prev & entry uniform).
+  std::uint64_t run_batch(Lanes& lanes, const ElementBatch& batch) const;
+
  private:
   /// A fault primitive lowered to slot-indexed bit tests.
   struct Fp {
@@ -277,6 +296,33 @@ class PackedFaultSim {
   std::uint8_t decoder_v_slot_ = 0;  ///< slot of the partner cell
   /// NoAccess: the address-coupled read-back bit; MultipleCells: wired-OR.
   bool decoder_read_one_ = false;
+};
+
+/// Several march elements packed side by side into the lanes of one block,
+/// for PrefixEngine::gain_scan: each element owns a disjoint lane range and
+/// all of them sweep the batch's direction.  Per op position the batch keeps
+/// one lane mask per op kind (every read kind shares a mask: apply_op only
+/// distinguishes reads by their expected value, which is per lane here).
+struct ElementBatch {
+  /// Op kinds, in the order run_batch applies them at one position.
+  enum Kind : std::uint8_t { kRead, kW0, kW1, kWait, kKinds };
+
+  struct Step {
+    std::array<std::uint64_t, kKinds> kind{};  ///< lanes per op kind
+    std::uint64_t expect_one = 0;   ///< reads here expect 1
+    std::uint64_t expect_prev = 0;  ///< reads here expect the entry value
+  };
+
+  bool down = false;        ///< every element sweeps ⇓ (else ⇑)
+  std::vector<Step> steps;  ///< one per op position of the longest element
+  /// Lanes whose element leaves the memory 1 / unchanged (TraceVal::Prev).
+  std::uint64_t final_one = 0;
+  std::uint64_t final_prev = 0;
+
+  /// Adds `element` (with its compiled trace) on `lanes`, which no element
+  /// added before may use.  The element's own order is ignored.
+  void add(const MarchElement& element, const ElementTrace& trace,
+           std::uint64_t lanes);
 };
 
 // -- Full-test runner --------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "sim/prefix_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <string>
 #include <unordered_map>
@@ -9,6 +10,33 @@
 #include "common/parallel.hpp"
 
 namespace mtg {
+namespace {
+
+/// Lanes [0, span) of `block`, copied into every span-wide lane range (span
+/// a power of two ≤ 64).
+PackedFaultSim::Lanes replicate(const PackedFaultSim::Lanes& block,
+                                std::size_t span) {
+  const std::uint64_t low =
+      span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1;
+  const auto spread = [&](std::uint64_t word) {
+    word &= low;
+    for (std::size_t shift = span; shift < 64; shift *= 2) word |= word << shift;
+    return word;
+  };
+  PackedFaultSim::Lanes out;
+  out.active = spread(block.active);
+  out.detected = spread(block.detected);
+  out.uniform = spread(block.uniform);
+  for (std::size_t s = 0; s < PackedFaultSim::kMaxSlots; ++s) {
+    out.val[s] = spread(block.val[s]);
+  }
+  for (std::size_t f = 0; f < PackedFaultSim::kMaxFps; ++f) {
+    out.armed[f] = spread(block.armed[f]);
+  }
+  return out;
+}
+
+}  // namespace
 
 PrefixEngine::PrefixEngine(std::size_t memory_size, Options options)
     : memory_size_(memory_size), options_(options) {
@@ -251,6 +279,108 @@ std::size_t PrefixEngine::undetected_scenarios() const {
     }
   }
   return count;
+}
+
+std::vector<std::size_t> PrefixEngine::gain_scan(
+    const std::vector<const MarchElement*>& candidates,
+    const std::vector<const ElementTrace*>& traces, ThreadPool* pool) const {
+  require(traces.size() == candidates.size(),
+          "prefix engine: gain_scan needs one trace per candidate");
+  // Every item has the prefix's S = P · 2^(⇕ elements) scenario lanes:
+  // commit() never expands them.
+  const std::size_t scenarios = power_states() << any_before_.back();
+  const std::size_t span = std::min<std::size_t>(scenarios, 64);
+  const std::size_t per_word = 64 / span;
+  const auto member_lanes = [&](std::size_t j) {
+    return span == 64 ? ~std::uint64_t{0}
+                      : ((std::uint64_t{1} << span) - 1) << (j * span);
+  };
+
+  // Batch words in input order, one sweep direction each (⇕ reads as ⇑);
+  // member j of a word owns lanes [j·span, (j+1)·span).  Lanes past the
+  // last member of a partly filled word carry copies no op ever touches.
+  struct Word {
+    ElementBatch batch;
+    std::vector<std::size_t> members;  ///< candidate indices
+    std::vector<double> costs;
+  };
+  std::vector<Word> words;
+  for (const bool down : {false, true}) {
+    bool open = false;
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      if ((candidates[c]->order() == AddressOrder::Down) != down) continue;
+      if (!open || words.back().members.size() == per_word) {
+        words.emplace_back();
+        words.back().batch.down = down;
+        open = true;
+      }
+      Word& word = words.back();
+      const std::uint64_t lanes = member_lanes(word.members.size());
+      word.batch.add(*candidates[c], *traces[c], lanes);
+      word.members.push_back(c);
+      word.costs.push_back(static_cast<double>(candidates[c]->cost()));
+    }
+  }
+
+  const std::size_t undetected_start = undetected_scenarios();
+  std::vector<std::size_t> gains(candidates.size(), 0);
+  std::atomic<double> bound{0.0};
+  const auto scan = [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t w = begin; w < end; ++w) {
+      const Word& word = words[w];
+      const std::size_t count = word.members.size();
+      std::array<std::size_t, 64> g{};
+      std::size_t remaining = undetected_start;
+      const auto hopeless = [&] {
+        const double b = bound.load();
+        for (std::size_t j = 0; j < count; ++j) {
+          if (static_cast<double>(g[j] + remaining) / word.costs[j] >= b) {
+            return false;
+          }
+        }
+        return true;
+      };
+      bool pruned = false;
+      for (const Item& item : items_) {
+        if (item.done) continue;
+        for (const PackedFaultSim::Lanes& block : item.blocks) {
+          const std::size_t undetected =
+              lane_popcount(block.active & ~block.detected);
+          if (undetected == 0) continue;
+          remaining -= undetected * item.weight;
+          PackedFaultSim::Lanes trial = replicate(block, span);
+          const std::uint64_t newly = item.sim.run_batch(trial, word.batch);
+          if (newly != 0) {
+            for (std::size_t j = 0; j < count; ++j) {
+              g[j] += lane_popcount(newly & member_lanes(j)) * item.weight;
+            }
+          }
+          if (hopeless()) {
+            pruned = true;
+            break;
+          }
+        }
+        if (pruned) break;
+      }
+      double best = 0.0;
+      for (std::size_t j = 0; j < count; ++j) {
+        gains[word.members[j]] = g[j];
+        best = std::max(best, static_cast<double>(g[j]) / word.costs[j]);
+      }
+      // A finished word's scores are exact: raise the shared bound.
+      double seen = bound.load();
+      while (!pruned && best > seen &&
+             !bound.compare_exchange_weak(seen, best)) {
+      }
+    }
+  };
+
+  if (pool == nullptr) {
+    scan(0, 0, words.size());
+  } else {
+    pool->parallel_for(words.size(), /*chunk=*/1, scan);
+  }
+  return gains;
 }
 
 void PrefixEngine::commit(const MarchElement& candidate,

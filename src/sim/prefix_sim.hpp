@@ -6,9 +6,13 @@
 // phases:
 //
 //  * Greedy construction (phase A): candidate march elements are scored
-//    incrementally against the tracked prefix state (gain/commit), exactly as
-//    before.  ⇕ candidates are committed in their ⇑ reading — the greedy
-//    approximation the certification pass repairs.
+//    against the tracked prefix state in one batched scan per round
+//    (gain_scan): the scenario lanes an item leaves idle carry further
+//    candidates, 64/S candidates to a word, and hopeless words are pruned
+//    against a shared bound that keeps the winner's gain exact.  The winner
+//    is appended with commit().  ⇕ candidates are scored and committed in
+//    their ⇑ reading — the greedy approximation the certification pass
+//    repairs.
 //  * Incremental certification (phase B, CEGIS): advance() replays only the
 //    elements appended since the last sync, with *exact* ⇕ resolution — when
 //    the suffix contains a ⇕ element the scenario lanes are expanded in
@@ -114,46 +118,33 @@ class PrefixEngine {
   /// Number of undetected (instance, scenario) pairs.
   std::size_t undetected_scenarios() const;
 
-  /// Gain of appending the candidate: the number of (instance, scenario)
+  /// Gains of appending each candidate: the number of (instance, scenario)
   /// pairs it newly detects.  Scenario granularity matters: an element can
   /// make progress on one power-on polarity only (the complementary
   /// polarity being handled by a later element), which instance-level
   /// counting would miss and stall on.  ⇕ candidates are evaluated in their
   /// ⇑ reading (as the scalar engine did); certification re-resolves ⇕
-  /// orders exactly.
+  /// orders exactly.  `traces[i]` must be candidates[i]'s compiled trace.
   ///
-  /// `remaining_start` is undetected_scenarios() — hoisted to the caller
-  /// because it is identical for every candidate of a gain scan and O(items)
-  /// to recompute.  `abort_below(g, remaining)` lets the caller prune
-  /// hopeless candidates: it receives the gain so far and the number of
-  /// unscanned scenarios and returns true to abandon the evaluation (the
-  /// result is then a lower bound).
-  template <typename AbortFn>
-  std::size_t gain(const MarchElement& candidate, const ElementTrace& trace,
-                   std::size_t remaining_start, AbortFn abort_below) const {
-    const std::uint64_t down =
-        candidate.order() == AddressOrder::Down ? ~std::uint64_t{0} : 0;
-    std::size_t g = 0;
-    std::size_t remaining = remaining_start;
-    for (const Item& item : items_) {
-      if (item.done) continue;
-      for (const PackedFaultSim::Lanes& block : item.blocks) {
-        const std::size_t undetected =
-            lane_popcount(block.active & ~block.detected);
-        if (undetected == 0) continue;
-        remaining -= undetected * item.weight;
-        PackedFaultSim::Lanes trial = block;  // plain-data copy
-        const std::size_t newly = lane_popcount(
-            item.sim.run_element(trial, candidate, trace, down));
-        g += newly * item.weight;
-        // Match the scalar engine's abort placement: only after a failure.
-        // A candidate that detects everything must return its exact gain,
-        // or it could lose the score-tie g tie-break it deserves to win.
-        if (newly < undetected && abort_below(g, remaining)) return g;
-      }
-    }
-    return g;
-  }
+  /// Candidates are scored 64/S at a time, where S is the number of
+  /// scenario lanes of an item (P power-on states × 2^⇕ of the prefix): a
+  /// batch word holds candidates of one sweep direction, each on S lanes
+  /// carrying a copy of the item's block, and is replayed by
+  /// PackedFaultSim::run_batch.  With S ≥ 64 a candidate spans S/64 words.
+  /// Words are scanned in parallel on `pool` (inline when null).
+  ///
+  /// The scan prunes: a word is abandoned once no candidate in it can reach
+  /// the shared bound, i.e. (gain so far + unscanned scenarios) / cost <
+  /// bound for each.  The bound is the exact score gain / cost of some
+  /// finished candidate, raised monotonically, so it never exceeds the best
+  /// score; the comparison is strict, so a candidate scoring the best is
+  /// never abandoned.  Hence every candidate that can win or tie the
+  /// score / gain / cost selection gets its exact gain, whatever the thread
+  /// count or schedule; abandoned candidates get a lower bound of theirs.
+  std::vector<std::size_t> gain_scan(
+      const std::vector<const MarchElement*>& candidates,
+      const std::vector<const ElementTrace*>& traces,
+      ThreadPool* pool = nullptr) const;
 
   /// Appends the candidate to the tracked lane state in the greedy reading
   /// (⇕ runs ⇑).  Marks the engine approximate: the recorded prefix no

@@ -47,8 +47,8 @@ TEST(Generator, Deterministic) {
 
 TEST(Generator, GainScanThreadCountDoesNotChangeTheTest) {
   // The parallel gain scan must keep generated tests identical for every
-  // worker count: per-worker pruning only abandons candidates that cannot
-  // win and the reduction runs in pool order.
+  // worker count: its shared pruning bound only abandons candidates that
+  // cannot win or tie, and the reduction runs in pool order.
   GeneratorOptions sequential = fast_options();
   sequential.gain_threads = 1;
   const GenerationResult reference =

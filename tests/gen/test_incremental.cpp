@@ -30,6 +30,7 @@ FaultList list_by_name(const std::string& name) {
   if (name == "list1") return fault_list_1();
   if (name == "list2") return fault_list_2();
   if (name == "simple") return standard_simple_static_faults();
+  if (name == "decoder") return decoder_fault_list();
   return retention_fault_list();
 }
 
@@ -101,27 +102,33 @@ TEST(IncrementalGenerator, VariantOptionsMatchPreIncrementalGoldens) {
 TEST(IncrementalGenerator, ThreadCountsDoNotChangeTheTest) {
   // gain_threads parallelizes the greedy candidate scan, certify_threads
   // the persistent certification engine's item sync; both must keep the
-  // generated test byte-identical (per-worker pruning only abandons losing
-  // candidates, and certification items are independent with in-order
-  // reductions).
-  for (const char* name : {"list2", "simple", "retention"}) {
-    const FaultList list = list_by_name(name);
-    GeneratorOptions sequential;
-    sequential.gain_threads = 1;
-    sequential.certify_threads = 1;
-    const GenerationResult reference = generate_march_test(list, sequential);
-    const std::size_t pairs[][2] = {{2, 2}, {0, 0}, {1, 0}, {0, 1}};
-    for (const auto& pair : pairs) {
-      GeneratorOptions options;
-      options.gain_threads = pair[0];
-      options.certify_threads = pair[1];
-      const GenerationResult result = generate_march_test(list, options);
-      EXPECT_EQ(reference.test, result.test)
-          << name << " gain_threads=" << pair[0]
-          << " certify_threads=" << pair[1];
-      EXPECT_EQ(reference.stats.greedy_rounds, result.stats.greedy_rounds);
-      EXPECT_EQ(reference.stats.certify_iterations,
-                result.stats.certify_iterations);
+  // generated test byte-identical (the scan's shared pruning bound only
+  // abandons candidates that cannot win or tie, and certification items
+  // are independent with in-order reductions).  A single power-on state
+  // halves the scenario lanes per item, so the scan packs twice as many
+  // candidates into each word.
+  for (const bool both_power_on_states : {true, false}) {
+    for (const char* name : {"list2", "simple", "retention", "decoder"}) {
+      const FaultList list = list_by_name(name);
+      GeneratorOptions sequential;
+      sequential.both_power_on_states = both_power_on_states;
+      sequential.gain_threads = 1;
+      sequential.certify_threads = 1;
+      const GenerationResult reference = generate_march_test(list, sequential);
+      const std::size_t pairs[][2] = {{2, 2}, {0, 0}, {1, 0}, {0, 1}};
+      for (const auto& pair : pairs) {
+        GeneratorOptions options = sequential;
+        options.gain_threads = pair[0];
+        options.certify_threads = pair[1];
+        const GenerationResult result = generate_march_test(list, options);
+        EXPECT_EQ(reference.test, result.test)
+            << name << " gain_threads=" << pair[0]
+            << " certify_threads=" << pair[1]
+            << " both_power_on_states=" << both_power_on_states;
+        EXPECT_EQ(reference.stats.greedy_rounds, result.stats.greedy_rounds);
+        EXPECT_EQ(reference.stats.certify_iterations,
+                  result.stats.certify_iterations);
+      }
     }
   }
   // The big list once, hardware-threaded against the golden (which the

@@ -44,6 +44,41 @@ CoverageReport evaluate_coverage_per_instance(
   return report;
 }
 
+std::vector<std::size_t> reference_gains(
+    const std::vector<FaultInstance>& instances, const MarchTest& prefix,
+    const std::vector<MarchElement>& candidates, bool both_power_on_states) {
+  const CompiledTest compiled = compile_march_test(prefix);
+  const std::size_t combos = std::size_t{1} << compiled.any_count;
+  const std::size_t total = (both_power_on_states ? 2 : 1) * combos;
+  std::vector<ElementTrace> traces;
+  for (const MarchElement& candidate : candidates) {
+    traces.push_back(compile_element_trace(candidate));
+  }
+  std::vector<std::size_t> gains(candidates.size(), 0);
+  for (const FaultInstance& instance : instances) {
+    const PackedFaultSim sim(instance);
+    for (std::size_t base = 0; base < total; base += 64) {
+      PackedFaultSim::Lanes block;
+      sim.power_on_block(block, base, total, combos, both_power_on_states);
+      for (std::size_t e = 0; e < prefix.elements().size(); ++e) {
+        const MarchElement& element = prefix.elements()[e];
+        sim.run_element(block, element, compiled.traces[e],
+                        element_down_word(element, compiled.any_ordinal[e],
+                                          base, combos));
+      }
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        PackedFaultSim::Lanes trial = block;
+        const std::uint64_t down =
+            candidates[c].order() == AddressOrder::Down ? ~std::uint64_t{0}
+                                                        : 0;
+        gains[c] += lane_popcount(
+            sim.run_element(trial, candidates[c], traces[c], down));
+      }
+    }
+  }
+  return gains;
+}
+
 MarchTest slow_coverage_test() {
   return parse_march_test(
       "{c(w0); c(r0,w1); c(r1,w0); c(r0,w1); c(r1,w0); c(r0,w1); c(r1,w0); "

@@ -1,12 +1,15 @@
 // Test helpers around evaluate_coverage: the per-instance reference it is
 // checked against, and a workload slow enough to cancel mid-evaluation.
+// Also the per-candidate reference of the greedy gain scan.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "fp/fault_list.hpp"
 #include "march/march_test.hpp"
 #include "sim/coverage.hpp"
+#include "sim/fault_instance.hpp"
 #include "sim/simulator.hpp"
 
 namespace mtg {
@@ -18,6 +21,16 @@ namespace mtg {
 CoverageReport evaluate_coverage_per_instance(
     const FaultSimulator& simulator, const MarchTest& test,
     const FaultList& list, std::size_t max_instances_per_fault);
+
+/// Greedy gains by brute force: every instance (uncollapsed) is simulated
+/// through `prefix` one scenario block at a time; each block is then copied
+/// and run through each candidate with run_element (⇕ read as ⇑), counting
+/// the scenarios it newly detects.  No collapsing, no batching, no pruning:
+/// PrefixEngine::gain_scan must reproduce these gains for every candidate
+/// that can win or tie the greedy selection.
+std::vector<std::size_t> reference_gains(
+    const std::vector<FaultInstance>& instances, const MarchTest& prefix,
+    const std::vector<MarchElement>& candidates, bool both_power_on_states);
 
 /// A (test, list) pair whose evaluation takes hundreds of milliseconds on
 /// the packed engine at any memory size: Fault List #1 repeated 16 times

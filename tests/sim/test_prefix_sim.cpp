@@ -1,12 +1,14 @@
 // Differential tests of the incremental prefix engine (sim/prefix_sim.hpp)
 // against the from-scratch simulator: element-by-element advance, scenario
 // lane expansion at mid-test ⇕ elements, checkpointed trials and rewinds,
-// undetected-item cloning, weighted instance collapsing, and thread-count
-// invariance of the parallel sync.
+// undetected-item cloning, weighted instance collapsing, thread-count
+// invariance of the parallel sync, and the batched greedy gain scan against
+// its per-candidate reference.
 #include "sim/prefix_sim.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -14,7 +16,9 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "coverage_helpers.hpp"
 #include "fp/fault_list.hpp"
+#include "gen/candidates.hpp"
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
 #include "sim/simulator.hpp"
@@ -181,19 +185,40 @@ TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
             fresh.undetected_fault_indices());
 
   // Candidate gains agree — the greedy extension sees the same scores
-  // whether it starts from a clone or from a from-scratch rebuild.
-  const auto no_abort = [](std::size_t, std::size_t) { return false; };
+  // whether it starts from a clone or from a from-scratch rebuild.  One
+  // candidate per scan leaves nothing to prune against, so every gain is
+  // exact; the batched scan's winner must agree too.
+  std::vector<MarchTest> ones;
   for (const char* notation : {"^(r0)", "v(r1)", "^(r0,w1,r1)", "v(r1,w0,r0)",
                                "^(w1,r1)", "v(w0,r0)"}) {
-    const MarchTest one = parse_march_test(
-        std::string("{") + notation + "}", "candidate");
-    const MarchElement& candidate = one.elements()[0];
-    const ElementTrace trace = compile_element_trace(candidate);
-    const std::size_t remaining = clone.undetected_scenarios();
-    EXPECT_EQ(clone.gain(candidate, trace, remaining, no_abort),
-              fresh.gain(candidate, trace, remaining, no_abort))
-        << notation;
+    ones.push_back(parse_march_test(std::string("{") + notation + "}",
+                                    "candidate"));
   }
+  std::vector<const MarchElement*> candidates;
+  std::vector<ElementTrace> traces;
+  for (const MarchTest& one : ones) {
+    candidates.push_back(&one.elements()[0]);
+    traces.push_back(compile_element_trace(one.elements()[0]));
+  }
+  std::vector<const ElementTrace*> trace_ptrs;
+  for (const ElementTrace& trace : traces) trace_ptrs.push_back(&trace);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(clone.gain_scan({candidates[i]}, {trace_ptrs[i]}),
+              fresh.gain_scan({candidates[i]}, {trace_ptrs[i]}))
+        << candidates[i]->to_string();
+  }
+  const std::vector<std::size_t> clone_gains =
+      clone.gain_scan(candidates, trace_ptrs);
+  const std::vector<std::size_t> fresh_gains =
+      fresh.gain_scan(candidates, trace_ptrs);
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    if (clone_gains[i] * candidates[best]->cost() >
+        clone_gains[best] * candidates[i]->cost()) {
+      best = i;
+    }
+  }
+  EXPECT_EQ(clone_gains[best], fresh_gains[best]);
 
   // Committing to the clone must not disturb the parent's exact state.
   const MarchTest bridge = parse_march_test("{^(r0,w1)}", "bridge");
@@ -201,6 +226,139 @@ TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
                compile_element_trace(bridge.elements()[0]));
   EXPECT_EQ(engine.undetected_instances(),
             undetected_by_simulator(simulator, prefix, instances).first);
+}
+
+/// Candidates for the gain-scan reference: a spread of the length-6 pool
+/// with waits (both directions, `t`-bearing elements) plus the ⇕ reading of
+/// every fifth pick.
+std::vector<MarchElement> gain_scan_candidates() {
+  const std::vector<MarchElement> pool =
+      enumerate_march_elements(6, /*include_wait=*/true);
+  std::vector<MarchElement> out;
+  for (std::size_t c = 0; c < pool.size(); c += 251) out.push_back(pool[c]);
+  const std::size_t picked = out.size();
+  for (std::size_t c = 0; c < picked; c += 5) {
+    out.emplace_back(AddressOrder::Any, out[c].ops());
+  }
+  return out;
+}
+
+TEST(PrefixSim, GainScanMatchesPerCandidateReference) {
+  const std::vector<MarchElement> candidates = gain_scan_candidates();
+  std::vector<ElementTrace> traces;
+  for (const MarchElement& c : candidates) {
+    traces.push_back(compile_element_trace(c));
+  }
+  // Odd counts per direction leave the last batch word partly filled for
+  // every S < 64; waits and ⇕ readings are present.
+  std::size_t down = 0;
+  std::size_t any = 0;
+  std::size_t waits = 0;
+  for (const MarchElement& c : candidates) {
+    down += c.order() == AddressOrder::Down ? 1 : 0;
+    any += c.order() == AddressOrder::Any ? 1 : 0;
+    waits += std::count(c.ops().begin(), c.ops().end(), Op::T) > 0 ? 1 : 0;
+  }
+  ASSERT_EQ(down % 2, 1u);
+  ASSERT_EQ((candidates.size() - down) % 2, 1u);
+  ASSERT_GT(any, 0u);
+  ASSERT_GT(waits, 0u);
+
+  struct Prefix {
+    const char* notation;
+    bool both_power_on_states;  ///< S = P · 2^⇕
+  };
+  const Prefix prefixes[] = {
+      {"{c(w0); ^(r0,w1)}", false},                               // S = 2
+      {"{c(w0); ^(r0,w1)}", true},                                // S = 4
+      {"{c(w0); c(w1); c(w0); c(w1); c(w0); c(w1)}", true},  // S = 128
+  };
+  // The reference simulates every instance, so List #1 (50,904 instances
+  // at n = 6) is sampled there, two layouts per fault; cap 0 = all.
+  const std::pair<FaultList, std::size_t> lists[] = {
+      {fault_list_1(), 2},
+      {fault_list_2(), 0},
+      {retention_fault_list(), 0},
+      {decoder_fault_list(3), 0}};
+  ThreadPool threads(3);
+  for (const auto& [list, cap_at_6] : lists) {
+    for (const std::size_t n : {std::size_t{3}, std::size_t{6}}) {
+      const auto instances = instantiate_all(list, n, n == 6 ? cap_at_6 : 0);
+      for (const Prefix& p : prefixes) {
+        const MarchTest prefix = parse_march_test(p.notation, "prefix");
+        const std::string where = list.name + " n=" + std::to_string(n) +
+                                  " " + p.notation +
+                                  (p.both_power_on_states ? "" : " single");
+        const std::vector<std::size_t> reference = reference_gains(
+            instances, prefix, candidates, p.both_power_on_states);
+        const PrefixEngine engine(
+            n, &instances, prefix,
+            PrefixEngine::Options{p.both_power_on_states, false});
+
+        // One candidate per scan: nothing to prune against, every gain exact.
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          EXPECT_EQ(engine.gain_scan({&candidates[i]}, {&traces[i]}),
+                    std::vector<std::size_t>{reference[i]})
+              << where << " " << candidates[i].to_string();
+        }
+
+        // The whole set, inline and threaded: pruned candidates report a
+        // lower bound, every candidate that ties the best score its exact
+        // gain.
+        std::vector<const MarchElement*> all;
+        std::vector<const ElementTrace*> all_traces;
+        double best = 0.0;
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          all.push_back(&candidates[i]);
+          all_traces.push_back(&traces[i]);
+          best = std::max(best, static_cast<double>(reference[i]) /
+                                    static_cast<double>(candidates[i].cost()));
+        }
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &threads}) {
+          const std::vector<std::size_t> gains =
+              engine.gain_scan(all, all_traces, pool);
+          for (std::size_t i = 0; i < candidates.size(); ++i) {
+            EXPECT_LE(gains[i], reference[i]) << where << " " << i;
+            if (static_cast<double>(reference[i]) /
+                    static_cast<double>(candidates[i].cost()) >=
+                best) {
+              EXPECT_EQ(gains[i], reference[i]) << where << " " << i;
+            }
+          }
+        }
+
+        // Each direction alone, ascending by score, scanned inline: every
+        // word then holds a score at least as high as the bound the words
+        // before it set, so nothing is pruned and every packed lane range
+        // reports its exact gain.
+        for (const bool down_words : {false, true}) {
+          std::vector<std::size_t> order;
+          for (std::size_t i = 0; i < candidates.size(); ++i) {
+            if ((candidates[i].order() == AddressOrder::Down) == down_words) {
+              order.push_back(i);
+            }
+          }
+          std::stable_sort(order.begin(), order.end(),
+                           [&](std::size_t x, std::size_t y) {
+                             return reference[x] * candidates[y].cost() <
+                                    reference[y] * candidates[x].cost();
+                           });
+          std::vector<const MarchElement*> sorted;
+          std::vector<const ElementTrace*> sorted_traces;
+          for (const std::size_t i : order) {
+            sorted.push_back(&candidates[i]);
+            sorted_traces.push_back(&traces[i]);
+          }
+          const std::vector<std::size_t> gains =
+              engine.gain_scan(sorted, sorted_traces);
+          for (std::size_t k = 0; k < order.size(); ++k) {
+            EXPECT_EQ(gains[k], reference[order[k]])
+                << where << " " << candidates[order[k]].to_string();
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PrefixSim, CollapsesEquivalentLayoutsExactly) {
