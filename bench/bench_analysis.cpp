@@ -1,11 +1,7 @@
-// Symbolic analyzer benchmark (analysis/static_analyzer.hpp):
-//   * raw verdict throughput — analyze_coverage over catalog tests and
-//     fault lists (the linter's and prefilter's unit of work),
-//   * generator speedup from the static certification prefilter — the same
-//     list generated with static_prefilter off and on; the prefilter
-//     discharges statically-Detected faults before the persistent engine
-//     pays their full-prefix simulation, so the win shows up in the
-//     cert-prep + B + B2 window while the generated test stays identical.
+// Symbolic analyzer benchmark (analysis/static_analyzer.hpp): raw verdict
+// throughput of analyze_coverage over catalog tests and fault lists (the
+// linter's and the subsumption prover's unit of work), plus the zero-Unknown
+// gate — every pair must resolve to a definite verdict.
 //
 // --json <path|-> writes a machine-readable summary (BENCH_analysis.json in
 // the CI bench-smoke job); --quick runs a reduced matrix.
@@ -17,7 +13,6 @@
 
 #include "analysis/static_analyzer.hpp"
 #include "fp/fault_list.hpp"
-#include "gen/generator.hpp"
 #include "march/catalog.hpp"
 
 namespace {
@@ -31,19 +26,8 @@ struct AnalyzerRecord {
   double seconds = 0.0;
 };
 
-struct GenerationRecord {
-  std::string list;
-  bool prefilter = false;
-  mtg::GenerationResult result;
-};
-
 std::vector<AnalyzerRecord>& analyzer_records() {
   static std::vector<AnalyzerRecord> all;
-  return all;
-}
-
-std::vector<GenerationRecord>& generation_records() {
-  static std::vector<GenerationRecord> all;
   return all;
 }
 
@@ -67,28 +51,6 @@ void run_analyzer(const mtg::MarchTest& test, const char* list_name,
                   static_cast<double>(record.faults > 0 ? record.faults : 1),
               record.detected, record.unknown);
   analyzer_records().push_back(std::move(record));
-}
-
-double cert_window(const mtg::GenerationStats& s) {
-  return s.cert_prep_seconds + s.phase_b_seconds + s.phase_b2_seconds;
-}
-
-void run_generation(const char* list_name, const mtg::FaultList& list,
-                    bool prefilter) {
-  mtg::GeneratorOptions options;
-  options.static_prefilter = prefilter;
-  mtg::GenerationResult result = generate_march_test(list, options);
-  const mtg::GenerationStats& s = result.stats;
-  std::printf("%-8s prefilter=%-3s  total %8.3fs  cert window %8.3fs  "
-              "(%zu faults resolved, %zu instances skipped, analyzer %.4fs)\n",
-              list_name, prefilter ? "on" : "off", s.elapsed_seconds,
-              cert_window(s), s.static_resolved_faults,
-              s.static_skipped_instances, s.static_seconds);
-  GenerationRecord record;
-  record.list = list_name;
-  record.prefilter = prefilter;
-  record.result = std::move(result);
-  generation_records().push_back(std::move(record));
 }
 
 double unknown_rate() {
@@ -115,24 +77,6 @@ void write_json(std::FILE* out) {
                  r.test.c_str(), r.list.c_str(), r.faults, r.detected,
                  r.unknown, r.seconds,
                  i + 1 < analyzer_records().size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"generation\": [\n");
-  for (std::size_t i = 0; i < generation_records().size(); ++i) {
-    const GenerationRecord& r = generation_records()[i];
-    const mtg::GenerationStats& s = r.result.stats;
-    std::fprintf(
-        out,
-        "    {\"list\": \"%s\", \"prefilter\": %s, \"elapsed_s\": %.6f, "
-        "\"cert_prep_s\": %.6f, \"phase_b_s\": %.6f, \"phase_b2_s\": %.6f,\n"
-        "     \"static_s\": %.6f, \"static_resolved_faults\": %zu, "
-        "\"static_skipped_instances\": %zu, \"certify_instances\": %zu, "
-        "\"complexity\": %zu}%s\n",
-        r.list.c_str(), r.prefilter ? "true" : "false", s.elapsed_seconds,
-        s.cert_prep_seconds, s.phase_b_seconds, s.phase_b2_seconds,
-        s.static_seconds, s.static_resolved_faults,
-        s.static_skipped_instances, s.certify_instances,
-        r.result.test.complexity(),
-        i + 1 < generation_records().size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
 }
@@ -168,34 +112,6 @@ int main(int argc, char** argv) {
     for (const MarchTest& test : {march_sl(), march_lf1(), march_abl1()}) {
       run_analyzer(test, "list1", list1);
     }
-  }
-
-  std::printf("--- generator static-prefilter ablation ---\n");
-  run_generation("list2", list2, false);
-  run_generation("list2", list2, true);
-  run_generation("simple", simple, false);
-  run_generation("simple", simple, true);
-  if (!quick) {
-    const FaultList list1 = fault_list_1();
-    run_generation("list1", list1, false);
-    run_generation("list1", list1, true);
-  }
-  for (std::size_t i = 1; i < generation_records().size(); i += 2) {
-    const GenerationRecord& off = generation_records()[i - 1];
-    const GenerationRecord& on = generation_records()[i];
-    if (off.result.test != on.result.test) {
-      std::fprintf(stderr,
-                   "prefilter changed the generated test for %s — the "
-                   "identity contract is broken\n",
-                   on.list.c_str());
-      return 1;
-    }
-    const double off_window = cert_window(off.result.stats);
-    const double on_window = cert_window(on.result.stats);
-    std::printf("%-8s cert-window speedup: %.2fx (%.3fs -> %.3fs)\n",
-                on.list.c_str(),
-                on_window > 0.0 ? off_window / on_window : 0.0, off_window,
-                on_window);
   }
 
   // Zero-Unknown gate: every shipped (test, list) pair must resolve to a

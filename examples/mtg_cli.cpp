@@ -29,14 +29,12 @@
 //       re-runs hit the store (0 points evaluated) with no schema change.
 //       --store-retries / --store-backoff-ms tune the write-retry ladder
 //   mtg_cli matrix <jobfile> [--threads <k>] [--queue-capacity <q>]
-//           [--reject] [--store <dir>] [--static-prefilter]
+//           [--reject] [--store <dir>]
 //       batch front end of the coverage-matrix service
 //       (service/matrix_service.hpp): submits every job of a 'jobs v1' file
 //       (service/job_file.hpp) and streams one JSON line per completed job
 //       to stdout, summary to stderr.  --reject switches the backpressure
-//       policy from Block to Reject; --static-prefilter serves jobs the
-//       symbolic analyzer fully resolves without simulation (byte-identical
-//       reports; count on stderr); Ctrl-C cancels the remaining jobs and
+//       policy from Block to Reject; Ctrl-C cancels the remaining jobs and
 //       reports the completed ones (exit 130)
 //
 // SIGINT/SIGTERM trip one cooperative cancel token: 'matrix' and
@@ -54,7 +52,7 @@
 //       warnings by default (exit 0); --werror exits 1 on any finding — the
 //       CI catalog-check mode
 //   mtg_cli lint --jobs-file <path> [--werror]
-//       lint a 'jobs v1' file instead (service/job_lint.hpp): duplicate
+//       lint a 'jobs v1' file instead (analysis/job_lint.hpp): duplicate
 //       (test, list, n, cap) jobs, references to tests/lists no directive
 //       defines, zero/implausible deadline_ms — path:line:column anchored
 //   mtg_cli optimize <suite-file> [n] [--list <universe-spec>]
@@ -92,13 +90,13 @@
 #include <vector>
 
 #include "analysis/certificate.hpp"
+#include "analysis/job_lint.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/static_analyzer.hpp"
 #include "analysis/subsumption.hpp"
 #include "common/cancel.hpp"
 #include "common/parse.hpp"
 #include "service/job_file.hpp"
-#include "service/job_lint.hpp"
 #include "service/matrix_service.hpp"
 #include "format/catalog_io.hpp"
 #include "fp/fault_list.hpp"
@@ -557,7 +555,7 @@ std::string json_escape(const std::string& text) {
 }
 
 int cmd_matrix(const std::string& path, std::size_t threads,
-               std::size_t queue_capacity, bool reject, bool static_prefilter,
+               std::size_t queue_capacity, bool reject,
                const std::string& store_path,
                const SweepStoreOptions& store_options) {
   const JobFile file = load_job_file(path);
@@ -622,7 +620,6 @@ int cmd_matrix(const std::string& path, std::size_t threads,
   options.when_full =
       reject ? BackpressurePolicy::Reject : BackpressurePolicy::Block;
   options.store = store.has_value() ? &*store : nullptr;
-  options.static_prefilter = static_prefilter;
   options.cancel = &g_interrupt;
   options.on_result = [&](const MatrixJobResult& result) {
     const ResolvedJob& entry = resolved[result.job_id];
@@ -661,9 +658,8 @@ int cmd_matrix(const std::string& path, std::size_t threads,
     const MatrixServiceStats stats = service.stats();
     std::lock_guard<std::mutex> lock(output_mutex);
     std::cerr << "matrix: " << stats.completed << " completed ("
-              << stats.store_hits << " from store, " << stats.static_served
-              << " statically served), " << stats.failed << " failed, "
-              << stats.cancelled << " cancelled, "
+              << stats.store_hits << " from store), " << stats.failed
+              << " failed, " << stats.cancelled << " cancelled, "
               << stats.deadline_exceeded << " deadline-exceeded, "
               << stats.rejected << " rejected of " << resolved.size()
               << " jobs\n";
@@ -696,7 +692,7 @@ int usage() {
       << "    test name; defaults to \"March SL\" when omitted\n"
       << "    <list>: a built-in list name, or --list-file <path> instead\n"
       << "  mtg_cli matrix <jobfile> [--threads <k>] [--queue-capacity <q>] "
-         "[--reject] [--store <dir>] [--static-prefilter]\n"
+         "[--reject] [--store <dir>]\n"
       << "    batch coverage-matrix service over a 'jobs v1' file; one JSON "
          "line per job\n"
       << "  (stores: --store-retries <k> and --store-backoff-ms <ms> tune "
@@ -739,7 +735,7 @@ int main(int argc, char** argv) {
       std::size_t cap = 4096;
       bool stats = false;
       std::size_t threads = 0, queue_capacity = 256;
-      bool reject = false, werror = false, static_prefilter = false;
+      bool reject = false, werror = false;
       SweepStoreOptions store_options;
       for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -773,8 +769,6 @@ int main(int argc, char** argv) {
           stats = true;
         } else if (arg == "--werror") {
           werror = true;
-        } else if (arg == "--static-prefilter") {
-          static_prefilter = true;
         } else if (arg == "--list" && i + 1 < argc) {
           universe_spec = argv[++i];
         } else if (arg == "--out" && i + 1 < argc) {
@@ -797,10 +791,9 @@ int main(int argc, char** argv) {
         }
         install_interrupt_handler();
         return cmd_matrix(positional[0], threads, queue_capacity, reject,
-                          static_prefilter, store_path, store_options);
+                          store_path, store_options);
       }
-      if (threads != 0 || queue_capacity != 256 || reject ||
-          static_prefilter) {
+      if (threads != 0 || queue_capacity != 256 || reject) {
         return usage();
       }
 

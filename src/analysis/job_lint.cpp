@@ -1,4 +1,4 @@
-#include "service/job_lint.hpp"
+#include "analysis/job_lint.hpp"
 
 #include <map>
 #include <optional>

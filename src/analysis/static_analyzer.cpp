@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -765,84 +764,6 @@ StaticCoverage analyze_coverage(const MarchTest& test, const FaultList& list,
         static_instance_count(fault, n));
   }
   return coverage;
-}
-
-std::optional<CoverageReport> static_coverage_report(
-    const MarchTest& test, const FaultList& list, std::size_t n,
-    std::size_t max_instances_per_fault, const AnalysisOptions& options) {
-  FaultSimulator::validate(test);  // same throw as evaluate_coverage
-  CoverageReport report;
-  report.test_name = test.name().empty() ? test.to_string() : test.name();
-  report.list_name = list.name;
-  report.test_complexity = test.complexity();
-  report.entries.resize(fault_count(list));
-
-  std::size_t index = 0;
-  // `kept` is the analytic instance count; a saturated count (uncapped
-  // C(n, k) beyond uint64) is not exact and declines the job.
-  const auto serve = [&report, &index](const std::string& name,
-                                       const StaticResult& result,
-                                       std::uint64_t kept) {
-    CoverageEntry& entry = report.entries[index];
-    entry.fault_index = index;
-    entry.fault = name;
-    ++index;
-    if (result.verdict == StaticVerdict::Unknown ||
-        kept == std::numeric_limits<std::uint64_t>::max()) {
-      return false;
-    }
-    if (kept == 0) {
-      // evaluate_coverage's zero-instance convention, byte for byte.
-      entry.covered = false;
-      entry.escape_description = "no instances fit the simulated memory";
-      return true;
-    }
-    if (result.verdict == StaticVerdict::NotDetected) {
-      // The detected-instance split (and the first escaping instance's
-      // description) is a per-instance property the fault-level verdict
-      // does not determine.
-      return false;
-    }
-    if (kept > std::numeric_limits<std::size_t>::max()) return false;
-    entry.instances = static_cast<std::size_t>(kept);
-    entry.detected = entry.instances;
-    entry.covered = true;
-    return true;
-  };
-
-  const std::size_t cap = max_instances_per_fault;
-  for (const SimpleFault& fault : list.simple) {
-    if (static_cast<std::size_t>(fault.num_cells()) > n) {
-      return std::nullopt;  // instantiate() refuses; the job must Fail
-    }
-    if (!serve(fault.name, analyze_fault(test, fault, n, options),
-               kept_layouts(n, static_cast<std::size_t>(fault.num_cells()),
-                            cap))) {
-      return std::nullopt;
-    }
-  }
-  for (const LinkedFault& fault : list.linked) {
-    if (static_cast<std::size_t>(fault.num_cells()) > n) {
-      return std::nullopt;
-    }
-    if (!serve(fault.name(), analyze_fault(test, fault, n, options),
-               kept_layouts(n, static_cast<std::size_t>(fault.num_cells()),
-                            cap))) {
-      return std::nullopt;
-    }
-  }
-  for (const DecoderFault& fault : list.decoder) {
-    // Decoder sampling keeps exactly min(count, cap) addresses: always
-    // analytic (a fault on a missing address line has zero instances —
-    // no throw, unlike the FP layouts).
-    const std::uint64_t count = decoder_address_count(fault, n);
-    const std::uint64_t kept =
-        cap == 0 ? count : std::min<std::uint64_t>(count, cap);
-    if (!serve(fault.name(), analyze_fault(test, fault, n, options), kept)) {
-      return std::nullopt;
-    }
-  }
-  return report;
 }
 
 }  // namespace mtg

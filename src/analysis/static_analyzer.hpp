@@ -69,7 +69,6 @@
 #include "common/bit.hpp"
 #include "fp/fault_list.hpp"
 #include "march/march_test.hpp"
-#include "sim/coverage.hpp"
 #include "sim/fault_instance.hpp"
 
 namespace mtg {
@@ -181,27 +180,5 @@ struct StaticCoverage {
 StaticCoverage analyze_coverage(const MarchTest& test, const FaultList& list,
                                 std::size_t n,
                                 const AnalysisOptions& options = {});
-
-/// The statically-served CoverageReport: when every fault of `list` resolves
-/// to a definite verdict AND the instance counts the simulator would produce
-/// under `max_instances_per_fault` are analytically exact, returns a report
-/// byte-identical to
-///   evaluate_coverage(FaultSimulator({n, ...}), test, list, cap)
-/// without simulating anything.  Returns nullopt — caller falls back to
-/// simulation — whenever exactness cannot be certified:
-///   * any Unknown verdict, or a NotDetected fault with instances (the
-///     simulated report's detected-instance split is not a fault-level
-///     property),
-///   * a fault whose layout does not fit the memory (instantiate() throws
-///     there; the simulated job fails and the static path must not mask it),
-///   * a capped FP fault in instantiate()'s seeded-random sampling tier
-///     (count > 4*cap), where the kept-layout count is not analytic, or an
-///     instance count saturating the uint64 range.
-/// Detected faults under a cap use the sampler's exact keep counts: all
-/// C(n,k) layouts when they fit the cap, exactly `cap` evenly-spaced ones in
-/// the moderate tier, exactly min(count, cap) decoder addresses.
-std::optional<CoverageReport> static_coverage_report(
-    const MarchTest& test, const FaultList& list, std::size_t n,
-    std::size_t max_instances_per_fault, const AnalysisOptions& options = {});
 
 }  // namespace mtg

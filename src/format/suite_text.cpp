@@ -55,6 +55,8 @@ std::string read_quoted_name(const LineReader& reader, std::size_t& pos) {
   ++pos;
   std::string name;
   while (pos < line.size() && line[pos] != '"') {
+    // to_canonical_string refuses line breaks in names; so does the reader.
+    if (line[pos] == '\r') reader.fail(pos + 1, "line break in test name");
     if (line[pos] == '\\') {
       if (pos + 1 >= line.size() ||
           (line[pos + 1] != '"' && line[pos + 1] != '\\')) {

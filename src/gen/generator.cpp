@@ -5,7 +5,6 @@
 #include <optional>
 #include <set>
 
-#include "analysis/static_analyzer.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "gen/candidates.hpp"
@@ -171,15 +170,16 @@ GenerationResult generate_march_test(const FaultList& list,
   MarchTest test("generated", {MarchElement(AddressOrder::Any, {Op::W0})});
 
   // -- Phase A: greedy cover on the working memory ----------------------
-  std::vector<FaultInstance> working = instantiate_all(
-      list, options.working_memory_size, options.max_instances_per_fault);
-  stats.working_instances = working.size();
   std::set<std::size_t> uncoverable;
   {
-    PrefixEngine engine(options.working_memory_size, std::move(working),
-                        test,
-                        PrefixEngine::Options{options.both_power_on_states,
-                                              /*record_checkpoints=*/false});
+    PrefixEngine engine(
+        options.working_memory_size,
+        behaviour_classes(list, options.working_memory_size,
+                          options.max_instances_per_fault),
+        test,
+        PrefixEngine::Options{options.both_power_on_states,
+                              /*record_checkpoints=*/false});
+    stats.working_instances = engine.num_instances();
     stats.log.push_back("phase A: " +
                         std::to_string(engine.num_instances()) +
                         " instances at n=" +
@@ -190,58 +190,29 @@ GenerationResult generate_march_test(const FaultList& list,
   lap("phase A (greedy)", &stats.phase_a_seconds);
 
   // -- Phase B: incremental certification loop (CEGIS) ------------------
-  // The persistent engine simulates every certify-size instance to the end
-  // of the phase-A test exactly once (this prep is the unavoidable first
+  // The persistent engine simulates one representative per certify-size
+  // behaviour class, weighted by the instances it stands for, to the end of
+  // the phase-A test exactly once (this prep is the unavoidable first
   // full-prefix simulation; checkpoints are recorded for the phase-C
   // rewind).  Every later round only replays elements appended since the
   // previous sync, and instances detected under every scenario are dropped
   // permanently: march tests grow append-only within the CEGIS loop and
   // detection is sticky, so a dropped instance can never escape again.
-  // Static prefilter: faults the symbolic analyzer proves the phase-A test
-  // detects need no certification instances at all — the analyzer's definite
-  // verdicts agree with both engines (the three-way fuzz contract), so their
-  // full-prefix simulation is pure overhead.  Decoder-fault detection
-  // depends on the memory size, which the minimizer (working at its own,
-  // smaller n) does not re-establish, so decoder faults are only deferred
-  // when no minimizer can edit the test afterwards; cell-fault detection
-  // depends only on relative cell order and survives minimization.
-  std::vector<std::uint8_t> static_resolved(fault_count(list), 0);
-  const AnalysisOptions analysis_options{options.both_power_on_states};
-  if (options.static_prefilter) {
-    const auto sp0 = std::chrono::steady_clock::now();
-    const StaticCoverage pre = analyze_coverage(
-        test, list, options.certify_memory_size, analysis_options);
-    const std::size_t cell_faults = list.simple.size() + list.linked.size();
-    for (const StaticCoverageEntry& entry : pre.entries) {
-      if (entry.verdict != StaticVerdict::Detected) continue;
-      if (entry.fault_index >= cell_faults && options.minimize) continue;
-      if (uncoverable.count(entry.fault_index) > 0) continue;
-      static_resolved[entry.fault_index] = 1;
-      ++stats.static_resolved_faults;
-    }
-    stats.static_seconds += std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - sp0).count();
-    stats.log.push_back("static prefilter resolved " +
-                        std::to_string(stats.static_resolved_faults) +
-                        " faults before certification");
-  }
-
-  std::vector<FaultInstance> cert_instances;
+  std::vector<BehaviourClass> cert_classes = behaviour_classes(
+      list, options.certify_memory_size, options.max_instances_per_fault);
   std::vector<std::uint8_t> instantiable(fault_count(list), 0);
-  for (FaultInstance& instance : instantiate_all(
-           list, options.certify_memory_size,
-           options.max_instances_per_fault)) {
-    ++stats.certify_instances;
-    instantiable[instance.fault_index] = 1;
-    // Faults phase A already reported uncoverable are out of scope — skip
-    // them before paying their full-prefix simulation.
-    if (uncoverable.count(instance.fault_index) > 0) continue;
-    if (static_resolved[instance.fault_index] != 0) {
-      ++stats.static_skipped_instances;
-      continue;
-    }
-    cert_instances.push_back(std::move(instance));
+  for (const BehaviourClass& cls : cert_classes) {
+    stats.certify_instances += cls.weight;
+    instantiable[cls.representative.fault_index] = 1;
   }
+  // Faults phase A already reported uncoverable are out of scope — drop
+  // them before paying their full-prefix simulation.
+  const auto out_of_scope = [&](const BehaviourClass& cls) {
+    return uncoverable.count(cls.representative.fault_index) > 0;
+  };
+  cert_classes.erase(std::remove_if(cert_classes.begin(), cert_classes.end(),
+                                    out_of_scope),
+                     cert_classes.end());
   // Faults with no instance at the certify size cannot be certified there
   // at all (e.g. a decoder fault on an address line the certify memory does
   // not have, 2^bit >= n): report them out of scope instead of letting the
@@ -256,7 +227,7 @@ GenerationResult generate_march_test(const FaultList& list,
     }
   }
   PrefixEngine cert_engine(
-      options.certify_memory_size, std::move(cert_instances), test,
+      options.certify_memory_size, std::move(cert_classes), test,
       PrefixEngine::Options{options.both_power_on_states,
                             /*record_checkpoints=*/options.minimize},
       &cert_workers);
@@ -321,48 +292,6 @@ GenerationResult generate_march_test(const FaultList& list,
     // stay dropped.
     certify_and_extend();  // a removal may only matter at certify size
     lap("phase B2 (re-certification)", &stats.phase_b2_seconds);
-
-    // Post-minimize re-check of the prefilter: re-derive every deferred
-    // fault's verdict on the minimized test.  Cell-fault detection is
-    // order-relative, so a minimizer that preserved detection at its own
-    // size preserved it here too and this never fires in practice — but if
-    // a deferred fault did lose its static Detected, certify it the
-    // ordinary way (and extend the test if instances really escape).
-    if (stats.static_resolved_faults > 0) {
-      const auto sp0 = std::chrono::steady_clock::now();
-      const StaticCoverage post = analyze_coverage(
-          test, list, options.certify_memory_size, analysis_options);
-      std::set<std::size_t> lost;
-      for (const StaticCoverageEntry& entry : post.entries) {
-        if (static_resolved[entry.fault_index] == 0) continue;
-        if (entry.verdict == StaticVerdict::Detected) continue;
-        lost.insert(entry.fault_index);
-      }
-      stats.static_seconds += std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - sp0).count();
-      if (!lost.empty()) {
-        stats.log.push_back("static re-check: " +
-                            std::to_string(lost.size()) +
-                            " deferred faults lost their Detected verdict; "
-                            "re-certifying");
-        std::vector<FaultInstance> lost_instances;
-        for (FaultInstance& instance : instantiate_all(
-                 list, options.certify_memory_size,
-                 options.max_instances_per_fault)) {
-          if (lost.count(instance.fault_index) > 0) {
-            lost_instances.push_back(std::move(instance));
-          }
-        }
-        PrefixEngine lost_engine(
-            options.certify_memory_size, std::move(lost_instances), test,
-            PrefixEngine::Options{options.both_power_on_states,
-                                  /*record_checkpoints=*/false},
-            &cert_workers);
-        auto stalled =
-            greedy_cover(lost_engine, pool, test, options, workers, stats);
-        uncoverable.insert(stalled.begin(), stalled.end());
-      }
-    }
   }
   stats.instances_dropped = cert_engine.dropped_instances();
 

@@ -73,19 +73,6 @@ struct GeneratorOptions {
   /// sizes above pass through unclamped, so certify_memory_size may exceed
   /// 64 freely (the simulators have no n ceiling).
   std::size_t max_instances_per_fault = 0;
-  /// Discharge certification statically where the symbolic analyzer
-  /// (analysis/static_analyzer.hpp) proves the phase-A test detects a fault:
-  /// its certify-size instances never enter the persistent engine, skipping
-  /// their full-prefix simulation.  Sound by the analyzer's three-way-locked
-  /// contract (definite verdicts agree with both simulation engines); cell
-  /// faults stay covered across the minimizer because their detection
-  /// depends only on relative cell order (the minimizer re-checks every
-  /// instance at its own size), while decoder faults — whose detection is
-  /// n-dependent — are only deferred when no minimizer runs.  A post-
-  /// minimize static re-check backstops the argument: any deferred fault
-  /// whose verdict is no longer Detected is re-certified the ordinary way.
-  /// The generated test is identical with the prefilter on or off.
-  bool static_prefilter = true;
 };
 
 struct GenerationStats {
@@ -98,14 +85,6 @@ struct GenerationStats {
   /// Certify-size instances dropped permanently by the persistent
   /// certification engine (detected under every scenario; fault dropping).
   std::size_t instances_dropped = 0;
-  /// Faults whose certification the static prefilter discharged (symbolic
-  /// Detected verdict on the phase-A test) and the certify-size instances
-  /// that therefore never entered the persistent engine.
-  std::size_t static_resolved_faults = 0;
-  std::size_t static_skipped_instances = 0;
-  /// Wall time spent in the symbolic analyzer (prefilter + post-minimize
-  /// re-check); part of the cert-prep/B2 windows below.
-  double static_seconds = 0.0;
   /// Minimizer trials attempted and (instance, element) suffix replays they
   /// cost — the checkpointed minimizer's work unit (a from-scratch rescan
   /// would cost ~ trials × instances × test length replays).

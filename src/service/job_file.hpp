@@ -54,7 +54,7 @@ struct JobFileRecord {
 };
 
 /// Document positions of the job records, index-aligned with JobFile::jobs —
-/// the anchors the jobs-file linter (service/job_lint.hpp) attaches
+/// the anchors the jobs-file linter (analysis/job_lint.hpp) attaches
 /// diagnostics to.
 struct JobFilePositions {
   /// The 'job' keyword of each record.

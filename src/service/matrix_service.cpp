@@ -1,10 +1,8 @@
 #include "service/matrix_service.hpp"
 
 #include <thread>
-#include <tuple>
 #include <utility>
 
-#include "analysis/static_analyzer.hpp"
 #include "sim/packed_engine.hpp"
 #include "store/sweep_store.hpp"
 
@@ -268,45 +266,6 @@ std::shared_ptr<const CompiledTest> MatrixService::compiled_for(
   }
 }
 
-std::shared_ptr<const std::optional<CoverageReport>>
-MatrixService::static_report_for(const MarchTest& test, const FaultList& list,
-                                 std::uint64_t test_hash,
-                                 std::uint64_t list_hash, std::size_t n,
-                                 std::size_t cap) {
-  const auto key = std::make_tuple(test_hash, list_hash,
-                                   static_cast<std::uint64_t>(n),
-                                   static_cast<std::uint64_t>(cap));
-  std::promise<std::shared_ptr<const std::optional<CoverageReport>>> promise;
-  std::shared_future<std::shared_ptr<const std::optional<CoverageReport>>>
-      future;
-  bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = static_cache_.find(key);
-    if (it != static_cache_.end()) {
-      future = it->second;
-    } else {
-      owner = true;
-      future = promise.get_future().share();
-      static_cache_.emplace(key, future);
-    }
-  }
-  if (!owner) return future.get();
-  try {
-    AnalysisOptions analysis;
-    analysis.both_power_on_states = options_.both_power_on_states;
-    auto report = std::make_shared<const std::optional<CoverageReport>>(
-        static_coverage_report(test, list, n, cap, analysis));
-    promise.set_value(report);
-    return report;
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-    std::lock_guard<std::mutex> lock(mutex_);
-    static_cache_.erase(key);
-    throw;
-  }
-}
-
 void MatrixService::run_job(const std::shared_ptr<JobState>& state) {
   SchedulerFault fault;
   std::size_t dispatch_index = 0;
@@ -376,53 +335,6 @@ void MatrixService::run_job(const std::shared_ptr<JobState>& state) {
           state->result.report = std::move(cached);
           state->result.from_store = true;
           ++stats_.store_hits;
-        }
-        finish(state, JobStatus::Completed, "");
-        return;
-      }
-    }
-
-    if (options_.static_prefilter &&
-        FaultSimulator::any_order_count(job.test) <=
-            options_.max_any_order_elements) {
-      // Static serving tier: if the analyzer fully determines the report
-      // (definite verdicts + analytic instance counts under the cap), serve
-      // it without instantiating or simulating anything.  The ⇕-count guard
-      // keeps over-limit tests on the simulated path so they Fail exactly
-      // as they would without the prefilter.
-      const std::shared_ptr<const std::optional<CoverageReport>> proved =
-          static_report_for(job.test, *job.list, test_hash, list_hash,
-                            job.memory_size, job.max_instances_per_fault);
-      if (proved->has_value()) {
-        if (fault.action == SchedulerFaultAction::CancelMidRun) {
-          // The injected cancellation must still win: the simulated path
-          // trips the token before its evaluation loop polls it.
-          state->token.cancel();
-        }
-        state->token.check();
-        CoverageReport report = **proved;
-        // Content from the proof, presentation from the job (the store-hit
-        // rule): the cached report is keyed by content hashes and may have
-        // been proved for a differently-named twin.
-        report.test_name = job.test.name().empty() ? job.test.to_string()
-                                                   : job.test.name();
-        report.list_name = job.list->name;
-        if (options_.store != nullptr) {
-          SweepKey key;
-          key.test_hash = test_hash;
-          key.list_hash = list_hash;
-          key.memory_size = job.memory_size;
-          key.max_instances_per_fault = job.max_instances_per_fault;
-          if (options_.store->save(key, report)) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.store_saves;
-          }
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          state->result.report = std::move(report);
-          state->result.served_statically = true;
-          ++stats_.static_served;
         }
         finish(state, JobStatus::Completed, "");
         return;

@@ -34,15 +34,6 @@
 //    backoff + jitter, then store-less completion, then (sticky failure)
 //    the store disables itself for all jobs and the service keeps serving.
 //    Results are byte-identical with or without a (failing) store.
-//  * Optional static serving tier (`static_prefilter`): jobs whose report
-//    the symbolic analyzer fully determines — definite verdicts for every
-//    fault plus analytic instance counts under the job's cap — are answered
-//    without simulation (analysis/static_analyzer.hpp's
-//    static_coverage_report), byte-identical to the simulated report.  The
-//    same single-flight discipline applies (one static report per
-//    (test, list, n, cap) key), store write-back still happens, and
-//    cancellation/deadlines are honoured before serving.  Jobs the analyzer
-//    cannot fully determine fall through to simulation unchanged.
 //  * A fault-injection seam for the scheduler itself: `scheduler_hook` is
 //    consulted once per dispatch and may delay, fail or cancel the k-th job
 //    — the harness (tests/service/) proves that completed jobs' reports stay
@@ -65,9 +56,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -120,7 +109,6 @@ struct MatrixJobResult {
   double queue_ms = 0;  ///< submission → dispatch
   double run_ms = 0;    ///< dispatch → terminal state
   bool from_store = false;          ///< report loaded, not evaluated
-  bool served_statically = false;   ///< report proved by the analyzer
   bool compiled_cache_hit = false;  ///< reused a cached CompiledTest
 };
 
@@ -139,8 +127,6 @@ struct MatrixServiceStats {
   std::uint64_t deadline_exceeded = 0;
   std::uint64_t store_hits = 0;
   std::uint64_t store_saves = 0;
-  /// Jobs served by the static prefilter (no simulation; store hits win).
-  std::uint64_t static_served = 0;
   std::uint64_t compiled_cache_hits = 0;
   std::uint64_t compiled_cache_misses = 0;
   /// Fault instances covered by evaluated reports (store hits excluded):
@@ -193,10 +179,6 @@ struct MatrixServiceOptions {
   bool use_packed_engine = true;
   bool both_power_on_states = true;
   std::size_t max_any_order_elements = 10;
-  /// Serve jobs the symbolic analyzer fully determines without simulating
-  /// them (byte-identical reports — the differential tests and the schedule
-  /// fuzzer lock the identity).  Off by default.
-  bool static_prefilter = false;
 };
 
 class MatrixService {
@@ -250,11 +232,6 @@ class MatrixService {
   std::shared_ptr<const CompiledTest> compiled_for(const MarchTest& test,
                                                    std::uint64_t test_hash,
                                                    bool& cache_hit);
-  /// Single-flight static_coverage_report per (test, list, n, cap) key.
-  /// The pointee optional is empty when the analyzer declined the job.
-  std::shared_ptr<const std::optional<CoverageReport>> static_report_for(
-      const MarchTest& test, const FaultList& list, std::uint64_t test_hash,
-      std::uint64_t list_hash, std::size_t n, std::size_t cap);
 
   MatrixServiceOptions options_;
   CancelToken service_cancel_;  ///< parent of every job token
@@ -269,16 +246,12 @@ class MatrixService {
   MatrixServiceStats stats_;
   bool shutting_down_ = false;
 
-  // Single-flight caches: the future materializes once, every waiter shares
+  // Single-flight cache: the future materializes once, every waiter shares
   // the immutable artifact.  A failed computation is erased so a later job
   // can retry.
   std::map<std::uint64_t,
            std::shared_future<std::shared_ptr<const CompiledTest>>>
       compiled_cache_;
-  std::map<
-      std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>,
-      std::shared_future<std::shared_ptr<const std::optional<CoverageReport>>>>
-      static_cache_;
 
   // Declared last: destroyed first, so the worker drain in ~ThreadPool runs
   // while the service state above is still alive.

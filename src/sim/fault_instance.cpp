@@ -1,6 +1,7 @@
 #include "sim/fault_instance.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -259,6 +260,41 @@ std::vector<FaultInstance> instantiate_all(const FaultList& list,
     result.insert(result.end(), instances.begin(), instances.end());
   }
   return result;
+}
+
+std::vector<BehaviourClass> behaviour_classes(const FaultList& list,
+                                              std::size_t n,
+                                              std::size_t cap) {
+  std::vector<BehaviourClass> classes;
+  std::size_t index = 0;
+  // Every layout of an FP fault has the same relative cell order: one class,
+  // represented by the lowest layout, weighted by the analytic layout count.
+  const auto add_fp_fault = [&](const auto& fault) {
+    BehaviourClass cls;
+    cls.representative = instantiate(fault, n, index, 1).front();
+    cls.weight = static_cast<std::size_t>(
+        kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), cap));
+    classes.push_back(std::move(cls));
+    ++index;
+  };
+  for (const SimpleFault& fault : list.simple) add_fp_fault(fault);
+  for (const LinkedFault& fault : list.linked) add_fp_fault(fault);
+  // A decoder machine reads one address fact, bit `bit` of the corrupted
+  // address: at most two classes per fault, tallied over the sample.
+  for (const DecoderFault& fault : list.decoder) {
+    std::array<std::size_t, 2> slot_of_bit = {0, 0};  // 1 + class position
+    const std::size_t first = classes.size();
+    for (const std::size_t a : decoder_sample(fault, n, cap)) {
+      std::size_t& slot = slot_of_bit[(a >> fault.bit) & 1u];
+      if (slot == 0) {
+        classes.push_back(BehaviourClass{bind_decoder(fault, a, index), 0});
+        slot = classes.size() - first;
+      }
+      ++classes[first + slot - 1].weight;
+    }
+    ++index;
+  }
+  return classes;
 }
 
 std::size_t fault_count(const FaultList& list) {

@@ -95,6 +95,26 @@ std::vector<FaultInstance> instantiate_all(
     const FaultList& list, std::size_t n,
     std::size_t max_instances_per_fault = 0);
 
+/// One behaviour class of one fault: its first sampled instance, standing
+/// for the `weight` sampled instances the class holds.  Instances of a fault
+/// with equal PackedFaultSim::signature() evolve identically against every
+/// test, so simulating the representative decides all of them.
+struct BehaviourClass {
+  FaultInstance representative;
+  std::size_t weight = 0;
+};
+
+/// The behaviour classes of instantiate_all(list, n, max_instances_per_fault)
+/// in fault order and, within a fault, in order of first sampled instance;
+/// the weights sum to that call's instance count.  An FP fault is one class
+/// (all its layouts share their relative cell order), weighted by
+/// kept_layouts(); a decoder fault has at most two, split by bit `bit` of the
+/// corrupted address and tallied over decoder_sample().  Nothing is
+/// instantiated beyond the representatives.
+std::vector<BehaviourClass> behaviour_classes(
+    const FaultList& list, std::size_t n,
+    std::size_t max_instances_per_fault = 0);
+
 /// Number of faults in the list (simple + linked) == 1 + max fault_index.
 std::size_t fault_count(const FaultList& list);
 

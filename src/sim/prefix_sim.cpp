@@ -44,12 +44,22 @@ PrefixEngine::PrefixEngine(std::size_t memory_size, Options options)
 }
 
 PrefixEngine::PrefixEngine(std::size_t memory_size,
-                           std::vector<FaultInstance> instances,
+                           std::vector<BehaviourClass> classes,
                            const MarchTest& prefix, Options options,
                            ThreadPool* pool)
     : PrefixEngine(memory_size, options) {
-  owned_ = std::move(instances);
-  initialize(owned_, prefix, pool);
+  owned_.reserve(classes.size());
+  items_.reserve(classes.size());
+  for (BehaviourClass& cls : classes) {
+    check_supported(cls.representative);
+    owned_.push_back(std::move(cls.representative));
+    Item item;
+    item.instance = &owned_.back();
+    item.sim = PackedFaultSim(*item.instance);
+    item.weight = cls.weight;
+    items_.push_back(std::move(item));
+  }
+  simulate_prefix(prefix, pool);
 }
 
 PrefixEngine::PrefixEngine(std::size_t memory_size,
@@ -57,7 +67,8 @@ PrefixEngine::PrefixEngine(std::size_t memory_size,
                            const MarchTest& prefix, Options options,
                            ThreadPool* pool)
     : PrefixEngine(memory_size, options) {
-  initialize(*instances, prefix, pool);
+  collapse(*instances);
+  simulate_prefix(prefix, pool);
 }
 
 bool PrefixEngine::all_detected(
@@ -150,21 +161,24 @@ std::size_t PrefixEngine::run_steps(
   return kNever;
 }
 
-void PrefixEngine::initialize(const std::vector<FaultInstance>& instances,
-                              const MarchTest& prefix, ThreadPool* pool) {
+void PrefixEngine::check_supported(const FaultInstance& instance) const {
+  require_addresses_fit(instance, memory_size_);
+  // The engine has no scalar fallback: reject oversized instances loudly at
+  // entry.
+  require(PackedFaultSim::supports(instance),
+          "the prefix engine supports at most " +
+              std::to_string(PackedFaultSim::kMaxFps) +
+              " bound FPs per fault instance");
+}
+
+void PrefixEngine::collapse(const std::vector<FaultInstance>& instances) {
   // Collapse equal-signature instances of a fault into one weighted
   // representative: instances in one behaviour class evolve identically
   // (see PackedFaultSim::signature).  Representatives keep the
   // first-occurrence order of the input set.
   std::unordered_map<std::string, std::size_t> groups;
   for (const FaultInstance& inst : instances) {
-    require_addresses_fit(inst, memory_size_);
-    // The engine has no scalar fallback: reject oversized instances loudly
-    // at entry.
-    require(PackedFaultSim::supports(inst),
-            "the prefix engine supports at most " +
-                std::to_string(PackedFaultSim::kMaxFps) +
-                " bound FPs per fault instance");
+    check_supported(inst);
     PackedFaultSim sim(inst);
     std::string key = std::to_string(inst.fault_index);
     key.push_back('#');
@@ -179,6 +193,9 @@ void PrefixEngine::initialize(const std::vector<FaultInstance>& instances,
     item.sim = sim;
     items_.push_back(std::move(item));
   }
+}
+
+void PrefixEngine::simulate_prefix(const MarchTest& prefix, ThreadPool* pool) {
   prefix_ = prefix;
   append_plan(prefix, 0);
   sync_items(0, 0, pool);

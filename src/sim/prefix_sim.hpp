@@ -80,16 +80,18 @@ class PrefixEngine {
     std::size_t trials = 0;
   };
 
-  /// Builds the engine owning `instances`, simulated to the end of `prefix`.
-  /// Every instance must fit the packed representation
-  /// (PackedFaultSim::supports) and address an `n`-cell memory.  `pool`
-  /// spreads construction over worker threads when non-null (the result is
-  /// identical for every thread count).
-  PrefixEngine(std::size_t memory_size, std::vector<FaultInstance> instances,
+  /// Builds the engine owning the representatives of `classes`
+  /// (behaviour_classes()), one item per class standing for its weight,
+  /// simulated to the end of `prefix`.  Every representative must fit the
+  /// packed representation (PackedFaultSim::supports) and address an
+  /// `n`-cell memory.  `pool` spreads construction over worker threads when
+  /// non-null (the result is identical for every thread count).
+  PrefixEngine(std::size_t memory_size, std::vector<BehaviourClass> classes,
                const MarchTest& prefix, Options options,
                ThreadPool* pool = nullptr);
 
-  /// As above, borrowing `instances` (must outlive the engine).
+  /// As above, borrowing `instances` (must outlive the engine) and
+  /// collapsing equal-signature instances of a fault into weighted items.
   PrefixEngine(std::size_t memory_size,
                const std::vector<FaultInstance>* instances,
                const MarchTest& prefix, Options options,
@@ -258,9 +260,15 @@ class PrefixEngine {
   /// Clone/internal constructor: prefix bookkeeping filled by the caller.
   PrefixEngine(std::size_t memory_size, Options options);
 
-  /// Builds items and simulates them to the end of `prefix`.
-  void initialize(const std::vector<FaultInstance>& instances,
-                  const MarchTest& prefix, ThreadPool* pool);
+  /// Throws unless `instance` addresses the engine's memory and fits the
+  /// packed representation.
+  void check_supported(const FaultInstance& instance) const;
+
+  /// Builds one weighted item per behaviour class of `instances`.
+  void collapse(const std::vector<FaultInstance>& instances);
+
+  /// Simulates every item to the end of `prefix`.
+  void simulate_prefix(const MarchTest& prefix, ThreadPool* pool);
 
   /// Appends bookkeeping (trace, ordinal) for the elements of test[from..].
   void append_plan(const MarchTest& test, std::size_t from);
@@ -281,7 +289,7 @@ class PrefixEngine {
   std::vector<int> ordinals_;         ///< per prefix element: ⇕ ordinal or -1
   std::vector<std::size_t> any_before_;  ///< #⇕ in elements [0, e), e ≤ size
 
-  std::vector<FaultInstance> owned_;  ///< backing store (owning constructor)
+  std::vector<FaultInstance> owned_;  ///< representatives (owning constructor)
   std::vector<Item> items_;
   Stats stats_;
 };

@@ -1,7 +1,7 @@
 // Jobs-file linter tests: duplicate-job keys, undefined test/list
 // references, implausible deadlines — each anchored to the offending
 // record's line:column via the positions the parser records.
-#include "service/job_lint.hpp"
+#include "analysis/job_lint.hpp"
 
 #include <gtest/gtest.h>
 

@@ -123,34 +123,6 @@ TEST(Generator, HonorsSinglePowerOnState) {
   EXPECT_TRUE(report.full_coverage());
 }
 
-TEST(Generator, StaticPrefilterDoesNotChangeTheGeneratedTest) {
-  // The prefilter only removes certification work the symbolic analyzer
-  // already discharged — never instances that could escape and extend the
-  // test — so generation must be byte-identical with it on or off, for a
-  // minimized and an unminimized pipeline alike.
-  for (const bool minimize : {true, false}) {
-    GeneratorOptions off;
-    off.minimize = minimize;
-    off.static_prefilter = false;
-    GeneratorOptions on = off;
-    on.static_prefilter = true;
-    const GenerationResult reference = generate_march_test(fault_list_2(), off);
-    const GenerationResult filtered = generate_march_test(fault_list_2(), on);
-    EXPECT_EQ(reference.test, filtered.test) << "minimize=" << minimize;
-    EXPECT_EQ(reference.full_coverage, filtered.full_coverage);
-    EXPECT_EQ(reference.uncoverable, filtered.uncoverable);
-    EXPECT_EQ(reference.stats.certify_instances,
-              filtered.stats.certify_instances);
-    EXPECT_EQ(reference.stats.static_skipped_instances, 0u);
-    // Phase A covers list 2 outright, so the analyzer discharges faults —
-    // all of them when no minimizer needs the decoder faults re-checked.
-    EXPECT_GT(filtered.stats.static_resolved_faults, 0u)
-        << "minimize=" << minimize;
-    EXPECT_GT(filtered.stats.static_skipped_instances, 0u)
-        << "minimize=" << minimize;
-  }
-}
-
 TEST(Generator, StatsArepopulated) {
   const GenerationResult result =
       generate_march_test(fault_list_2(), fast_options());

@@ -59,12 +59,8 @@ TEST(IncrementalGenerator, DefaultOptionsMatchPreIncrementalGoldens) {
     EXPECT_EQ(result.test.to_string(/*ascii=*/true), golden.test)
         << golden.list;
     EXPECT_TRUE(result.full_coverage) << golden.list;
-    // The persistent engine drops every certify instance it pays for; the
-    // static prefilter keeps statically-discharged instances out entirely.
-    EXPECT_GT(result.stats.instances_dropped +
-                  result.stats.static_skipped_instances,
-              0u)
-        << golden.list;
+    // The persistent engine drops every certify instance it pays for.
+    EXPECT_GT(result.stats.instances_dropped, 0u) << golden.list;
   }
 }
 

@@ -446,97 +446,6 @@ TEST(MatrixService, ExternalTokenCancelsQueuedAndFutureJobs) {
   EXPECT_TRUE(result.report.entries.empty());
 }
 
-TEST(MatrixService, StaticPrefilterServesByteIdenticalReports) {
-  // The whole catalog against three built-in lists, prefilter on: every
-  // completed report must be byte-identical to the solo simulated run —
-  // whether the analyzer served it (full static coverage, e.g. March SS vs
-  // simple) or declined and the simulated path ran.  Locked across thread
-  // counts because static serving changes which worker produces a report.
-  const std::vector<MarchTest> tests = all_catalog_tests();
-  const std::vector<std::shared_ptr<const FaultList>> lists = {
-      std::make_shared<const FaultList>(fault_list_1()),
-      std::make_shared<const FaultList>(standard_simple_static_faults()),
-      std::make_shared<const FaultList>(decoder_fault_list())};
-  constexpr std::size_t kN = 6;
-  constexpr std::size_t kCap = 64;
-  std::vector<std::string> expected;
-  for (const auto& list : lists) {
-    for (const MarchTest& test : tests) {
-      expected.push_back(report_bytes(solo_report(test, *list, kN, kCap)));
-    }
-  }
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    MatrixServiceOptions options;
-    options.threads = threads;
-    options.static_prefilter = true;
-    MatrixService service(options);
-    std::vector<std::size_t> ids;
-    for (const auto& list : lists) {
-      for (const MarchTest& test : tests) {
-        ids.push_back(service.submit(make_job(test, list, kN, kCap)).job_id);
-      }
-    }
-    std::size_t served = 0;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const MatrixJobResult result = service.wait(ids[i]);
-      ASSERT_EQ(result.status, JobStatus::Completed) << result.error;
-      EXPECT_EQ(report_bytes(result.report), expected[i])
-          << "threads=" << threads << " job " << i
-          << " (served_statically=" << result.served_statically << ")";
-      if (result.served_statically) ++served;
-    }
-    const MatrixServiceStats stats = service.stats();
-    EXPECT_EQ(stats.static_served, served);
-    // The catalog has pairs with full static coverage (every test vs
-    // decoder, March SS/SL vs simple): the tier must actually fire.
-    EXPECT_GT(served, 0u) << "threads=" << threads;
-    EXPECT_LT(served, ids.size()) << "threads=" << threads;
-    EXPECT_EQ(stats.completed, ids.size());
-  }
-}
-
-TEST(MatrixService, StaticallyServedJobsPopulateTheStore) {
-  // A statically served job writes the same store record a simulated run
-  // would: a later prefilter-less service must store-hit it and still
-  // produce byte-identical content.
-  InMemoryStorage storage;
-  SweepStoreOptions store_options;
-  store_options.warn = [](const std::string&) {};
-  const auto list =
-      std::make_shared<const FaultList>(standard_simple_static_faults());
-  const std::string expected =
-      report_bytes(solo_report(march_ss(), *list, 6, 64));
-
-  SweepStore store(storage, "static-store", store_options);
-  store.open();
-  {
-    MatrixServiceOptions options;
-    options.threads = 1;
-    options.static_prefilter = true;
-    options.store = &store;
-    MatrixService service(options);
-    const MatrixJobResult result =
-        service.wait(service.submit(make_job(march_ss(), list)).job_id);
-    ASSERT_EQ(result.status, JobStatus::Completed) << result.error;
-    EXPECT_TRUE(result.served_statically);
-    EXPECT_EQ(report_bytes(result.report), expected);
-    EXPECT_EQ(service.stats().store_saves, 1u);
-  }
-  {
-    MatrixServiceOptions options;
-    options.threads = 1;
-    options.store = &store;
-    MatrixService service(options);
-    const MatrixJobResult result =
-        service.wait(service.submit(make_job(march_ss(), list)).job_id);
-    ASSERT_EQ(result.status, JobStatus::Completed) << result.error;
-    EXPECT_TRUE(result.from_store);
-    EXPECT_FALSE(result.served_statically);
-    EXPECT_EQ(report_bytes(result.report), expected);
-  }
-}
-
 TEST(MatrixService, MisuseThrows) {
   MatrixServiceOptions bad_capacity;
   bad_capacity.queue_capacity = 0;

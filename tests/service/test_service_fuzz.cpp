@@ -127,9 +127,6 @@ TEST(ServiceFuzz, RandomSchedulesNeverCorruptCompletedReports) {
 
   const auto list = std::make_shared<const FaultList>(fault_list_1());
   constexpr std::size_t kCap = 64;
-  // march_sl vs list1 has full static coverage, so the static-prefilter
-  // coin below exercises both a combo the analyzer serves and combos it
-  // declines back to the simulated path.
   const std::vector<Combo> combos = {
       {mats_plus(), 4}, {mats_plus(), 6},   {march_y(), 4},
       {march_y(), 6},   {march_c_minus(), 6}, {march_sl(), 6},
@@ -156,9 +153,6 @@ TEST(ServiceFuzz, RandomSchedulesNeverCorruptCompletedReports) {
     options.queue_capacity = 1 + rng.below(8);
     options.when_full = rng.coin() ? BackpressurePolicy::Block
                                    : BackpressurePolicy::Reject;
-    // The static serving tier must be invisible to report content under
-    // every schedule: flip it per case and hold the same byte references.
-    options.static_prefilter = rng.coin();
     CancelToken external;
     const bool use_external = rng.below(4) == 0;
     if (use_external) options.cancel = &external;

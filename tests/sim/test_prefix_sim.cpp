@@ -176,8 +176,7 @@ TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
   }
   ASSERT_EQ(engine.undetected_instances(), missed.size());
 
-  PrefixEngine fresh(n, std::move(missed), prefix,
-                     PrefixEngine::Options{true, false});
+  PrefixEngine fresh(n, &missed, prefix, PrefixEngine::Options{true, false});
   PrefixEngine clone = engine.clone_undetected();
   EXPECT_EQ(clone.undetected_instances(), fresh.undetected_instances());
   EXPECT_EQ(clone.undetected_scenarios(), fresh.undetected_scenarios());
@@ -300,6 +299,17 @@ TEST(PrefixSim, GainScanMatchesPerCandidateReference) {
           EXPECT_EQ(engine.gain_scan({&candidates[i]}, {&traces[i]}),
                     std::vector<std::size_t>{reference[i]})
               << where << " " << candidates[i].to_string();
+        }
+
+        // The generator's engine is built from behaviour classes, never
+        // materializing the other instances; its weighted gains are the same.
+        const PrefixEngine from_classes(
+            n, behaviour_classes(list, n, n == 6 ? cap_at_6 : 0), prefix,
+            PrefixEngine::Options{p.both_power_on_states, false});
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          EXPECT_EQ(from_classes.gain_scan({&candidates[i]}, {&traces[i]}),
+                    std::vector<std::size_t>{reference[i]})
+              << where << " (classes) " << candidates[i].to_string();
         }
 
         // The whole set, inline and threaded: pruned candidates report a
