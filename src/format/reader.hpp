@@ -5,8 +5,9 @@
 // lines and full-line '#' comments skipped, CRLF tolerated, surrounding
 // whitespace trimmed) and threads the 1-based line number through every
 // record parser, so each diagnostic lands as "<source>:<line>:<column>:
-// <message>" with the offending line excerpted — the mwlinkermap idiom of a
-// line-number-threaded reader with one pattern per record type.
+// <message>" with the offending line excerpted.  Record parsers scan their
+// fields left to right in one linear pass, so a line of any length is
+// accepted or rejected with a position.
 #pragma once
 
 #include <cstddef>

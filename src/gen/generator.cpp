@@ -227,7 +227,7 @@ GenerationResult generate_march_test(const FaultList& list,
     }
   }
   PrefixEngine cert_engine(
-      options.certify_memory_size, std::move(cert_classes), test,
+      options.certify_memory_size, cert_classes, test,
       PrefixEngine::Options{options.both_power_on_states,
                             /*record_checkpoints=*/options.minimize},
       &cert_workers);
@@ -263,26 +263,22 @@ GenerationResult generate_march_test(const FaultList& list,
   // -- Phase C: redundancy elimination ----------------------------------
   stats.complexity_before_minimize = test.complexity();
   if (options.minimize) {
-    const FaultSimulator min_sim(SimulatorOptions{
-        options.minimize_memory_size, options.both_power_on_states, 10});
-    std::vector<FaultInstance> min_instances;
-    for (FaultInstance& instance :
-         instantiate_all(list, options.minimize_memory_size,
-                         options.max_instances_per_fault)) {
-      if (uncoverable.count(instance.fault_index) == 0) {
-        min_instances.push_back(std::move(instance));
-      }
-    }
+    std::vector<BehaviourClass> min_classes = behaviour_classes(
+        list, options.minimize_memory_size, options.max_instances_per_fault);
+    min_classes.erase(std::remove_if(min_classes.begin(), min_classes.end(),
+                                     out_of_scope),
+                      min_classes.end());
     // Rejected removals dominate the minimizer's cost and bail out at the
-    // first surviving instance; scan the binding constraints (the largest,
+    // first surviving class; scan the binding constraints (the largest,
     // last-enumerated faults) first.
-    std::stable_sort(min_instances.begin(), min_instances.end(),
-                     [](const FaultInstance& x, const FaultInstance& y) {
-                       return x.fault_index > y.fault_index;
+    std::stable_sort(min_classes.begin(), min_classes.end(),
+                     [](const BehaviourClass& x, const BehaviourClass& y) {
+                       return x.representative.fault_index >
+                              y.representative.fault_index;
                      });
     MinimizeStats min_stats;
-    test = minimize_test(min_sim, test, min_instances, &stats.log,
-                         &min_stats);
+    test = minimize_test(test, min_classes, options.minimize_memory_size,
+                         options.both_power_on_states, &stats.log, &min_stats);
     stats.minimize_trials = min_stats.trials;
     stats.minimize_element_replays = min_stats.element_replays;
     lap("phase C (minimizer)", &stats.phase_c_seconds);

@@ -1,8 +1,7 @@
 #include "gen/minimizer.hpp"
 
-#include <functional>
-
 #include "sim/prefix_sim.hpp"
+#include "sim/simulator.hpp"
 
 namespace mtg {
 namespace {
@@ -11,18 +10,29 @@ void note(std::vector<std::string>* log, const std::string& line) {
   if (log != nullptr) log->push_back(line);
 }
 
-/// Verdict of one removal attempt: the trial test (element `edit` dropped,
-/// or swapped for `replacement`) keeps full coverage.
-using TrialFn = std::function<bool(const MarchTest& trial, std::size_t edit,
-                                   const MarchElement* replacement)>;
+}  // namespace
 
-/// Shared greedy removal loop — the one place that defines the trial order
-/// (whole elements in position order, then single ops), so the incremental
-/// and rescan paths cannot drift apart.  `on_accept` re-syncs path-specific
-/// state after a kept removal.
-MarchTest minimize_loop(const MarchTest& test, std::vector<std::string>* log,
-                        const TrialFn& try_trial,
-                        const std::function<void(const MarchTest&)>& on_accept) {
+MarchTest minimize_test(const MarchTest& test,
+                        const std::vector<BehaviourClass>& classes,
+                        std::size_t memory_size, bool both_power_on_states,
+                        std::vector<std::string>* log, MinimizeStats* stats) {
+  // One full simulation of every class, with per-element checkpoints;
+  // every trial below replays only the suffix after its edit point.
+  PrefixEngine engine(memory_size, classes, test,
+                      PrefixEngine::Options{both_power_on_states,
+                                            /*record_checkpoints=*/true});
+  engine.reset_stats();  // report trial/rewind work, not the one-time build
+
+  // A trial keeps the removal iff the trial test is valid and every class
+  // stays detected: element `edit` dropped (replacement == nullptr) or
+  // swapped for `replacement`.
+  const auto keeps_coverage = [&](const MarchTest& trial, std::size_t edit,
+                                  const MarchElement* replacement) {
+    if (stats != nullptr) ++stats->trials;
+    if (!FaultSimulator::validity_violation(trial).empty()) return false;
+    return engine.trial_covers(edit, replacement);
+  };
+
   MarchTest current = test;
   bool changed = true;
   while (changed) {
@@ -33,10 +43,10 @@ MarchTest minimize_loop(const MarchTest& test, std::vector<std::string>* log,
       if (current.elements().size() == 1) break;
       MarchTest trial = current;
       trial.elements().erase(trial.elements().begin() + i);
-      if (try_trial(trial, i, nullptr)) {
+      if (keeps_coverage(trial, i, nullptr)) {
         note(log, "dropped element " + current.elements()[i].to_string());
         current = std::move(trial);
-        on_accept(current);
+        engine.advance(current);  // checkpoint rewind + suffix re-record
         changed = true;
         break;
       }
@@ -54,84 +64,21 @@ MarchTest minimize_loop(const MarchTest& test, std::vector<std::string>* log,
         const MarchElement replacement(element.order(), std::move(ops));
         MarchTest trial = current;
         trial.elements()[i] = replacement;
-        if (try_trial(trial, i, &replacement)) {
+        if (keeps_coverage(trial, i, &replacement)) {
           note(log, "dropped op " + to_string(removed) + " from " +
                         element.to_string());
           current = std::move(trial);
-          on_accept(current);
+          engine.advance(current);
           changed = true;
           break;
         }
       }
     }
   }
-  return current;
-}
-
-}  // namespace
-
-bool covers_all(const FaultSimulator& simulator, const MarchTest& test,
-                const std::vector<FaultInstance>& instances) {
-  if (!FaultSimulator::validity_violation(test).empty()) return false;
-  return simulator.detects_all(test, instances);
-}
-
-MarchTest minimize_test_rescan(const FaultSimulator& simulator,
-                               const MarchTest& test,
-                               const std::vector<FaultInstance>& instances,
-                               std::vector<std::string>* log,
-                               MinimizeStats* stats) {
-  return minimize_loop(
-      test, log,
-      [&](const MarchTest& trial, std::size_t, const MarchElement*) {
-        if (stats != nullptr) {
-          ++stats->trials;
-          ++stats->full_rescans;
-        }
-        return covers_all(simulator, trial, instances);
-      },
-      [](const MarchTest&) {});
-}
-
-MarchTest minimize_test(const FaultSimulator& simulator, const MarchTest& test,
-                        const std::vector<FaultInstance>& instances,
-                        std::vector<std::string>* log, MinimizeStats* stats) {
-  bool incremental = simulator.options().use_packed_engine;
-  for (const FaultInstance& instance : instances) {
-    incremental = incremental && PackedFaultSim::supports(instance);
-  }
-  if (!incremental) {
-    return minimize_test_rescan(simulator, test, instances, log, stats);
-  }
-
-  // One full simulation of every instance, with per-element checkpoints;
-  // every trial below replays only the suffix after its edit point.
-  PrefixEngine engine(
-      simulator.options().memory_size, &instances, test,
-      PrefixEngine::Options{simulator.options().both_power_on_states,
-                            /*record_checkpoints=*/true,
-                            simulator.options().max_any_order_elements});
-  engine.reset_stats();  // report trial/rewind work, not the one-time build
-  const MarchTest minimized = minimize_loop(
-      test, log,
-      // Identical accept/reject decisions to the rescan path: covers_all()
-      // rejects invalid trials before simulating, and trial_covers()
-      // reproduces detects_all() verdicts (detection replayed from the
-      // checkpoint before the edit is exact — the prefix below the edit is
-      // untouched).
-      [&](const MarchTest& trial, std::size_t edit,
-          const MarchElement* replacement) {
-        if (stats != nullptr) ++stats->trials;
-        if (!FaultSimulator::validity_violation(trial).empty()) return false;
-        return engine.trial_covers(edit, replacement);
-      },
-      [&](const MarchTest& current) {
-        engine.advance(current);  // checkpoint rewind + suffix re-record
-      });
   if (stats != nullptr) {
     stats->element_replays += engine.stats().element_replays;
   }
-  return minimized;
+  return current;
 }
 
 }  // namespace mtg

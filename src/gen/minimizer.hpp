@@ -7,14 +7,17 @@
 // fault instance.  The result is locally minimal: no single element or
 // operation can be removed without losing coverage.
 //
-// Trials run on the incremental prefix engine (sim/prefix_sim.hpp): the
-// instances are simulated once to the end of the current test with
-// per-element checkpoints, and a "drop element i / drop op j" trial restores
-// the checkpoint before the edit and replays only the suffix, bailing out at
-// the first surviving undetected instance.  Instances detected strictly
-// before the edit are skipped outright.  Verdicts — and therefore the
-// minimized test — are identical to the from-scratch rescan
-// (minimize_test_rescan, kept as the differential-testing reference).
+// The targets are behaviour classes (sim/fault_instance.hpp
+// behaviour_classes()): one representative per class stands for every
+// instance of it, as in generator phases A and B.  Trials run on the
+// incremental prefix engine (sim/prefix_sim.hpp): the representatives are
+// simulated once to the end of the current test with per-element
+// checkpoints, and a "drop element i / drop op j" trial restores the
+// checkpoint before the edit and replays only the suffix, bailing out at
+// the first surviving undetected class.  Classes detected strictly before
+// the edit are skipped outright.  Verdicts — and therefore the minimized
+// test — are identical to re-simulating every instance per trial (the
+// from-scratch reference in tests/gen/ checks this).
 #pragma once
 
 #include <cstddef>
@@ -22,44 +25,31 @@
 #include <vector>
 
 #include "march/march_test.hpp"
-#include "sim/simulator.hpp"
+#include "sim/fault_instance.hpp"
 
 namespace mtg {
-
-/// True when `test` is valid and detects every instance in `instances`.
-bool covers_all(const FaultSimulator& simulator, const MarchTest& test,
-                const std::vector<FaultInstance>& instances);
 
 /// Work counters of one minimize_test call.
 struct MinimizeStats {
   std::size_t trials = 0;  ///< element/op removal attempts
-  /// (instance, element) replays the trials cost.  A from-scratch rescan
+  /// (class, element) replays the trials cost.  A from-scratch rescan
   /// would cost ~ trials × instances × test length; checkpointed trials pay
-  /// only the replayed suffix of the instances not already detected by the
+  /// only the replayed suffix of the classes not already detected by the
   /// untouched prefix.
   std::size_t element_replays = 0;
-  /// Trials answered by full-test re-simulation — 0 on the incremental
-  /// path; counts only when the scalar/unsupported fallback ran.
-  std::size_t full_rescans = 0;
 };
 
-/// Returns a locally minimal test with the same coverage of `instances`.
-/// Appends a human-readable action trace to `log` when non-null; fills
-/// `stats` when non-null.  Uses the checkpointed incremental path whenever
-/// the simulator options select the packed engine and every instance fits
-/// it, and falls back to minimize_test_rescan otherwise.
-MarchTest minimize_test(const FaultSimulator& simulator, const MarchTest& test,
-                        const std::vector<FaultInstance>& instances,
+/// Returns a locally minimal test that still detects every class in
+/// `classes` on a `memory_size`-cell memory (under both power-on contents
+/// when `both_power_on_states`).  Every representative must fit the packed
+/// engine (PackedFaultSim::supports).  The class order is the trial scan
+/// order: put the classes most likely to escape first.  Appends a
+/// human-readable action trace to `log` when non-null; fills `stats` when
+/// non-null.
+MarchTest minimize_test(const MarchTest& test,
+                        const std::vector<BehaviourClass>& classes,
+                        std::size_t memory_size, bool both_power_on_states,
                         std::vector<std::string>* log = nullptr,
                         MinimizeStats* stats = nullptr);
-
-/// Reference implementation: every trial re-simulates the whole trial test
-/// against every instance (FaultSimulator::detects_all).  Kept as the
-/// differential-testing oracle for the incremental path.
-MarchTest minimize_test_rescan(const FaultSimulator& simulator,
-                               const MarchTest& test,
-                               const std::vector<FaultInstance>& instances,
-                               std::vector<std::string>* log = nullptr,
-                               MinimizeStats* stats = nullptr);
 
 }  // namespace mtg

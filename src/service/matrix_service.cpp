@@ -343,9 +343,7 @@ void MatrixService::run_job(const std::shared_ptr<JobState>& state) {
 
     bool compiled_hit = false;
     const std::shared_ptr<const CompiledTest> compiled =
-        options_.use_packed_engine
-            ? compiled_for(job.test, test_hash, compiled_hit)
-            : nullptr;
+        compiled_for(job.test, test_hash, compiled_hit);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       state->result.compiled_cache_hit = compiled_hit;
@@ -361,7 +359,6 @@ void MatrixService::run_job(const std::shared_ptr<JobState>& state) {
     sim_options.memory_size = job.memory_size;
     sim_options.both_power_on_states = options_.both_power_on_states;
     sim_options.max_any_order_elements = options_.max_any_order_elements;
-    sim_options.use_packed_engine = options_.use_packed_engine;
     // Each job evaluates sequentially on its worker: the parallelism lives
     // across jobs (determinism: a report cannot depend on the worker count
     // or the dispatch schedule).

@@ -176,7 +176,6 @@ struct MatrixServiceOptions {
   /// Scheduler fault injection; leave empty in production.
   SchedulerHook scheduler_hook;
   // SimulatorOptions fields shared by every job.
-  bool use_packed_engine = true;
   bool both_power_on_states = true;
   std::size_t max_any_order_elements = 10;
 };

@@ -106,16 +106,14 @@ CoverageReport evaluate_coverage(const FaultSimulator& simulator,
       list, simulator.options().memory_size, max_instances_per_fault);
   std::vector<std::uint8_t> detected(classes.size(), 0);
 
-  // Packed engine: compile the test once (shared good-machine trace and ⇕
-  // numbering), then spread the representatives over a bounded thread pool.
-  // Per-class state is stack-only, so workers share nothing but the
-  // compiled test and the verdict array.  The scalar reference engine runs
-  // sequentially.
-  const bool packed = simulator.options().use_packed_engine;
+  // Compile the test once (shared good-machine trace and ⇕ numbering), then
+  // spread the representatives over a bounded thread pool.  Per-class state
+  // is stack-only, so workers share nothing but the compiled test and the
+  // verdict array.
   std::optional<CompiledTest> owned_compiled;
   const CompiledTest* compiled =
       context != nullptr ? context->compiled : nullptr;
-  if (packed && compiled == nullptr) {
+  if (compiled == nullptr) {
     owned_compiled.emplace(compile_march_test(test));
     compiled = &*owned_compiled;
   }
@@ -125,17 +123,13 @@ CoverageReport evaluate_coverage(const FaultSimulator& simulator,
     // pool's first_error and is rethrown on the calling thread).
     if (cancel != nullptr) cancel->check();
     for (std::size_t i = begin; i < end; ++i) {
-      const FaultInstance& instance = classes[i].representative;
-      detected[i] = packed
-                        ? simulator.detects_compiled(test, *compiled, instance)
-                        : simulator.detects_scalar(test, instance);
+      detected[i] = simulator.detects_compiled(test, *compiled,
+                                               classes[i].representative);
     }
   };
   const std::size_t chunk = 16;
   const std::size_t threads =
-      packed ? ThreadPool::resolve_thread_count(
-                   simulator.options().coverage_threads)
-             : 1;
+      ThreadPool::resolve_thread_count(simulator.options().coverage_threads);
   // The caller participates, so the pool only needs enough workers to cover
   // the remaining chunks; small lists skip pool construction (and its
   // thread create/join cost) entirely.

@@ -65,8 +65,7 @@ std::ostream& operator<<(std::ostream& os, const CoverageReport& report);
 /// cache on the canonical-form stable hash.  The borrowed artifact is
 /// read-only and may be shared by any number of concurrent evaluations.
 struct CoverageContext {
-  /// compile_march_test(test) — the compiled traces and ⇕ numbering
-  /// (packed path only; the scalar path ignores it).
+  /// compile_march_test(test) — the compiled traces and ⇕ numbering.
   const CompiledTest* compiled = nullptr;
 };
 
@@ -90,7 +89,7 @@ struct CoverageContext {
 /// class simulations — and NO report is produced (an interrupted evaluation
 /// never returns partial counts).  `context` (optional) supplies the
 /// pre-compiled test; see CoverageContext.  Reports are identical for every
-/// thread count and for both engines.
+/// thread count.
 CoverageReport evaluate_coverage(const FaultSimulator& simulator,
                                  const MarchTest& test, const FaultList& list,
                                  std::size_t max_instances_per_fault = 0,

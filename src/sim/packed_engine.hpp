@@ -201,10 +201,11 @@ class PackedFaultSim {
   /// are address-ascending, and a decoder's address bit is lowered into
   /// its slot roles and read-back), so two instances with equal signatures
   /// have bit-identical lane evolutions against every test.  Equal
-  /// signatures define a *behaviour class*: the prefix engine
-  /// (sim/prefix_sim.hpp) collapses a fault's equal-signature instances
-  /// into one weighted item, and evaluate_coverage simulates one
-  /// representative per class.  For decoder instances the key amounts to
+  /// signatures define a *behaviour class*: behaviour_classes()
+  /// (sim/fault_instance.hpp) builds a fault's classes without
+  /// instantiating them, and the prefix engine and evaluate_coverage
+  /// simulate one weighted representative per class; the tests check those
+  /// classes against this key.  For decoder instances the key amounts to
   /// (class, wired, bit `bit` of the corrupted address).
   std::string signature() const;
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <string>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -44,31 +43,29 @@ PrefixEngine::PrefixEngine(std::size_t memory_size, Options options)
 }
 
 PrefixEngine::PrefixEngine(std::size_t memory_size,
-                           std::vector<BehaviourClass> classes,
+                           const std::vector<BehaviourClass>& classes,
                            const MarchTest& prefix, Options options,
                            ThreadPool* pool)
     : PrefixEngine(memory_size, options) {
-  owned_.reserve(classes.size());
   items_.reserve(classes.size());
-  for (BehaviourClass& cls : classes) {
-    check_supported(cls.representative);
-    owned_.push_back(std::move(cls.representative));
+  for (const BehaviourClass& cls : classes) {
+    const FaultInstance& instance = cls.representative;
+    require_addresses_fit(instance, memory_size_);
+    // The engine has no scalar fallback: reject oversized instances loudly
+    // at entry.
+    require(PackedFaultSim::supports(instance),
+            "the prefix engine supports at most " +
+                std::to_string(PackedFaultSim::kMaxFps) +
+                " bound FPs per fault instance");
     Item item;
-    item.instance = &owned_.back();
-    item.sim = PackedFaultSim(*item.instance);
+    item.fault_index = instance.fault_index;
+    item.sim = PackedFaultSim(instance);
     item.weight = cls.weight;
     items_.push_back(std::move(item));
   }
-  simulate_prefix(prefix, pool);
-}
-
-PrefixEngine::PrefixEngine(std::size_t memory_size,
-                           const std::vector<FaultInstance>* instances,
-                           const MarchTest& prefix, Options options,
-                           ThreadPool* pool)
-    : PrefixEngine(memory_size, options) {
-  collapse(*instances);
-  simulate_prefix(prefix, pool);
+  prefix_ = prefix;
+  append_plan(prefix, 0);
+  sync_items(0, 0, pool);
 }
 
 bool PrefixEngine::all_detected(
@@ -161,46 +158,6 @@ std::size_t PrefixEngine::run_steps(
   return kNever;
 }
 
-void PrefixEngine::check_supported(const FaultInstance& instance) const {
-  require_addresses_fit(instance, memory_size_);
-  // The engine has no scalar fallback: reject oversized instances loudly at
-  // entry.
-  require(PackedFaultSim::supports(instance),
-          "the prefix engine supports at most " +
-              std::to_string(PackedFaultSim::kMaxFps) +
-              " bound FPs per fault instance");
-}
-
-void PrefixEngine::collapse(const std::vector<FaultInstance>& instances) {
-  // Collapse equal-signature instances of a fault into one weighted
-  // representative: instances in one behaviour class evolve identically
-  // (see PackedFaultSim::signature).  Representatives keep the
-  // first-occurrence order of the input set.
-  std::unordered_map<std::string, std::size_t> groups;
-  for (const FaultInstance& inst : instances) {
-    check_supported(inst);
-    PackedFaultSim sim(inst);
-    std::string key = std::to_string(inst.fault_index);
-    key.push_back('#');
-    key += sim.signature();
-    const auto inserted = groups.emplace(std::move(key), items_.size());
-    if (!inserted.second) {
-      ++items_[inserted.first->second].weight;
-      continue;
-    }
-    Item item;
-    item.instance = &inst;
-    item.sim = sim;
-    items_.push_back(std::move(item));
-  }
-}
-
-void PrefixEngine::simulate_prefix(const MarchTest& prefix, ThreadPool* pool) {
-  prefix_ = prefix;
-  append_plan(prefix, 0);
-  sync_items(0, 0, pool);
-}
-
 void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
                               ThreadPool* pool) {
   std::vector<Step> tail;
@@ -273,14 +230,14 @@ std::size_t PrefixEngine::num_instances() const {
 std::set<std::size_t> PrefixEngine::undetected_fault_indices() const {
   std::set<std::size_t> out;
   for (const Item& item : items_) {
-    if (!item.done) out.insert(item.instance->fault_index);
+    if (!item.done) out.insert(item.fault_index);
   }
   return out;
 }
 
 void PrefixEngine::exclude_faults(const std::set<std::size_t>& fault_indices) {
   for (Item& item : items_) {
-    if (fault_indices.count(item.instance->fault_index) > 0) {
+    if (fault_indices.count(item.fault_index) > 0) {
       item.done = true;
       item.excluded = true;
     }
@@ -451,7 +408,7 @@ PrefixEngine PrefixEngine::clone_undetected() const {
   for (const Item& item : items_) {
     if (item.done) continue;
     Item copy;
-    copy.instance = item.instance;  // shared: the parent must outlive us
+    copy.fault_index = item.fault_index;
     copy.sim = item.sim;
     copy.weight = item.weight;
     copy.blocks = item.blocks;

@@ -80,20 +80,15 @@ class PrefixEngine {
     std::size_t trials = 0;
   };
 
-  /// Builds the engine owning the representatives of `classes`
-  /// (behaviour_classes()), one item per class standing for its weight,
-  /// simulated to the end of `prefix`.  Every representative must fit the
-  /// packed representation (PackedFaultSim::supports) and address an
-  /// `n`-cell memory.  `pool` spreads construction over worker threads when
-  /// non-null (the result is identical for every thread count).
-  PrefixEngine(std::size_t memory_size, std::vector<BehaviourClass> classes,
-               const MarchTest& prefix, Options options,
-               ThreadPool* pool = nullptr);
-
-  /// As above, borrowing `instances` (must outlive the engine) and
-  /// collapsing equal-signature instances of a fault into weighted items.
+  /// Builds the engine from `classes` (behaviour_classes()): one item per
+  /// class, in the given order, standing for its weight, simulated to the
+  /// end of `prefix`.  Every representative must fit the packed
+  /// representation (PackedFaultSim::supports) and address a
+  /// `memory_size`-cell memory.  `pool` spreads construction over worker
+  /// threads when non-null (the result is identical for every thread
+  /// count).
   PrefixEngine(std::size_t memory_size,
-               const std::vector<FaultInstance>* instances,
+               const std::vector<BehaviourClass>& classes,
                const MarchTest& prefix, Options options,
                ThreadPool* pool = nullptr);
 
@@ -168,21 +163,20 @@ class PrefixEngine {
   void advance(const MarchTest& test, ThreadPool* pool = nullptr);
 
   /// Clones the still-undetected (and non-excluded) items into a scratch
-  /// engine for a greedy extension round, sharing this engine's instances
-  /// (the clone must not outlive the parent).  The clone starts exact at
-  /// the recorded prefix but does not record checkpoints.
+  /// engine for a greedy extension round.  The clone starts exact at the
+  /// recorded prefix but does not record checkpoints.
   PrefixEngine clone_undetected() const;
 
   /// Instances dropped because every scenario detected (excluded faults not
   /// counted).
   std::size_t dropped_instances() const;
 
-  /// Tracked instances (collapsed duplicates counted at their weight — this
-  /// equals the size of the instance set the engine was built from).
+  /// Tracked instances: the class weights summed (the size of the instance
+  /// set the classes stand for).
   std::size_t num_instances() const;
 
-  /// Simulated representatives after collapsing equal-signature layout
-  /// instances (the engine's actual per-element workload).
+  /// Simulated representatives, one per class (the engine's actual
+  /// per-element workload).
   std::size_t num_representatives() const noexcept { return items_.size(); }
 
   // -- Checkpointed trials (phase C) -----------------------------------------
@@ -206,13 +200,13 @@ class PrefixEngine {
 
  private:
   struct Item {
-    const FaultInstance* instance = nullptr;
-    PackedFaultSim sim;  ///< the instance compiled to involved-cell slots
-    /// Number of collapsed instances this item stands for: instances of one
-    /// fault whose packed signatures match (one behaviour class) have
+    std::size_t fault_index = 0;  ///< the representative's fault
+    PackedFaultSim sim;  ///< the representative compiled to involved-cell slots
+    /// Number of instances this item stands for: instances of one fault
+    /// whose packed signatures match (one behaviour class) have
     /// bit-identical lane evolutions, so one representative is
     /// simulated and every count is weighted — sums over items equal the
-    /// sums the uncollapsed instance set would produce, term for term.
+    /// sums the per-instance set would produce, term for term.
     std::size_t weight = 1;
     std::vector<PackedFaultSim::Lanes> blocks;  ///< scenario lane state
     bool done = false;      ///< dropped: detected everywhere, or excluded
@@ -260,16 +254,6 @@ class PrefixEngine {
   /// Clone/internal constructor: prefix bookkeeping filled by the caller.
   PrefixEngine(std::size_t memory_size, Options options);
 
-  /// Throws unless `instance` addresses the engine's memory and fits the
-  /// packed representation.
-  void check_supported(const FaultInstance& instance) const;
-
-  /// Builds one weighted item per behaviour class of `instances`.
-  void collapse(const std::vector<FaultInstance>& instances);
-
-  /// Simulates every item to the end of `prefix`.
-  void simulate_prefix(const MarchTest& prefix, ThreadPool* pool);
-
   /// Appends bookkeeping (trace, ordinal) for the elements of test[from..].
   void append_plan(const MarchTest& test, std::size_t from);
 
@@ -289,7 +273,6 @@ class PrefixEngine {
   std::vector<int> ordinals_;         ///< per prefix element: ⇕ ordinal or -1
   std::vector<std::size_t> any_before_;  ///< #⇕ in elements [0, e), e ≤ size
 
-  std::vector<FaultInstance> owned_;  ///< representatives (owning constructor)
   std::vector<Item> items_;
   Stats stats_;
 };

@@ -8,23 +8,13 @@
 namespace mtg {
 namespace {
 
-/// Runs the packed engine when the options and the instance allow it;
-/// std::nullopt sends the caller to the scalar reference path.
-std::optional<PackedOutcome> try_packed_run(const SimulatorOptions& options,
-                                            const MarchTest& test,
-                                            const FaultInstance& instance,
-                                            bool stop_at_first_escape) {
-  if (!options.use_packed_engine || !PackedFaultSim::supports(instance)) {
-    return std::nullopt;
-  }
+/// compile_march_test, after checking the test's ⇕ count against the cap.
+CompiledTest compile_checked(const SimulatorOptions& options,
+                             const MarchTest& test) {
   require(
       FaultSimulator::any_order_count(test) <= options.max_any_order_elements,
       "too many ⇕ elements to enumerate order assignments");
-  require_addresses_fit(instance, options.memory_size);
-  const CompiledTest compiled = compile_march_test(test);
-  const PackedFaultSim sim(instance);
-  return packed_run(test, compiled, sim, options.both_power_on_states,
-                    stop_at_first_escape);
+  return compile_march_test(test);
 }
 
 }  // namespace
@@ -133,21 +123,26 @@ std::optional<DetectionEvent> FaultSimulator::run_scenario(
 
 DetectionResult FaultSimulator::simulate(const MarchTest& test,
                                          const FaultInstance& instance) const {
-  if (const auto outcome = try_packed_run(options_, test, instance,
-                                          /*stop_at_first_escape=*/false)) {
-    DetectionResult result;
-    result.detected = outcome->all_detected;
-    if (outcome->first_detected.has_value()) {
-      // Replay the lowest detecting scenario on the scalar machine for the
-      // op-level diagnostics (one scenario — cheap).
-      result.first_event =
-          run_scenario(test, instance, outcome->first_detected->first,
-                       outcome->first_detected->second);
-    }
-    result.escape_scenario = outcome->first_escape;
-    return result;
+  if (!PackedFaultSim::supports(instance)) {
+    return simulate_scalar(test, instance);
   }
-  return simulate_scalar(test, instance);
+  const CompiledTest compiled = compile_checked(options_, test);
+  require_addresses_fit(instance, options_.memory_size);
+  const PackedOutcome outcome =
+      packed_run(test, compiled, PackedFaultSim(instance),
+                 options_.both_power_on_states,
+                 /*stop_at_first_escape=*/false);
+  DetectionResult result;
+  result.detected = outcome.all_detected;
+  if (outcome.first_detected.has_value()) {
+    // Replay the lowest detecting scenario on the scalar machine for the
+    // op-level diagnostics (one scenario — cheap).
+    result.first_event = run_scenario(test, instance,
+                                      outcome.first_detected->first,
+                                      outcome.first_detected->second);
+  }
+  result.escape_scenario = outcome.first_escape;
+  return result;
 }
 
 DetectionResult FaultSimulator::simulate_scalar(
@@ -180,22 +175,12 @@ DetectionResult FaultSimulator::simulate_scalar(
 
 bool FaultSimulator::detects(const MarchTest& test,
                              const FaultInstance& instance) const {
-  if (const auto outcome = try_packed_run(options_, test, instance,
-                                          /*stop_at_first_escape=*/true)) {
-    return outcome->all_detected;
-  }
-  return detects_scalar(test, instance);
+  return detects_compiled(test, compile_checked(options_, test), instance);
 }
 
 bool FaultSimulator::detects_all(
     const MarchTest& test, const std::vector<FaultInstance>& instances) const {
-  if (!options_.use_packed_engine) {
-    for (const FaultInstance& instance : instances) {
-      if (!detects_scalar(test, instance)) return false;
-    }
-    return true;
-  }
-  const CompiledTest compiled = compile_march_test(test);
+  const CompiledTest compiled = compile_checked(options_, test);
   for (const FaultInstance& instance : instances) {
     if (!detects_compiled(test, compiled, instance)) return false;
   }
@@ -207,12 +192,12 @@ bool FaultSimulator::detects_compiled(const MarchTest& test,
                                       const FaultInstance& instance) const {
   require(compiled.any_count <= options_.max_any_order_elements,
           "too many ⇕ elements to enumerate order assignments");
-  if (!options_.use_packed_engine || !PackedFaultSim::supports(instance)) {
+  if (!PackedFaultSim::supports(instance)) {
     return detects_scalar(test, instance);
   }
   require_addresses_fit(instance, options_.memory_size);
-  const PackedFaultSim sim(instance);
-  return packed_run(test, compiled, sim, options_.both_power_on_states,
+  return packed_run(test, compiled, PackedFaultSim(instance),
+                    options_.both_power_on_states,
                     /*stop_at_first_escape=*/true)
       .all_detected;
 }

@@ -31,12 +31,7 @@ struct SimulatorOptions {
   std::size_t memory_size = 8;      ///< n — number of simulated cells
   bool both_power_on_states = true; ///< try all-0 and all-1 initial content
   std::size_t max_any_order_elements = 10;  ///< cap on ⇕ elements (2^k runs)
-  /// Use the packed engine (sim/packed_engine.hpp) for detects/simulate and
-  /// evaluate_coverage.  false selects the scalar reference machine — the
-  /// oracle for differential testing and the benchmarks' baseline.
-  bool use_packed_engine = true;
   /// Worker threads for evaluate_coverage; 0 picks the hardware concurrency.
-  /// The scalar path (use_packed_engine = false) always runs sequentially.
   std::size_t coverage_threads = 0;
 };
 
@@ -77,8 +72,9 @@ class FaultSimulator {
   static void validate(const MarchTest& test);
 
   /// Full detection semantics (all power-on states, all ⇕ orders).  Runs on
-  /// the packed engine when options allow it, the scalar machine otherwise;
-  /// both produce identical results.
+  /// the packed engine (sim/packed_engine.hpp), or on the scalar machine
+  /// for an instance the packed representation rejects
+  /// (PackedFaultSim::supports); both produce identical results.
   DetectionResult simulate(const MarchTest& test,
                            const FaultInstance& instance) const;
 
@@ -88,18 +84,18 @@ class FaultSimulator {
   /// Batch variant of detects(): true iff every instance is detected.  The
   /// compiled test is shared across the whole batch (detects() recompiles
   /// it per call), and the scan stops at the first undetected instance —
-  /// the shape of the minimizer's and certification's inner loops.
+  /// the shape of a per-instance coverage check.
   bool detects_all(const MarchTest& test,
                    const std::vector<FaultInstance>& instances) const;
 
-  /// detects() against a pre-compiled test (compile_march_test): the one
-  /// packed-vs-scalar dispatch shared by detects_all, evaluate_coverage and
-  /// the generator's certification loop, so batch callers compile once.
+  /// detects() against a pre-compiled test (compile_march_test), shared by
+  /// detects_all and evaluate_coverage so batch callers compile once.
   bool detects_compiled(const MarchTest& test, const CompiledTest& compiled,
                         const FaultInstance& instance) const;
 
-  /// Scalar reference implementations (one FaultyMemory run per scenario),
-  /// kept as the differential-testing oracle for the packed engine.
+  /// Scalar reference implementations (one FaultyMemory run per scenario):
+  /// the differential-testing oracle for the packed engine, and the
+  /// fallback for instances it does not support.
   DetectionResult simulate_scalar(const MarchTest& test,
                                   const FaultInstance& instance) const;
   bool detects_scalar(const MarchTest& test,

@@ -39,7 +39,6 @@ struct SweepOptions {
   /// SimulatorOptions fields shared by every sweep point.
   bool both_power_on_states = true;
   std::size_t max_any_order_elements = 10;
-  bool use_packed_engine = true;
   /// Per-fault layout bound per sweep point (0 = full enumeration: counts
   /// cover all O(n²) layouts of a two-cell fault, and every corrupted
   /// address of a decoder fault is walked).

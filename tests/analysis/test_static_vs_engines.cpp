@@ -58,7 +58,6 @@ TEST_P(StaticVsEngines, SampledVerdictsMatchScalarEngine) {
   const MarchTest& test = GetParam();
   SimulatorOptions sim_options;
   sim_options.memory_size = 4;
-  sim_options.use_packed_engine = false;  // force the scalar reference
   const FaultSimulator simulator(sim_options);
   AnalysisOptions analysis_options;
 

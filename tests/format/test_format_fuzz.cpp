@@ -117,12 +117,15 @@ std::vector<std::string> certificate_seeds() {
 }
 
 /// Applies 1-3 random byte/line mutations; the splice mutation draws its
-/// donor from `seeds`, the mutated document's own format.
+/// donor from `seeds`, the mutated document's own format.  The run
+/// mutation repeats one byte of the document 64 KiB times in place, so a
+/// digit, an FP token, a name or a nesting level grows far past any line
+/// the seeds hold.
 std::string mutate(std::string doc, const std::vector<std::string>& seeds,
                    Rng& rng) {
   const std::size_t rounds = 1 + rng.below(3);
   for (std::size_t round = 0; round < rounds && !doc.empty(); ++round) {
-    switch (rng.below(6)) {
+    switch (rng.below(7)) {
       case 0:  // truncate
         doc.resize(rng.below(doc.size() + 1));
         break;
@@ -151,6 +154,11 @@ std::string mutate(std::string doc, const std::vector<std::string>& seeds,
         const std::string& other = seeds[rng.below(seeds.size())];
         doc = doc.substr(0, rng.below(doc.size() + 1)) +
               other.substr(rng.below(other.size() + 1));
+        break;
+      }
+      case 6: {  // splice in a 64 KiB run of the byte at a random offset
+        const std::size_t at = rng.below(doc.size());
+        doc.insert(at, std::string(std::size_t{64} << 10, doc[at]));
         break;
       }
     }

@@ -3,6 +3,10 @@
 // source:line:column position — the diagnostics contract of the format
 // reader.  Files are discovered at run time, so adding a regression case is
 // just dropping a file into the corpus directory.
+//
+// The long-line cases build megabyte 'faultlist v1' lines in memory instead
+// of committing them: a field of any length must be scanned in one pass and
+// rejected at its exact line and column.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +17,7 @@
 
 #include "common/text_position.hpp"
 #include "format/catalog_io.hpp"
+#include "format/fault_list_text.hpp"
 
 namespace mtg {
 namespace {
@@ -57,6 +62,56 @@ TEST(MalformedCorpus, EveryFileIsRejectedWithAPosition) {
       ADD_FAILURE() << "expected mtg::ParseError, got: " << e.what();
     }
   }
+}
+
+constexpr std::size_t kMegabyte = std::size_t{1} << 20;
+
+/// Parses a two-line 'faultlist v1' document whose record is `record` and
+/// returns the ParseError it must raise.
+ParseError long_line_error(const std::string& record) {
+  try {
+    parse_fault_list_text("faultlist v1\n" + record + "\n", "long.faults");
+  } catch (const ParseError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "a " << record.size() << "-byte record was accepted";
+  return ParseError("", "", TextPosition{}, 0);
+}
+
+TEST(LongLines, MegabyteFpTokenIsRejectedWithAPosition) {
+  const ParseError e = long_line_error(
+      "simple <" + std::string(kMegabyte, '0') + "> a_pos=-1 v_pos=0");
+  EXPECT_EQ(e.position().line, 2u);
+  EXPECT_EQ(e.position().column, 10u);  // the second '0' of the token
+  EXPECT_EQ(e.detail(), "expected '/' (separator before the fault value F)");
+  EXPECT_EQ(std::string(e.what()).rfind("long.faults:2:10: ", 0), 0u);
+}
+
+TEST(LongLines, MegabyteIntegerFieldIsRejectedWithAPosition) {
+  const std::string digits(kMegabyte, '1');
+  const ParseError decoder =
+      long_line_error("decoder cls=" + digits + " bit=3 wired=1");
+  EXPECT_EQ(decoder.position().line, 2u);
+  EXPECT_EQ(decoder.position().column, 13u);
+  EXPECT_EQ(decoder.detail().rfind("cls (0=AFna", 0), 0u) << decoder.detail();
+  EXPECT_NE(decoder.detail().find(" out of range: '" + digits + "'"),
+            std::string::npos);
+
+  const ParseError simple =
+      long_line_error("simple <0/1/-> a_pos=-" + digits + " v_pos=0");
+  EXPECT_EQ(simple.position().line, 2u);
+  EXPECT_EQ(simple.position().column, 22u);
+  EXPECT_EQ(simple.detail(), "a_pos out of range: '-" + digits + "'");
+}
+
+TEST(LongLines, MegabyteBlankRunBetweenFieldsIsAccepted) {
+  // Only the shape matters, not the line length.
+  const FaultList list = parse_fault_list_text(
+      "faultlist v1\nsimple <0/1/->" + std::string(kMegabyte, ' ') +
+          "a_pos=-1 v_pos=0\n",
+      "long.faults");
+  ASSERT_EQ(list.simple.size(), 1u);
+  EXPECT_EQ(list.simple[0].fp.notation(), "<0/1/->");
 }
 
 }  // namespace

@@ -9,9 +9,10 @@
 //    engine is refactored — fails here first.
 //  * Thread invariance: gain_threads × certify_threads sweeps produce the
 //    same test as the single-threaded run.
-//  * Minimizer differential: minimize_test (checkpointed) equals
-//    minimize_test_rescan (the retained from-scratch reference) on padded
-//    and catalog tests.
+//  * Minimizer differential: minimize_test (checkpointed, on behaviour
+//    classes) equals minimize_test_rescan (the from-scratch reference in
+//    minimizer_reference.hpp, on every instance) on padded and catalog
+//    tests, for List #2 and for the decoder list.
 #include "gen/generator.hpp"
 
 #include <gtest/gtest.h>
@@ -19,9 +20,11 @@
 #include <string>
 
 #include "fp/fault_list.hpp"
+#include "../sim/coverage_helpers.hpp"
 #include "gen/minimizer.hpp"
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
+#include "minimizer_reference.hpp"
 
 namespace mtg {
 namespace {
@@ -140,51 +143,81 @@ TEST(IncrementalGenerator, ThreadCountsDoNotChangeTheTest) {
             "^(r1,w0,w0,w1); ^(r1); v(r1,w0,r0,w1); ^(r1)}");
 }
 
+/// Runs class-based minimize_test (on `classes`) and the from-scratch
+/// reference (on the per-instance set) and expects the same test and log.
+void expect_minimizers_agree(const MarchTest& test,
+                             const std::vector<BehaviourClass>& classes,
+                             const std::vector<FaultInstance>& instances,
+                             std::size_t n, const std::string& where) {
+  const FaultSimulator simulator(SimulatorOptions{n, true, 10});
+  std::vector<std::string> log_classes, log_instances, log_ref;
+  const MarchTest by_classes =
+      minimize_test(test, classes, n, true, &log_classes);
+  const MarchTest by_instances = minimize_test(
+      test, instance_classes(instances), n, true, &log_instances);
+  const MarchTest reference =
+      minimize_test_rescan(simulator, test, instances, &log_ref);
+  EXPECT_EQ(by_classes, reference) << where;
+  EXPECT_EQ(log_classes, log_ref) << where;
+  EXPECT_EQ(by_instances, reference) << where;
+  EXPECT_EQ(log_instances, log_ref) << where;
+}
+
 TEST(IncrementalMinimizer, MatchesFromScratchRescanReference) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  // Catalog tests (plus a padded ABL1) × List #2 at n = 4.
   const FaultList list = fault_list_2();
+  const auto classes = behaviour_classes(list, 4);
   const auto instances = instantiate_all(list, 4);
-  const MarchTest padded = parse_march_test(
-      "{c(w0); c(w0,r0,r0,w1); c(w1,r1,r1,w0); c(r0,w1); c(r1,w0)}", "padded");
-  for (const MarchTest& test :
-       {padded, march_abl1(), march_lf1(), march_ss(), march_g()}) {
-    std::vector<std::string> log_inc, log_ref;
-    const MarchTest incremental =
-        minimize_test(simulator, test, instances, &log_inc);
-    const MarchTest reference =
-        minimize_test_rescan(simulator, test, instances, &log_ref);
-    EXPECT_EQ(incremental, reference) << test.name();
-    EXPECT_EQ(log_inc, log_ref) << test.name();
+  std::vector<MarchTest> tests = all_catalog_tests();
+  tests.push_back(parse_march_test(
+      "{c(w0); c(w0,r0,r0,w1); c(w1,r1,r1,w0); c(r0,w1); c(r1,w0)}",
+      "padded"));
+  for (const MarchTest& test : tests) {
+    expect_minimizers_agree(test, classes, instances, 4, test.name());
   }
 }
 
-TEST(IncrementalMinimizer, ScalarSimulatorFallsBackToRescan) {
-  SimulatorOptions options;
-  options.memory_size = 4;
-  options.use_packed_engine = false;
-  const FaultSimulator scalar(options);
-  const auto instances = instantiate_all(fault_list_2(), 4);
-  MinimizeStats stats;
-  const MarchTest minimized =
-      minimize_test(scalar, march_abl1(), instances, nullptr, &stats);
-  EXPECT_GT(stats.full_rescans, 0u);
-  const FaultSimulator packed(SimulatorOptions{4, true, 10});
-  EXPECT_EQ(minimized, minimize_test(packed, march_abl1(), instances));
+TEST(IncrementalMinimizer, DecoderClassesMatchFromScratchRescanReference) {
+  // At n = 8 with 4 sampled addresses per fault, every decoder fault of
+  // bits 0..2 splits into two classes (bit `bit` of the corrupted address
+  // clear or set), so each trial decides two weighted representatives per
+  // fault.
+  const std::size_t n = 8;
+  const std::size_t cap = 4;
+  const FaultList list = decoder_fault_list(3);
+  const auto classes = behaviour_classes(list, n, cap);
+  const auto instances = instantiate_all(list, n, cap);
+  ASSERT_EQ(classes.size(), 2 * list.decoder.size());
+  ASSERT_EQ(instances.size(), cap * list.decoder.size());
+  std::size_t shortened = 0;
+  for (const MarchTest& test : all_catalog_tests()) {
+    expect_minimizers_agree(test, classes, instances, n, test.name());
+    const MarchTest minimized = minimize_test(test, classes, n, true);
+    shortened += minimized.complexity() < test.complexity() ? 1 : 0;
+  }
+  EXPECT_GT(shortened, 0u);
+}
+
+TEST(IncrementalMinimizer, ListTwoCountersMatchThePerInstanceEngine) {
+  // Phase C scans its classes in the order the per-instance engine scanned
+  // the collapsed instances (descending fault index), so its trials and
+  // bail-outs, and hence these counters, are unchanged.
+  const GenerationResult result = generate_march_test(fault_list_2());
+  EXPECT_EQ(result.stats.minimize_trials, 10u);
+  EXPECT_EQ(result.stats.minimize_element_replays, 83u);
 }
 
 TEST(IncrementalMinimizer, TrialsNeverFullRescanOnThePackedPath) {
-  // The acceptance property: the minimizer no longer answers trials with a
-  // full-test detects_all pass — every trial replays only the suffix after
-  // its edit (the precise per-trial bound is locked at engine level in
-  // tests/sim/test_prefix_sim.cpp).
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  // The acceptance property: the minimizer never answers trials with a
+  // full-test pass over every instance — every trial replays only the
+  // suffix after its edit (the precise per-trial bound is locked at engine
+  // level in tests/sim/test_prefix_sim.cpp).
   const auto instances = instantiate_all(fault_list_2(), 4);
   const MarchTest padded = parse_march_test(
       "{c(w0); c(w0,r0,r0,w1); c(w1,r1,r1,w0); c(r0,w1); c(r1,w0)}", "padded");
   MinimizeStats stats;
-  const MarchTest minimized =
-      minimize_test(simulator, padded, instances, nullptr, &stats);
-  EXPECT_EQ(stats.full_rescans, 0u);
+  const MarchTest minimized = minimize_test(
+      padded, behaviour_classes(fault_list_2(), 4), 4, true, nullptr, &stats);
   EXPECT_GT(stats.trials, 0u);
   EXPECT_GT(stats.element_replays, 0u);
   // A from-scratch rescan costs ~ trials × instances × elements replays;

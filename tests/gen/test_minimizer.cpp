@@ -5,12 +5,20 @@
 #include "fp/fault_list.hpp"
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
+#include "minimizer_reference.hpp"
 
 namespace mtg {
 namespace {
 
 std::vector<FaultInstance> instances_for(const FaultList& list, std::size_t n) {
   return instantiate_all(list, n);
+}
+
+/// minimize_test on the behaviour classes of `list` at n = 4.
+MarchTest minimize(const MarchTest& test, const FaultList& list,
+                   std::vector<std::string>* log = nullptr) {
+  return minimize_test(test, behaviour_classes(list, 4), 4,
+                       /*both_power_on_states=*/true, log);
 }
 
 TEST(Minimizer, CoversAllAgreesWithCoverage) {
@@ -38,7 +46,7 @@ TEST(Minimizer, RemovesRedundantElements) {
   ASSERT_TRUE(covers_all(simulator, padded, instances));
 
   std::vector<std::string> log;
-  const MarchTest minimized = minimize_test(simulator, padded, instances, &log);
+  const MarchTest minimized = minimize(padded, list, &log);
   EXPECT_LT(minimized.complexity(), padded.complexity());
   EXPECT_LE(minimized.complexity(), march_abl1().complexity());
   EXPECT_TRUE(covers_all(simulator, minimized, instances));
@@ -49,8 +57,8 @@ TEST(Minimizer, MinimalTestIsAFixpoint) {
   const FaultSimulator simulator(SimulatorOptions{4, true, 10});
   const FaultList list = fault_list_2();
   const auto instances = instances_for(list, 4);
-  const MarchTest once = minimize_test(simulator, march_abl1(), instances);
-  const MarchTest twice = minimize_test(simulator, once, instances);
+  const MarchTest once = minimize(march_abl1(), list);
+  const MarchTest twice = minimize(once, list);
   EXPECT_EQ(once, twice);
   EXPECT_TRUE(covers_all(simulator, once, instances));
 }
@@ -62,7 +70,7 @@ TEST(Minimizer, PreservesCoverageProperty) {
   const FaultList list = fault_list_2();
   const auto instances = instances_for(list, 4);
   for (const MarchTest& test : {march_abl1(), march_lf1(), march_ss()}) {
-    const MarchTest minimized = minimize_test(simulator, test, instances);
+    const MarchTest minimized = minimize(test, list);
     EXPECT_LE(minimized.complexity(), test.complexity()) << test.name();
     EXPECT_TRUE(covers_all(simulator, minimized, instances)) << test.name();
   }
@@ -76,30 +84,26 @@ TEST(Minimizer, SingleElementTestsAreReturnedUnchanged) {
   for (const char* notation : {"{c(w0)}", "{c(w0,r0)}"}) {
     const MarchTest test = parse_march_test(notation, "tiny");
     std::vector<std::string> log;
-    const MarchTest minimized = minimize_test(simulator, test, {}, &log);
+    const MarchTest minimized = minimize_test(test, {}, 4, true, &log);
     // With no instances to keep covered, only op-dropping inside the
     // two-op element can fire; the single-op test is a strict fixpoint.
     EXPECT_TRUE(covers_all(simulator, minimized, {}));
     EXPECT_GE(minimized.elements().size(), 1u);
-    EXPECT_EQ(minimize_test(simulator, minimized, {}, nullptr), minimized);
+    EXPECT_EQ(minimize_test(minimized, {}, 4, true), minimized);
   }
 }
 
 TEST(Minimizer, NoOpMinimizationLeavesTheLogEmpty) {
   // An already-minimal test must come back identical with an untouched log
   // (callers use the log to report what changed — no change, no lines).
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
   FaultList list;
   list.name = "tf only";
   list.simple.push_back(SimpleFault::single(FaultPrimitive::tf(Bit::Zero)));
   list.simple.push_back(SimpleFault::single(FaultPrimitive::tf(Bit::One)));
-  const auto instances = instances_for(list, 4);
   const MarchTest minimal =
-      minimize_test(simulator, parse_march_test("{c(w0); ^(w1,r1,w0,r0)}",
-                                                "tight"),
-                    instances);
+      minimize(parse_march_test("{c(w0); ^(w1,r1,w0,r0)}", "tight"), list);
   std::vector<std::string> log;
-  const MarchTest again = minimize_test(simulator, minimal, instances, &log);
+  const MarchTest again = minimize(minimal, list, &log);
   EXPECT_EQ(again, minimal);
   EXPECT_TRUE(log.empty());
 }
@@ -116,8 +120,7 @@ TEST(Minimizer, PreservesValidityAndWaitsForRetentionTargets) {
   ASSERT_TRUE(covers_all(simulator, march_g(), instances));
 
   std::vector<std::string> log;
-  const MarchTest minimized =
-      minimize_test(simulator, march_g(), instances, &log);
+  const MarchTest minimized = minimize(march_g(), list, &log);
   EXPECT_TRUE(FaultSimulator::validity_violation(minimized).empty());
   EXPECT_TRUE(minimized.contains_wait());
   EXPECT_TRUE(covers_all(simulator, minimized, instances));
@@ -134,8 +137,7 @@ TEST(Minimizer, DropsOpsInsideElements) {
   const auto instances = instances_for(list, 4);
   const MarchTest bloated =
       parse_march_test("{c(w0); ^(r0,r0,w1,r1,r1); ^(r1,w0,r0)}", "bloated");
-  const MarchTest minimized =
-      minimize_test(simulator, bloated, instances, nullptr);
+  const MarchTest minimized = minimize(bloated, list);
   EXPECT_LT(minimized.complexity(), bloated.complexity());
   EXPECT_TRUE(covers_all(simulator, minimized, instances));
 }

@@ -102,16 +102,12 @@ TEST(CancelToken, GrandparentChainTrips) {
 TEST(CancelEvaluate, PreCancelledTokenThrowsBeforeEvaluating) {
   CancelToken token;
   token.cancel();
-  for (const bool packed : {true, false}) {
-    SimulatorOptions options;
-    options.memory_size = 6;
-    options.use_packed_engine = packed;
-    options.coverage_threads = 1;
-    EXPECT_THROW(evaluate_coverage(FaultSimulator(options), march_sl(),
-                                   fault_list_1(), 0, &token),
-                 CancelledError)
-        << (packed ? "packed" : "scalar");
-  }
+  SimulatorOptions options;
+  options.memory_size = 6;
+  options.coverage_threads = 1;
+  EXPECT_THROW(evaluate_coverage(FaultSimulator(options), march_sl(),
+                                 fault_list_1(), 0, &token),
+               CancelledError);
 }
 
 TEST(CancelEvaluate, DeadlineInterruptsMidEvaluationInBoundedTime) {

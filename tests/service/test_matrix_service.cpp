@@ -36,7 +36,6 @@ CoverageReport solo_report(const MarchTest& test, const FaultList& list,
   options.memory_size = n;
   options.both_power_on_states = true;
   options.max_any_order_elements = 10;
-  options.use_packed_engine = true;
   options.coverage_threads = 1;
   return evaluate_coverage(FaultSimulator(options), test, list, cap);
 }

@@ -8,7 +8,7 @@ namespace mtg {
 
 CoverageReport evaluate_coverage_per_instance(
     const FaultSimulator& simulator, const MarchTest& test,
-    const FaultList& list, std::size_t max_instances_per_fault) {
+    const FaultList& list, std::size_t max_instances_per_fault, bool scalar) {
   FaultSimulator::validate(test);
   CoverageReport report;
   report.test_name = test.name().empty() ? test.to_string() : test.name();
@@ -26,7 +26,10 @@ CoverageReport evaluate_coverage_per_instance(
   for (const FaultInstance& instance : instances) {
     CoverageEntry& entry = report.entries[instance.fault_index];
     ++entry.instances;
-    if (simulator.detects_compiled(test, compiled, instance)) {
+    const bool detected =
+        scalar ? simulator.detects_scalar(test, instance)
+               : simulator.detects_compiled(test, compiled, instance);
+    if (detected) {
       ++entry.detected;
     } else {
       entry.covered = false;
@@ -42,6 +45,16 @@ CoverageReport evaluate_coverage_per_instance(
     }
   }
   return report;
+}
+
+std::vector<BehaviourClass> instance_classes(
+    const std::vector<FaultInstance>& instances) {
+  std::vector<BehaviourClass> classes;
+  classes.reserve(instances.size());
+  for (const FaultInstance& instance : instances) {
+    classes.push_back(BehaviourClass{instance, 1});
+  }
+  return classes;
 }
 
 std::vector<std::size_t> reference_gains(

@@ -15,12 +15,20 @@
 namespace mtg {
 
 /// The coverage report by brute force: instantiate_all() and simulate every
-/// sampled instance on the simulator's engine, aggregating in instance
-/// order (counts, first escaping instance).  evaluate_coverage simulates
-/// one instance per behaviour class and must reproduce this byte for byte.
+/// sampled instance — on the packed engine (detects_compiled), or with
+/// `scalar` on the scalar reference machine (detects_scalar) — aggregating
+/// in instance order (counts, first escaping instance).  evaluate_coverage
+/// simulates one instance per behaviour class and must reproduce this byte
+/// for byte.
 CoverageReport evaluate_coverage_per_instance(
     const FaultSimulator& simulator, const MarchTest& test,
-    const FaultList& list, std::size_t max_instances_per_fault);
+    const FaultList& list, std::size_t max_instances_per_fault,
+    bool scalar = false);
+
+/// One weight-1 behaviour class per instance: a PrefixEngine or minimizer
+/// input that simulates the per-instance set itself, uncollapsed.
+std::vector<BehaviourClass> instance_classes(
+    const std::vector<FaultInstance>& instances);
 
 /// Greedy gains by brute force: every instance (uncollapsed) is simulated
 /// through `prefix` one scenario block at a time; each block is then copied

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "coverage_helpers.hpp"
 #include "fp/fault_list.hpp"
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
@@ -125,9 +126,8 @@ TEST(Coverage, DeterministicAcrossThreadCounts) {
 
   SimulatorOptions scalar_options;
   scalar_options.memory_size = 6;
-  scalar_options.use_packed_engine = false;
-  const CoverageReport reference =
-      evaluate_coverage(FaultSimulator(scalar_options), test, list);
+  const CoverageReport reference = evaluate_coverage_per_instance(
+      FaultSimulator(scalar_options), test, list, 0, /*scalar=*/true);
   EXPECT_FALSE(reference.full_coverage());
 
   const std::size_t hardware = std::thread::hardware_concurrency();

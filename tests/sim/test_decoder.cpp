@@ -241,12 +241,13 @@ TEST(DecoderCollapsing, PrefixEngineKeepsStructurallyEqualInstancesApart) {
   // bit would merge all four into one weighted representative and report
   // 0 or 4 undetected instead of 2.
   const std::size_t n = 4;
-  const auto instances =
-      instantiate(DecoderFault{DecoderFaultClass::NoAccess, 1, Bit::Zero}, n,
-                  /*fault_index=*/0);
+  FaultList list;
+  list.decoder.push_back(
+      DecoderFault{DecoderFaultClass::NoAccess, 1, Bit::Zero});
+  const auto instances = instantiate_all(list, n);
   ASSERT_EQ(instances.size(), 4u);
   const MarchTest test = parse_march_test("{c(w0); ^(r0)}", "na probe");
-  PrefixEngine engine(n, &instances, test,
+  PrefixEngine engine(n, behaviour_classes(list, n), test,
                       PrefixEngine::Options{/*both_power_on_states=*/true,
                                             /*record_checkpoints=*/false});
   EXPECT_EQ(engine.num_instances(), 4u);
@@ -266,8 +267,8 @@ TEST(DecoderCollapsing, PrefixEngineKeepsStructurallyEqualInstancesApart) {
 
 TEST(DecoderCollapsing, PrefixEngineAdvanceAndTrialsStayExact) {
   const std::size_t n = 8;
-  std::vector<FaultInstance> instances =
-      instantiate_all(decoder_fault_list(3), n);
+  const FaultList list = decoder_fault_list(3);
+  const std::vector<FaultInstance> instances = instantiate_all(list, n);
   const MarchTest full = march_sl();
   MarchTest prefix("prefix", {full.elements()[0], full.elements()[1]});
 
@@ -275,7 +276,7 @@ TEST(DecoderCollapsing, PrefixEngineAdvanceAndTrialsStayExact) {
   options.memory_size = n;
   const FaultSimulator simulator(options);
 
-  PrefixEngine engine(n, &instances, prefix,
+  PrefixEngine engine(n, behaviour_classes(list, n), prefix,
                       PrefixEngine::Options{true, /*record_checkpoints=*/true});
   engine.advance(full);
   std::size_t undetected = 0;

@@ -408,9 +408,8 @@ TEST(DifferentialFuzz, PrefixEngineCheckpointRestoreMatchesSimulator) {
     options.memory_size = fuzz.memory_size;
     options.both_power_on_states = fuzz.both_power_on_states;
     const FaultSimulator simulator(options);
-    const std::vector<FaultInstance> one = {fuzz.instance};
     PrefixEngine engine(
-        fuzz.memory_size, &one, fuzz.test,
+        fuzz.memory_size, instance_classes({fuzz.instance}), fuzz.test,
         PrefixEngine::Options{fuzz.both_power_on_states, true});
 
     const bool detected = engine.undetected_instances() == 0;
@@ -534,10 +533,10 @@ TEST(DifferentialFuzz, SubsumptionVerdictsMatchPackedCoverageContainment) {
 TEST(DifferentialFuzz, CollapsedCoverageMatchesPerInstanceReference) {
   // Class soundness: evaluate_coverage simulates one representative per
   // behaviour class and weights it analytically; the per-instance reference
-  // simulates every sampled instance.  At random n and cap — spanning cap 0
-  // and all three sampler tiers — the two reports must be byte-identical on
-  // both engines, and random same-signature instance pairs must give the
-  // same PackedOutcome.
+  // simulates every sampled instance, on the packed engine and on the
+  // scalar machine.  At random n and cap — spanning cap 0 and all three
+  // sampler tiers — the reports must be byte-identical, and random
+  // same-signature instance pairs must give the same PackedOutcome.
   const FaultList pool = [] {
     FaultList all = fault_list_1();
     const FaultList retention = retention_fault_list();
@@ -579,23 +578,23 @@ TEST(DifferentialFuzz, CollapsedCoverageMatchesPerInstanceReference) {
     SweepKey key;
     key.memory_size = n;
     key.max_instances_per_fault = cap;
-    for (const bool packed : {true, false}) {
+    for (const bool scalar : {false, true}) {
       // The scalar machine costs O(n) per operation: keep its leg small.
-      if (!packed && n > 40) continue;
+      if (scalar && n > 40) continue;
       SimulatorOptions options;
       options.memory_size = n;
-      options.use_packed_engine = packed;
       options.coverage_threads = 1 + rng.below(3);
       const FaultSimulator simulator(options);
       const CoverageReport collapsed =
           evaluate_coverage(simulator, test, list, cap);
       const CoverageReport reference =
-          evaluate_coverage_per_instance(simulator, test, list, cap);
+          evaluate_coverage_per_instance(simulator, test, list, cap, scalar);
       if (SweepStore::encode_record(key, collapsed) !=
           SweepStore::encode_record(key, reference)) {
-        ADD_FAILURE() << (packed ? "packed" : "scalar")
-                      << " collapsed report differs from the per-instance "
-                      << "reference (n=" << n << ", cap=" << cap << ")\n  "
+        ADD_FAILURE() << "collapsed report differs from the "
+                      << (scalar ? "scalar" : "packed")
+                      << " per-instance reference (n=" << n
+                      << ", cap=" << cap << ")\n  "
                       << test.to_string(true) << "\n  collapsed: "
                       << collapsed.summary() << "\n  reference: "
                       << reference.summary();

@@ -11,28 +11,27 @@
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
 #include "memory/pattern_graph.hpp"
+#include "coverage_helpers.hpp"
 #include "sim/coverage.hpp"
 
 namespace mtg {
 namespace {
 
-SimulatorOptions options_for(std::size_t n, bool packed, bool both = true) {
+SimulatorOptions options_for(std::size_t n, bool both = true) {
   SimulatorOptions options;
   options.memory_size = n;
   options.both_power_on_states = both;
-  options.use_packed_engine = packed;
   return options;
 }
 
-/// Asserts packed and scalar detects() agree on every instance of `list`.
+/// Asserts detects() and detects_scalar() agree on every instance of `list`.
 void expect_detection_agreement(const MarchTest& test, const FaultList& list,
                                 std::size_t n, std::size_t stride = 1) {
-  const FaultSimulator packed(options_for(n, true));
-  const FaultSimulator scalar(options_for(n, false));
+  const FaultSimulator simulator(options_for(n));
   const std::vector<FaultInstance> instances = instantiate_all(list, n);
   for (std::size_t i = 0; i < instances.size(); i += stride) {
-    const bool expected = scalar.detects(test, instances[i]);
-    EXPECT_EQ(packed.detects(test, instances[i]), expected)
+    const bool expected = simulator.detects_scalar(test, instances[i]);
+    EXPECT_EQ(simulator.detects(test, instances[i]), expected)
         << test.name() << " / " << instances[i].description;
   }
 }
@@ -74,13 +73,12 @@ TEST(PackedEngine, AnyOrderHeavyTestsAgree) {
 }
 
 TEST(PackedEngine, SimulateDiagnosticsAgree) {
-  const FaultSimulator packed(options_for(4, true));
-  const FaultSimulator scalar(options_for(4, false));
+  const FaultSimulator simulator(options_for(4));
   const FaultList list = standard_simple_static_faults();
   for (const MarchTest& test : {mats_plus(), march_x(), march_ss()}) {
     for (const FaultInstance& inst : instantiate_all(list, 4)) {
-      const DetectionResult p = packed.simulate(test, inst);
-      const DetectionResult s = scalar.simulate(test, inst);
+      const DetectionResult p = simulator.simulate(test, inst);
+      const DetectionResult s = simulator.simulate_scalar(test, inst);
       ASSERT_EQ(p.detected, s.detected) << inst.description;
       ASSERT_EQ(p.first_event.has_value(), s.first_event.has_value());
       if (p.first_event.has_value()) {
@@ -107,11 +105,11 @@ TEST(PackedEngine, LinkedMaskingPairsAgree) {
       FaultPrimitive::cfds(Bit::Zero, SenseOp::W1, Bit::Zero), 0, 2));
   cross_cell.fps.push_back(BoundFp(
       FaultPrimitive::cfds(Bit::One, SenseOp::W0, Bit::One), 3, 2));
-  const FaultSimulator packed(options_for(4, true));
-  const FaultSimulator scalar(options_for(4, false));
+  const FaultSimulator simulator(options_for(4));
   for (const MarchTest& test : all_catalog_tests()) {
     for (const FaultInstance* inst : {&same_cell, &cross_cell}) {
-      EXPECT_EQ(packed.detects(test, *inst), scalar.detects(test, *inst))
+      EXPECT_EQ(simulator.detects(test, *inst),
+                simulator.detects_scalar(test, *inst))
           << test.name() << " / " << inst->description;
     }
   }
@@ -123,25 +121,25 @@ TEST(PackedEngine, HonorsSinglePowerOnState) {
   const MarchTest bare_read = parse_march_test("{c(r)}", "bare-read");
   FaultInstance irf0;
   irf0.fps.push_back(BoundFp::at(FaultPrimitive::irf(Bit::Zero), 2));
-  for (const bool packed : {true, false}) {
-    const FaultSimulator single(options_for(4, packed, /*both=*/false));
-    const FaultSimulator both(options_for(4, packed, /*both=*/true));
-    EXPECT_TRUE(single.detects(bare_read, irf0));
-    EXPECT_FALSE(both.detects(bare_read, irf0));
-  }
+  const FaultSimulator single(options_for(4, /*both=*/false));
+  const FaultSimulator both(options_for(4, /*both=*/true));
+  EXPECT_TRUE(single.detects(bare_read, irf0));
+  EXPECT_FALSE(both.detects(bare_read, irf0));
+  EXPECT_TRUE(single.detects_scalar(bare_read, irf0));
+  EXPECT_FALSE(both.detects_scalar(bare_read, irf0));
 }
 
 TEST(PackedEngine, CoverageReportsAgree) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SimulatorOptions packed_options = options_for(5, true);
-    packed_options.coverage_threads = threads;
-    const FaultSimulator packed(packed_options);
-    const FaultSimulator scalar(options_for(5, false));
+    SimulatorOptions options = options_for(5);
+    options.coverage_threads = threads;
+    const FaultSimulator simulator(options);
     for (const MarchTest& test : {march_ss(), march_sl(), mats_plus()}) {
       const CoverageReport a =
-          evaluate_coverage(packed, test, standard_simple_static_faults());
-      const CoverageReport b =
-          evaluate_coverage(scalar, test, standard_simple_static_faults());
+          evaluate_coverage(simulator, test, standard_simple_static_faults());
+      const CoverageReport b = evaluate_coverage_per_instance(
+          simulator, test, standard_simple_static_faults(), 0,
+          /*scalar=*/true);
       ASSERT_EQ(a.entries.size(), b.entries.size());
       for (std::size_t i = 0; i < a.entries.size(); ++i) {
         EXPECT_EQ(a.entries[i].detected, b.entries[i].detected);
@@ -156,7 +154,7 @@ TEST(PackedEngine, CoverageReportsAgree) {
 }
 
 TEST(PackedEngine, CoverageParallelIsDeterministic) {
-  SimulatorOptions options = options_for(6, true);
+  SimulatorOptions options = options_for(6);
   options.coverage_threads = 4;
   const FaultSimulator simulator(options);
   const CoverageReport a =
@@ -193,30 +191,28 @@ TEST(PackedEngine, ScenarioWordsMatchEnumeration) {
 TEST(PackedEngine, OutOfRangeAddressesThrowLikeScalar) {
   FaultInstance oob;
   oob.fps.push_back(BoundFp::at(FaultPrimitive::sf(Bit::One), 100));
-  const FaultSimulator packed(options_for(4, true));
-  const FaultSimulator scalar(options_for(4, false));
+  const FaultSimulator packed(options_for(4));
   EXPECT_THROW(packed.detects(mats_plus(), oob), Error);
-  EXPECT_THROW(scalar.detects(mats_plus(), oob), Error);
+  EXPECT_THROW(packed.detects_scalar(mats_plus(), oob), Error);
   EXPECT_THROW(packed.simulate(mats_plus(), oob), Error);
   EXPECT_THROW(packed.detects_all(mats_plus(), {oob}), Error);
 }
 
 TEST(PackedEngine, DetectsAllMatchesPerInstanceDetects) {
-  const FaultSimulator packed(options_for(4, true));
-  const FaultSimulator scalar(options_for(4, false));
+  const FaultSimulator packed(options_for(4));
   const std::vector<FaultInstance> instances =
       instantiate_all(standard_simple_static_faults(), 4);
   for (const MarchTest& test : {mats_plus(), march_ss()}) {
     bool all = true;
     for (const FaultInstance& inst : instances) {
-      all = all && scalar.detects(test, inst);
+      all = all && packed.detects_scalar(test, inst);
     }
     EXPECT_EQ(packed.detects_all(test, instances), all) << test.name();
   }
 }
 
 TEST(PackedEngine, FaultFreeInstanceNeverDetected) {
-  const FaultSimulator packed(options_for(4, true));
+  const FaultSimulator packed(options_for(4));
   FaultInstance none;
   for (const MarchTest& test : all_catalog_tests()) {
     EXPECT_FALSE(packed.detects(test, none)) << test.name();

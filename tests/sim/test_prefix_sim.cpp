@@ -64,7 +64,7 @@ TEST(PrefixSim, AdvanceMatchesFromScratchAfterEveryElement) {
     for (const FaultList& list :
          {fault_list_2(), retention_fault_list()}) {
       const auto instances = instantiate_all(list, n);
-      PrefixEngine engine(n, &instances, prefix_of(test, 1),
+      PrefixEngine engine(n, instance_classes(instances), prefix_of(test, 1),
                           PrefixEngine::Options{true, false});
       for (std::size_t len = 1; len <= test.elements().size(); ++len) {
         const MarchTest prefix = prefix_of(test, len);
@@ -88,7 +88,7 @@ TEST(PrefixSim, SinglePowerOnStateMatchesFromScratch) {
   const FaultSimulator simulator(options);
   const auto instances = instantiate_all(fault_list_2(), n);
   const MarchTest test = any_heavy_test();
-  PrefixEngine engine(n, &instances, prefix_of(test, 1),
+  PrefixEngine engine(n, instance_classes(instances), prefix_of(test, 1),
                       PrefixEngine::Options{false, false});
   for (std::size_t len = 1; len <= test.elements().size(); ++len) {
     engine.advance(prefix_of(test, len));
@@ -105,7 +105,7 @@ TEST(PrefixSim, TrialCoversMatchesFromScratchCoversAll) {
   const FaultSimulator simulator(SimulatorOptions{n, true, 10});
   for (const MarchTest& test : {march_abl1(), any_heavy_test()}) {
     const auto instances = instantiate_all(fault_list_2(), n);
-    PrefixEngine engine(n, &instances, test,
+    PrefixEngine engine(n, instance_classes(instances), test,
                         PrefixEngine::Options{true, true});
 
     // Drop-element trials at every position.
@@ -140,7 +140,8 @@ TEST(PrefixSim, RewindToEditedTestMatchesFromScratch) {
   const FaultSimulator simulator(SimulatorOptions{n, true, 10});
   const MarchTest test = any_heavy_test();
   const auto instances = instantiate_all(fault_list_2(), n);
-  PrefixEngine engine(n, &instances, test, PrefixEngine::Options{true, true});
+  PrefixEngine engine(n, instance_classes(instances), test,
+                      PrefixEngine::Options{true, true});
 
   // Drop every element in turn (fresh engine state each time via rewind
   // back to the full test), including the ⇕ ones — the scenario space
@@ -166,7 +167,7 @@ TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
   const MarchTest prefix =
       parse_march_test("{c(w0); ^(r0,w1,r1)}", "partial");
   const auto instances = instantiate_all(fault_list_2(), n);
-  PrefixEngine engine(n, &instances, prefix,
+  PrefixEngine engine(n, instance_classes(instances), prefix,
                       PrefixEngine::Options{true, false});
   ASSERT_GT(engine.undetected_instances(), 0u);
 
@@ -176,7 +177,8 @@ TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
   }
   ASSERT_EQ(engine.undetected_instances(), missed.size());
 
-  PrefixEngine fresh(n, &missed, prefix, PrefixEngine::Options{true, false});
+  PrefixEngine fresh(n, instance_classes(missed), prefix,
+                     PrefixEngine::Options{true, false});
   PrefixEngine clone = engine.clone_undetected();
   EXPECT_EQ(clone.undetected_instances(), fresh.undetected_instances());
   EXPECT_EQ(clone.undetected_scenarios(), fresh.undetected_scenarios());
@@ -291,7 +293,7 @@ TEST(PrefixSim, GainScanMatchesPerCandidateReference) {
         const std::vector<std::size_t> reference = reference_gains(
             instances, prefix, candidates, p.both_power_on_states);
         const PrefixEngine engine(
-            n, &instances, prefix,
+            n, instance_classes(instances), prefix,
             PrefixEngine::Options{p.both_power_on_states, false});
 
         // One candidate per scan: nothing to prune against, every gain exact.
@@ -375,7 +377,8 @@ TEST(PrefixSim, CollapsesEquivalentLayoutsExactly) {
   const std::size_t n = 6;
   const auto instances = instantiate_all(fault_list_2(), n);
   const MarchTest test = march_abl1();
-  PrefixEngine engine(n, &instances, test, PrefixEngine::Options{true, false});
+  PrefixEngine engine(n, behaviour_classes(fault_list_2(), n), test,
+                      PrefixEngine::Options{true, false});
   // Weighted totals see every instance; the simulated representatives are
   // the distinct (fault, relative layout order) classes — far fewer.
   EXPECT_EQ(engine.num_instances(), instances.size());
@@ -383,7 +386,7 @@ TEST(PrefixSim, CollapsesEquivalentLayoutsExactly) {
   // Weighted undetected counts equal the per-instance oracle.
   const FaultSimulator simulator(SimulatorOptions{n, true, 10});
   const MarchTest partial = prefix_of(test, 2);
-  PrefixEngine partial_engine(n, &instances, partial,
+  PrefixEngine partial_engine(n, behaviour_classes(fault_list_2(), n), partial,
                               PrefixEngine::Options{true, false});
   EXPECT_EQ(partial_engine.undetected_instances(),
             undetected_by_simulator(simulator, partial, instances).first);
@@ -395,9 +398,9 @@ TEST(PrefixSim, ParallelSyncMatchesSequential) {
   const MarchTest test = any_heavy_test();
   ThreadPool pool(3);
 
-  PrefixEngine sequential(n, &instances, prefix_of(test, 2),
+  PrefixEngine sequential(n, instance_classes(instances), prefix_of(test, 2),
                           PrefixEngine::Options{true, true});
-  PrefixEngine parallel(n, &instances, prefix_of(test, 2),
+  PrefixEngine parallel(n, instance_classes(instances), prefix_of(test, 2),
                         PrefixEngine::Options{true, true}, &pool);
   EXPECT_EQ(sequential.undetected_instances(),
             parallel.undetected_instances());
@@ -421,7 +424,7 @@ TEST(PrefixSim, ExcludedFaultsStayDroppedAcrossSyncs) {
   const std::size_t n = 4;
   const auto instances = instantiate_all(fault_list_2(), n);
   const MarchTest test = any_heavy_test();
-  PrefixEngine engine(n, &instances, prefix_of(test, 2),
+  PrefixEngine engine(n, instance_classes(instances), prefix_of(test, 2),
                       PrefixEngine::Options{true, true});
   const std::set<std::size_t> excluded = {0, 1};
   engine.exclude_faults(excluded);
@@ -440,7 +443,7 @@ TEST(PrefixSim, CommitPoisonsExactness) {
   const std::size_t n = 4;
   const auto instances = instantiate_all(fault_list_2(), n);
   const MarchTest test = march_abl1();
-  PrefixEngine engine(n, &instances, prefix_of(test, 2),
+  PrefixEngine engine(n, instance_classes(instances), prefix_of(test, 2),
                       PrefixEngine::Options{true, true});
   const MarchElement candidate(AddressOrder::Up, {Op::R0});
   engine.commit(candidate, compile_element_trace(candidate));
@@ -456,7 +459,8 @@ TEST(PrefixSim, TrialCostIsProportionalToTheReplayedSuffix) {
   const std::size_t n = 4;
   const auto instances = instantiate_all(fault_list_2(), n);
   const MarchTest test = march_abl1();
-  PrefixEngine engine(n, &instances, test, PrefixEngine::Options{true, true});
+  PrefixEngine engine(n, instance_classes(instances), test,
+                      PrefixEngine::Options{true, true});
   const std::size_t last = test.elements().size() - 1;
 
   engine.reset_stats();

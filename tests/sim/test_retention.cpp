@@ -17,12 +17,8 @@
 namespace mtg {
 namespace {
 
-SimulatorOptions packed_options(std::size_t n) {
-  return SimulatorOptions{n, true, 10, /*use_packed_engine=*/true, 1};
-}
-
-SimulatorOptions scalar_options(std::size_t n) {
-  return SimulatorOptions{n, true, 10, /*use_packed_engine=*/false, 1};
+SimulatorOptions options_for(std::size_t n) {
+  return SimulatorOptions{n, true, 10, 1};
 }
 
 TEST(Retention, FaultPrimitiveTaxonomy) {
@@ -97,20 +93,19 @@ TEST(Retention, ClassicTestsMissButMarchGDetects) {
   for (Bit s : {Bit::Zero, Bit::One}) {
     const SimpleFault fault = SimpleFault::single(FaultPrimitive::drf(s));
     for (std::size_t n : {4u, 6u}) {
-      const FaultSimulator packed(packed_options(n));
-      const FaultSimulator scalar(scalar_options(n));
+      const FaultSimulator simulator(options_for(n));
       for (const FaultInstance& instance : instantiate(fault, n, 0)) {
         for (const MarchTest& test :
              {mats_plus(), march_c_minus(), march_ss(), march_sl()}) {
           ASSERT_FALSE(test.contains_wait());
-          EXPECT_FALSE(packed.detects(test, instance))
+          EXPECT_FALSE(simulator.detects(test, instance))
               << test.name() << " vs " << instance.description;
-          EXPECT_FALSE(scalar.detects(test, instance));
+          EXPECT_FALSE(simulator.detects_scalar(test, instance));
         }
         ASSERT_TRUE(march_g().contains_wait());
-        EXPECT_TRUE(packed.detects(march_g(), instance))
+        EXPECT_TRUE(simulator.detects(march_g(), instance))
             << instance.description;
-        EXPECT_TRUE(scalar.detects(march_g(), instance));
+        EXPECT_TRUE(simulator.detects_scalar(march_g(), instance));
       }
     }
   }
@@ -122,7 +117,7 @@ TEST(Retention, MarchGCoversSimpleDrfs) {
   drfs.simple.push_back(SimpleFault::single(FaultPrimitive::drf(Bit::Zero)));
   drfs.simple.push_back(SimpleFault::single(FaultPrimitive::drf(Bit::One)));
 
-  const FaultSimulator simulator(packed_options(6));
+  const FaultSimulator simulator(options_for(6));
   EXPECT_TRUE(evaluate_coverage(simulator, march_g(), drfs).full_coverage());
   EXPECT_FALSE(
       evaluate_coverage(simulator, march_sl(), drfs).full_coverage());
@@ -178,7 +173,7 @@ TEST(Retention, GeneratorEmitsWaitOpsForRetentionFaults) {
   EXPECT_EQ(result.test.consistency_violation(), "");
 
   // Independent certification on a fresh simulator at a different size.
-  const FaultSimulator simulator(packed_options(6));
+  const FaultSimulator simulator(options_for(6));
   EXPECT_TRUE(evaluate_coverage(simulator, result.test, retention_fault_list())
                   .full_coverage());
 

@@ -16,10 +16,9 @@
 namespace mtg {
 namespace {
 
-SimulatorOptions options_for(std::size_t n, bool packed) {
+SimulatorOptions options_for(std::size_t n) {
   SimulatorOptions options;
   options.memory_size = n;
-  options.use_packed_engine = packed;
   return options;
 }
 
@@ -40,7 +39,7 @@ TEST(Sweep, MatchesDirectCoverageEvaluation) {
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     EXPECT_EQ(points[i].memory_size, sizes[i]);
     const CoverageReport direct =
-        evaluate_coverage(FaultSimulator(options_for(sizes[i], true)), test, list);
+        evaluate_coverage(FaultSimulator(options_for(sizes[i])), test, list);
     EXPECT_EQ(points[i].report.summary(), direct.summary()) << "n=" << sizes[i];
   }
 }
@@ -155,14 +154,14 @@ TEST(MultiWord, ScalarAndPackedAgreeAtN200) {
   // save/restore path) and still matches the packed engine bit for bit,
   // including for instances bound at the far memory boundary.
   const std::size_t n = 200;
-  const FaultSimulator packed(options_for(n, true));
-  const FaultSimulator scalar(options_for(n, false));
+  const FaultSimulator simulator(options_for(n));
   const FaultList list = fault_list_2();
   const auto instances = instantiate_all(list, n, 6);
   ASSERT_FALSE(instances.empty());
   for (const MarchTest& test : {march_sl(), mats_plus()}) {
     for (const FaultInstance& inst : instances) {
-      EXPECT_EQ(packed.detects(test, inst), scalar.detects(test, inst))
+      EXPECT_EQ(simulator.detects(test, inst),
+                simulator.detects_scalar(test, inst))
           << test.name() << " / " << inst.description;
     }
   }
@@ -170,13 +169,12 @@ TEST(MultiWord, ScalarAndPackedAgreeAtN200) {
 
 TEST(MultiWord, SimulateDiagnosticsAgreeAtN150) {
   const std::size_t n = 150;
-  const FaultSimulator packed(options_for(n, true));
-  const FaultSimulator scalar(options_for(n, false));
+  const FaultSimulator simulator(options_for(n));
   const MarchTest test = march_c_minus();  // escapes exist: both branches
   for (const FaultInstance& inst :
        instantiate_all(standard_simple_static_faults(), n, 4)) {
-    const DetectionResult p = packed.simulate(test, inst);
-    const DetectionResult s = scalar.simulate(test, inst);
+    const DetectionResult p = simulator.simulate(test, inst);
+    const DetectionResult s = simulator.simulate_scalar(test, inst);
     ASSERT_EQ(p.detected, s.detected) << inst.description;
     ASSERT_EQ(p.first_event.has_value(), s.first_event.has_value());
     if (p.first_event.has_value()) {
