@@ -1,53 +1,10 @@
 // Figure 2 reproduction: the fault-free memory model G0 (the 2-cell Mealy
-// automaton as a labeled graph), plus construction/evaluation throughput
-// and its scaling in the number of model cells (|V| = 2^k).
-#include <benchmark/benchmark.h>
-
+// automaton as a labeled graph) and its edges out of state 00.
 #include <cstdio>
 
 #include "memory/memory_graph.hpp"
 
-namespace {
-
-void BM_BuildMemoryGraph(benchmark::State& state) {
-  const std::size_t cells = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    mtg::MemoryGraph graph(cells);
-    benchmark::DoNotOptimize(graph.edges().data());
-  }
-  state.counters["vertices"] =
-      static_cast<double>(std::size_t{1} << cells);
-  state.counters["edges"] =
-      static_cast<double>((std::size_t{1} << cells) * (3 * cells + 1));
-}
-BENCHMARK(BM_BuildMemoryGraph)->DenseRange(1, 10);
-
-void BM_AutomatonDelta(benchmark::State& state) {
-  const mtg::MealyAutomaton automaton(3);
-  const auto alphabet = automaton.input_alphabet();
-  std::size_t i = 0;
-  mtg::SmallState q(3);
-  for (auto _ : state) {
-    q = automaton.delta(q, alphabet[i % alphabet.size()]);
-    benchmark::DoNotOptimize(q);
-    ++i;
-  }
-}
-BENCHMARK(BM_AutomatonDelta);
-
-void BM_G0DotExport(benchmark::State& state) {
-  const mtg::MemoryGraph g0 = mtg::make_g0();
-  for (auto _ : state) {
-    const std::string dot = g0.to_dot("G0");
-    benchmark::DoNotOptimize(dot.data());
-  }
-}
-BENCHMARK(BM_G0DotExport);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Print the Figure 2 structure before benchmarking.
+int main() {
   const mtg::MemoryGraph g0 = mtg::make_g0();
   std::printf("Figure 2 — G0, the 2-cell fault-free memory model: %zu states, "
               "%zu labeled edges\n",
@@ -56,8 +13,5 @@ int main(int argc, char** argv) {
     std::printf("  00 -> %s  [%s]\n", e.to.to_string().c_str(),
                 e.label().c_str());
   }
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,56 +1,12 @@
 // Figure 4 reproduction: the pattern graph PGCF of the linked disturb
-// coupling fault (Equations 12-14), plus pattern-graph construction cost
-// for the full fault lists (the generator's Section 4 data structure).
-#include <benchmark/benchmark.h>
-
+// coupling fault (Equations 12-14), plus the size of the pattern graph the
+// generator's Section 4 data structure needs for Fault List #1.
 #include <cstdio>
 
 #include "fp/fault_list.hpp"
 #include "memory/pattern_graph.hpp"
 
-namespace {
-
-void BM_BuildPgcf(benchmark::State& state) {
-  for (auto _ : state) {
-    mtg::PatternGraph pg = mtg::make_pgcf();
-    benchmark::DoNotOptimize(pg.faulty_edges().data());
-  }
-}
-BENCHMARK(BM_BuildPgcf);
-
-void BM_BuildPatternGraphList2(benchmark::State& state) {
-  const mtg::FaultList list = mtg::fault_list_2();
-  for (auto _ : state) {
-    mtg::PatternGraph pg(list);
-    benchmark::DoNotOptimize(pg.faulty_edges().data());
-  }
-  state.counters["faulty_edges"] =
-      static_cast<double>(mtg::PatternGraph(list).faulty_edges().size());
-}
-BENCHMARK(BM_BuildPatternGraphList2);
-
-void BM_BuildPatternGraphList1(benchmark::State& state) {
-  const mtg::FaultList list = mtg::fault_list_1();
-  for (auto _ : state) {
-    mtg::PatternGraph pg(list);
-    benchmark::DoNotOptimize(pg.faulty_edges().data());
-  }
-  state.counters["faulty_edges"] =
-      static_cast<double>(mtg::PatternGraph(list).faulty_edges().size());
-}
-BENCHMARK(BM_BuildPatternGraphList1);
-
-void BM_EnumerateFaultList1(benchmark::State& state) {
-  for (auto _ : state) {
-    mtg::FaultList list = mtg::fault_list_1();
-    benchmark::DoNotOptimize(list.linked.data());
-  }
-}
-BENCHMARK(BM_EnumerateFaultList1);
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
   const mtg::PatternGraph pgcf = mtg::make_pgcf();
   std::printf("Figure 4 — PGCF: %zu states (2-cell model), %zu faulty edges\n",
               pgcf.num_vertices(), pgcf.faulty_edges().size());
@@ -63,8 +19,5 @@ int main(int argc, char** argv) {
   std::printf("Pattern graph of Fault List #1: |Vp| = 2^%zu = %zu\n",
               mtg::PatternGraph::required_model_cells(list1),
               std::size_t{1} << mtg::PatternGraph::required_model_cells(list1));
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

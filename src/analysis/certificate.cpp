@@ -138,7 +138,22 @@ MarchTest read_test_record(const LineReader& reader, std::size_t pos,
   }
   const TextPosition origin{reader.line_number(),
                             reader.line_indent() + cursor};
-  return parse_march_test(reader.line().substr(cursor), name, origin);
+  try {
+    return parse_march_test(reader.line().substr(cursor), name, origin);
+  } catch (const ParseError& e) {
+    // Re-anchor under the document's source name; the notation never spans
+    // lines, so only the column moves back into trimmed-line coordinates.
+    reader.fail(e.position().column - reader.line_indent() + 1, e.detail());
+  }
+}
+
+/// Rejects anything but blanks after `pos`, the end of a record's fields.
+void expect_end_of_record(const LineReader& reader, std::size_t pos,
+                          const char* what) {
+  pos = skip_ws(reader.line(), pos);
+  if (pos < reader.line().size()) {
+    reader.fail(pos + 1, std::string("trailing characters after the ") + what);
+  }
 }
 
 std::string test_line(const char* keyword, const MarchTest& test) {
@@ -213,14 +228,17 @@ Certificate parse_certificate_text(std::string_view text,
   {
     std::size_t pos = expect_record("universe");
     cert.universe_spec = read_quoted(reader, pos, "universe spec");
+    expect_end_of_record(reader, pos, "universe spec");
   }
   {
     std::size_t pos = expect_record("list-hash");
     cert.list_hash = read_hex64(reader, pos, "list-hash");
+    expect_end_of_record(reader, pos, "list-hash");
   }
   {
     std::size_t pos = expect_record("n");
     cert.memory_size = read_number(reader, pos, "n");
+    expect_end_of_record(reader, pos, "memory size n");
     if (cert.memory_size < 3) {
       reader.fail(1, "n must be >= 3 (simulated memory size)");
     }
@@ -259,10 +277,7 @@ Certificate parse_certificate_text(std::string_view text,
       }
       pos = skip_ws(reader.line(), pos);
       cover.kept_test = read_quoted(reader, pos, "kept-test name");
-      pos = skip_ws(reader.line(), pos);
-      if (pos < reader.line().size()) {
-        reader.fail(pos + 1, "trailing characters after the cover row");
-      }
+      expect_end_of_record(reader, pos, "cover row");
       cert.dropped.back().covers.push_back(std::move(cover));
     } else {
       reader.fail(1, "unknown record '" + std::string(keyword) +

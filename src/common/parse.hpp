@@ -1,6 +1,6 @@
-// Validated command-line number parsing, shared by mtg_cli and the bench_*
-// front ends so none of them falls back to std::atoi (which silently turns
-// garbage into 0 — and a 0-cell simulated memory — or wraps "-1" into
+// Validated command-line number parsing, shared by mtg_cli and
+// bench_coverage_matrix so neither falls back to std::atoi (which silently
+// turns garbage into 0 — and a 0-cell simulated memory — or wraps "-1" into
 // 2^64 - 1 via std::stoul).
 #pragma once
 

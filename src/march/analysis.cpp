@@ -43,11 +43,17 @@ MarchProfile analyze(const MarchTest& test) {
 
   // Walk the per-cell operation stream (all elements concatenated; every
   // cell sees the same stream, only the interleaving across cells differs).
-  std::optional<Bit> value;       // cell value along the stream
-  std::optional<Bit> pending_tf;  // last write was a transition to this value
-  std::optional<Bit> pending_wdf; // last write was non-transition on this value
-  std::optional<Bit> last_read;   // value seen by the immediately preceding read
-  std::optional<Bit> pending_drf; // cell sat through a wait holding this value
+  std::optional<Bit> value;  // cell value along the stream
+  // Each tracker below holds at most one value d, as tracker[d] == true.
+  bool pending_tf[2] = {false, false};   // last write was a transition to d
+  bool pending_wdf[2] = {false, false};  // last write was non-transition on d
+  bool last_read[2] = {false, false};    // the immediately preceding read saw d
+  bool pending_drf[2] = {false, false};  // cell sat through a wait holding d
+  const auto hold = [](bool (&tracker)[2], int d) {
+    tracker[d] = true;
+    tracker[1 - d] = false;
+  };
+  const auto clear = [](bool (&tracker)[2]) { tracker[0] = tracker[1] = false; };
 
   for (const MarchElement& element : test.elements()) {
     bool wrote_in_element = false;
@@ -69,7 +75,7 @@ MarchProfile analyze(const MarchTest& test) {
         ++profile.waits;
         // The cell holds `value` through the pause; a later read of that
         // value (before a refreshing write) observes DRF decay.
-        if (value.has_value()) pending_drf = value;
+        if (value.has_value()) hold(pending_drf, to_int(*value));
         continue;
       }
       if (is_write(op)) {
@@ -78,16 +84,16 @@ MarchProfile analyze(const MarchTest& test) {
         note_complement_write(d);
         if (value.has_value()) {
           if (*value == d) {
-            pending_wdf = d;
-            pending_tf.reset();
+            hold(pending_wdf, to_int(d));
+            clear(pending_tf);
           } else {
-            pending_tf = d;
-            pending_wdf.reset();
+            hold(pending_tf, to_int(d));
+            clear(pending_wdf);
           }
         }
         value = d;
-        last_read.reset();
-        pending_drf.reset();  // a write refreshes the retention state
+        clear(last_read);
+        clear(pending_drf);  // a write refreshes the retention state
         wrote_in_element = true;
         continue;
       }
@@ -103,17 +109,17 @@ MarchProfile analyze(const MarchTest& test) {
         // intra-element write senses that write back and cannot
         // distinguish address pairs.
         if (!wrote_in_element) read_in_element[d] = true;
-        if (pending_tf.has_value() && *pending_tf == *expected) {
+        if (pending_tf[d]) {
           // Reading back a transition write exposes TF toward that value.
           profile.transition_write_observed[d] = true;
         }
-        if (pending_wdf.has_value() && *pending_wdf == *expected) {
+        if (pending_wdf[d]) {
           profile.nontransition_write_observed[d] = true;
         }
-        if (last_read.has_value() && *last_read == *expected) {
+        if (last_read[d]) {
           profile.double_read[d] = true;
         }
-        if (pending_drf.has_value() && *pending_drf == *expected) {
+        if (pending_drf[d]) {
           profile.retention_observed[d] = true;
         }
         if (!wrote_in_element) {
@@ -128,12 +134,12 @@ MarchProfile analyze(const MarchTest& test) {
             profile.down_sensitizing_read[d] = true;
           }
         }
-        last_read = expected;
+        hold(last_read, d);
       }
-      pending_tf.reset();
+      clear(pending_tf);
       // A WDF stays exposed across consecutive reads (the state is faulty
       // until rewritten), but one observation suffices for the profile:
-      pending_wdf.reset();
+      clear(pending_wdf);
     }
   }
   return profile;

@@ -129,9 +129,9 @@ struct MatrixServiceStats {
   std::uint64_t store_saves = 0;
   std::uint64_t compiled_cache_hits = 0;
   std::uint64_t compiled_cache_misses = 0;
-  /// Fault instances covered by evaluated reports (store hits excluded):
-  /// the throughput numerator of bench_service.  Simulation work is one run
-  /// per behaviour class, far fewer (see evaluate_coverage).
+  /// Fault instances covered by evaluated reports (store hits excluded).
+  /// Simulation work is one run per behaviour class, far fewer (see
+  /// evaluate_coverage).
   std::uint64_t instance_evaluations = 0;
 };
 

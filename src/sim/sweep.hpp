@@ -20,8 +20,7 @@
 // instantiable — and coverable — fraction of the list grows with the memory
 // size, and the per-point instance counts (analytic sample sizes, not
 // simulated instances) track the address space.  See
-// tests/sim/test_decoder.cpp (SweepCurveVariesWithN) and
-// bench_decoder_sweep.
+// tests/sim/test_decoder.cpp (CoverageCurveVariesWithMemorySize).
 #pragma once
 
 #include <cstddef>

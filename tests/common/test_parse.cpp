@@ -1,5 +1,5 @@
 // Validated CLI number parsing (common/parse.hpp), shared by mtg_cli and
-// the bench_* front ends.
+// bench_coverage_matrix.
 #include "common/parse.hpp"
 
 #include <gtest/gtest.h>

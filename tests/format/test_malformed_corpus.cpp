@@ -1,8 +1,10 @@
-// Committed corpus of malformed catalog files (tests/format/corpus/): every
+// Committed corpus of malformed text inputs (tests/format/corpus/): every
 // file must be rejected with a ParseError whose message carries a
 // source:line:column position — the diagnostics contract of the format
-// reader.  Files are discovered at run time, so adding a regression case is
-// just dropping a file into the corpus directory.
+// readers.  The extension picks the reader: .jobs files go to the 'jobs v1'
+// reader, .cert files to the 'certificate v1' reader, the rest to the
+// catalog readers.  Files are discovered at run time, so adding a
+// regression case is just dropping a file into the corpus directory.
 //
 // The long-line cases build megabyte 'faultlist v1' lines in memory instead
 // of committing them: a field of any length must be scanned in one pass and
@@ -15,9 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/certificate.hpp"
 #include "common/text_position.hpp"
 #include "format/catalog_io.hpp"
 #include "format/fault_list_text.hpp"
+#include "service/job_file.hpp"
 
 namespace mtg {
 namespace {
@@ -35,10 +39,21 @@ std::vector<std::filesystem::path> corpus_files() {
   return files;
 }
 
+/// Loads `path` with the reader its extension names.
+void load_by_extension(const std::filesystem::path& path) {
+  if (path.extension() == ".jobs") {
+    load_job_file(path.string());
+  } else if (path.extension() == ".cert") {
+    load_certificate_file(path.string());
+  } else {
+    check_catalog_file(path.string());
+  }
+}
+
 TEST(MalformedCorpus, CorpusIsPresent) {
   // Guard against a silently-empty directory (e.g. a bad source-dir macro)
   // turning the rejection test below into a vacuous pass.
-  EXPECT_GE(corpus_files().size(), 14u) << "corpus dir: " << corpus_dir();
+  EXPECT_GE(corpus_files().size(), 25u) << "corpus dir: " << corpus_dir();
 }
 
 TEST(MalformedCorpus, EveryFileIsRejectedWithAPosition) {
@@ -47,7 +62,7 @@ TEST(MalformedCorpus, EveryFileIsRejectedWithAPosition) {
   for (const std::filesystem::path& path : corpus_files()) {
     SCOPED_TRACE(path.filename().string());
     try {
-      check_catalog_file(path.string());
+      load_by_extension(path);
       ADD_FAILURE() << "malformed file was accepted";
     } catch (const ParseError& e) {
       EXPECT_TRUE(std::regex_search(std::string(e.what()), position_pattern))

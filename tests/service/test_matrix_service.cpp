@@ -14,6 +14,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fp/fault_list.hpp"
@@ -278,6 +279,45 @@ TEST(MatrixService, SharedArtifactsAreComputedOnceAcrossJobs) {
   // for it.
   EXPECT_EQ(stats.compiled_cache_misses, 1u);
   EXPECT_EQ(stats.compiled_cache_hits, kJobs - 1);
+
+  // A saturated batch: four tests × three sizes × two repeats, all queued
+  // at once on a queue that holds exactly the batch.  Each test compiles
+  // once however many jobs and sizes share it.
+  const auto list2 = std::make_shared<const FaultList>(fault_list_2());
+  const std::vector<MarchTest> tests = {mats_plus(), march_y(),
+                                        march_c_minus(), march_sl()};
+  const std::vector<std::size_t> sizes = {64, 256, 1024};
+  constexpr std::size_t kRepeats = 2;
+  constexpr std::size_t kCap = 256;
+  std::vector<std::string> solo;  // per (test, size)
+  for (const MarchTest& test : tests) {
+    for (const std::size_t n : sizes) {
+      solo.push_back(report_bytes(solo_report(test, *list2, n, kCap)));
+    }
+  }
+  MatrixServiceOptions saturated;
+  saturated.threads = 4;
+  saturated.queue_capacity = kRepeats * solo.size();
+  MatrixService batch(saturated);
+  std::vector<std::pair<std::size_t, std::size_t>> jobs;  // (id, solo index)
+  for (std::size_t r = 0; r < kRepeats; ++r) {
+    for (std::size_t t = 0; t < tests.size(); ++t) {
+      for (std::size_t s = 0; s < sizes.size(); ++s) {
+        const auto submitted =
+            batch.submit(make_job(tests[t], list2, sizes[s], kCap));
+        ASSERT_FALSE(submitted.rejected);
+        jobs.emplace_back(submitted.job_id, t * sizes.size() + s);
+      }
+    }
+  }
+  for (const auto& [id, index] : jobs) {
+    const MatrixJobResult result = batch.wait(id);
+    ASSERT_EQ(result.status, JobStatus::Completed) << result.error;
+    EXPECT_EQ(report_bytes(result.report), solo[index]);
+  }
+  const MatrixServiceStats batch_stats = batch.stats();
+  EXPECT_EQ(batch_stats.completed, jobs.size());
+  EXPECT_EQ(batch_stats.compiled_cache_misses, tests.size());
 }
 
 TEST(MatrixService, StoreRoundTripServesVerifiedRecordsWithoutEvaluating) {

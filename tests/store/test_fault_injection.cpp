@@ -15,10 +15,13 @@
 // harness follows the differential-fuzz replay conventions: every failure
 // prints its seed and MTG_FUZZ_SEED=<seed> replays exactly that case.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fp/fault_list.hpp"
@@ -317,7 +320,9 @@ TEST(StoreFaultInjection, ResumeRecomputesOnlyMissingAndCorruptPoints) {
 
 TEST(StoreFaultInjection, StoreBackedSweepIsByteIdenticalAcrossThreadCounts) {
   // The store must not break the sweep's thread-count independence: pool
-  // workers save/load concurrently, results land in size-list order.
+  // workers save/load concurrently, results land in size-list order.  The
+  // cold pass fills the store and the warm pass answers every point from
+  // it, once in memory and once on a real filesystem.
   const MarchTest test = mats_plus();
   const FaultList list = fault_list_2();
   const std::vector<std::size_t> sizes = {6, 8, 12, 16, 20, 24};
@@ -327,16 +332,27 @@ TEST(StoreFaultInjection, StoreBackedSweepIsByteIdenticalAcrossThreadCounts) {
       grid_string(sweep_coverage(test, list, sizes, options));
 
   InMemoryStorage mem;
-  SweepStore store(mem, "/store", quiet_options());
-  ASSERT_TRUE(store.open());
-  options.store = &store;
-  options.threads = 4;
-  const auto cold = sweep_coverage(test, list, sizes, options);
-  EXPECT_EQ(grid_string(cold), baseline);
+  PosixStorage posix;
+  const std::string posix_root = testing::TempDir() + "mtg_sweep_store_" +
+                                 std::to_string(::getpid());
+  std::filesystem::remove_all(posix_root);
+  const std::pair<Storage*, std::string> inputs[] = {{&mem, "/store"},
+                                                     {&posix, posix_root}};
+  for (const auto& [storage, root] : inputs) {
+    SCOPED_TRACE(root);
+    SweepStore store(*storage, root, quiet_options());
+    ASSERT_TRUE(store.open());
+    options.store = &store;
+    options.threads = 4;
+    const auto cold = sweep_coverage(test, list, sizes, options);
+    EXPECT_EQ(sweep_points_evaluated(cold), sizes.size());
+    EXPECT_EQ(grid_string(cold), baseline);
 
-  const auto warm = sweep_coverage(test, list, sizes, options);
-  EXPECT_EQ(sweep_points_evaluated(warm), 0u);
-  EXPECT_EQ(grid_string(warm), baseline);
+    const auto warm = sweep_coverage(test, list, sizes, options);
+    EXPECT_EQ(sweep_points_evaluated(warm), 0u);
+    EXPECT_EQ(grid_string(warm), baseline);
+  }
+  std::filesystem::remove_all(posix_root);
 }
 
 }  // namespace
