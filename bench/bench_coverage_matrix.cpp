@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const FaultSimulator simulator(SimulatorOptions{n, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{n});
 
   const FaultList list2 = fault_list_2();
   const FaultList list1 = fault_list_1();

@@ -309,7 +309,7 @@ int cmd_coverage(const MarchTest& test, const FaultList& list, std::size_t n,
     print_store_stats(store, store_path);
     return points[0].report.full_coverage() ? 0 : 1;
   }
-  const FaultSimulator simulator(SimulatorOptions{n, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{n});
   const CoverageReport report = evaluate_coverage(simulator, test, list);
   std::cout << report.summary() << "\n"
             << analyze_coverage(test, list, n).summary() << "\n";

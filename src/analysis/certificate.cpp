@@ -199,17 +199,7 @@ std::string to_canonical_string(const Certificate& cert) {
 Certificate parse_certificate_text(std::string_view text,
                                    const std::string& source) {
   LineReader reader(text, source);
-  if (!reader.next()) {
-    reader.fail_at_end("empty document: expected 'certificate v1' header");
-  }
-  if (reader.line() != "certificate v1") {
-    if (reader.line().substr(0, 11) == "certificate") {
-      reader.fail(13, "unsupported certificate format version (this reader "
-                      "understands 'certificate v1')");
-    }
-    reader.fail(1, "expected 'certificate v1' header, got '" +
-                       std::string(reader.line()) + "'");
-  }
+  reader.read_header("certificate", "certificate");
 
   Certificate cert;
   // The three metadata records are required, in canonical order.
@@ -292,10 +282,12 @@ Certificate load_certificate_file(const std::string& path) {
 }
 
 Certificate optimize_suite(const MarchSuite& suite, const FaultList& universe,
-                           const std::string& universe_spec, std::size_t n,
-                           const AnalysisOptions& options) {
+                           const std::string& universe_spec, std::size_t n) {
   require(!suite.tests.empty(), "optimize_suite: the suite is empty");
   for (std::size_t i = 0; i < suite.tests.size(); ++i) {
+    // verify_certificate simulates every kept test, so a test past the ⇕ cap
+    // would yield a certificate that can never verify.
+    require_any_order_cap(FaultSimulator::any_order_count(suite.tests[i]));
     require(!suite.tests[i].name().empty(),
             "optimize_suite: every test needs a name (covers reference kept "
             "tests by name)");
@@ -313,7 +305,7 @@ Certificate optimize_suite(const MarchSuite& suite, const FaultList& universe,
                                          std::vector<char>(faults, 0));
   for (std::size_t t = 0; t < suite.tests.size(); ++t) {
     const StaticCoverage coverage =
-        analyze_coverage(suite.tests[t], universe, n, options);
+        analyze_coverage(suite.tests[t], universe, n);
     for (const StaticCoverageEntry& entry : coverage.entries) {
       if (entry.verdict == StaticVerdict::Unknown) {
         throw Error("optimize_suite: '" + suite.tests[t].name() +

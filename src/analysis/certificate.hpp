@@ -104,12 +104,13 @@ Certificate load_certificate_file(const std::string& path);
 /// Greedy minimal sub-suite preserving the suite's union static coverage
 /// over `universe` at memory size n, with per-removed-test witnesses.
 /// `universe_spec` is embedded verbatim (pass FaultUniverse::spec(), or ""
-/// for an external list).  Throws mtg::Error when any (test, fault) verdict
-/// comes back Unknown (the certificate would not be checkable), on empty or
-/// duplicate test names, or on an empty suite.
+/// for an external list).  Throws mtg::Error before analyzing anything when
+/// a test has more than kMaxAnyOrderElements ⇕ elements (verify_certificate
+/// could not simulate it), on empty or duplicate test names, or on an empty
+/// suite; and when any (test, fault) verdict comes back Unknown (the
+/// certificate would not be checkable).
 Certificate optimize_suite(const MarchSuite& suite, const FaultList& universe,
-                           const std::string& universe_spec, std::size_t n,
-                           const AnalysisOptions& options = {});
+                           const std::string& universe_spec, std::size_t n);
 
 /// Outcome of re-checking a certificate against the packed engine.
 struct CertificateCheck {

@@ -50,7 +50,7 @@ bool test_well_formed(const MarchTest& test) {
 std::optional<std::vector<StaticVerdict>> definite_verdicts(
     const MarchTest& test, const FaultList& list, const LintOptions& options) {
   const StaticCoverage coverage =
-      analyze_coverage(test, list, options.memory_size, options.analysis);
+      analyze_coverage(test, list, options.memory_size);
   if (coverage.unknown > 0) return std::nullopt;
   std::vector<StaticVerdict> verdicts;
   verdicts.reserve(coverage.entries.size());

@@ -48,7 +48,6 @@ struct LintOptions {
   std::size_t memory_size = 6;
   /// Skip the per-operation dead-op sweep (the most expensive check).
   bool check_dead_ops = true;
-  AnalysisOptions analysis;
 };
 
 /// Catalog-level checks (duplicate, subsumed, zero-instances) over a fault

@@ -12,7 +12,11 @@ namespace mtg {
 namespace {
 
 constexpr std::size_t kMaxSlots = 4;
-constexpr std::size_t kMaxFps = 16;
+/// Bound FPs per machine.  A configuration key is kMaxFps armed bits plus
+/// 2 bits per slot, so at most 2^(4 + 8) = 4096 distinct configurations
+/// exist and the deduplicated breadth-first frontier never exceeds that.
+/// Catalog-shaped faults bind at most 2 FPs.
+constexpr std::size_t kMaxFps = 4;
 
 /// A decoder fault rebased onto involved-cell ranks.  `readback` bakes in
 /// the address-dependent AFna read-back (bit `bit` of the corrupted
@@ -307,7 +311,6 @@ constexpr std::size_t kAnyMaskBits = 64;
 
 /// The core walk: runs `machine` through `test`, branching on ⇕ elements.
 StaticResult analyze_machine(const MarchTest& test, const SlotMachine& machine,
-                             const AnalysisOptions& options,
                              const std::string& subject) {
   if (machine.slots == 0 || machine.slots > kMaxSlots) {
     return unknown_result(subject + ": more than " +
@@ -335,29 +338,14 @@ StaticResult analyze_machine(const MarchTest& test, const SlotMachine& machine,
   const Interp interp(machine);
   std::vector<Config> live;
   live.reserve(2);
-  {
+  for (const Bit power_on : {Bit::Zero, Bit::One}) {
     Config c{};
-    interp.power_on(c, Bit::Zero);
-    live.push_back(c);
-  }
-  if (options.both_power_on_states) {
-    Config c{};
-    interp.power_on(c, Bit::One);
+    interp.power_on(c, power_on);
     live.push_back(c);
   }
 
   std::optional<Detection> first_detection;
   const std::size_t total_any = FaultSimulator::any_order_count(test);
-
-  // ⇕ numbering as a function of the element index, shared by the
-  // breadth-first walk and the widened depth-first finish (which revisits
-  // elements out of lockstep).
-  std::vector<std::size_t> any_before(test.elements().size() + 1, 0);
-  for (std::size_t e = 0; e < test.elements().size(); ++e) {
-    any_before[e + 1] =
-        any_before[e] +
-        (test.elements()[e].order() == AddressOrder::Any ? 1 : 0);
-  }
 
   // Runs one configuration through element `e` under a fixed address order.
   // Returns true when a read detected the deviation (recording the first
@@ -391,25 +379,10 @@ StaticResult analyze_machine(const MarchTest& test, const SlotMachine& machine,
     return false;
   };
 
-  const auto escape_result = [&](const Config& escape) {
-    std::ostringstream reason;
-    reason << subject << " escapes: power-on " << to_char(escape.power_on);
-    if (total_any > 0) {
-      reason << ", ⇕ resolved as "
-             << mask_string(escape.any_mask,
-                            std::min(total_any, kAnyMaskBits));
-      if (total_any > kAnyMaskBits) {
-        reason << "… (first " << kAnyMaskBits << " of " << total_any << ")";
-      }
-    }
-    reason << " produces no failing read";
-    return not_detected_result(reason.str());
-  };
-
+  std::size_t any_index = 0;  // ⇕ ordinal of the next branching element
   for (std::size_t e = 0; e < test.elements().size() && !live.empty(); ++e) {
     const MarchElement& element = test.elements()[e];
     const bool branching = element.order() == AddressOrder::Any;
-    const std::size_t any_index = any_before[e];
 
     std::vector<Config> next;
     next.reserve(live.size() * (branching ? 2 : 1));
@@ -436,55 +409,7 @@ StaticResult analyze_machine(const MarchTest& test, const SlotMachine& machine,
     }
 
     live.swap(next);
-    if (live.size() > options.max_states) {
-      // Configuration-key widening: the breadth-first frontier outgrew the
-      // budget, so finish every surviving configuration depth-first.  The
-      // per-element semantics are identical (walk_element), memory stays
-      // bounded by the stack (<= remaining elements x 2), and only the
-      // explicit step budget — not reachable for catalog-shaped machines —
-      // trades exactness away.
-      struct Frame {
-        std::size_t element;
-        Config config;
-      };
-      std::vector<Frame> stack;
-      stack.reserve(live.size());
-      for (auto it = live.rbegin(); it != live.rend(); ++it) {
-        stack.push_back(Frame{e + 1, *it});
-      }
-      live.clear();
-      std::size_t steps = 0;
-      while (!stack.empty()) {
-        Frame frame = std::move(stack.back());
-        stack.pop_back();
-        if (frame.element == test.elements().size()) {
-          return escape_result(frame.config);
-        }
-        if (++steps > options.widen_step_budget) {
-          return unknown_result(
-              subject + ": widened walk exceeded " +
-              std::to_string(options.widen_step_budget) + " element steps");
-        }
-        const bool fork =
-            test.elements()[frame.element].order() == AddressOrder::Any;
-        const std::size_t fork_index = any_before[frame.element];
-        // Down pushed first so Up is explored first, matching the
-        // breadth-first branch order.
-        for (int branch = fork ? 1 : 0; branch >= 0; --branch) {
-          const AddressOrder order =
-              fork ? (branch != 0 ? AddressOrder::Down : AddressOrder::Up)
-                   : test.elements()[frame.element].order();
-          Config c = frame.config;
-          if (fork && branch != 0 && fork_index < kAnyMaskBits) {
-            c.any_mask |= std::uint64_t{1} << fork_index;
-          }
-          if (!walk_element(c, frame.element, order)) {
-            stack.push_back(Frame{frame.element + 1, std::move(c)});
-          }
-        }
-      }
-      break;  // every widened configuration was detected: live stays empty
-    }
+    if (branching) ++any_index;
   }
 
   if (live.empty()) {
@@ -515,7 +440,18 @@ StaticResult analyze_machine(const MarchTest& test, const SlotMachine& machine,
     return result;
   }
 
-  return escape_result(live.front());
+  const Config& escape = live.front();
+  std::ostringstream reason;
+  reason << subject << " escapes: power-on " << to_char(escape.power_on);
+  if (total_any > 0) {
+    reason << ", ⇕ resolved as "
+           << mask_string(escape.any_mask, std::min(total_any, kAnyMaskBits));
+    if (total_any > kAnyMaskBits) {
+      reason << "… (first " << kAnyMaskBits << " of " << total_any << ")";
+    }
+  }
+  reason << " produces no failing read";
+  return not_detected_result(reason.str());
 }
 
 StaticResult no_instances_result(const std::string& subject, std::size_t n) {
@@ -583,8 +519,7 @@ std::string StaticWitness::to_string() const {
 }
 
 StaticResult analyze_instance(const MarchTest& test,
-                              const FaultInstance& instance,
-                              const AnalysisOptions& options) {
+                              const FaultInstance& instance) {
   if (!instance.decoders.empty() && !instance.fps.empty()) {
     return unknown_result(
         "instance combines fault primitives with a decoder fault");
@@ -610,7 +545,7 @@ StaticResult analyze_instance(const MarchTest& test,
       slot_dec.v_slot = 0;
     }
     machine.decoder = slot_dec;
-    return analyze_machine(test, machine, options, instance.description);
+    return analyze_machine(test, machine, instance.description);
   }
 
   // Rebase the bound FPs onto involved-cell ranks.
@@ -635,11 +570,11 @@ StaticResult analyze_instance(const MarchTest& test,
     machine.fps.push_back(
         BoundFp(bound.fp, rank(bound.a_cell), rank(bound.v_cell)));
   }
-  return analyze_machine(test, machine, options, instance.description);
+  return analyze_machine(test, machine, instance.description);
 }
 
 StaticResult analyze_fault(const MarchTest& test, const SimpleFault& fault,
-                           std::size_t n, const AnalysisOptions& options) {
+                           std::size_t n) {
   const std::size_t k = static_cast<std::size_t>(fault.num_cells());
   if (n < k) return no_instances_result(fault.name, n);
   // Cell-array faults have one behaviour class: the layout fixes the
@@ -651,11 +586,11 @@ StaticResult analyze_fault(const MarchTest& test, const SimpleFault& fault,
   const std::size_t a =
       fault.a_pos >= 0 ? static_cast<std::size_t>(fault.a_pos) : v;
   machine.fps.push_back(BoundFp(fault.fp, a, v));
-  return analyze_machine(test, machine, options, fault.name);
+  return analyze_machine(test, machine, fault.name);
 }
 
 StaticResult analyze_fault(const MarchTest& test, const LinkedFault& fault,
-                           std::size_t n, const AnalysisOptions& options) {
+                           std::size_t n) {
   const std::size_t k = static_cast<std::size_t>(fault.num_cells());
   if (n < k) return no_instances_result(fault.name(), n);
   const LinkedLayout& layout = fault.layout();
@@ -670,11 +605,11 @@ StaticResult analyze_fault(const MarchTest& test, const LinkedFault& fault,
   // when both match one operation.
   machine.fps.push_back(BoundFp(fault.fp1(), a1, v));
   machine.fps.push_back(BoundFp(fault.fp2(), a2, v));
-  return analyze_machine(test, machine, options, fault.name());
+  return analyze_machine(test, machine, fault.name());
 }
 
 StaticResult analyze_fault(const MarchTest& test, const DecoderFault& fault,
-                           std::size_t n, const AnalysisOptions& options) {
+                           std::size_t n) {
   if (decoder_address_count(fault, n) == 0) {
     return no_instances_result(fault.name(), n);
   }
@@ -699,7 +634,7 @@ StaticResult analyze_fault(const MarchTest& test, const DecoderFault& fault,
     }
     machine.decoder = slot_dec;
     branches.push_back(
-        analyze_machine(test, machine, options, fault.name()));
+        analyze_machine(test, machine, fault.name()));
   }
   return combine_branches(std::move(branches));
 }
@@ -725,8 +660,7 @@ std::string StaticCoverage::summary() const {
 }
 
 StaticCoverage analyze_coverage(const MarchTest& test, const FaultList& list,
-                                std::size_t n,
-                                const AnalysisOptions& options) {
+                                std::size_t n) {
   StaticCoverage coverage;
   coverage.entries.reserve(list.size());
   const auto add = [&coverage](const std::string& name, StaticResult result,
@@ -752,15 +686,15 @@ StaticCoverage analyze_coverage(const MarchTest& test, const FaultList& list,
     coverage.entries.push_back(std::move(entry));
   };
   for (const SimpleFault& fault : list.simple) {
-    add(fault.name, analyze_fault(test, fault, n, options),
+    add(fault.name, analyze_fault(test, fault, n),
         static_instance_count(fault, n));
   }
   for (const LinkedFault& fault : list.linked) {
-    add(fault.name(), analyze_fault(test, fault, n, options),
+    add(fault.name(), analyze_fault(test, fault, n),
         static_instance_count(fault, n));
   }
   for (const DecoderFault& fault : list.decoder) {
-    add(fault.name(), analyze_fault(test, fault, n, options),
+    add(fault.name(), analyze_fault(test, fault, n),
         static_instance_count(fault, n));
   }
   return coverage;

@@ -27,20 +27,18 @@
 //   * a configuration runs
 //     through the last
 //     element undetected     -> NotDetected   (that scenario escapes)
-//   * unsupported shape or
-//     exhausted step budget  -> Unknown       (fall back to simulation)
+//   * unsupported shape      -> Unknown       (fall back to simulation)
 //
-// A frontier that outgrows the state budget does NOT give up: the walk
-// *widens* from breadth-first dedup to an exact depth-first finish of the
-// overflowing configurations (same per-element semantics, bounded memory),
-// and only exhausting the configurable step budget of that finish yields
-// Unknown.  Configuration keys make the dedup exact — future behaviour
-// depends only on (faulty cells, fault-free cells, armed flags) — so for
-// every catalog-shaped fault (<= 2 FPs) the budget is unreachable and the
-// analyzer is total: the remaining Unknown exits are genuinely out-of-domain
-// machines (> 4 involved cells, decoder faults mixed with FPs inside ONE
-// instance — a combination both simulation engines refuse as well; lists
-// that merely contain both kinds decompose per fault).
+// The frontier is bounded by construction.  Configuration keys make the
+// dedup exact — future behaviour depends only on (faulty cells, fault-free
+// cells, armed flags) — and a machine has at most 4 bound FPs and 4 cells,
+// so a key has at most 4 armed bits plus 8 cell bits: 2^12 = 4096 distinct
+// configurations, whatever the test length or ⇕ count.  The analyzer is
+// therefore total on its domain: the only Unknown exits are out-of-domain
+// machines (> 4 involved cells or > 4 bound FPs, decoder faults mixed with
+// FPs inside ONE instance — a combination both simulation engines refuse as
+// well; lists that merely contain both kinds decompose per fault).  Every
+// catalog-shaped fault binds at most 2 FPs.
 //
 // Soundness contract: a definite verdict (Detected / NotDetected) agrees
 // with both simulation engines — locked by the three-way
@@ -117,37 +115,21 @@ struct StaticResult {
   bool definite() const noexcept { return verdict != StaticVerdict::Unknown; }
 };
 
-struct AnalysisOptions {
-  /// Must match SimulatorOptions::both_power_on_states when verdicts are
-  /// compared against engine results.
-  bool both_power_on_states = true;
-  /// Breadth-first frontier cap.  The deduped set is bounded by
-  /// #cell-values x #armed-flags (tiny), so overflowing it takes a
-  /// deliberately small setting; when it happens the walk widens to the
-  /// exact depth-first finish instead of giving up.
-  std::size_t max_states = 4096;
-  /// Element-walk budget of the widened depth-first finish (configs x
-  /// elements stepped).  Exhausting it is the analyzer's only Unknown exit
-  /// for in-domain machines.
-  std::size_t widen_step_budget = std::size_t{1} << 22;
-};
-
 /// Static verdict for one bound instance — the same question
 /// FaultSimulator::detects() answers by simulation.  Instances with more
-/// than four involved cells, or combining FPs with decoder faults, come
-/// back Unknown.
+/// than four involved cells or four bound FPs, or combining FPs with decoder
+/// faults, come back Unknown.
 StaticResult analyze_instance(const MarchTest& test,
-                              const FaultInstance& instance,
-                              const AnalysisOptions& options = {});
+                              const FaultInstance& instance);
 
 /// Fault-level verdicts at memory size n: Detected iff *every* instance at
 /// n is detected, NotDetected if at least one escapes or none fit.
 StaticResult analyze_fault(const MarchTest& test, const SimpleFault& fault,
-                           std::size_t n, const AnalysisOptions& options = {});
+                           std::size_t n);
 StaticResult analyze_fault(const MarchTest& test, const LinkedFault& fault,
-                           std::size_t n, const AnalysisOptions& options = {});
+                           std::size_t n);
 StaticResult analyze_fault(const MarchTest& test, const DecoderFault& fault,
-                           std::size_t n, const AnalysisOptions& options = {});
+                           std::size_t n);
 
 /// Number of instances instantiate() enumerates uncapped at memory size n,
 /// computed analytically (no enumeration — safe for n = 2^40).  Saturates
@@ -178,7 +160,6 @@ struct StaticCoverage {
 };
 
 StaticCoverage analyze_coverage(const MarchTest& test, const FaultList& list,
-                                std::size_t n,
-                                const AnalysisOptions& options = {});
+                                std::size_t n);
 
 }  // namespace mtg

@@ -184,10 +184,9 @@ std::string to_string(SubsumptionVerdict verdict) {
 }
 
 SubsumptionResult prove_subsumption(const MarchTest& a, const MarchTest& b,
-                                    const FaultList& universe, std::size_t n,
-                                    const AnalysisOptions& options) {
-  const StaticCoverage cov_a = analyze_coverage(a, universe, n, options);
-  const StaticCoverage cov_b = analyze_coverage(b, universe, n, options);
+                                    const FaultList& universe, std::size_t n) {
+  const StaticCoverage cov_a = analyze_coverage(a, universe, n);
+  const StaticCoverage cov_b = analyze_coverage(b, universe, n);
 
   SubsumptionResult result;
   result.verdict = SubsumptionVerdict::Subsumes;
@@ -230,9 +229,8 @@ SubsumptionResult prove_subsumption(const MarchTest& a, const MarchTest& b,
 
 SubsumptionResult prove_subsumption(const MarchTest& a, const MarchTest& b,
                                     const FaultUniverse& universe,
-                                    std::size_t n,
-                                    const AnalysisOptions& options) {
-  return prove_subsumption(a, b, universe.materialize(), n, options);
+                                    std::size_t n) {
+  return prove_subsumption(a, b, universe.materialize(), n);
 }
 
 }  // namespace mtg

@@ -109,12 +109,10 @@ struct SubsumptionResult {
 
 /// Does A subsume B over `universe` at memory size n?
 SubsumptionResult prove_subsumption(const MarchTest& a, const MarchTest& b,
-                                    const FaultList& universe, std::size_t n,
-                                    const AnalysisOptions& options = {});
+                                    const FaultList& universe, std::size_t n);
 
 SubsumptionResult prove_subsumption(const MarchTest& a, const MarchTest& b,
                                     const FaultUniverse& universe,
-                                    std::size_t n,
-                                    const AnalysisOptions& options = {});
+                                    std::size_t n);
 
 }  // namespace mtg

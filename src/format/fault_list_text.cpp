@@ -205,17 +205,7 @@ FaultList parse_fault_list_text(std::string_view text,
                                 const std::string& source,
                                 FaultListPositions* positions) {
   LineReader reader(text, source);
-  if (!reader.next()) {
-    reader.fail_at_end("empty document: expected 'faultlist v1' header");
-  }
-  if (reader.line() != "faultlist v1") {
-    if (reader.line().substr(0, 9) == "faultlist") {
-      reader.fail(10, "unsupported fault-list format version (this reader "
-                      "understands 'faultlist v1')");
-    }
-    reader.fail(1, "expected 'faultlist v1' header, got '" +
-                       std::string(reader.line()) + "'");
-  }
+  reader.read_header("faultlist", "fault-list");
   FaultList list;
   while (reader.next()) {
     const std::string_view line = reader.line();

@@ -49,6 +49,22 @@ bool LineReader::next() {
   return false;
 }
 
+void LineReader::read_header(std::string_view keyword,
+                             const std::string& format) {
+  const std::string header = std::string(keyword) + " v1";
+  if (!next()) fail_at_end("empty document: expected '" + header + "' header");
+  if (line_ == header) return;
+  const std::size_t word_end = line_.find_first_of(" \t");
+  if (line_.substr(0, word_end) == keyword) {
+    const std::size_t version = line_.find_first_not_of(" \t", word_end);
+    fail((version == std::string_view::npos ? line_.size() : version) + 1,
+         "unsupported " + format + " format version (this reader "
+         "understands '" + header + "')");
+  }
+  fail(1, "expected '" + header + "' header, got '" + std::string(line_) +
+              "'");
+}
+
 void LineReader::fail(std::size_t column, const std::string& detail) const {
   const TextPosition position{line_number_ == 0 ? 1 : line_number_,
                               indent_ + (column == 0 ? 0 : column - 1)};

@@ -1,5 +1,5 @@
-// Line-oriented reader underlying the catalog text formats (fault lists and
-// march-test suites).
+// Line-oriented reader underlying the four text formats (fault lists,
+// march-test suites, job files and certificates).
 //
 // The formats are record-per-line: the reader walks significant lines (blank
 // lines and full-line '#' comments skipped, CRLF tolerated, surrounding
@@ -27,6 +27,13 @@ class LineReader {
 
   /// Advances to the next significant line; false at end of input.
   bool next();
+
+  /// Reads the first significant line as the header "<keyword> v1" of a
+  /// versioned document; `format` names the document kind in the version
+  /// error ("fault-list", "suite", ...).  Throws ParseError at end of input
+  /// for an empty document, at the version token when the first word is
+  /// `keyword` but the rest is not "v1", and at column 1 otherwise.
+  void read_header(std::string_view keyword, const std::string& format);
 
   /// The current line, trimmed (valid after next() returned true).
   std::string_view line() const noexcept { return line_; }

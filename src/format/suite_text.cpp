@@ -81,17 +81,7 @@ MarchSuite parse_march_suite_text(std::string_view text,
                                   const std::string& source,
                                   std::vector<SuiteTestPosition>* positions) {
   LineReader reader(text, source);
-  if (!reader.next()) {
-    reader.fail_at_end("empty document: expected 'suite v1' header");
-  }
-  if (reader.line() != "suite v1") {
-    if (reader.line().substr(0, 5) == "suite") {
-      reader.fail(6, "unsupported suite format version (this reader "
-                     "understands 'suite v1')");
-    }
-    reader.fail(1, "expected 'suite v1' header, got '" +
-                       std::string(reader.line()) + "'");
-  }
+  reader.read_header("suite", "suite");
   MarchSuite suite;
   while (reader.next()) {
     const std::string_view line = reader.line();

@@ -176,9 +176,7 @@ GenerationResult generate_march_test(const FaultList& list,
         options.working_memory_size,
         behaviour_classes(list, options.working_memory_size,
                           options.max_instances_per_fault),
-        test,
-        PrefixEngine::Options{options.both_power_on_states,
-                              /*record_checkpoints=*/false});
+        test, /*record_checkpoints=*/false);
     stats.working_instances = engine.num_instances();
     stats.log.push_back("phase A: " +
                         std::to_string(engine.num_instances()) +
@@ -228,9 +226,7 @@ GenerationResult generate_march_test(const FaultList& list,
   }
   PrefixEngine cert_engine(
       options.certify_memory_size, cert_classes, test,
-      PrefixEngine::Options{options.both_power_on_states,
-                            /*record_checkpoints=*/options.minimize},
-      &cert_workers);
+      /*record_checkpoints=*/options.minimize, &cert_workers);
   lap("phase B prep (persistent certify state)", &stats.cert_prep_seconds);
 
   auto certify_and_extend = [&]() {
@@ -278,7 +274,7 @@ GenerationResult generate_march_test(const FaultList& list,
                      });
     MinimizeStats min_stats;
     test = minimize_test(test, min_classes, options.minimize_memory_size,
-                         options.both_power_on_states, &stats.log, &min_stats);
+                         &stats.log, &min_stats);
     stats.minimize_trials = min_stats.trials;
     stats.minimize_element_replays = min_stats.element_replays;
     lap("phase C (minimizer)", &stats.phase_c_seconds);
@@ -292,8 +288,7 @@ GenerationResult generate_march_test(const FaultList& list,
   stats.instances_dropped = cert_engine.dropped_instances();
 
   // -- Final report ------------------------------------------------------
-  const FaultSimulator cert_sim(SimulatorOptions{
-      options.certify_memory_size, options.both_power_on_states, 10});
+  const FaultSimulator cert_sim(SimulatorOptions{options.certify_memory_size});
   result.certification = evaluate_coverage(cert_sim, test, list,
                                            options.max_instances_per_fault);
   result.full_coverage = true;

@@ -32,6 +32,9 @@
 
 namespace mtg {
 
+/// Every phase requires detection under both power-on contents and every
+/// ⇕ resolution, like the simulators (sim/simulator.hpp); the scenario
+/// space is fixed, not an option.
 struct GeneratorOptions {
   /// Memory size used by the greedy working phase.  Small is fast; escapes
   /// are caught by certification.
@@ -52,10 +55,6 @@ struct GeneratorOptions {
   std::size_t max_certify_iterations = 6;
   /// Run the redundancy minimizer.
   bool minimize = true;
-  /// Require detection under both power-on contents (all-0 and all-1), like
-  /// SimulatorOptions::both_power_on_states; applies to the greedy engine
-  /// and the certification/minimization simulators alike.
-  bool both_power_on_states = true;
   /// Threads for the greedy engine's candidate gain scan (each round spreads
   /// its batch words, 64/S candidates each, over a bounded pool; all
   /// threads prune against one shared bound).  0 picks the hardware

@@ -14,13 +14,12 @@ void note(std::vector<std::string>* log, const std::string& line) {
 
 MarchTest minimize_test(const MarchTest& test,
                         const std::vector<BehaviourClass>& classes,
-                        std::size_t memory_size, bool both_power_on_states,
+                        std::size_t memory_size,
                         std::vector<std::string>* log, MinimizeStats* stats) {
   // One full simulation of every class, with per-element checkpoints;
   // every trial below replays only the suffix after its edit point.
   PrefixEngine engine(memory_size, classes, test,
-                      PrefixEngine::Options{both_power_on_states,
-                                            /*record_checkpoints=*/true});
+                      /*record_checkpoints=*/true);
   engine.reset_stats();  // report trial/rewind work, not the one-time build
 
   // A trial keeps the removal iff the trial test is valid and every class

@@ -40,15 +40,14 @@ struct MinimizeStats {
 };
 
 /// Returns a locally minimal test that still detects every class in
-/// `classes` on a `memory_size`-cell memory (under both power-on contents
-/// when `both_power_on_states`).  Every representative must fit the packed
-/// engine (PackedFaultSim::supports).  The class order is the trial scan
-/// order: put the classes most likely to escape first.  Appends a
-/// human-readable action trace to `log` when non-null; fills `stats` when
+/// `classes` on a `memory_size`-cell memory.  Every representative must fit
+/// the packed engine (PackedFaultSim::supports).  The class order is the
+/// trial scan order: put the classes most likely to escape first.  Appends
+/// a human-readable action trace to `log` when non-null; fills `stats` when
 /// non-null.
 MarchTest minimize_test(const MarchTest& test,
                         const std::vector<BehaviourClass>& classes,
-                        std::size_t memory_size, bool both_power_on_states,
+                        std::size_t memory_size,
                         std::vector<std::string>* log = nullptr,
                         MinimizeStats* stats = nullptr);
 

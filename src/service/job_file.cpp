@@ -161,17 +161,7 @@ JobFileRecord parse_job_record(const LineReader& reader,
 JobFile parse_job_file_text(std::string_view text, const std::string& source,
                             JobFilePositions* positions) {
   LineReader reader(text, source);
-  if (!reader.next()) {
-    reader.fail_at_end("empty document: expected 'jobs v1' header");
-  }
-  if (reader.line() != "jobs v1") {
-    if (reader.line().substr(0, 4) == "jobs") {
-      reader.fail(5, "unsupported jobs format version (this reader "
-                     "understands 'jobs v1')");
-    }
-    reader.fail(1, "expected 'jobs v1' header, got '" +
-                       std::string(reader.line()) + "'");
-  }
+  reader.read_header("jobs", "jobs");
   JobFile file;
   bool saw_suite = false;
   while (reader.next()) {

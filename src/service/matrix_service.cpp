@@ -357,8 +357,6 @@ void MatrixService::run_job(const std::shared_ptr<JobState>& state) {
 
     SimulatorOptions sim_options;
     sim_options.memory_size = job.memory_size;
-    sim_options.both_power_on_states = options_.both_power_on_states;
-    sim_options.max_any_order_elements = options_.max_any_order_elements;
     // Each job evaluates sequentially on its worker: the parallelism lives
     // across jobs (determinism: a report cannot depend on the worker count
     // or the dispatch schedule).

@@ -175,9 +175,6 @@ struct MatrixServiceOptions {
   std::function<void(const MatrixJobResult&)> on_result;
   /// Scheduler fault injection; leave empty in production.
   SchedulerHook scheduler_hook;
-  // SimulatorOptions fields shared by every job.
-  bool both_power_on_states = true;
-  std::size_t max_any_order_elements = 10;
 };
 
 class MatrixService {

@@ -88,6 +88,7 @@ CoverageReport evaluate_coverage(const FaultSimulator& simulator,
                                  const CancelToken* cancel,
                                  const CoverageContext* context) {
   FaultSimulator::validate(test);
+  require_any_order_cap(FaultSimulator::any_order_count(test));
   if (cancel != nullptr) cancel->check();
   CoverageReport report;
   report.test_name = test.name().empty() ? test.to_string() : test.name();

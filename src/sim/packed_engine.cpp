@@ -257,12 +257,9 @@ void PackedFaultSim::rearm_state_faults(Lanes& lanes,
 }
 
 void PackedFaultSim::power_on_block(Lanes& lanes, std::size_t base,
-                                    std::size_t total, std::size_t combos,
-                                    bool both_power_on_states) const {
-  const std::uint64_t active = scenario_active_word(base, total);
-  const std::uint64_t power1 =
-      both_power_on_states ? (scenario_power1_word(base, combos) & active) : 0;
-  power_on(lanes, active, power1);
+                                    std::size_t combos) const {
+  const std::uint64_t active = scenario_active_word(base, 2 * combos);
+  power_on(lanes, active, scenario_power1_word(base, combos) & active);
 }
 
 void PackedFaultSim::power_on(Lanes& lanes, std::uint64_t active,
@@ -489,10 +486,9 @@ std::uint64_t PackedFaultSim::run_batch(Lanes& lanes,
 }
 
 PackedOutcome packed_run(const MarchTest& test, const CompiledTest& compiled,
-                         const PackedFaultSim& sim, bool both_power_on_states,
-                         bool stop_at_first_escape) {
+                         const PackedFaultSim& sim, bool stop_at_first_escape) {
   const std::size_t combos = std::size_t{1} << compiled.any_count;
-  const std::size_t total = (both_power_on_states ? 2 : 1) * combos;
+  const std::size_t total = 2 * combos;
   const auto scenario_of = [&](std::size_t sc) {
     return std::make_pair(sc >= combos ? Bit::One : Bit::Zero, sc % combos);
   };
@@ -500,7 +496,7 @@ PackedOutcome packed_run(const MarchTest& test, const CompiledTest& compiled,
   PackedOutcome outcome;
   for (std::size_t base = 0; base < total; base += 64) {
     PackedFaultSim::Lanes lanes;
-    sim.power_on_block(lanes, base, total, combos, both_power_on_states);
+    sim.power_on_block(lanes, base, combos);
 
     for (std::size_t e = 0; e < test.elements().size(); ++e) {
       const MarchElement& element = test.elements()[e];

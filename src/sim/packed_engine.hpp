@@ -10,8 +10,8 @@
 //
 // A fault instance must be detected under every power-on content in
 // {all-0, all-1} and every assignment of concrete orders to the test's ⇕
-// elements.  With `a` ⇕ elements and P power-on values there are
-// S = P · 2^a scenarios.  Scenario index
+// elements.  With `a` ⇕ elements there are S = 2 · 2^a scenarios.
+// Scenario index
 //
 //     sc = power_on · 2^a + order_mask        (bit j of order_mask = 1
 //                                              ⇔ the j-th ⇕ element runs ⇓)
@@ -128,7 +128,7 @@ CompiledTest compile_march_test(const MarchTest& test);
 // described in the file comment; `base` is always a multiple of 64 and
 // `combos` = 2^any_count.
 
-/// Lanes of block `base` that carry a scenario (total = P·combos).
+/// Lanes of block `base` that carry a scenario (total = 2·combos).
 std::uint64_t scenario_active_word(std::size_t base, std::size_t total);
 
 /// Lanes of block `base` whose scenario powers on all-1 (sc >= combos).
@@ -224,10 +224,10 @@ class PackedFaultSim {
   void power_on(Lanes& lanes, std::uint64_t active,
                 std::uint64_t power1) const;
 
-  /// power_on() for scenario block `base` of a P·combos scenario set
-  /// (total = P·combos): computes the active and power-on lane words.
-  void power_on_block(Lanes& lanes, std::size_t base, std::size_t total,
-                      std::size_t combos, bool both_power_on_states) const;
+  /// power_on() for scenario block `base` of the 2·combos scenario set:
+  /// computes the active and power-on lane words.
+  void power_on_block(Lanes& lanes, std::size_t base,
+                      std::size_t combos) const;
 
   /// Replays one march element over every active lane; lanes with their bit
   /// set in `down` sweep ⇓, the others ⇑.  `trace` must be the element's
@@ -342,7 +342,6 @@ struct PackedOutcome {
 /// the run aborts at the first block containing an undetected scenario (the
 /// detects() fast path); first_detected is then only valid up to that block.
 PackedOutcome packed_run(const MarchTest& test, const CompiledTest& compiled,
-                         const PackedFaultSim& sim, bool both_power_on_states,
-                         bool stop_at_first_escape);
+                         const PackedFaultSim& sim, bool stop_at_first_escape);
 
 }  // namespace mtg

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "sim/simulator.hpp"
 
 namespace mtg {
 namespace {
@@ -37,16 +38,16 @@ PackedFaultSim::Lanes replicate(const PackedFaultSim::Lanes& block,
 
 }  // namespace
 
-PrefixEngine::PrefixEngine(std::size_t memory_size, Options options)
-    : memory_size_(memory_size), options_(options) {
+PrefixEngine::PrefixEngine(std::size_t memory_size, bool record_checkpoints)
+    : memory_size_(memory_size), record_checkpoints_(record_checkpoints) {
   any_before_.push_back(0);
 }
 
 PrefixEngine::PrefixEngine(std::size_t memory_size,
                            const std::vector<BehaviourClass>& classes,
-                           const MarchTest& prefix, Options options,
+                           const MarchTest& prefix, bool record_checkpoints,
                            ThreadPool* pool)
-    : PrefixEngine(memory_size, options) {
+    : PrefixEngine(memory_size, record_checkpoints) {
   items_.reserve(classes.size());
   for (const BehaviourClass& cls : classes) {
     const FaultInstance& instance = cls.representative;
@@ -89,8 +90,7 @@ void PrefixEngine::append_plan(const MarchTest& test, std::size_t from) {
     }
     any_before_.push_back(any);
   }
-  require(any_before_.back() <= options_.max_any_order_elements,
-          "too many ⇕ elements in the generation prefix");
+  require_any_order_cap(any_before_.back());
 }
 
 void PrefixEngine::expand_blocks(std::vector<PackedFaultSim::Lanes>& blocks,
@@ -100,7 +100,7 @@ void PrefixEngine::expand_blocks(std::vector<PackedFaultSim::Lanes>& blocks,
   // takes the highest ordinal: its mask bit has weight `old_combos`, and the
   // source scenario of a new lane is found by clearing that bit.
   const std::size_t new_combos = 2 * old_combos;
-  const std::size_t new_total = power_states() * new_combos;
+  const std::size_t new_total = 2 * new_combos;
   std::vector<PackedFaultSim::Lanes> out((new_total + 63) / 64);
   for (std::size_t nb = 0; nb < out.size(); ++nb) {
     PackedFaultSim::Lanes& dst = out[nb];
@@ -179,8 +179,7 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
         // Syncing from scratch (construction, or a rewind diverging at the
         // first element): the state before element 0 is the power-on block.
         PackedFaultSim::Lanes lanes;
-        item.sim.power_on_block(lanes, 0, power_states(), 1,
-                                options_.both_power_on_states);
+        item.sim.power_on_block(lanes, 0, /*combos=*/1);
         item.blocks.assign(1, lanes);
         item.checkpoints.clear();
         item.done = false;
@@ -196,7 +195,7 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
       std::size_t combos = std::size_t{1} << any_before_[common];
       const std::size_t at = run_steps(
           item, item.blocks, combos, tail.data(), tail.size(),
-          options_.record_checkpoints ? &item.checkpoints : nullptr, local);
+          record_checkpoints_ ? &item.checkpoints : nullptr, local);
       if (at != kNever) {
         item.detected_at = common + at;
         item.done = true;
@@ -260,9 +259,9 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
     const std::vector<const ElementTrace*>& traces, ThreadPool* pool) const {
   require(traces.size() == candidates.size(),
           "prefix engine: gain_scan needs one trace per candidate");
-  // Every item has the prefix's S = P · 2^(⇕ elements) scenario lanes:
+  // Every item has the prefix's S = 2 · 2^(⇕ elements) scenario lanes:
   // commit() never expands them.
-  const std::size_t scenarios = power_states() << any_before_.back();
+  const std::size_t scenarios = std::size_t{2} << any_before_.back();
   const std::size_t span = std::min<std::size_t>(scenarios, 64);
   const std::size_t per_word = 64 / span;
   const auto member_lanes = [&](std::size_t j) {
@@ -384,7 +383,7 @@ void PrefixEngine::advance(const MarchTest& test, ThreadPool* pool) {
   }
   const std::size_t previous_length = old_elements.size();
   if (common == previous_length && common == new_elements.size()) return;
-  require(common == previous_length || options_.record_checkpoints,
+  require(common == previous_length || record_checkpoints_,
           "prefix engine: rewinding an edited test requires checkpoints");
 
   traces_.resize(common);
@@ -398,9 +397,7 @@ void PrefixEngine::advance(const MarchTest& test, ThreadPool* pool) {
 PrefixEngine PrefixEngine::clone_undetected() const {
   require(!approximate_,
           "prefix engine: cloning requires exact prefix state");
-  Options options = options_;
-  options.record_checkpoints = false;
-  PrefixEngine out(memory_size_, options);
+  PrefixEngine out(memory_size_, /*record_checkpoints=*/false);
   out.prefix_ = prefix_;
   out.traces_ = traces_;
   out.ordinals_ = ordinals_;
@@ -427,7 +424,7 @@ std::size_t PrefixEngine::dropped_instances() const {
 
 bool PrefixEngine::trial_covers(std::size_t edit,
                                 const MarchElement* replacement) {
-  require(!approximate_ && options_.record_checkpoints,
+  require(!approximate_ && record_checkpoints_,
           "prefix engine: trials require exact state with checkpoints");
   require(edit < prefix_.elements().size(),
           "prefix engine: trial edit index out of range");

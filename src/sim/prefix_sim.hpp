@@ -58,15 +58,6 @@ class PrefixEngine {
   /// "Not detected (yet)" marker for element indices.
   static constexpr std::size_t kNever = ~std::size_t{0};
 
-  struct Options {
-    /// Require detection under both power-on contents (all-0 and all-1).
-    bool both_power_on_states = true;
-    /// Record per-element lane snapshots (required by trial_covers/rewind).
-    bool record_checkpoints = false;
-    /// Cap on ⇕ elements (the scenario set is P·2^count lanes).
-    std::size_t max_any_order_elements = 10;
-  };
-
   /// Work counters, cumulative since construction (or reset_stats()).
   struct Stats {
     /// March elements replayed, counted per (instance, element) — the unit
@@ -84,12 +75,14 @@ class PrefixEngine {
   /// class, in the given order, standing for its weight, simulated to the
   /// end of `prefix`.  Every representative must fit the packed
   /// representation (PackedFaultSim::supports) and address a
-  /// `memory_size`-cell memory.  `pool` spreads construction over worker
-  /// threads when non-null (the result is identical for every thread
-  /// count).
+  /// `memory_size`-cell memory; the prefix must respect
+  /// kMaxAnyOrderElements (sim/simulator.hpp).  `record_checkpoints` keeps
+  /// per-element lane snapshots (required by trial_covers and rewinding
+  /// advance).  `pool` spreads construction over worker threads when
+  /// non-null (the result is identical for every thread count).
   PrefixEngine(std::size_t memory_size,
                const std::vector<BehaviourClass>& classes,
-               const MarchTest& prefix, Options options,
+               const MarchTest& prefix, bool record_checkpoints,
                ThreadPool* pool = nullptr);
 
   // -- Prefix bookkeeping ----------------------------------------------------
@@ -124,7 +117,7 @@ class PrefixEngine {
   /// orders exactly.  `traces[i]` must be candidates[i]'s compiled trace.
   ///
   /// Candidates are scored 64/S at a time, where S is the number of
-  /// scenario lanes of an item (P power-on states × 2^⇕ of the prefix): a
+  /// scenario lanes of an item (2 power-on states × 2^⇕ of the prefix): a
   /// batch word holds candidates of one sweep direction, each on S lanes
   /// carrying a copy of the item's block, and is replayed by
   /// PackedFaultSim::run_batch.  With S ≥ 64 a candidate spans S/64 words.
@@ -228,13 +221,9 @@ class PrefixEngine {
 
   static bool all_detected(const std::vector<PackedFaultSim::Lanes>& blocks);
 
-  std::size_t power_states() const noexcept {
-    return options_.both_power_on_states ? 2 : 1;
-  }
-
   /// Duplicates every scenario of `blocks` into its ⇑/⇓ reading of a new ⇕
   /// element (ordinal = log2(old combos relative)), i.e. grows the scenario
-  /// set from P·combos to P·2·combos lanes while preserving the power-on
+  /// set from 2·combos to 4·combos lanes while preserving the power-on
   /// major, ⇕-mask minor numbering.
   void expand_blocks(std::vector<PackedFaultSim::Lanes>& blocks,
                      std::size_t old_combos) const;
@@ -252,7 +241,7 @@ class PrefixEngine {
       Stats& local) const;
 
   /// Clone/internal constructor: prefix bookkeeping filled by the caller.
-  PrefixEngine(std::size_t memory_size, Options options);
+  PrefixEngine(std::size_t memory_size, bool record_checkpoints);
 
   /// Appends bookkeeping (trace, ordinal) for the elements of test[from..].
   void append_plan(const MarchTest& test, std::size_t from);
@@ -265,7 +254,7 @@ class PrefixEngine {
                   ThreadPool* pool);
 
   std::size_t memory_size_ = 0;
-  Options options_;
+  bool record_checkpoints_ = false;
   bool approximate_ = false;  ///< a commit() happened; exact APIs refuse
 
   MarchTest prefix_;

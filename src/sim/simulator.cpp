@@ -9,15 +9,17 @@ namespace mtg {
 namespace {
 
 /// compile_march_test, after checking the test's ⇕ count against the cap.
-CompiledTest compile_checked(const SimulatorOptions& options,
-                             const MarchTest& test) {
-  require(
-      FaultSimulator::any_order_count(test) <= options.max_any_order_elements,
-      "too many ⇕ elements to enumerate order assignments");
+CompiledTest compile_checked(const MarchTest& test) {
+  require_any_order_cap(FaultSimulator::any_order_count(test));
   return compile_march_test(test);
 }
 
 }  // namespace
+
+void require_any_order_cap(std::size_t any_count) {
+  require(any_count <= kMaxAnyOrderElements,
+          "too many ⇕ elements to enumerate order assignments");
+}
 
 std::string DetectionEvent::to_string() const {
   std::ostringstream out;
@@ -126,11 +128,10 @@ DetectionResult FaultSimulator::simulate(const MarchTest& test,
   if (!PackedFaultSim::supports(instance)) {
     return simulate_scalar(test, instance);
   }
-  const CompiledTest compiled = compile_checked(options_, test);
+  const CompiledTest compiled = compile_checked(test);
   require_addresses_fit(instance, options_.memory_size);
   const PackedOutcome outcome =
       packed_run(test, compiled, PackedFaultSim(instance),
-                 options_.both_power_on_states,
                  /*stop_at_first_escape=*/false);
   DetectionResult result;
   result.detected = outcome.all_detected;
@@ -148,16 +149,12 @@ DetectionResult FaultSimulator::simulate(const MarchTest& test,
 DetectionResult FaultSimulator::simulate_scalar(
     const MarchTest& test, const FaultInstance& instance) const {
   const std::size_t any_count = any_order_count(test);
-  require(any_count <= options_.max_any_order_elements,
-          "too many ⇕ elements to enumerate order assignments");
+  require_any_order_cap(any_count);
   const std::size_t combos = std::size_t{1} << any_count;
 
   DetectionResult result;
   result.detected = true;
-  std::vector<Bit> power_ons = {Bit::Zero};
-  if (options_.both_power_on_states) power_ons.push_back(Bit::One);
-
-  for (Bit power_on : power_ons) {
+  for (const Bit power_on : {Bit::Zero, Bit::One}) {
     for (std::size_t mask = 0; mask < combos; ++mask) {
       const auto event = run_scenario(test, instance, power_on, mask);
       if (event.has_value()) {
@@ -175,12 +172,12 @@ DetectionResult FaultSimulator::simulate_scalar(
 
 bool FaultSimulator::detects(const MarchTest& test,
                              const FaultInstance& instance) const {
-  return detects_compiled(test, compile_checked(options_, test), instance);
+  return detects_compiled(test, compile_checked(test), instance);
 }
 
 bool FaultSimulator::detects_all(
     const MarchTest& test, const std::vector<FaultInstance>& instances) const {
-  const CompiledTest compiled = compile_checked(options_, test);
+  const CompiledTest compiled = compile_checked(test);
   for (const FaultInstance& instance : instances) {
     if (!detects_compiled(test, compiled, instance)) return false;
   }
@@ -190,14 +187,12 @@ bool FaultSimulator::detects_all(
 bool FaultSimulator::detects_compiled(const MarchTest& test,
                                       const CompiledTest& compiled,
                                       const FaultInstance& instance) const {
-  require(compiled.any_count <= options_.max_any_order_elements,
-          "too many ⇕ elements to enumerate order assignments");
+  require_any_order_cap(compiled.any_count);
   if (!PackedFaultSim::supports(instance)) {
     return detects_scalar(test, instance);
   }
   require_addresses_fit(instance, options_.memory_size);
   return packed_run(test, compiled, PackedFaultSim(instance),
-                    options_.both_power_on_states,
                     /*stop_at_first_escape=*/true)
       .all_detected;
 }
@@ -206,12 +201,9 @@ bool FaultSimulator::detects_scalar(const MarchTest& test,
                                     const FaultInstance& instance) const {
   // Fast path of simulate(): bail out on the first escaping scenario.
   const std::size_t any_count = any_order_count(test);
-  require(any_count <= options_.max_any_order_elements,
-          "too many ⇕ elements to enumerate order assignments");
+  require_any_order_cap(any_count);
   const std::size_t combos = std::size_t{1} << any_count;
-  std::vector<Bit> power_ons = {Bit::Zero};
-  if (options_.both_power_on_states) power_ons.push_back(Bit::One);
-  for (Bit power_on : power_ons) {
+  for (const Bit power_on : {Bit::Zero, Bit::One}) {
     for (std::size_t mask = 0; mask < combos; ++mask) {
       if (!run_scenario(test, instance, power_on, mask).has_value()) {
         return false;

@@ -27,10 +27,18 @@ namespace mtg {
 
 struct CompiledTest;  // sim/packed_engine.hpp
 
+/// Cap on the ⇕ elements of a simulated test.  Each one doubles the
+/// scenario set (2 power-on contents × 2^⇕ order assignments), so the cap
+/// guards user input against an exponential blow-up.
+inline constexpr std::size_t kMaxAnyOrderElements = 10;
+
+/// Throws mtg::Error when `any_count` ⇕ elements exceed kMaxAnyOrderElements.
+void require_any_order_cap(std::size_t any_count);
+
+/// The scenario space is not an option: both power-on contents are always
+/// tried, and a test may have at most kMaxAnyOrderElements ⇕ elements.
 struct SimulatorOptions {
-  std::size_t memory_size = 8;      ///< n — number of simulated cells
-  bool both_power_on_states = true; ///< try all-0 and all-1 initial content
-  std::size_t max_any_order_elements = 10;  ///< cap on ⇕ elements (2^k runs)
+  std::size_t memory_size = 8;  ///< n — number of simulated cells
   /// Worker threads for evaluate_coverage; 0 picks the hardware concurrency.
   std::size_t coverage_threads = 0;
 };

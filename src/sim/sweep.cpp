@@ -57,8 +57,6 @@ std::vector<SweepPoint> sweep_coverage(const MarchTest& test,
       }
       SimulatorOptions sim_options;
       sim_options.memory_size = sizes[i];
-      sim_options.both_power_on_states = options.both_power_on_states;
-      sim_options.max_any_order_elements = options.max_any_order_elements;
       // Each point evaluates sequentially on its worker: the parallelism
       // lives across sweep points, not inside them.
       sim_options.coverage_threads = 1;

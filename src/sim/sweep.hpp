@@ -34,10 +34,10 @@ namespace mtg {
 class CancelToken;  // common/cancel.hpp
 class SweepStore;
 
+/// Every point runs the simulator's fixed scenario space (both power-on
+/// contents, every ⇕ resolution), so a stored record never depends on an
+/// option the store key (store/sweep_store.hpp) does not carry.
 struct SweepOptions {
-  /// SimulatorOptions fields shared by every sweep point.
-  bool both_power_on_states = true;
-  std::size_t max_any_order_elements = 10;
   /// Per-fault layout bound per sweep point (0 = full enumeration: counts
   /// cover all O(n²) layouts of a two-cell fault, and every corrupted
   /// address of a decoder fault is walked).

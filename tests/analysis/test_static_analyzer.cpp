@@ -13,7 +13,6 @@
 namespace mtg {
 namespace {
 
-AnalysisOptions default_options() { return AnalysisOptions{}; }
 
 TEST(StaticAnalyzer, MarchSsDetectsEverySimpleStaticFault) {
   const MarchTest test = march_ss();
@@ -203,9 +202,37 @@ TEST(StaticAnalyzer, UnknownOnOversizedInstances) {
   EXPECT_FALSE(result.reason.empty());
 }
 
+TEST(StaticAnalyzer, FourBoundFpsAreTheDomainLimit) {
+  // Four FPs (4 armed bits + 8 cell bits: at most 4096 configurations) are
+  // analyzed definitely and agree with the scalar machine; a fifth FP on
+  // the same two cells is outside the abstract domain.
+  FaultInstance inst;
+  inst.fps.push_back(
+      BoundFp(FaultPrimitive::cfds(Bit::Zero, SenseOp::W1, Bit::Zero), 0, 1));
+  inst.fps.push_back(
+      BoundFp(FaultPrimitive::cfds(Bit::One, SenseOp::W0, Bit::One), 1, 0));
+  inst.fps.push_back(BoundFp::at(FaultPrimitive::sf(Bit::One), 0));
+  inst.fps.push_back(BoundFp::at(FaultPrimitive::irf(Bit::Zero), 1));
+  inst.description = "four-FP stress";
+  const FaultSimulator simulator(SimulatorOptions{4});
+  for (const MarchTest& test : all_catalog_tests()) {
+    const StaticResult result = analyze_instance(test, inst);
+    ASSERT_TRUE(result.definite()) << test.name() << ": " << result.reason;
+    EXPECT_EQ(result.verdict == StaticVerdict::Detected,
+              simulator.detects_scalar(test, inst))
+        << test.name();
+  }
+  inst.fps.push_back(BoundFp::at(FaultPrimitive::wdf(Bit::Zero), 0));
+  const StaticResult result = analyze_instance(march_ss(), inst);
+  EXPECT_EQ(result.verdict, StaticVerdict::Unknown);
+  EXPECT_NE(result.reason.find("too many bound fault primitives"),
+            std::string::npos)
+      << result.reason;
+}
+
 TEST(StaticAnalyzer, SummaryLineIsStable) {
   const StaticCoverage coverage =
-      analyze_coverage(mats_plus(), fault_list_2(), 6, default_options());
+      analyze_coverage(mats_plus(), fault_list_2(), 6);
   const std::string summary = coverage.summary();
   EXPECT_NE(summary.find("static: "), std::string::npos);
   EXPECT_NE(summary.find("of " + std::to_string(coverage.entries.size()) +

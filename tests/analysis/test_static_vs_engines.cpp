@@ -28,15 +28,12 @@ TEST_P(StaticVsEngines, DefiniteVerdictsMatchPackedCoverage) {
   SimulatorOptions sim_options;
   sim_options.memory_size = 6;
   const FaultSimulator simulator(sim_options);
-  AnalysisOptions analysis_options;
-  analysis_options.both_power_on_states = sim_options.both_power_on_states;
 
   for (const FaultList& list : lock_lists()) {
     const CoverageReport report =
         evaluate_coverage(simulator, test, list, /*max_instances_per_fault=*/0);
     const StaticCoverage statics =
-        analyze_coverage(test, list, sim_options.memory_size,
-                         analysis_options);
+        analyze_coverage(test, list, sim_options.memory_size);
     ASSERT_EQ(report.entries.size(), statics.entries.size());
     for (std::size_t i = 0; i < statics.entries.size(); ++i) {
       const StaticCoverageEntry& entry = statics.entries[i];
@@ -59,7 +56,6 @@ TEST_P(StaticVsEngines, SampledVerdictsMatchScalarEngine) {
   SimulatorOptions sim_options;
   sim_options.memory_size = 4;
   const FaultSimulator simulator(sim_options);
-  AnalysisOptions analysis_options;
 
   // Instance-level spot check against the scalar engine: every 7th instance
   // of fault list 2 plus all decoder instances (the branches the packed
@@ -73,8 +69,7 @@ TEST_P(StaticVsEngines, SampledVerdictsMatchScalarEngine) {
                       /*max_instances_per_fault=*/0);
   for (std::size_t i = 0; i < instances.size(); ++i) {
     if (i % 7 != 0 && instances[i].decoders.empty()) continue;
-    const StaticResult result =
-        analyze_instance(test, instances[i], analysis_options);
+    const StaticResult result = analyze_instance(test, instances[i]);
     if (!result.definite()) continue;
     const bool expected = simulator.detects_scalar(test, instances[i]);
     EXPECT_EQ(result.verdict == StaticVerdict::Detected, expected)

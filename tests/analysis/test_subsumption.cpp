@@ -1,7 +1,6 @@
 // Subsumption prover tests: closed-form universe specs round-trip and
 // materialize to the exact built-in catalogs; known subsumption
-// relationships among the classic tests hold with valid witnesses; the
-// configuration-key widening does not move any prover verdict.
+// relationships among the classic tests hold with valid witnesses.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -113,26 +112,6 @@ TEST(Subsumption, EveryTestSubsumesItselfOverEveryBuiltinFamily) {
           << test.name() << " over " << spec << ": " << result.reason;
       EXPECT_EQ(result.detected_by_a, result.detected_by_b);
     }
-  }
-}
-
-TEST(Subsumption, WideningDoesNotMoveProverVerdicts) {
-  AnalysisOptions widened;
-  widened.max_states = 1;
-  const FaultUniverse universe = FaultUniverse::parse("simple+retention");
-  const MarchTest pairs[][2] = {{march_ss(), mats_plus()},
-                                {mats_plus(), march_ss()},
-                                {march_g(), march_c_minus()},
-                                {march_c_minus(), march_g()}};
-  for (const auto& pair : pairs) {
-    const SubsumptionResult exact =
-        prove_subsumption(pair[0], pair[1], universe, 6);
-    const SubsumptionResult walked =
-        prove_subsumption(pair[0], pair[1], universe, 6, widened);
-    EXPECT_EQ(exact.verdict, walked.verdict)
-        << pair[0].name() << " vs " << pair[1].name();
-    EXPECT_EQ(exact.detected_by_a, walked.detected_by_a);
-    EXPECT_EQ(exact.detected_by_b, walked.detected_by_b);
   }
 }
 

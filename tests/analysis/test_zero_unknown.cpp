@@ -1,13 +1,8 @@
 // Unknown-domain elimination: the symbolic analyzer must resolve every
 // (catalog test, built-in list) pair — and every shipped example catalog —
 // to a definite verdict.  Unknown is reserved for genuinely out-of-domain
-// machines (> 4 involved cells, decoder+FP in one instance, an exhausted
-// widening budget); nothing the repo ships is allowed to hit those exits.
-//
-// Also locks the configuration-key widening itself: forcing the analyzer
-// off its BFS+dedup path (max_states = 1) onto the bounded-memory DFS walk
-// must leave every verdict unchanged — widening trades memory for steps,
-// never exactness.
+// machines (> 4 involved cells or bound FPs, decoder+FP in one instance);
+// nothing the repo ships is allowed to hit those exits.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,7 +15,6 @@
 #include "format/suite_text.hpp"
 #include "fp/fault_list.hpp"
 #include "march/catalog.hpp"
-#include "march/parser.hpp"
 
 namespace mtg {
 namespace {
@@ -80,51 +74,6 @@ TEST(ZeroUnknown, ShippedExampleCatalogsResolveDefinitely) {
       }
     }
   }
-}
-
-TEST(ZeroUnknown, WideningPreservesEveryVerdict) {
-  // max_states = 1 forces the DFS widening on the very first element for
-  // every fault; the walk is near-linear for the catalog (the only forks
-  // are ⇕ orders), so the budget is never close to exhausted and every
-  // verdict must equal the BFS+dedup run's.
-  AnalysisOptions widened;
-  widened.max_states = 1;
-  for (const MarchTest& test : all_catalog_tests()) {
-    for (const auto& [list_name, list] : builtin_lists()) {
-      const StaticCoverage exact = analyze_coverage(test, list, 6);
-      const StaticCoverage walked = analyze_coverage(test, list, 6, widened);
-      ASSERT_EQ(exact.entries.size(), walked.entries.size());
-      EXPECT_EQ(walked.unknown, 0u) << test.name() << " vs " << list_name;
-      for (std::size_t i = 0; i < exact.entries.size(); ++i) {
-        EXPECT_EQ(exact.entries[i].verdict, walked.entries[i].verdict)
-            << test.name() << " vs " << list_name << ": "
-            << exact.entries[i].fault_name
-            << (walked.entries[i].reason.empty()
-                    ? ""
-                    : " — " + walked.entries[i].reason);
-      }
-    }
-  }
-}
-
-TEST(ZeroUnknown, WideningBudgetExhaustionIsTheOnlyWideningUnknown) {
-  // Starving the DFS of steps is the one legitimate widening Unknown —
-  // and its reason says so, so the operator knows which knob to turn.
-  AnalysisOptions starved;
-  starved.max_states = 1;
-  starved.widen_step_budget = 1;
-  // A wait-only first element keeps both power-on configurations alive and
-  // distinct (no read to detect, no write to converge the good values), so
-  // a one-state cap widens right after it; with two elements still to walk
-  // a one-step budget exhausts before either configuration can escape.
-  const MarchTest test = parse_march_test("{^(t); ^(t); ^(t)}", "waits");
-  const FaultList simple = standard_simple_static_faults();
-  ASSERT_FALSE(simple.simple.empty());
-  const StaticResult result =
-      analyze_fault(test, simple.simple.front(), 6, starved);
-  EXPECT_EQ(result.verdict, StaticVerdict::Unknown);
-  EXPECT_NE(result.reason.find("widened"), std::string::npos)
-      << result.reason;
 }
 
 }  // namespace

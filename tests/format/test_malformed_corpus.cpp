@@ -21,6 +21,7 @@
 #include "common/text_position.hpp"
 #include "format/catalog_io.hpp"
 #include "format/fault_list_text.hpp"
+#include "format/suite_text.hpp"
 #include "service/job_file.hpp"
 
 namespace mtg {
@@ -75,6 +76,49 @@ TEST(MalformedCorpus, EveryFileIsRejectedWithAPosition) {
           << "source path missing from: " << e.what();
     } catch (const std::exception& e) {
       ADD_FAILURE() << "expected mtg::ParseError, got: " << e.what();
+    }
+  }
+}
+
+TEST(FormatHeaders, VersionErrorsPointAtTheVersionToken) {
+  // The four readers share one header check: a wrong version is reported
+  // at the version token, and a keyword with a suffix is no header at all.
+  using Reader = void (*)(std::string_view);
+  const Reader faults = [](std::string_view t) { parse_fault_list_text(t); };
+  const Reader suite = [](std::string_view t) { parse_march_suite_text(t); };
+  const Reader jobs = [](std::string_view t) { parse_job_file_text(t); };
+  const Reader cert = [](std::string_view t) { parse_certificate_text(t); };
+  const struct {
+    const char* text;
+    Reader read;
+    std::size_t column;
+    const char* detail;
+  } cases[] = {
+      {"faultlist v2", faults, 11,
+       "unsupported fault-list format version (this reader understands "
+       "'faultlist v1')"},
+      {"suite v2", suite, 7,
+       "unsupported suite format version (this reader understands "
+       "'suite v1')"},
+      {"jobs v2", jobs, 6,
+       "unsupported jobs format version (this reader understands 'jobs v1')"},
+      {"certificate v2", cert, 13,
+       "unsupported certificate format version (this reader understands "
+       "'certificate v1')"},
+      {"jobs", jobs, 5,
+       "unsupported jobs format version (this reader understands 'jobs v1')"},
+      {"jobsx v1", jobs, 1, "expected 'jobs v1' header, got 'jobsx v1'"},
+      {"suites v1", suite, 1, "expected 'suite v1' header, got 'suites v1'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    try {
+      c.read(std::string("  ") + c.text + "\n");
+      ADD_FAILURE() << "header was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.position().line, 1u);
+      EXPECT_EQ(e.position().column, c.column + 2);  // past the indent
+      EXPECT_EQ(e.detail(), c.detail);
     }
   }
 }

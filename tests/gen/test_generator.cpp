@@ -33,7 +33,7 @@ TEST(Generator, CoversFaultListTwoBelowPublishedComplexity) {
 
 TEST(Generator, GeneratedTestIsIndependentlyValid) {
   const GenerationResult result = generate_march_test(fault_list_2());
-  const FaultSimulator simulator(SimulatorOptions{6, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{6});
   const CoverageReport report =
       evaluate_coverage(simulator, result.test, fault_list_2());
   EXPECT_TRUE(report.full_coverage());
@@ -104,23 +104,6 @@ TEST(Generator, PolarityBridgeCoversSameSensitizerThreeCellFaults) {
   const GenerationResult result = generate_march_test(list, fast_options());
   EXPECT_TRUE(result.full_coverage);
   EXPECT_TRUE(result.uncoverable.empty());
-}
-
-TEST(Generator, HonorsSinglePowerOnState) {
-  // With both_power_on_states = false the greedy engine, certification and
-  // minimizer all require detection from the all-0 power-on only.
-  GeneratorOptions single = fast_options();
-  single.both_power_on_states = false;
-  const GenerationResult result = generate_march_test(fault_list_2(), single);
-  EXPECT_TRUE(result.full_coverage);
-  EXPECT_TRUE(result.uncoverable.empty());
-  // The single-polarity test certifies under a single-polarity simulator.
-  SimulatorOptions sim_options;
-  sim_options.memory_size = 6;
-  sim_options.both_power_on_states = false;
-  const CoverageReport report = evaluate_coverage(
-      FaultSimulator(sim_options), result.test, fault_list_2());
-  EXPECT_TRUE(report.full_coverage());
 }
 
 TEST(Generator, StatsArepopulated) {

@@ -69,7 +69,7 @@ TEST(IncrementalGenerator, DefaultOptionsMatchPreIncrementalGoldens) {
 
 TEST(IncrementalGenerator, VariantOptionsMatchPreIncrementalGoldens) {
   // working=2 exercises a deliberately weak phase A; no-minimize skips the
-  // checkpointed rewind; single power-on state halves the scenario space.
+  // checkpointed rewind.
   GeneratorOptions weak;
   weak.working_memory_size = 2;
   weak.certify_memory_size = 6;
@@ -89,13 +89,6 @@ TEST(IncrementalGenerator, VariantOptionsMatchPreIncrementalGoldens) {
             "{c(w0); ^(r0); ^(r0,w1,r1); ^(r1); ^(r1,w0,r0); ^(r0); "
             "v(r0,w1,w1,r1); ^(r1); v(r1,w1,r1,w0,w0,r0); ^(r0); "
             "v(r0,w0,r0,w1); ^(r1)}");
-
-  GeneratorOptions single;
-  single.both_power_on_states = false;
-  const GenerationResult sp =
-      generate_march_test(list_by_name("list2"), single);
-  EXPECT_EQ(sp.test.to_string(true),
-            "{c(w0); ^(r0); ^(r0); ^(w1,r1); ^(r1); ^(w0,r0)}");
 }
 
 TEST(IncrementalGenerator, ThreadCountsDoNotChangeTheTest) {
@@ -103,31 +96,25 @@ TEST(IncrementalGenerator, ThreadCountsDoNotChangeTheTest) {
   // the persistent certification engine's item sync; both must keep the
   // generated test byte-identical (the scan's shared pruning bound only
   // abandons candidates that cannot win or tie, and certification items
-  // are independent with in-order reductions).  A single power-on state
-  // halves the scenario lanes per item, so the scan packs twice as many
-  // candidates into each word.
-  for (const bool both_power_on_states : {true, false}) {
-    for (const char* name : {"list2", "simple", "retention", "decoder"}) {
-      const FaultList list = list_by_name(name);
-      GeneratorOptions sequential;
-      sequential.both_power_on_states = both_power_on_states;
-      sequential.gain_threads = 1;
-      sequential.certify_threads = 1;
-      const GenerationResult reference = generate_march_test(list, sequential);
-      const std::size_t pairs[][2] = {{2, 2}, {0, 0}, {1, 0}, {0, 1}};
-      for (const auto& pair : pairs) {
-        GeneratorOptions options = sequential;
-        options.gain_threads = pair[0];
-        options.certify_threads = pair[1];
-        const GenerationResult result = generate_march_test(list, options);
-        EXPECT_EQ(reference.test, result.test)
-            << name << " gain_threads=" << pair[0]
-            << " certify_threads=" << pair[1]
-            << " both_power_on_states=" << both_power_on_states;
-        EXPECT_EQ(reference.stats.greedy_rounds, result.stats.greedy_rounds);
-        EXPECT_EQ(reference.stats.certify_iterations,
-                  result.stats.certify_iterations);
-      }
+  // are independent with in-order reductions).
+  for (const char* name : {"list2", "simple", "retention", "decoder"}) {
+    const FaultList list = list_by_name(name);
+    GeneratorOptions sequential;
+    sequential.gain_threads = 1;
+    sequential.certify_threads = 1;
+    const GenerationResult reference = generate_march_test(list, sequential);
+    const std::size_t pairs[][2] = {{2, 2}, {0, 0}, {1, 0}, {0, 1}};
+    for (const auto& pair : pairs) {
+      GeneratorOptions options = sequential;
+      options.gain_threads = pair[0];
+      options.certify_threads = pair[1];
+      const GenerationResult result = generate_march_test(list, options);
+      EXPECT_EQ(reference.test, result.test)
+          << name << " gain_threads=" << pair[0]
+          << " certify_threads=" << pair[1];
+      EXPECT_EQ(reference.stats.greedy_rounds, result.stats.greedy_rounds);
+      EXPECT_EQ(reference.stats.certify_iterations,
+                result.stats.certify_iterations);
     }
   }
   // The big list once, hardware-threaded against the golden (which the
@@ -149,12 +136,11 @@ void expect_minimizers_agree(const MarchTest& test,
                              const std::vector<BehaviourClass>& classes,
                              const std::vector<FaultInstance>& instances,
                              std::size_t n, const std::string& where) {
-  const FaultSimulator simulator(SimulatorOptions{n, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{n});
   std::vector<std::string> log_classes, log_instances, log_ref;
-  const MarchTest by_classes =
-      minimize_test(test, classes, n, true, &log_classes);
-  const MarchTest by_instances = minimize_test(
-      test, instance_classes(instances), n, true, &log_instances);
+  const MarchTest by_classes = minimize_test(test, classes, n, &log_classes);
+  const MarchTest by_instances =
+      minimize_test(test, instance_classes(instances), n, &log_instances);
   const MarchTest reference =
       minimize_test_rescan(simulator, test, instances, &log_ref);
   EXPECT_EQ(by_classes, reference) << where;
@@ -192,7 +178,7 @@ TEST(IncrementalMinimizer, DecoderClassesMatchFromScratchRescanReference) {
   std::size_t shortened = 0;
   for (const MarchTest& test : all_catalog_tests()) {
     expect_minimizers_agree(test, classes, instances, n, test.name());
-    const MarchTest minimized = minimize_test(test, classes, n, true);
+    const MarchTest minimized = minimize_test(test, classes, n);
     shortened += minimized.complexity() < test.complexity() ? 1 : 0;
   }
   EXPECT_GT(shortened, 0u);
@@ -217,7 +203,7 @@ TEST(IncrementalMinimizer, TrialsNeverFullRescanOnThePackedPath) {
       "{c(w0); c(w0,r0,r0,w1); c(w1,r1,r1,w0); c(r0,w1); c(r1,w0)}", "padded");
   MinimizeStats stats;
   const MarchTest minimized = minimize_test(
-      padded, behaviour_classes(fault_list_2(), 4), 4, true, nullptr, &stats);
+      padded, behaviour_classes(fault_list_2(), 4), 4, nullptr, &stats);
   EXPECT_GT(stats.trials, 0u);
   EXPECT_GT(stats.element_replays, 0u);
   // A from-scratch rescan costs ~ trials × instances × elements replays;

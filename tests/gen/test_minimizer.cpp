@@ -17,12 +17,11 @@ std::vector<FaultInstance> instances_for(const FaultList& list, std::size_t n) {
 /// minimize_test on the behaviour classes of `list` at n = 4.
 MarchTest minimize(const MarchTest& test, const FaultList& list,
                    std::vector<std::string>* log = nullptr) {
-  return minimize_test(test, behaviour_classes(list, 4), 4,
-                       /*both_power_on_states=*/true, log);
+  return minimize_test(test, behaviour_classes(list, 4), 4, log);
 }
 
 TEST(Minimizer, CoversAllAgreesWithCoverage) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const FaultList list = fault_list_2();
   const auto instances = instances_for(list, 4);
   EXPECT_TRUE(covers_all(simulator, march_abl1(), instances));
@@ -30,13 +29,13 @@ TEST(Minimizer, CoversAllAgreesWithCoverage) {
 }
 
 TEST(Minimizer, CoversAllRejectsInvalidTests) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const MarchTest invalid = parse_march_test("{c(r1)}", "bad");
   EXPECT_FALSE(covers_all(simulator, invalid, {}));
 }
 
 TEST(Minimizer, RemovesRedundantElements) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const FaultList list = fault_list_2();
   const auto instances = instances_for(list, 4);
 
@@ -54,7 +53,7 @@ TEST(Minimizer, RemovesRedundantElements) {
 }
 
 TEST(Minimizer, MinimalTestIsAFixpoint) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const FaultList list = fault_list_2();
   const auto instances = instances_for(list, 4);
   const MarchTest once = minimize(march_abl1(), list);
@@ -66,7 +65,7 @@ TEST(Minimizer, MinimalTestIsAFixpoint) {
 TEST(Minimizer, PreservesCoverageProperty) {
   // Property: for several tests and lists, minimization never loses
   // coverage and never increases complexity.
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const FaultList list = fault_list_2();
   const auto instances = instances_for(list, 4);
   for (const MarchTest& test : {march_abl1(), march_lf1(), march_ss()}) {
@@ -80,16 +79,16 @@ TEST(Minimizer, SingleElementTestsAreReturnedUnchanged) {
   // Both inner loops must handle the degenerate shapes: one element is never
   // dropped (the test would vanish), and a one-op element is left to the
   // element-removal pass.
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   for (const char* notation : {"{c(w0)}", "{c(w0,r0)}"}) {
     const MarchTest test = parse_march_test(notation, "tiny");
     std::vector<std::string> log;
-    const MarchTest minimized = minimize_test(test, {}, 4, true, &log);
+    const MarchTest minimized = minimize_test(test, {}, 4, &log);
     // With no instances to keep covered, only op-dropping inside the
     // two-op element can fire; the single-op test is a strict fixpoint.
     EXPECT_TRUE(covers_all(simulator, minimized, {}));
     EXPECT_GE(minimized.elements().size(), 1u);
-    EXPECT_EQ(minimize_test(minimized, {}, 4, true), minimized);
+    EXPECT_EQ(minimize_test(minimized, {}, 4), minimized);
   }
 }
 
@@ -111,7 +110,7 @@ TEST(Minimizer, NoOpMinimizationLeavesTheLogEmpty) {
 TEST(Minimizer, PreservesValidityAndWaitsForRetentionTargets) {
   // Minimizing against retention (t-op) instances must neither break test
   // validity nor strip the waits that make the coverage possible.
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   FaultList list;
   list.name = "simple DRFs";
   list.simple.push_back(SimpleFault::single(FaultPrimitive::drf(Bit::Zero)));
@@ -128,7 +127,7 @@ TEST(Minimizer, PreservesValidityAndWaitsForRetentionTargets) {
 }
 
 TEST(Minimizer, DropsOpsInsideElements) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   // Cover only the transition faults; the double reads are redundant.
   FaultList list;
   list.name = "tf only";

@@ -22,7 +22,7 @@ namespace {
 class CalibrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    simulator_ = new FaultSimulator(SimulatorOptions{5, true, 10});
+    simulator_ = new FaultSimulator(SimulatorOptions{5});
     list1_ = new FaultList(fault_list_1());
     list2_ = new FaultList(fault_list_2());
   }
@@ -114,7 +114,7 @@ TEST_F(CalibrationTest, MarchSsCoversAllSimpleStaticFaults) {
 TEST_F(CalibrationTest, CoverageMonotoneInMemorySize) {
   // A test covering the list on n=5 also covers it on n=7 (sanity of the
   // instance enumeration; detection only depends on relative layout).
-  const FaultSimulator larger(SimulatorOptions{7, true, 10});
+  const FaultSimulator larger(SimulatorOptions{7});
   EXPECT_TRUE(evaluate_coverage(larger, march_lf1(), *list2_).full_coverage());
   EXPECT_TRUE(evaluate_coverage(larger, march_abl1(), *list2_).full_coverage());
 }

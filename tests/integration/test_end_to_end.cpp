@@ -34,7 +34,7 @@ TEST(EndToEnd, GeneratedTestSurvivesIndependentScrutiny) {
   const FaultList list = fault_list_2();
   const GenerationResult result = generate_march_test(list);
   // Validate on a larger memory than the generator used anywhere.
-  const FaultSimulator simulator(SimulatorOptions{8, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{8});
   const CoverageReport report =
       evaluate_coverage(simulator, result.test, list);
   EXPECT_TRUE(report.full_coverage()) << report.summary();
@@ -48,7 +48,7 @@ TEST(EndToEnd, SectionThreeMaskingStory) {
   list.name = "equation 12";
   list.linked.push_back(disturb_coupling_linked_fault());
 
-  const FaultSimulator simulator(SimulatorOptions{5, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{5});
   EXPECT_TRUE(evaluate_coverage(simulator, march_sl(), list).full_coverage());
 
   GeneratorOptions options;
@@ -68,7 +68,7 @@ TEST(EndToEnd, PatternGraphAgreesWithSimulator) {
   EXPECT_EQ(pg.num_vertices(), 2u);
   EXPECT_EQ(pg.faulty_edges().size(), 2u * list.linked.size());
 
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const CoverageReport report =
       evaluate_coverage(simulator, march_abl1(), list);
   EXPECT_TRUE(report.full_coverage());

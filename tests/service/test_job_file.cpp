@@ -69,7 +69,7 @@ void expect_error_at(const std::string& text, std::size_t line,
 
 TEST(JobFileParse, RejectsMissingHeader) {
   expect_error_at("job test=\"x\" list=l n=8\n", 1, 1, "jobs v1");
-  expect_error_at("jobs v2\n", 1, 5, "version");
+  expect_error_at("jobs v2\n", 1, 6, "version");
 }
 
 TEST(JobFileParse, RejectsEmptyAndJoblessDocuments) {

@@ -35,8 +35,6 @@ CoverageReport solo_report(const MarchTest& test, const FaultList& list,
                            std::size_t n, std::size_t cap) {
   SimulatorOptions options;
   options.memory_size = n;
-  options.both_power_on_states = true;
-  options.max_any_order_elements = 10;
   options.coverage_threads = 1;
   return evaluate_coverage(FaultSimulator(options), test, list, cap);
 }

@@ -59,10 +59,10 @@ std::vector<BehaviourClass> instance_classes(
 
 std::vector<std::size_t> reference_gains(
     const std::vector<FaultInstance>& instances, const MarchTest& prefix,
-    const std::vector<MarchElement>& candidates, bool both_power_on_states) {
+    const std::vector<MarchElement>& candidates) {
   const CompiledTest compiled = compile_march_test(prefix);
   const std::size_t combos = std::size_t{1} << compiled.any_count;
-  const std::size_t total = (both_power_on_states ? 2 : 1) * combos;
+  const std::size_t total = 2 * combos;
   std::vector<ElementTrace> traces;
   for (const MarchElement& candidate : candidates) {
     traces.push_back(compile_element_trace(candidate));
@@ -72,7 +72,7 @@ std::vector<std::size_t> reference_gains(
     const PackedFaultSim sim(instance);
     for (std::size_t base = 0; base < total; base += 64) {
       PackedFaultSim::Lanes block;
-      sim.power_on_block(block, base, total, combos, both_power_on_states);
+      sim.power_on_block(block, base, combos);
       for (std::size_t e = 0; e < prefix.elements().size(); ++e) {
         const MarchElement& element = prefix.elements()[e];
         sim.run_element(block, element, compiled.traces[e],

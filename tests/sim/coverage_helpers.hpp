@@ -38,7 +38,7 @@ std::vector<BehaviourClass> instance_classes(
 /// that can win or tie the greedy selection.
 std::vector<std::size_t> reference_gains(
     const std::vector<FaultInstance>& instances, const MarchTest& prefix,
-    const std::vector<MarchElement>& candidates, bool both_power_on_states);
+    const std::vector<MarchElement>& candidates);
 
 /// A (test, list) pair whose evaluation takes hundreds of milliseconds on
 /// the packed engine at any memory size: Fault List #1 repeated 16 times

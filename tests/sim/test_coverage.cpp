@@ -24,7 +24,7 @@ FaultList small_list() {
 }
 
 TEST(Coverage, FullCoverageReport) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const CoverageReport report =
       evaluate_coverage(simulator, march_sl(), small_list());
   EXPECT_TRUE(report.full_coverage());
@@ -37,7 +37,7 @@ TEST(Coverage, FullCoverageReport) {
 }
 
 TEST(Coverage, PartialCoverageIdentifiesMisses) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const CoverageReport report =
       evaluate_coverage(simulator, mats_plus(), small_list());
   EXPECT_FALSE(report.full_coverage());
@@ -59,7 +59,7 @@ TEST(Coverage, PartialCoverageIdentifiesMisses) {
 }
 
 TEST(Coverage, InstanceAccounting) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const CoverageReport report =
       evaluate_coverage(simulator, march_sl(), small_list());
   // 4 + 4 single-cell instances, C(4,2) = 6 linked instances.
@@ -68,7 +68,7 @@ TEST(Coverage, InstanceAccounting) {
 }
 
 TEST(Coverage, SummaryMentionsTestAndList) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const CoverageReport report =
       evaluate_coverage(simulator, march_sl(), small_list());
   const std::string summary = report.summary();
@@ -78,7 +78,7 @@ TEST(Coverage, SummaryMentionsTestAndList) {
 }
 
 TEST(Coverage, RejectsInvalidTests) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const MarchTest invalid = parse_march_test("{c(r0,w0)}", "bad");
   EXPECT_THROW(evaluate_coverage(simulator, invalid, small_list()), Error);
 }
@@ -87,7 +87,7 @@ TEST(Coverage, EmptyListReportsZeroNotVacuousFull) {
   // The divide-by-empty convention used to claim 100% coverage / full
   // coverage for an *empty* fault list; an empty report now says so
   // explicitly and reports 0%.
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   FaultList empty;
   empty.name = "empty";
   const CoverageReport report =

@@ -248,8 +248,7 @@ TEST(DecoderCollapsing, PrefixEngineKeepsStructurallyEqualInstancesApart) {
   ASSERT_EQ(instances.size(), 4u);
   const MarchTest test = parse_march_test("{c(w0); ^(r0)}", "na probe");
   PrefixEngine engine(n, behaviour_classes(list, n), test,
-                      PrefixEngine::Options{/*both_power_on_states=*/true,
-                                            /*record_checkpoints=*/false});
+                      /*record_checkpoints=*/false);
   EXPECT_EQ(engine.num_instances(), 4u);
   EXPECT_EQ(engine.num_representatives(), 2u);  // one per read-back bit
   EXPECT_EQ(engine.undetected_instances(), 2u);
@@ -277,7 +276,7 @@ TEST(DecoderCollapsing, PrefixEngineAdvanceAndTrialsStayExact) {
   const FaultSimulator simulator(options);
 
   PrefixEngine engine(n, behaviour_classes(list, n), prefix,
-                      PrefixEngine::Options{true, /*record_checkpoints=*/true});
+                      /*record_checkpoints=*/true);
   engine.advance(full);
   std::size_t undetected = 0;
   for (const FaultInstance& inst : instances) {

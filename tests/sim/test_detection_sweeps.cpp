@@ -21,7 +21,7 @@ std::string sanitize(std::string name) {
 class SimpleFaultSweep : public ::testing::TestWithParam<SimpleFault> {};
 
 TEST_P(SimpleFaultSweep, CoveredByMarchSs) {
-  const FaultSimulator simulator(SimulatorOptions{5, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{5});
   const SimpleFault& fault = GetParam();
   for (const FaultInstance& inst : instantiate(fault, 5, 0)) {
     EXPECT_TRUE(simulator.detects(march_ss(), inst)) << inst.description;
@@ -29,7 +29,7 @@ TEST_P(SimpleFaultSweep, CoveredByMarchSs) {
 }
 
 TEST_P(SimpleFaultSweep, CoveredByMarchSl) {
-  const FaultSimulator simulator(SimulatorOptions{5, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{5});
   const SimpleFault& fault = GetParam();
   for (const FaultInstance& inst : instantiate(fault, 5, 0)) {
     EXPECT_TRUE(simulator.detects(march_sl(), inst)) << inst.description;
@@ -48,7 +48,7 @@ INSTANTIATE_TEST_SUITE_P(
 class SingleCellLinkedSweep : public ::testing::TestWithParam<LinkedFault> {};
 
 TEST_P(SingleCellLinkedSweep, CoveredByAbl1AndLf1AndSl) {
-  const FaultSimulator simulator(SimulatorOptions{5, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{5});
   for (const MarchTest& test : {march_abl1(), march_lf1(), march_sl()}) {
     for (const FaultInstance& inst : instantiate(GetParam(), 5, 0)) {
       EXPECT_TRUE(simulator.detects(test, inst))
@@ -71,7 +71,7 @@ class FalseAlarmSweep : public ::testing::TestWithParam<MarchTest> {};
 TEST_P(FalseAlarmSweep, FaultFreeMemoryPasses) {
   // A march test must pass on a fault-free memory for every power-on value
   // and every ⇕ order assignment (otherwise it rejects good parts).
-  const FaultSimulator simulator(SimulatorOptions{6, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{6});
   FaultInstance none;
   none.description = "fault-free";
   const DetectionResult result = simulator.simulate(GetParam(), none);
@@ -93,7 +93,7 @@ class LayoutSymmetrySweep : public ::testing::TestWithParam<LinkedFault> {};
 TEST_P(LayoutSymmetrySweep, SlCoversEveryAddressAssignment) {
   // March SL applies its elements in both orders, so coverage must not
   // depend on where the fault's cells sit in the address space.
-  const FaultSimulator simulator(SimulatorOptions{6, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{6});
   for (const FaultInstance& inst : instantiate(GetParam(), 6, 0)) {
     EXPECT_TRUE(simulator.detects(march_sl(), inst)) << inst.description;
   }

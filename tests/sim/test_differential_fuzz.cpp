@@ -69,7 +69,6 @@ struct Rng {
 
 struct FuzzCase {
   std::size_t memory_size = 4;
-  bool both_power_on_states = true;
   MarchTest test;
   FaultInstance instance;
 };
@@ -209,7 +208,8 @@ FuzzCase make_case(std::uint64_t seed, const std::vector<FaultPrimitive>& fps,
   } else {
     fuzz.memory_size = 65 + rng.below(136);  // 65..200 cells (multi-word)
   }
-  fuzz.both_power_on_states = rng.coin();
+  // An unused draw: it keeps the test and instance of every seed stable.
+  (void)rng.coin();
   fuzz.test = random_march_test(rng);
   // 3/8 arbitrary FP bindings, 3/8 real linked faults, 2/8 decoder faults.
   const std::size_t kind = rng.below(8);
@@ -241,7 +241,6 @@ std::string verdict_string(const DetectionResult& result) {
 std::string divergence(const FuzzCase& fuzz) {
   SimulatorOptions options;
   options.memory_size = fuzz.memory_size;
-  options.both_power_on_states = fuzz.both_power_on_states;
   const FaultSimulator simulator(options);
 
   const DetectionResult packed = simulator.simulate(fuzz.test, fuzz.instance);
@@ -261,10 +260,7 @@ std::string divergence(const FuzzCase& fuzz) {
   // Third leg: a definite verdict from the symbolic analyzer must agree
   // with both engines (static == packed == scalar); Unknown is its licensed
   // fall-back-to-simulation answer and never a divergence.
-  AnalysisOptions analysis_options;
-  analysis_options.both_power_on_states = fuzz.both_power_on_states;
-  const StaticResult statics =
-      analyze_instance(fuzz.test, fuzz.instance, analysis_options);
+  const StaticResult statics = analyze_instance(fuzz.test, fuzz.instance);
   if (statics.definite() &&
       (statics.verdict == StaticVerdict::Detected) != scalar.detected) {
     return "static analyzer disagrees:\n  static: " +
@@ -327,8 +323,7 @@ FuzzCase shrink(FuzzCase fuzz) {
 std::string describe(const FuzzCase& fuzz, std::uint64_t seed) {
   std::ostringstream out;
   out << "seed " << seed << " (replay: MTG_FUZZ_SEED=" << seed << ")\n"
-      << "  n = " << fuzz.memory_size
-      << ", both_power_on_states = " << fuzz.both_power_on_states << "\n"
+      << "  n = " << fuzz.memory_size << "\n"
       << "  test:  " << fuzz.test.to_string(/*ascii=*/true) << "\n"
       << "  fault: " << fuzz.instance.description;
   return out.str();
@@ -406,11 +401,9 @@ TEST(DifferentialFuzz, PrefixEngineCheckpointRestoreMatchesSimulator) {
     const FuzzCase fuzz = make_case(seed, fps, linked);
     SimulatorOptions options;
     options.memory_size = fuzz.memory_size;
-    options.both_power_on_states = fuzz.both_power_on_states;
     const FaultSimulator simulator(options);
-    PrefixEngine engine(
-        fuzz.memory_size, instance_classes({fuzz.instance}), fuzz.test,
-        PrefixEngine::Options{fuzz.both_power_on_states, true});
+    PrefixEngine engine(fuzz.memory_size, instance_classes({fuzz.instance}),
+                        fuzz.test, /*record_checkpoints=*/true);
 
     const bool detected = engine.undetected_instances() == 0;
     if (!check(detected == simulator.detects(fuzz.test, fuzz.instance), fuzz,
@@ -620,8 +613,8 @@ TEST(DifferentialFuzz, CollapsedCoverageMatchesPerInstanceReference) {
           *(same_fault.first + static_cast<std::ptrdiff_t>(rng.below(width)));
       const PackedFaultSim sx(x), sy(y);
       if (sx.signature() != sy.signature()) continue;
-      const PackedOutcome ox = packed_run(test, compiled, sx, true, false);
-      const PackedOutcome oy = packed_run(test, compiled, sy, true, false);
+      const PackedOutcome ox = packed_run(test, compiled, sx, false);
+      const PackedOutcome oy = packed_run(test, compiled, sy, false);
       if (ox.all_detected != oy.all_detected ||
           ox.first_detected != oy.first_detected ||
           ox.first_escape != oy.first_escape) {

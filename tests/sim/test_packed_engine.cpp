@@ -17,10 +17,9 @@
 namespace mtg {
 namespace {
 
-SimulatorOptions options_for(std::size_t n, bool both = true) {
+SimulatorOptions options_for(std::size_t n) {
   SimulatorOptions options;
   options.memory_size = n;
-  options.both_power_on_states = both;
   return options;
 }
 
@@ -115,18 +114,19 @@ TEST(PackedEngine, LinkedMaskingPairsAgree) {
   }
 }
 
-TEST(PackedEngine, HonorsSinglePowerOnState) {
+TEST(PackedEngine, RequiresDetectionFromBothPowerOnStates) {
   // IRF0 under a bare-read test: detected from all-0 power-on, escapes from
-  // all-1 — so the verdict must flip with both_power_on_states.
+  // all-1 — so it is not covered, and the escape is the all-1 scenario.
   const MarchTest bare_read = parse_march_test("{c(r)}", "bare-read");
   FaultInstance irf0;
   irf0.fps.push_back(BoundFp::at(FaultPrimitive::irf(Bit::Zero), 2));
-  const FaultSimulator single(options_for(4, /*both=*/false));
-  const FaultSimulator both(options_for(4, /*both=*/true));
-  EXPECT_TRUE(single.detects(bare_read, irf0));
-  EXPECT_FALSE(both.detects(bare_read, irf0));
-  EXPECT_TRUE(single.detects_scalar(bare_read, irf0));
-  EXPECT_FALSE(both.detects_scalar(bare_read, irf0));
+  const FaultSimulator simulator(options_for(4));
+  EXPECT_FALSE(simulator.detects(bare_read, irf0));
+  EXPECT_FALSE(simulator.detects_scalar(bare_read, irf0));
+  const DetectionResult result = simulator.simulate(bare_read, irf0);
+  ASSERT_TRUE(result.escape_scenario.has_value());
+  EXPECT_EQ(result.escape_scenario->first, Bit::One);
+  ASSERT_TRUE(result.first_event.has_value());
 }
 
 TEST(PackedEngine, CoverageReportsAgree) {
@@ -182,7 +182,7 @@ TEST(PackedEngine, ScenarioWordsMatchEnumeration) {
       }
     }
   }
-  // Partial final block and the single-power-on case.
+  // Partial final block and the power-on split of a 16-scenario set.
   EXPECT_EQ(scenario_active_word(0, 12), (std::uint64_t{1} << 12) - 1);
   EXPECT_EQ(scenario_power1_word(0, 8) & scenario_active_word(0, 16),
             std::uint64_t{0xFF00});

@@ -58,14 +58,14 @@ MarchTest any_heavy_test() {
 
 TEST(PrefixSim, AdvanceMatchesFromScratchAfterEveryElement) {
   const std::size_t n = 5;
-  const FaultSimulator simulator(SimulatorOptions{n, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{n});
   for (const MarchTest& test :
        {march_abl1(), march_g(), any_heavy_test()}) {
     for (const FaultList& list :
          {fault_list_2(), retention_fault_list()}) {
       const auto instances = instantiate_all(list, n);
       PrefixEngine engine(n, instance_classes(instances), prefix_of(test, 1),
-                          PrefixEngine::Options{true, false});
+                          /*record_checkpoints=*/false);
       for (std::size_t len = 1; len <= test.elements().size(); ++len) {
         const MarchTest prefix = prefix_of(test, len);
         engine.advance(prefix);
@@ -80,33 +80,13 @@ TEST(PrefixSim, AdvanceMatchesFromScratchAfterEveryElement) {
   }
 }
 
-TEST(PrefixSim, SinglePowerOnStateMatchesFromScratch) {
-  const std::size_t n = 4;
-  SimulatorOptions options;
-  options.memory_size = n;
-  options.both_power_on_states = false;
-  const FaultSimulator simulator(options);
-  const auto instances = instantiate_all(fault_list_2(), n);
-  const MarchTest test = any_heavy_test();
-  PrefixEngine engine(n, instance_classes(instances), prefix_of(test, 1),
-                      PrefixEngine::Options{false, false});
-  for (std::size_t len = 1; len <= test.elements().size(); ++len) {
-    engine.advance(prefix_of(test, len));
-    EXPECT_EQ(
-        engine.undetected_instances(),
-        undetected_by_simulator(simulator, prefix_of(test, len), instances)
-            .first)
-        << "length " << len;
-  }
-}
-
 TEST(PrefixSim, TrialCoversMatchesFromScratchCoversAll) {
   const std::size_t n = 4;
-  const FaultSimulator simulator(SimulatorOptions{n, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{n});
   for (const MarchTest& test : {march_abl1(), any_heavy_test()}) {
     const auto instances = instantiate_all(fault_list_2(), n);
     PrefixEngine engine(n, instance_classes(instances), test,
-                        PrefixEngine::Options{true, true});
+                        /*record_checkpoints=*/true);
 
     // Drop-element trials at every position.
     for (std::size_t i = 0; i < test.elements().size(); ++i) {
@@ -137,11 +117,11 @@ TEST(PrefixSim, TrialCoversMatchesFromScratchCoversAll) {
 
 TEST(PrefixSim, RewindToEditedTestMatchesFromScratch) {
   const std::size_t n = 4;
-  const FaultSimulator simulator(SimulatorOptions{n, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{n});
   const MarchTest test = any_heavy_test();
   const auto instances = instantiate_all(fault_list_2(), n);
   PrefixEngine engine(n, instance_classes(instances), test,
-                      PrefixEngine::Options{true, true});
+                      /*record_checkpoints=*/true);
 
   // Drop every element in turn (fresh engine state each time via rewind
   // back to the full test), including the ⇕ ones — the scenario space
@@ -162,13 +142,13 @@ TEST(PrefixSim, RewindToEditedTestMatchesFromScratch) {
 
 TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
   const std::size_t n = 4;
-  const FaultSimulator simulator(SimulatorOptions{n, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{n});
   // A prefix that covers only part of the list, so some instances survive.
   const MarchTest prefix =
       parse_march_test("{c(w0); ^(r0,w1,r1)}", "partial");
   const auto instances = instantiate_all(fault_list_2(), n);
   PrefixEngine engine(n, instance_classes(instances), prefix,
-                      PrefixEngine::Options{true, false});
+                      /*record_checkpoints=*/false);
   ASSERT_GT(engine.undetected_instances(), 0u);
 
   std::vector<FaultInstance> missed;
@@ -178,7 +158,7 @@ TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
   ASSERT_EQ(engine.undetected_instances(), missed.size());
 
   PrefixEngine fresh(n, instance_classes(missed), prefix,
-                     PrefixEngine::Options{true, false});
+                     /*record_checkpoints=*/false);
   PrefixEngine clone = engine.clone_undetected();
   EXPECT_EQ(clone.undetected_instances(), fresh.undetected_instances());
   EXPECT_EQ(clone.undetected_scenarios(), fresh.undetected_scenarios());
@@ -265,14 +245,11 @@ TEST(PrefixSim, GainScanMatchesPerCandidateReference) {
   ASSERT_GT(any, 0u);
   ASSERT_GT(waits, 0u);
 
-  struct Prefix {
-    const char* notation;
-    bool both_power_on_states;  ///< S = P · 2^⇕
-  };
-  const Prefix prefixes[] = {
-      {"{c(w0); ^(r0,w1)}", false},                               // S = 2
-      {"{c(w0); ^(r0,w1)}", true},                                // S = 4
-      {"{c(w0); c(w1); c(w0); c(w1); c(w0); c(w1)}", true},  // S = 128
+  // S = 2 · 2^⇕ scenario lanes per item: 32, 16 and 1 candidates a word.
+  const char* const prefixes[] = {
+      "{^(w0); ^(r0,w1)}",                            // S = 2
+      "{c(w0); ^(r0,w1)}",                            // S = 4
+      "{c(w0); c(w1); c(w0); c(w1); c(w0); c(w1)}",  // S = 128
   };
   // The reference simulates every instance, so List #1 (50,904 instances
   // at n = 6) is sampled there, two layouts per fault; cap 0 = all.
@@ -285,16 +262,14 @@ TEST(PrefixSim, GainScanMatchesPerCandidateReference) {
   for (const auto& [list, cap_at_6] : lists) {
     for (const std::size_t n : {std::size_t{3}, std::size_t{6}}) {
       const auto instances = instantiate_all(list, n, n == 6 ? cap_at_6 : 0);
-      for (const Prefix& p : prefixes) {
-        const MarchTest prefix = parse_march_test(p.notation, "prefix");
-        const std::string where = list.name + " n=" + std::to_string(n) +
-                                  " " + p.notation +
-                                  (p.both_power_on_states ? "" : " single");
-        const std::vector<std::size_t> reference = reference_gains(
-            instances, prefix, candidates, p.both_power_on_states);
-        const PrefixEngine engine(
-            n, instance_classes(instances), prefix,
-            PrefixEngine::Options{p.both_power_on_states, false});
+      for (const char* notation : prefixes) {
+        const MarchTest prefix = parse_march_test(notation, "prefix");
+        const std::string where =
+            list.name + " n=" + std::to_string(n) + " " + notation;
+        const std::vector<std::size_t> reference =
+            reference_gains(instances, prefix, candidates);
+        const PrefixEngine engine(n, instance_classes(instances), prefix,
+                                  /*record_checkpoints=*/false);
 
         // One candidate per scan: nothing to prune against, every gain exact.
         for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -307,7 +282,7 @@ TEST(PrefixSim, GainScanMatchesPerCandidateReference) {
         // materializing the other instances; its weighted gains are the same.
         const PrefixEngine from_classes(
             n, behaviour_classes(list, n, n == 6 ? cap_at_6 : 0), prefix,
-            PrefixEngine::Options{p.both_power_on_states, false});
+            /*record_checkpoints=*/false);
         for (std::size_t i = 0; i < candidates.size(); ++i) {
           EXPECT_EQ(from_classes.gain_scan({&candidates[i]}, {&traces[i]}),
                     std::vector<std::size_t>{reference[i]})
@@ -378,16 +353,16 @@ TEST(PrefixSim, CollapsesEquivalentLayoutsExactly) {
   const auto instances = instantiate_all(fault_list_2(), n);
   const MarchTest test = march_abl1();
   PrefixEngine engine(n, behaviour_classes(fault_list_2(), n), test,
-                      PrefixEngine::Options{true, false});
+                      /*record_checkpoints=*/false);
   // Weighted totals see every instance; the simulated representatives are
   // the distinct (fault, relative layout order) classes — far fewer.
   EXPECT_EQ(engine.num_instances(), instances.size());
   EXPECT_LT(engine.num_representatives(), instances.size() / 2);
   // Weighted undetected counts equal the per-instance oracle.
-  const FaultSimulator simulator(SimulatorOptions{n, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{n});
   const MarchTest partial = prefix_of(test, 2);
   PrefixEngine partial_engine(n, behaviour_classes(fault_list_2(), n), partial,
-                              PrefixEngine::Options{true, false});
+                              /*record_checkpoints=*/false);
   EXPECT_EQ(partial_engine.undetected_instances(),
             undetected_by_simulator(simulator, partial, instances).first);
 }
@@ -399,9 +374,9 @@ TEST(PrefixSim, ParallelSyncMatchesSequential) {
   ThreadPool pool(3);
 
   PrefixEngine sequential(n, instance_classes(instances), prefix_of(test, 2),
-                          PrefixEngine::Options{true, true});
+                          /*record_checkpoints=*/true);
   PrefixEngine parallel(n, instance_classes(instances), prefix_of(test, 2),
-                        PrefixEngine::Options{true, true}, &pool);
+                        /*record_checkpoints=*/true, &pool);
   EXPECT_EQ(sequential.undetected_instances(),
             parallel.undetected_instances());
 
@@ -425,7 +400,7 @@ TEST(PrefixSim, ExcludedFaultsStayDroppedAcrossSyncs) {
   const auto instances = instantiate_all(fault_list_2(), n);
   const MarchTest test = any_heavy_test();
   PrefixEngine engine(n, instance_classes(instances), prefix_of(test, 2),
-                      PrefixEngine::Options{true, true});
+                      /*record_checkpoints=*/true);
   const std::set<std::size_t> excluded = {0, 1};
   engine.exclude_faults(excluded);
   engine.advance(test);
@@ -444,7 +419,7 @@ TEST(PrefixSim, CommitPoisonsExactness) {
   const auto instances = instantiate_all(fault_list_2(), n);
   const MarchTest test = march_abl1();
   PrefixEngine engine(n, instance_classes(instances), prefix_of(test, 2),
-                      PrefixEngine::Options{true, true});
+                      /*record_checkpoints=*/true);
   const MarchElement candidate(AddressOrder::Up, {Op::R0});
   engine.commit(candidate, compile_element_trace(candidate));
   EXPECT_THROW(engine.advance(test), Error);
@@ -460,7 +435,7 @@ TEST(PrefixSim, TrialCostIsProportionalToTheReplayedSuffix) {
   const auto instances = instantiate_all(fault_list_2(), n);
   const MarchTest test = march_abl1();
   PrefixEngine engine(n, instance_classes(instances), test,
-                      PrefixEngine::Options{true, true});
+                      /*record_checkpoints=*/true);
   const std::size_t last = test.elements().size() - 1;
 
   engine.reset_stats();

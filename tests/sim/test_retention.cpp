@@ -18,7 +18,7 @@ namespace mtg {
 namespace {
 
 SimulatorOptions options_for(std::size_t n) {
-  return SimulatorOptions{n, true, 10, 1};
+  return SimulatorOptions{n, 1};
 }
 
 TEST(Retention, FaultPrimitiveTaxonomy) {

@@ -40,7 +40,7 @@ TEST(Simulator, ValidityAllowsBareReads) {
 }
 
 TEST(Simulator, DetectsStuckStateFault) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   EXPECT_TRUE(
       simulator.detects(mats_plus(), single_instance(FaultPrimitive::sf(Bit::One), 2)));
   EXPECT_TRUE(
@@ -48,7 +48,7 @@ TEST(Simulator, DetectsStuckStateFault) {
 }
 
 TEST(Simulator, DetectsTransitionFaults) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   EXPECT_TRUE(simulator.detects(
       mats_plus(), single_instance(FaultPrimitive::tf(Bit::Zero), 1)));
   // MATS+ ends with the w0 that sensitizes TF↓ and never reads it back —
@@ -61,7 +61,7 @@ TEST(Simulator, DetectsTransitionFaults) {
 
 TEST(Simulator, MatsPlusMissesWriteDestructiveFaults) {
   // MATS+ performs only transition writes, so WDFs are never sensitized.
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   EXPECT_FALSE(simulator.detects(
       mats_plus(), single_instance(FaultPrimitive::wdf(Bit::Zero), 1)));
   // March SS contains non-transition writes followed by reads.
@@ -70,7 +70,7 @@ TEST(Simulator, MatsPlusMissesWriteDestructiveFaults) {
 }
 
 TEST(Simulator, DeceptiveReadNeedsDoubleReads) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const auto drdf = single_instance(FaultPrimitive::drdf(Bit::Zero), 2);
   EXPECT_FALSE(simulator.detects(mats_plus(), drdf));
   EXPECT_TRUE(simulator.detects(march_ss(), drdf));   // has r0,r0 pairs
@@ -78,7 +78,7 @@ TEST(Simulator, DeceptiveReadNeedsDoubleReads) {
 }
 
 TEST(Simulator, AnyReadCatchesRdf) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   EXPECT_TRUE(simulator.detects(
       mats_plus(), single_instance(FaultPrimitive::rdf(Bit::Zero), 0)));
   EXPECT_TRUE(simulator.detects(
@@ -88,7 +88,7 @@ TEST(Simulator, AnyReadCatchesRdf) {
 TEST(Simulator, LinkedDisturbCouplingDetectedBySl) {
   // The linked CF of Equations 12-14 is caught by March SL at every address
   // assignment (the paper's Section 6 validation flow).
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const LinkedFault lf = disturb_coupling_linked_fault();
   for (const FaultInstance& inst : instantiate(lf, 4, 0)) {
     EXPECT_TRUE(simulator.detects(march_sl(), inst)) << inst.description;
@@ -98,7 +98,7 @@ TEST(Simulator, LinkedDisturbCouplingDetectedBySl) {
 TEST(Simulator, LinkedWdfPairEscapesClassicTests) {
   // WDF0→WDF1 on one cell: classic tests never perform the back-to-back
   // non-transition writes needed to expose either component in isolation.
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   FaultInstance inst;
   inst.fps.push_back(BoundFp::at(FaultPrimitive::wdf(Bit::Zero), 1));
   inst.fps.push_back(BoundFp::at(FaultPrimitive::wdf(Bit::One), 1));
@@ -114,7 +114,7 @@ TEST(Simulator, LinkedWdfPairEscapesClassicTests) {
 }
 
 TEST(Simulator, SimulateReportsScenarioDiagnostics) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   // Detected fault: event populated, no escape scenario needed.
   const auto tf_up = single_instance(FaultPrimitive::tf(Bit::Zero), 1);
   const DetectionResult hit = simulator.simulate(march_x(), tf_up);
@@ -128,7 +128,7 @@ TEST(Simulator, SimulateReportsScenarioDiagnostics) {
 }
 
 TEST(Simulator, RunScenarioReportsEventDetails) {
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   const auto inst = single_instance(FaultPrimitive::sf(Bit::One), 2);
   // March X: {⇕(w0); ⇑(r0,w1); ⇓(r1,w0); ⇕(r0)} — SF1 collapses w1 results.
   const auto event =
@@ -146,7 +146,7 @@ TEST(Simulator, AnyOrderElementsMustDetectUnderBothOrders) {
   const MarchTest up_only = parse_march_test("{c(w0); ^(r0,w1); ^(r1)}", "up");
   const MarchTest any_order =
       parse_march_test("{c(w0); c(r0,w1); c(r1)}", "any");
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   FaultInstance cf;
   cf.fps.push_back(BoundFp(
       FaultPrimitive::cfds(Bit::Zero, SenseOp::W1, Bit::Zero), /*a=*/0, /*v=*/2));
@@ -163,12 +163,12 @@ TEST(Simulator, AnyOrderCount) {
 }
 
 TEST(Simulator, OptionsValidation) {
-  EXPECT_THROW(FaultSimulator(SimulatorOptions{2, true, 10}), Error);
+  EXPECT_THROW(FaultSimulator(SimulatorOptions{2}), Error);
 }
 
 TEST(Simulator, FaultFreeInstanceNeverDetected) {
   // An empty fault set produces no mismatch on any catalog test.
-  const FaultSimulator simulator(SimulatorOptions{4, true, 10});
+  const FaultSimulator simulator(SimulatorOptions{4});
   FaultInstance none;
   none.description = "fault-free";
   for (const MarchTest& test : all_catalog_tests()) {
