@@ -1,82 +1,18 @@
-// mtg_cli — command line front end for the march test generation library.
+// mtg_cli — command line front end for the march test generation library:
+// generates march tests for the built-in fault lists (the paper's Table 1)
+// and for external catalogs, measures and lints their coverage, runs
+// coverage-matrix batches, and optimizes suites under a checkable
+// certificate.
 //
-//   mtg_cli catalog
-//       list the published march tests with complexity
-//   mtg_cli lists [--list-file <path>] [--suite-file <path>]
-//       show the built-in fault lists and their sizes; with --list-file /
-//       --suite-file, also summarize the external catalog file(s)
-//   mtg_cli generate <list1|list2|simple|retention|decoder> [--stats]
-//   mtg_cli generate --list-file <path> [--stats]
-//       generate a march test for a built-in or external fault list; --stats
-//       prints the per-phase timing breakdown and the generation lap log
-//   mtg_cli coverage [<test>] <list> [n]
-//       fault-simulate a march test against a built-in fault list.  <test>
-//       is march notation (e.g. "{c(w0); ^(r0,w1); v(r1,w0)}"), a catalog
-//       test name (e.g. "March SL"), or — with --suite-file — a test name
-//       from the external suite; omitted, it defaults to March SL
-//   mtg_cli coverage ... --list-file <path>
-//       target an external fault list (format/fault_list_text.hpp: simple,
-//       linked and decoder sections) instead of a built-in one
-//   mtg_cli coverage ... --suite-file <path>
-//       resolve <test> by name from an external march-test suite
-//   mtg_cli coverage ... --sweep 64,256,4096,65536 [--cap k]
-//       memory-size sweep: coverage at every listed n, evaluated in
-//       parallel; per-fault layouts are capped (deterministically sampled)
-//       above --cap instances (default 4096, 0 = full enumeration)
-//   mtg_cli coverage ... --store <dir>
-//       persistent result cache (store/sweep_store.hpp): external catalogs
-//       key by the same canonical-serialization hashes as built-ins, so
-//       re-runs hit the store (0 points evaluated) with no schema change.
-//       --store-retries / --store-backoff-ms tune the write-retry ladder
-//   mtg_cli matrix <jobfile> [--threads <k>] [--queue-capacity <q>]
-//           [--reject] [--store <dir>]
-//       batch front end of the coverage-matrix service
-//       (service/matrix_service.hpp): submits every job of a 'jobs v1' file
-//       (service/job_file.hpp) and streams one JSON line per completed job
-//       to stdout, summary to stderr.  --reject switches the backpressure
-//       policy from Block to Reject; Ctrl-C cancels the remaining jobs and
-//       reports the completed ones (exit 130)
+// Each verb is one entry of kVerbs: its operands, the flags it accepts and
+// its handler.  main() parses argv against that entry and usage() prints
+// the same table, so `mtg_cli` without arguments shows the whole grammar.
+// Anything an entry does not name is a usage error.
 //
-// SIGINT/SIGTERM trip one cooperative cancel token: 'matrix' and
-// 'coverage --sweep' stop in bounded time, flush completed results (and the
-// store), and report a partial summary instead of dying mid-write.
-//   mtg_cli lint [<test>...] [<list>] [n] [--list-file <path>]
-//           [--suite-file <path>] [--werror]
-//       static catalog linter (analysis/lint.hpp): flags redundant march
-//       elements, dead operations, duplicate/subsumed fault records and
-//       zero-instance faults at the given memory size (default 6), against
-//       a built-in list (default list1) or --list-file.  Tests come from
-//       the positional specs (march notation or catalog/suite names); with
-//       --suite-file and no specs, every suite test is linted.  Findings
-//       from catalog files carry path:line:column positions.  Findings are
-//       warnings by default (exit 0); --werror exits 1 on any finding — the
-//       CI catalog-check mode
-//   mtg_cli lint --jobs-file <path> [--werror]
-//       lint a 'jobs v1' file instead (analysis/job_lint.hpp): duplicate
-//       (test, list, n, cap) jobs, references to tests/lists no directive
-//       defines, zero/implausible deadline_ms — path:line:column anchored
-//   mtg_cli optimize <suite-file> [n] [--list <universe-spec>]
-//           [--list-file <path>] [--out <path>]
-//       greedy minimal sub-suite preserving the suite's union static
-//       coverage over a fault universe (analysis/certificate.hpp), proved
-//       by the symbolic analyzer; emits a 'certificate v1' document (stdout
-//       or --out) whose per-dropped-test witness rows 'verify' re-checks.
-//       The universe is a closed-form spec ("list1", "simple+decoder[0,12)",
-//       families simple/retention/linked1/linked2/linked3/linkedrt/
-//       list1/list2; default list1) or an external --list-file
-//   mtg_cli verify <certificate-file> [--list-file <path>]
-//       re-check a certificate against the packed simulation engine: the
-//       universe hash must match, and every witness row must hold under
-//       full fault enumeration.  The universe re-materializes from the
-//       embedded spec; certificates over external lists need --list-file.
-//       Exits 1 when any check fails
-//   mtg_cli check <path>...
-//       parse catalog files (fault lists or suites), reporting
-//       path:line:column-annotated errors; the CI catalog-rot guard.  Adds
-//       a static-coverage summary per parsed catalog (instantiable fault
-//       counts; per-suite-test verdict counts vs list1 at n=6)
-//   mtg_cli dot <g0|pgcf>
-//       print the Figure 2 / Figure 4 graph as GraphViz DOT
+// Exit status: 0 success; 1 failure (an `error:` line, partial coverage, a
+// lint finding under --werror, a rejected certificate); 2 usage error; 130
+// interrupted.  SIGINT/SIGTERM stop 'matrix' and 'coverage --sweep' in
+// bounded time; completed results are printed (and stored) first.
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
@@ -86,7 +22,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/certificate.hpp"
@@ -127,19 +65,72 @@ void install_interrupt_handler() {
 /// Exit status for an interrupted run: the shell convention 128 + SIGINT.
 constexpr int kInterruptedExit = 130;
 
-FaultList list_by_name(const std::string& name) {
-  if (name == "list1") return fault_list_1();
-  if (name == "list2") return fault_list_2();
-  if (name == "simple") return standard_simple_static_faults();
-  if (name == "retention") return retention_fault_list();
-  if (name == "decoder") return decoder_fault_list();
-  throw Error("unknown fault list '" + name +
-              "' (use list1, list2, simple, retention or decoder)");
+/// A malformed command line: main() prints the reason and the usage text,
+/// and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The built-in fault lists, in the order 'lists' prints them.
+struct BuiltinList {
+  const char* name;
+  FaultList (*make)();
+};
+const BuiltinList kBuiltinLists[] = {
+    {"list1", fault_list_1},
+    {"list2", fault_list_2},
+    {"simple", standard_simple_static_faults},
+    {"retention", retention_fault_list},
+    {"decoder", [] { return decoder_fault_list(); }},
+};
+
+const BuiltinList* find_builtin_list(const std::string& name) {
+  for (const BuiltinList& list : kBuiltinLists) {
+    if (name == list.name) return &list;
+  }
+  return nullptr;
 }
 
-/// Resolves the coverage test spec: march notation when it contains an
-/// element (a '(' is never part of a name), otherwise a test name looked up
-/// in the external suite (when given) and then in the built-in catalog.
+std::string builtin_list_names() {
+  std::string names;
+  for (const BuiltinList& list : kBuiltinLists) {
+    names += (names.empty() ? "" : ", ") + std::string(list.name);
+  }
+  return names;
+}
+
+FaultList list_by_name(const std::string& name) {
+  if (const BuiltinList* list = find_builtin_list(name)) return list->make();
+  throw Error("unknown fault list '" + name + "' (use " +
+              builtin_list_names() + ")");
+}
+
+/// One parsed command line: the verb's operands and flags.  A value flag
+/// maps to its value, which is never empty; a switch maps to "".
+struct Args {
+  std::vector<std::string> operands;
+  std::map<std::string, std::string> flags;
+
+  bool has(const std::string& flag) const { return flags.count(flag) != 0; }
+  /// The flag's value, or "" when the flag is absent.
+  std::string get(const std::string& flag) const {
+    const auto it = flags.find(flag);
+    return it == flags.end() ? std::string() : it->second;
+  }
+  /// The flag's value as a count, or `fallback` when the flag is absent.
+  std::size_t count(const std::string& flag, std::size_t fallback) const {
+    return has(flag) ? parse_count(get(flag), flag) : fallback;
+  }
+};
+
+bool all_digits(const std::string& text) {
+  return !text.empty() &&
+         text.find_first_not_of("0123456789") == std::string::npos;
+}
+
+/// Resolves a test spec: march notation when it contains an element (a '('
+/// is never part of a name), otherwise a test name looked up in the
+/// external suite (when given) and then in the built-in catalog.
 MarchTest resolve_test(const std::string& spec, const MarchSuite* suite) {
   if (spec.find('(') != std::string::npos) {
     return parse_march_test(spec, "cli test");
@@ -163,7 +154,42 @@ MarchTest resolve_test(const std::string& spec, const MarchSuite* suite) {
   throw Error(message);
 }
 
-int cmd_catalog() {
+/// The sweep store --store names, opened (an unusable directory degrades
+/// to store-less with a warning); null without --store.
+std::unique_ptr<SweepStore> open_store(const Args& args) {
+  if (!args.has("--store")) return nullptr;
+  SweepStoreOptions options;
+  if (args.has("--store-retries")) {
+    const std::size_t retries = args.count("--store-retries", 0);
+    require(retries >= 1 && retries <= 1000,
+            "--store-retries must be between 1 and 1000");
+    options.max_write_attempts = static_cast<int>(retries);
+  }
+  if (args.has("--store-backoff-ms")) {
+    options.retry_backoff =
+        std::chrono::milliseconds(args.count("--store-backoff-ms", 0));
+  }
+  static PosixStorage storage;  // stateless, and outlives every store
+  auto store =
+      std::make_unique<SweepStore>(storage, args.get("--store"), options);
+  store->open();
+  return store;
+}
+
+void print_store_stats(const SweepStore* store, const Args& args) {
+  if (store == nullptr) return;
+  const SweepStoreStats stats = store->stats();
+  std::cout << "store " << args.get("--store") << ": " << stats.hits
+            << " hits, " << stats.misses << " misses, " << stats.saves
+            << " saved";
+  if (stats.corrupt_records > 0) {
+    std::cout << ", " << stats.corrupt_records << " corrupt repaired";
+  }
+  if (!store->enabled()) std::cout << " (degraded: store disabled)";
+  std::cout << "\n";
+}
+
+int cmd_catalog(const Args&) {
   for (const MarchTest& test : all_catalog_tests()) {
     std::cout << test.name() << " (" << test.complexity_label() << "): "
               << test.to_string() << "\n";
@@ -178,13 +204,15 @@ void print_list_summary(const std::string& label, const FaultList& list) {
             << " decoder)\n";
 }
 
-int cmd_lists(const std::string& list_file, const std::string& suite_file) {
-  for (const char* name : {"list1", "list2", "simple", "retention", "decoder"}) {
-    print_list_summary(name, list_by_name(name));
+int cmd_lists(const Args& args) {
+  for (const BuiltinList& list : kBuiltinLists) {
+    print_list_summary(list.name, list.make());
   }
+  const std::string list_file = args.get("--list-file");
   if (!list_file.empty()) {
     print_list_summary(list_file, load_fault_list_file(list_file));
   }
+  const std::string suite_file = args.get("--suite-file");
   if (!suite_file.empty()) {
     const MarchSuite suite = load_march_suite_file(suite_file);
     std::cout << suite_file << ": " << suite.size() << " tests\n";
@@ -196,7 +224,13 @@ int cmd_lists(const std::string& list_file, const std::string& suite_file) {
   return 0;
 }
 
-int cmd_generate(const FaultList& list, bool stats) {
+int cmd_generate(const Args& args) {
+  const std::string list_file = args.get("--list-file");
+  if (args.operands.size() != (list_file.empty() ? 1u : 0u)) {
+    throw UsageError("generate takes either a built-in list or --list-file");
+  }
+  const FaultList list = list_file.empty() ? list_by_name(args.operands[0])
+                                           : load_fault_list_file(list_file);
   const GenerationResult result = generate_march_test(list);
   std::cout << result.test.to_string() << "\n"
             << "complexity: " << result.test.complexity_label() << "\n"
@@ -205,7 +239,7 @@ int cmd_generate(const FaultList& list, bool stats) {
   for (const std::string& name : result.uncoverable) {
     std::cout << "uncoverable: " << name << "\n";
   }
-  if (stats) {
+  if (args.has("--stats")) {
     const GenerationStats& s = result.stats;
     std::cout << "--- generation stats ---\n"
               << "phase A (greedy):        " << s.phase_a_seconds << " s ("
@@ -226,38 +260,21 @@ int cmd_generate(const FaultList& list, bool stats) {
   return result.full_coverage ? 0 : 1;
 }
 
-void print_store_stats(const SweepStore& store, const std::string& path) {
-  const SweepStoreStats stats = store.stats();
-  std::cout << "store " << path << ": " << stats.hits << " hits, "
-            << stats.misses << " misses, " << stats.saves << " saved";
-  if (stats.corrupt_records > 0) {
-    std::cout << ", " << stats.corrupt_records << " corrupt repaired";
-  }
-  if (!store.enabled()) std::cout << " (degraded: store disabled)";
-  std::cout << "\n";
-}
-
-int cmd_sweep(const MarchTest& test, const FaultList& list,
-              const std::string& size_list, std::size_t cap,
-              const std::string& store_path,
-              const SweepStoreOptions& store_options) {
+int run_sweep(const MarchTest& test, const FaultList& list, const Args& args,
+              SweepStore* store) {
+  install_interrupt_handler();
   SweepOptions options;
-  options.max_instances_per_fault = cap;
+  options.max_instances_per_fault = args.count("--cap", 4096);
   options.cancel = &g_interrupt;  // Ctrl-C skips the remaining points
-  PosixStorage storage;
-  std::optional<SweepStore> store;
-  if (!store_path.empty()) {
-    store.emplace(storage, store_path, store_options);
-    store->open();  // failure degrades to store-less with a warning
-    options.store = &*store;
-  }
+  options.store = store;
   // parse_size_list (common/parse.hpp) keeps duplicates and unsorted sizes
   // as given; sweep_coverage validates the n >= 3 minimum up front and
   // throws a clean Error before any point evaluates.
   const std::vector<SweepPoint> points = sweep_coverage(
-      test, list, parse_size_list(size_list, "--sweep memory size"), options);
+      test, list, parse_size_list(args.get("--sweep"), "--sweep memory size"),
+      options);
   std::cout << test.to_string() << " vs " << list.name << " (per-fault cap "
-            << cap << "):\n"
+            << options.max_instances_per_fault << "):\n"
             << sweep_summary(points);
   for (const SweepPoint& point : points) {
     // Cancelled points have no report (never partial) — the summary table
@@ -266,10 +283,10 @@ int cmd_sweep(const MarchTest& test, const FaultList& list,
     std::cout << "n=" << point.memory_size << ": "
               << point.report.summary() << "\n";
   }
-  if (store.has_value()) {
+  if (store != nullptr) {
     std::cout << "points evaluated: " << sweep_points_evaluated(points)
               << " of " << points.size() << "\n";
-    print_store_stats(*store, store_path);
+    print_store_stats(store, args);
   }
   if (g_interrupt.cancelled()) {
     // Completed points printed and (with --store) persisted above — the
@@ -289,30 +306,57 @@ int cmd_sweep(const MarchTest& test, const FaultList& list,
   return all_covered ? 0 : 1;
 }
 
-int cmd_coverage(const MarchTest& test, const FaultList& list, std::size_t n,
-                 const std::string& store_path,
-                 const SweepStoreOptions& store_options) {
-  if (!store_path.empty()) {
-    // Route through the sweep path so the single point reads/writes the
-    // store like any grid cell.  Full enumeration (cap 0) matches the
-    // store-less branch below, so the printed report is byte-identical.
-    PosixStorage storage;
-    SweepStore store(storage, store_path, store_options);
-    store.open();
-    SweepOptions options;
-    options.max_instances_per_fault = 0;
-    options.store = &store;
-    const std::vector<SweepPoint> points =
-        sweep_coverage(test, list, {n}, options);
-    std::cout << points[0].report.summary() << "\n"
-              << analyze_coverage(test, list, n).summary() << "\n";
-    print_store_stats(store, store_path);
-    return points[0].report.full_coverage() ? 0 : 1;
+int cmd_coverage(const Args& args) {
+  // Operands: [<test>] <list> [n], where --list-file takes <list>'s place.
+  const std::string list_file = args.get("--list-file");
+  const std::vector<std::string>& rest = args.operands;
+  std::string test_spec;
+  std::string list_name;
+  std::optional<std::size_t> n;
+  if (list_file.empty()) {
+    // A lone operand is the list, with the default test.
+    if (rest.empty()) {
+      throw UsageError("coverage needs a built-in list or --list-file");
+    }
+    list_name = rest.size() == 1 ? rest[0] : rest[1];
+    if (rest.size() >= 2) test_spec = rest[0];
+    if (rest.size() == 3) n = parse_memory_size(rest[2], "memory size");
+  } else if (rest.size() == 3) {
+    throw UsageError("extra operand '" + rest[2] +
+                     "' (with --list-file, coverage takes [<test>] [n])");
+  } else if (rest.size() == 2 || (rest.size() == 1 && all_digits(rest[0]))) {
+    n = parse_memory_size(rest.back(), "memory size");
+    if (rest.size() == 2) test_spec = rest[0];
+  } else if (rest.size() == 1) {
+    test_spec = rest[0];
   }
-  const FaultSimulator simulator(SimulatorOptions{n});
-  const CoverageReport report = evaluate_coverage(simulator, test, list);
+  if (n.has_value() && args.has("--sweep")) {
+    throw UsageError("coverage takes [n] or --sweep, not both");
+  }
+
+  std::optional<MarchSuite> suite;
+  if (args.has("--suite-file")) {
+    suite = load_march_suite_file(args.get("--suite-file"));
+  }
+  const FaultList list = list_file.empty() ? list_by_name(list_name)
+                                           : load_fault_list_file(list_file);
+  const MarchTest test =
+      test_spec.empty() ? march_sl()
+                        : resolve_test(test_spec, suite ? &*suite : nullptr);
+  const std::unique_ptr<SweepStore> store = open_store(args);
+  if (args.has("--sweep")) return run_sweep(test, list, args, store.get());
+
+  // One sweep point with full enumeration (cap 0), so the store, when
+  // given, serves it like any grid cell.
+  SweepOptions options;
+  options.max_instances_per_fault = 0;
+  options.store = store.get();
+  const std::size_t memory_size = n.value_or(6);
+  const CoverageReport report =
+      sweep_coverage(test, list, {memory_size}, options)[0].report;
   std::cout << report.summary() << "\n"
-            << analyze_coverage(test, list, n).summary() << "\n";
+            << analyze_coverage(test, list, memory_size).summary() << "\n";
+  print_store_stats(store.get(), args);
   return report.full_coverage() ? 0 : 1;
 }
 
@@ -324,17 +368,16 @@ void print_check_static_summary(const std::string& path) {
   const std::string text = read_text_file(path);
   if (detect_catalog_kind(text, path) == CatalogKind::FaultListFile) {
     const FaultList list = parse_fault_list_text(text, path);
-    std::size_t instantiable = 0;
-    for (const SimpleFault& fault : list.simple) {
-      if (static_instance_count(fault, kN) > 0) ++instantiable;
+    const auto fits = [](int cells) {
+      return kept_layouts(kN, static_cast<std::size_t>(cells), 0) > 0;
+    };
+    std::size_t fit = 0;  // faults with at least one instance at kN
+    for (const SimpleFault& f : list.simple) fit += fits(f.num_cells());
+    for (const LinkedFault& f : list.linked) fit += fits(f.num_cells());
+    for (const DecoderFault& f : list.decoder) {
+      fit += decoder_address_count(f, kN) > 0;
     }
-    for (const LinkedFault& fault : list.linked) {
-      if (static_instance_count(fault, kN) > 0) ++instantiable;
-    }
-    for (const DecoderFault& fault : list.decoder) {
-      if (static_instance_count(fault, kN) > 0) ++instantiable;
-    }
-    std::cout << "  static@n=" << kN << ": " << instantiable << " of "
+    std::cout << "  static@n=" << kN << ": " << fit << " of "
               << list.size() << " faults instantiable\n";
     return;
   }
@@ -346,9 +389,9 @@ void print_check_static_summary(const std::string& path) {
   }
 }
 
-int cmd_check(const std::vector<std::string>& paths) {
+int cmd_check(const Args& args) {
   bool all_ok = true;
-  for (const std::string& path : paths) {
+  for (const std::string& path : args.operands) {
     try {
       const std::string summary = check_catalog_file(path);
       std::cout << "ok " << path << ": " << summary << "\n";
@@ -377,7 +420,15 @@ int report_lint_findings(const std::vector<LintFinding>& findings,
   return werror ? 1 : 0;
 }
 
-int cmd_lint_jobs(const std::string& jobs_file, bool werror) {
+/// 'lint --jobs-file': the checks are about the batch file's internal
+/// consistency, not any one catalog.
+int cmd_lint_jobs(const Args& args) {
+  if (!args.operands.empty() || args.has("--list-file") ||
+      args.has("--suite-file")) {
+    throw UsageError("lint --jobs-file takes no operands, --list-file or "
+                     "--suite-file");
+  }
+  const std::string jobs_file = args.get("--jobs-file");
   JobFilePositions positions;
   const JobFile file = load_job_file(jobs_file, &positions);
   std::optional<MarchSuite> suite;
@@ -388,30 +439,51 @@ int cmd_lint_jobs(const std::string& jobs_file, bool werror) {
       findings,
       "clean: no lint findings in " + jobs_file + " (" +
           std::to_string(file.jobs.size()) + " jobs)",
-      werror);
+      args.has("--werror"));
 }
 
-int cmd_lint(const std::vector<std::string>& test_specs,
-             const std::string& list_name, const std::string& list_file,
-             const std::string& suite_file, std::size_t n, bool werror) {
+int cmd_lint(const Args& args) {
+  if (args.has("--jobs-file")) return cmd_lint_jobs(args);
+  const std::string list_file = args.get("--list-file");
+  const std::string suite_file = args.get("--suite-file");
+
+  // Operands sort themselves: digits are the memory size, a built-in list
+  // name selects the lint target, anything else is a test spec (march
+  // notation or a catalog/suite test name).
+  std::vector<std::string> specs;
+  std::string list_name;
+  std::optional<std::size_t> n;
+  for (const std::string& arg : args.operands) {
+    if (all_digits(arg)) {
+      if (n.has_value()) throw UsageError("extra memory size '" + arg + "'");
+      n = parse_memory_size(arg, "memory size");
+    } else if (find_builtin_list(arg) != nullptr) {
+      if (!list_name.empty() || !list_file.empty()) {
+        throw UsageError("extra fault list '" + arg +
+                         "' (lint takes one built-in list or --list-file)");
+      }
+      list_name = arg;
+    } else {
+      specs.push_back(arg);
+    }
+  }
   LintOptions options;
-  options.memory_size = n;
+  options.memory_size = n.value_or(6);
   std::vector<LintFinding> findings;
+  const auto append = [&findings](const std::vector<LintFinding>& more) {
+    findings.insert(findings.end(), more.begin(), more.end());
+  };
 
   FaultList list;
-  FaultListPositions list_positions;
   if (list_file.empty()) {
+    if (list_name.empty()) list_name = "list1";
     list = list_by_name(list_name);
-    const auto list_findings = lint_fault_list(list, options, list_name);
-    findings.insert(findings.end(), list_findings.begin(),
-                    list_findings.end());
+    append(lint_fault_list(list, options, list_name));
   } else {
+    FaultListPositions list_positions;
     list = parse_fault_list_text(read_text_file(list_file), list_file,
                                  &list_positions);
-    const auto list_findings =
-        lint_fault_list(list, options, list_file, &list_positions);
-    findings.insert(findings.end(), list_findings.begin(),
-                    list_findings.end());
+    append(lint_fault_list(list, options, list_file, &list_positions));
   }
 
   std::optional<MarchSuite> suite;
@@ -420,52 +492,52 @@ int cmd_lint(const std::vector<std::string>& test_specs,
     suite = parse_march_suite_text(read_text_file(suite_file), suite_file,
                                    &suite_positions);
   }
-
-  // Lint targets: the positional specs; with a suite and no specs, every
-  // suite test.  Suite-resolved tests keep their document positions.
-  struct Target {
-    MarchTest test;
-    const SuiteTestPosition* positions;
-    std::string source;
-  };
-  std::vector<Target> targets;
-  const auto suite_target = [&](const std::string& name)
-      -> const SuiteTestPosition* {
-    if (!suite.has_value()) return nullptr;
+  // Lint targets: the test specs; with a suite and no specs, every suite
+  // test.  Suite-resolved tests keep their document positions.
+  if (specs.empty() && suite.has_value()) {
     for (std::size_t i = 0; i < suite->tests.size(); ++i) {
-      if (suite->tests[i].name() == name) return &suite_positions[i];
-    }
-    return nullptr;
-  };
-  if (test_specs.empty() && suite.has_value()) {
-    for (std::size_t i = 0; i < suite->tests.size(); ++i) {
-      targets.push_back({suite->tests[i], &suite_positions[i], suite_file});
+      append(lint_march_test(suite->tests[i], list, options, suite_file,
+                             &suite_positions[i]));
     }
   }
-  for (const std::string& spec : test_specs) {
+  for (const std::string& spec : specs) {
     const MarchTest test = resolve_test(spec, suite ? &*suite : nullptr);
-    const SuiteTestPosition* positions = suite_target(test.name());
-    targets.push_back(
-        {test, positions, positions != nullptr ? suite_file : test.name()});
+    const SuiteTestPosition* positions = nullptr;
+    for (std::size_t i = 0; suite && i < suite->tests.size(); ++i) {
+      if (suite->tests[i].name() == test.name()) {
+        positions = &suite_positions[i];
+      }
+    }
+    append(lint_march_test(test, list, options,
+                           positions != nullptr ? suite_file : test.name(),
+                           positions));
   }
-  for (const Target& target : targets) {
-    const auto test_findings = lint_march_test(target.test, list, options,
-                                               target.source,
-                                               target.positions);
-    findings.insert(findings.end(), test_findings.begin(),
-                    test_findings.end());
-  }
-
   return report_lint_findings(findings,
                               "clean: no lint findings against " + list.name +
-                                  " at n=" + std::to_string(n),
-                              werror);
+                                  " at n=" +
+                                  std::to_string(options.memory_size),
+                              args.has("--werror"));
 }
 
-int cmd_optimize(const std::string& suite_path,
-                 const std::string& universe_spec,
-                 const std::string& list_file, std::size_t n,
-                 const std::string& out_path) {
+int cmd_optimize(const Args& args) {
+  // Operands: <suite-file> [n], in either order.
+  std::string suite_path;
+  std::optional<std::size_t> n;
+  for (const std::string& arg : args.operands) {
+    if (all_digits(arg) && !n.has_value()) {
+      n = parse_memory_size(arg, "memory size");
+    } else if (!all_digits(arg) && suite_path.empty()) {
+      suite_path = arg;
+    } else {
+      throw UsageError("extra operand '" + arg + "'");
+    }
+  }
+  if (suite_path.empty()) throw UsageError("optimize needs a suite file");
+  const std::string list_file = args.get("--list-file");
+  if (!list_file.empty() && args.has("--list")) {
+    throw UsageError("optimize takes --list or --list-file, not both");
+  }
+
   const MarchSuite suite = load_march_suite_file(suite_path);
   FaultList universe;
   std::string spec;
@@ -475,12 +547,14 @@ int cmd_optimize(const std::string& suite_path,
     universe = load_fault_list_file(list_file);
   } else {
     const FaultUniverse parsed =
-        FaultUniverse::parse(universe_spec.empty() ? "list1" : universe_spec);
+        FaultUniverse::parse(args.has("--list") ? args.get("--list") : "list1");
     universe = parsed.materialize();
     spec = parsed.spec();
   }
-  const Certificate cert = optimize_suite(suite, universe, spec, n);
+  const Certificate cert =
+      optimize_suite(suite, universe, spec, n.value_or(6));
   const std::string text = to_canonical_string(cert);
+  const std::string out_path = args.get("--out");
   if (out_path.empty()) {
     std::cout << text;
   } else {
@@ -495,16 +569,18 @@ int cmd_optimize(const std::string& suite_path,
   }
   std::cerr << "optimize: kept " << cert.kept.size() << " of "
             << suite.size() << " tests over " << universe.size()
-            << " faults at n=" << n << " (" << cert.dropped.size()
-            << " dropped, " << cover_rows << " witness rows)\n";
+            << " faults at n=" << cert.memory_size << " ("
+            << cert.dropped.size() << " dropped, " << cover_rows
+            << " witness rows)\n";
   return 0;
 }
 
-int cmd_verify(const std::string& cert_path, const std::string& list_file) {
+int cmd_verify(const Args& args) {
+  const std::string& cert_path = args.operands[0];
   const Certificate cert = load_certificate_file(cert_path);
   FaultList universe;
-  if (!list_file.empty()) {
-    universe = load_fault_list_file(list_file);
+  if (args.has("--list-file")) {
+    universe = load_fault_list_file(args.get("--list-file"));
   } else {
     require(!cert.universe_spec.empty(),
             "certificate pins an external universe by hash only — pass the "
@@ -519,7 +595,8 @@ int cmd_verify(const std::string& cert_path, const std::string& list_file) {
   return check.ok ? 0 : 1;
 }
 
-int cmd_dot(const std::string& which) {
+int cmd_dot(const Args& args) {
+  const std::string& which = args.operands[0];
   if (which == "g0") {
     std::cout << make_g0().to_dot("G0");
     return 0;
@@ -554,10 +631,16 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
-int cmd_matrix(const std::string& path, std::size_t threads,
-               std::size_t queue_capacity, bool reject,
-               const std::string& store_path,
-               const SweepStoreOptions& store_options) {
+int cmd_matrix(const Args& args) {
+  const std::string& path = args.operands[0];
+  MatrixServiceOptions options;
+  options.threads = args.count("--threads", 0);
+  options.queue_capacity = args.count("--queue-capacity", 256);
+  require(options.queue_capacity >= 1, "--queue-capacity must be >= 1");
+  options.when_full = args.has("--reject") ? BackpressurePolicy::Reject
+                                           : BackpressurePolicy::Block;
+  install_interrupt_handler();
+
   const JobFile file = load_job_file(path);
   std::optional<MarchSuite> suite;
   if (!file.suite_path.empty()) suite = load_march_suite_file(file.suite_path);
@@ -578,57 +661,39 @@ int cmd_matrix(const std::string& path, std::size_t threads,
 
   // Resolve every job before submitting any: a typo in job 40 should be a
   // clean file:line diagnostic, not 39 evaluations followed by an error.
-  struct ResolvedJob {
-    MatrixJob job;
-    std::string test_display;
-    std::string list_display;
-  };
-  std::vector<ResolvedJob> resolved;
-  resolved.reserve(file.jobs.size());
+  // Jobs display their specs as written: a suite/catalog name stays a
+  // name, march notation stays notation (its parsed "name" is a source tag).
+  std::vector<MatrixJob> jobs;
+  jobs.reserve(file.jobs.size());
   for (const JobFileRecord& record : file.jobs) {
     try {
-      ResolvedJob entry;
-      entry.job.test = resolve_test(record.test_spec,
-                                    suite.has_value() ? &*suite : nullptr);
-      entry.job.list = list_for(record.list_name);
-      entry.job.memory_size = record.memory_size;
-      entry.job.max_instances_per_fault = record.max_instances_per_fault;
-      entry.job.deadline = record.deadline;
-      // Display the spec as written: a suite/catalog name stays a name,
-      // march notation stays notation (its parsed "name" is a source tag).
-      entry.test_display = record.test_spec;
-      entry.list_display = record.list_name;
-      resolved.push_back(std::move(entry));
+      MatrixJob job;
+      job.test = resolve_test(record.test_spec,
+                              suite.has_value() ? &*suite : nullptr);
+      job.list = list_for(record.list_name);
+      job.memory_size = record.memory_size;
+      job.max_instances_per_fault = record.max_instances_per_fault;
+      job.deadline = record.deadline;
+      jobs.push_back(std::move(job));
     } catch (const Error& e) {
       throw Error(path + ":" + std::to_string(record.line) + ": " + e.what());
     }
   }
 
-  PosixStorage storage;
-  std::optional<SweepStore> store;
-  if (!store_path.empty()) {
-    store.emplace(storage, store_path, store_options);
-    store->open();  // failure degrades to store-less with a warning
-  }
-
+  const std::unique_ptr<SweepStore> store = open_store(args);
+  options.store = store.get();
+  options.cancel = &g_interrupt;
   // One JSON line per terminal job, streamed from the workers as jobs land
   // (completion order, not submission order — the job id ties them back).
   std::mutex output_mutex;
-  MatrixServiceOptions options;
-  options.threads = threads;
-  options.queue_capacity = queue_capacity;
-  options.when_full =
-      reject ? BackpressurePolicy::Reject : BackpressurePolicy::Block;
-  options.store = store.has_value() ? &*store : nullptr;
-  options.cancel = &g_interrupt;
   options.on_result = [&](const MatrixJobResult& result) {
-    const ResolvedJob& entry = resolved[result.job_id];
+    const JobFileRecord& record = file.jobs[result.job_id];
     std::lock_guard<std::mutex> lock(output_mutex);
     std::cout << "{\"job\":" << result.job_id << ",\"test\":\""
-              << json_escape(entry.test_display) << "\",\"list\":\""
-              << json_escape(entry.list_display) << "\",\"n\":"
-              << entry.job.memory_size << ",\"cap\":"
-              << entry.job.max_instances_per_fault << ",\"status\":\""
+              << json_escape(record.test_spec) << "\",\"list\":\""
+              << json_escape(record.list_name) << "\",\"n\":"
+              << record.memory_size << ",\"cap\":"
+              << record.max_instances_per_fault << ",\"status\":\""
               << to_string(result.status) << "\"";
     if (result.status == JobStatus::Completed) {
       std::cout << ",\"faults_covered\":" << result.report.faults_covered()
@@ -648,11 +713,11 @@ int cmd_matrix(const std::string& path, std::size_t threads,
   std::vector<MatrixJobResult> results;
   {
     MatrixService service(options);
-    for (const ResolvedJob& entry : resolved) {
+    for (const MatrixJob& job : jobs) {
       // After an interrupt the submission loop stops: already-queued jobs
       // drain as Cancelled, unsubmitted ones are never admitted.
       if (g_interrupt.cancelled()) break;
-      service.submit(entry.job);
+      service.submit(job);
     }
     results = service.drain();
     const MatrixServiceStats stats = service.stats();
@@ -661,14 +726,14 @@ int cmd_matrix(const std::string& path, std::size_t threads,
               << stats.store_hits << " from store), " << stats.failed
               << " failed, " << stats.cancelled << " cancelled, "
               << stats.deadline_exceeded << " deadline-exceeded, "
-              << stats.rejected << " rejected of " << resolved.size()
+              << stats.rejected << " rejected of " << jobs.size()
               << " jobs\n";
   }
-  if (store.has_value()) print_store_stats(*store, store_path);
+  print_store_stats(store.get(), args);
 
   if (g_interrupt.cancelled()) return kInterruptedExit;
   const bool all_completed =
-      results.size() == resolved.size() &&
+      results.size() == jobs.size() &&
       std::all_of(results.begin(), results.end(),
                   [](const MatrixJobResult& r) {
                     return r.status == JobStatus::Completed;
@@ -676,267 +741,146 @@ int cmd_matrix(const std::string& path, std::size_t threads,
   return all_completed ? 0 : 1;
 }
 
-int usage() {
-  std::cerr
-      << "usage:\n"
-      << "  mtg_cli catalog\n"
-      << "  mtg_cli lists [--list-file <path>] [--suite-file <path>]\n"
-      << "  mtg_cli generate <list1|list2|simple|retention|decoder> "
-         "[--stats]\n"
-      << "  mtg_cli generate --list-file <path> [--stats]\n"
-      << "  mtg_cli coverage [<test>] <list> [n] [--store <dir>]\n"
-      << "  mtg_cli coverage [<test>] <list> --sweep <n1,n2,...> "
-         "[--cap <instances-per-fault>] [--store <dir>]\n"
-      << "    <test>: march notation, a catalog test name, or (with "
-         "--suite-file) a suite\n"
-      << "    test name; defaults to \"March SL\" when omitted\n"
-      << "    <list>: a built-in list name, or --list-file <path> instead\n"
-      << "  mtg_cli matrix <jobfile> [--threads <k>] [--queue-capacity <q>] "
-         "[--reject] [--store <dir>]\n"
-      << "    batch coverage-matrix service over a 'jobs v1' file; one JSON "
-         "line per job\n"
-      << "  (stores: --store-retries <k> and --store-backoff-ms <ms> tune "
-         "the write-retry ladder)\n"
-      << "  mtg_cli lint [<test>...] [<list>] [n] [--list-file <path>] "
-         "[--suite-file <path>] [--werror]\n"
-      << "  mtg_cli lint --jobs-file <path> [--werror]\n"
-      << "  mtg_cli optimize <suite-file> [n] [--list <universe-spec>] "
-         "[--list-file <path>] [--out <path>]\n"
-      << "    greedy minimal sub-suite + 'certificate v1' proof; universe "
-         "spec e.g. \"simple+decoder[0,12)\"\n"
-      << "  mtg_cli verify <certificate-file> [--list-file <path>]\n"
-      << "    re-check a certificate against the packed simulation engine\n"
-      << "  mtg_cli check <path>...\n"
-      << "  mtg_cli dot <g0|pgcf>\n";
+/// One verb of the command line.  `flags` holds every flag the verb
+/// accepts, as "--name" for a switch or "--name <value>" for a flag that
+/// takes a value; `operands` is the synopsis of its positional operands,
+/// of which it takes between `min_operands` and `max_operands`.
+struct Verb {
+  const char* name;
+  const char* operands;
+  std::vector<const char*> flags;
+  std::size_t min_operands;
+  std::size_t max_operands;
+  int (*run)(const Args&);
+  const char* summary;
+};
+
+constexpr std::size_t kAny = static_cast<std::size_t>(-1);
+
+const Verb kVerbs[] = {
+    {"catalog", "", {}, 0, 0, cmd_catalog, "the published march tests"},
+    {"lists", "", {"--list-file <path>", "--suite-file <path>"}, 0, 0,
+     cmd_lists, "the built-in fault lists, and summaries of catalog files"},
+    {"generate", "[<list>]", {"--list-file <path>", "--stats"}, 0, 1,
+     cmd_generate, "generate a march test for a fault list"},
+    {"coverage", "[<test>] [<list>] [n]",
+     {"--list-file <path>", "--suite-file <path>", "--sweep <n1,n2,...>",
+      "--cap <instances>", "--store <dir>", "--store-retries <k>",
+      "--store-backoff-ms <ms>"},
+     0, 3, cmd_coverage, "fault-simulate a test (default March SL, n=6)"},
+    {"lint", "[<test>...] [<list>] [n]",
+     {"--list-file <path>", "--suite-file <path>", "--jobs-file <path>",
+      "--werror"},
+     0, kAny, cmd_lint, "lint tests and a fault list, or a job file"},
+    {"matrix", "<jobfile>",
+     {"--threads <k>", "--queue-capacity <q>", "--reject", "--store <dir>",
+      "--store-retries <k>", "--store-backoff-ms <ms>"},
+     1, 1, cmd_matrix, "run a 'jobs v1' file, one JSON line per job"},
+    {"optimize", "<suite-file> [n]",
+     {"--list <universe-spec>", "--list-file <path>", "--out <path>"}, 1, 2,
+     cmd_optimize, "minimal sub-suite with a 'certificate v1' proof"},
+    {"verify", "<certificate-file>", {"--list-file <path>"}, 1, 1, cmd_verify,
+     "re-check a certificate by simulation"},
+    {"check", "<path>...", {}, 1, kAny, cmd_check, "parse catalog files"},
+    {"dot", "<g0|pgcf>", {}, 1, 1, cmd_dot, "Figure 2 or 4 as GraphViz DOT"},
+};
+
+/// Flags that only modify another flag, and the flag each one needs.
+const std::pair<const char*, const char*> kModifierFlags[] = {
+    {"--cap", "--sweep"},
+    {"--store-retries", "--store"},
+    {"--store-backoff-ms", "--store"},
+};
+
+std::string_view flag_name(std::string_view spec) {
+  return spec.substr(0, spec.find(' '));
+}
+
+/// The spec of `flag` in `verb`'s flag list, or null when it has none.
+const char* find_flag(const Verb& verb, std::string_view flag) {
+  for (const char* spec : verb.flags) {
+    if (flag_name(spec) == flag) return spec;
+  }
+  return nullptr;
+}
+
+/// Prints the reason (if any) and the synopsis of `verb`, or of every verb
+/// when it is null; returns the usage-error exit status.
+int usage(const std::string& reason, const Verb* verb) {
+  if (!reason.empty()) std::cerr << "mtg_cli: " << reason << "\n";
+  std::cerr << "usage:\n";
+  for (const Verb& entry : kVerbs) {
+    if (verb != nullptr && verb != &entry) continue;
+    std::cerr << "  mtg_cli " << entry.name
+              << (*entry.operands != '\0' ? " " : "") << entry.operands;
+    for (const char* spec : entry.flags) std::cerr << " [" << spec << "]";
+    std::cerr << "\n      " << entry.summary << "\n";
+  }
+  std::cerr << "  <list>: " << builtin_list_names() << "\n";
+  for (const auto& [flag, needs] : kModifierFlags) {
+    std::cerr << "  " << flag << " needs " << needs << "\n";
+  }
+  std::cerr << "  exit status: 0 ok, 1 failure, 2 usage error, "
+               "130 interrupted\n";
   return 2;
 }
 
-bool all_digits(const std::string& text) {
-  return !text.empty() &&
-         text.find_first_not_of("0123456789") == std::string::npos;
+/// Splits argv[2..] into `verb`'s operands and flags; throws UsageError on
+/// anything the verb does not accept.
+Args parse_args(const Verb& verb, int argc, char** argv) {
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.empty()) throw UsageError("empty operand");
+    if (arg[0] != '-') {
+      args.operands.push_back(arg);
+      continue;
+    }
+    const char* spec = find_flag(verb, arg);
+    if (spec == nullptr) {
+      throw UsageError(std::string(verb.name) + " does not take " + arg);
+    }
+    if (args.has(arg)) throw UsageError(arg + " given twice");
+    std::string value;
+    if (flag_name(spec) != spec) {  // "--name <value>"
+      if (i + 1 == argc || std::string_view(argv[i + 1]).rfind("--", 0) == 0) {
+        throw UsageError(arg + " needs a value");
+      }
+      value = argv[++i];
+      if (value.empty()) throw UsageError(arg + " needs a non-empty value");
+    }
+    args.flags.emplace(arg, value);
+  }
+  if (args.operands.size() < verb.min_operands) {
+    throw UsageError(std::string(verb.name) + " needs " + verb.operands);
+  }
+  if (args.operands.size() > verb.max_operands) {
+    throw UsageError("extra operand '" + args.operands[verb.max_operands] +
+                     "'");
+  }
+  for (const auto& [flag, needs] : kModifierFlags) {
+    if (args.has(flag) && !args.has(needs)) {
+      throw UsageError(std::string(flag) + " needs " + needs);
+    }
+  }
+  return args;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string name = argc > 1 ? argv[1] : "";
+  const Verb* verb = nullptr;
+  for (const Verb& entry : kVerbs) {
+    if (name == entry.name) verb = &entry;
+  }
+  if (verb == nullptr) {
+    return usage(name.empty() ? "" : "unknown verb '" + name + "'", nullptr);
+  }
   try {
-    const std::string command = argc > 1 ? argv[1] : "";
-    if (command == "catalog") return cmd_catalog();
-    if (command == "check" && argc > 2) {
-      return cmd_check(std::vector<std::string>(argv + 2, argv + argc));
-    }
-    if (command == "lists" || command == "generate" ||
-        command == "coverage" || command == "lint" || command == "matrix" ||
-        command == "optimize" || command == "verify") {
-      // Shared flag/positional split for the catalog-aware commands.
-      std::vector<std::string> positional;
-      std::string list_file, suite_file, sweep_sizes, store_path;
-      std::string universe_spec, out_path, jobs_file;
-      std::size_t cap = 4096;
-      bool stats = false;
-      std::size_t threads = 0, queue_capacity = 256;
-      bool reject = false, werror = false;
-      SweepStoreOptions store_options;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--list-file" && i + 1 < argc) {
-          list_file = argv[++i];
-        } else if (arg == "--suite-file" && i + 1 < argc) {
-          suite_file = argv[++i];
-        } else if (arg == "--sweep" && i + 1 < argc) {
-          sweep_sizes = argv[++i];
-        } else if (arg == "--cap" && i + 1 < argc) {
-          cap = parse_count(argv[++i], "--cap");
-        } else if (arg == "--store" && i + 1 < argc) {
-          store_path = argv[++i];
-        } else if (arg == "--store-retries" && i + 1 < argc) {
-          const std::size_t retries =
-              parse_count(argv[++i], "--store-retries");
-          require(retries >= 1 && retries <= 1000,
-                  "--store-retries must be between 1 and 1000");
-          store_options.max_write_attempts = static_cast<int>(retries);
-        } else if (arg == "--store-backoff-ms" && i + 1 < argc) {
-          store_options.retry_backoff = std::chrono::milliseconds(
-              parse_count(argv[++i], "--store-backoff-ms"));
-        } else if (arg == "--threads" && i + 1 < argc) {
-          threads = parse_count(argv[++i], "--threads");
-        } else if (arg == "--queue-capacity" && i + 1 < argc) {
-          queue_capacity = parse_count(argv[++i], "--queue-capacity");
-          require(queue_capacity >= 1, "--queue-capacity must be >= 1");
-        } else if (arg == "--reject") {
-          reject = true;
-        } else if (arg == "--stats") {
-          stats = true;
-        } else if (arg == "--werror") {
-          werror = true;
-        } else if (arg == "--list" && i + 1 < argc) {
-          universe_spec = argv[++i];
-        } else if (arg == "--out" && i + 1 < argc) {
-          out_path = argv[++i];
-        } else if (arg == "--jobs-file" && i + 1 < argc) {
-          jobs_file = argv[++i];
-        } else if (!arg.empty() && arg[0] == '-') {
-          return usage();
-        } else {
-          positional.push_back(arg);
-        }
-      }
-
-      if (command == "matrix") {
-        if (positional.size() != 1 || stats || !sweep_sizes.empty() ||
-            !list_file.empty() || !suite_file.empty() ||
-            !universe_spec.empty() || !out_path.empty() ||
-            !jobs_file.empty() || werror) {
-          return usage();
-        }
-        install_interrupt_handler();
-        return cmd_matrix(positional[0], threads, queue_capacity, reject,
-                          store_path, store_options);
-      }
-      if (threads != 0 || queue_capacity != 256 || reject) {
-        return usage();
-      }
-
-      if (command == "optimize") {
-        if (stats || werror || !sweep_sizes.empty() || !store_path.empty() ||
-            !suite_file.empty() || !jobs_file.empty() ||
-            (!universe_spec.empty() && !list_file.empty())) {
-          return usage();
-        }
-        // Positionals: <suite-file> [n].
-        std::string suite_path;
-        std::size_t n = 6;
-        for (const std::string& arg : positional) {
-          if (all_digits(arg)) {
-            n = parse_memory_size(arg, "memory size");
-          } else if (suite_path.empty()) {
-            suite_path = arg;
-          } else {
-            return usage();
-          }
-        }
-        if (suite_path.empty()) return usage();
-        return cmd_optimize(suite_path, universe_spec, list_file, n,
-                            out_path);
-      }
-
-      if (command == "verify") {
-        if (positional.size() != 1 || stats || werror ||
-            !sweep_sizes.empty() || !store_path.empty() ||
-            !suite_file.empty() || !jobs_file.empty() ||
-            !universe_spec.empty() || !out_path.empty()) {
-          return usage();
-        }
-        return cmd_verify(positional[0], list_file);
-      }
-      if (!universe_spec.empty() || !out_path.empty()) return usage();
-
-      if (command == "lists") {
-        if (!positional.empty() || stats || werror || !jobs_file.empty()) {
-          return usage();
-        }
-        return cmd_lists(list_file, suite_file);
-      }
-
-      if (command == "lint") {
-        // Positionals sort themselves: digits are the memory size, a
-        // built-in list name selects the lint target, anything else is a
-        // test spec (march notation or a catalog/suite test name).
-        if (stats || !sweep_sizes.empty() || !store_path.empty()) {
-          return usage();
-        }
-        if (!jobs_file.empty()) {
-          // Jobs-file mode is its own lint target: the checks are about the
-          // batch file's internal consistency, not any one catalog.
-          if (!positional.empty() || !list_file.empty() ||
-              !suite_file.empty()) {
-            return usage();
-          }
-          return cmd_lint_jobs(jobs_file, werror);
-        }
-        std::vector<std::string> specs;
-        std::string lint_list = "list1";
-        std::size_t lint_n = 6;
-        for (const std::string& arg : positional) {
-          if (all_digits(arg)) {
-            lint_n = parse_memory_size(arg, "memory size");
-          } else if (arg == "list1" || arg == "list2" || arg == "simple" ||
-                     arg == "retention" || arg == "decoder") {
-            lint_list = arg;
-          } else {
-            specs.push_back(arg);
-          }
-        }
-        return cmd_lint(specs, lint_list, list_file, suite_file, lint_n,
-                        werror);
-      }
-      if (werror || !jobs_file.empty()) return usage();
-
-      if (command == "generate") {
-        if (positional.size() != (list_file.empty() ? 1 : 0)) return usage();
-        const FaultList list = list_file.empty()
-                                   ? list_by_name(positional[0])
-                                   : load_fault_list_file(list_file);
-        return cmd_generate(list, stats);
-      }
-
-      // coverage: positionals are [<test>] <list> [n], where <list> moves to
-      // --list-file when given and [n] conflicts with --sweep.
-      if (stats) return usage();
-      std::optional<MarchSuite> suite;
-      if (!suite_file.empty()) suite = load_march_suite_file(suite_file);
-
-      std::string test_spec;
-      std::string list_name;
-      std::optional<std::size_t> n;
-      std::vector<std::string> rest = positional;
-      if (list_file.empty()) {
-        // <test> <list> [n] — but tolerate a leading-list-only spelling
-        // ("coverage list1") by treating a lone built-in list name as the
-        // list with the default test.
-        if (rest.empty()) return usage();
-        if (rest.size() == 1) {
-          list_name = rest[0];
-        } else {
-          test_spec = rest[0];
-          list_name = rest[1];
-          if (rest.size() == 3) {
-            n = parse_memory_size(rest[2], "memory size");
-          } else if (rest.size() > 3) {
-            return usage();
-          }
-        }
-      } else {
-        // [<test>] [n]
-        if (rest.size() == 1) {
-          (all_digits(rest[0]) ? void(n = parse_memory_size(rest[0],
-                                                            "memory size"))
-                               : void(test_spec = rest[0]));
-        } else if (rest.size() == 2) {
-          test_spec = rest[0];
-          n = parse_memory_size(rest[1], "memory size");
-        } else if (rest.size() > 2) {
-          return usage();
-        }
-      }
-
-      const FaultList list = list_file.empty() ? list_by_name(list_name)
-                                               : load_fault_list_file(list_file);
-      const MarchTest test = test_spec.empty()
-                                 ? march_sl()
-                                 : resolve_test(test_spec, suite ? &*suite
-                                                                 : nullptr);
-      if (!sweep_sizes.empty()) {
-        if (n.has_value()) return usage();  // [n] is the non-sweep form
-        install_interrupt_handler();
-        return cmd_sweep(test, list, sweep_sizes, cap, store_path,
-                         store_options);
-      }
-      return cmd_coverage(test, list, n.value_or(6), store_path,
-                          store_options);
-    }
-    if (command == "dot" && argc > 2) return cmd_dot(argv[2]);
-    return usage();
+    return verb->run(parse_args(*verb, argc, argv));
+  } catch (const UsageError& e) {
+    return usage(e.what(), verb);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

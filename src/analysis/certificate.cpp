@@ -16,67 +16,6 @@
 namespace mtg {
 namespace {
 
-std::size_t skip_ws(std::string_view line, std::size_t pos) {
-  const std::size_t next = line.find_first_not_of(" \t", pos);
-  return next == std::string_view::npos ? line.size() : next;
-}
-
-std::string_view read_token(std::string_view line, std::size_t& pos) {
-  const std::size_t begin = pos;
-  while (pos < line.size() && line[pos] != ' ' && line[pos] != '\t') ++pos;
-  return line.substr(begin, pos - begin);
-}
-
-/// Reads a quoted string at `pos` (must point at '"'); '\"' and '\\'
-/// escape.  Leaves `pos` just past the closing quote.
-std::string read_quoted(const LineReader& reader, std::size_t& pos,
-                        const char* what) {
-  const std::string_view line = reader.line();
-  if (pos >= line.size() || line[pos] != '"') {
-    reader.fail(pos + 1,
-                std::string("expected '\"' opening the quoted ") + what);
-  }
-  ++pos;
-  std::string value;
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\') {
-      if (pos + 1 >= line.size() ||
-          (line[pos + 1] != '"' && line[pos + 1] != '\\')) {
-        reader.fail(pos + 1, std::string("bad escape in ") + what +
-                                 " (only \\\" and \\\\ exist)");
-      }
-      ++pos;
-    }
-    value += line[pos];
-    ++pos;
-  }
-  if (pos >= line.size()) {
-    reader.fail(line.size() + 1, std::string("unterminated quoted ") + what);
-  }
-  ++pos;
-  return value;
-}
-
-std::size_t read_number(const LineReader& reader, std::size_t& pos,
-                        const char* what) {
-  const std::string_view line = reader.line();
-  const std::size_t begin = pos;
-  std::size_t value = 0;
-  while (pos < line.size() &&
-         line[pos] >= '0' && line[pos] <= '9') {
-    const std::size_t digit = static_cast<std::size_t>(line[pos] - '0');
-    if (value > (SIZE_MAX - digit) / 10) {
-      reader.fail(begin + 1, std::string(what) + " value is out of range");
-    }
-    value = value * 10 + digit;
-    ++pos;
-  }
-  if (pos == begin) {
-    reader.fail(pos + 1, std::string("expected a number for the ") + what);
-  }
-  return value;
-}
-
 std::uint64_t read_hex64(const LineReader& reader, std::size_t& pos,
                          const char* what) {
   const std::string_view line = reader.line();
@@ -108,8 +47,8 @@ std::uint64_t read_hex64(const LineReader& reader, std::size_t& pos,
 std::string quoted(const std::string& text) {
   std::string out = "\"";
   for (const char c : text) {
-    if (c == '\n') {
-      throw Error("certificate: a name containing a newline is not "
+    if (c == '\n' || c == '\r') {
+      throw Error("certificate: a name containing a line break is not "
                   "representable in the text format");
     }
     if (c == '"' || c == '\\') out += '\\';
@@ -144,15 +83,6 @@ MarchTest read_test_record(const LineReader& reader, std::size_t pos,
     // Re-anchor under the document's source name; the notation never spans
     // lines, so only the column moves back into trimmed-line coordinates.
     reader.fail(e.position().column - reader.line_indent() + 1, e.detail());
-  }
-}
-
-/// Rejects anything but blanks after `pos`, the end of a record's fields.
-void expect_end_of_record(const LineReader& reader, std::size_t pos,
-                          const char* what) {
-  pos = skip_ws(reader.line(), pos);
-  if (pos < reader.line().size()) {
-    reader.fail(pos + 1, std::string("trailing characters after the ") + what);
   }
 }
 

@@ -130,8 +130,12 @@ std::vector<LintFinding> lint_fault_list(const FaultList& list,
   }
 
   const std::string at_n = " at n=" + std::to_string(options.memory_size);
+  const auto no_layouts = [&options](int cells) {
+    return kept_layouts(options.memory_size, static_cast<std::size_t>(cells),
+                        0) == 0;
+  };
   for (std::size_t i = 0; i < list.simple.size(); ++i) {
-    if (static_instance_count(list.simple[i], options.memory_size) == 0) {
+    if (no_layouts(list.simple[i].num_cells())) {
       add_finding(findings, source, record_position(simple_pos, i),
                   "zero-instances",
                   "simple fault '" + list.simple[i].name +
@@ -139,7 +143,7 @@ std::vector<LintFinding> lint_fault_list(const FaultList& list,
     }
   }
   for (std::size_t i = 0; i < list.linked.size(); ++i) {
-    if (static_instance_count(list.linked[i], options.memory_size) == 0) {
+    if (no_layouts(list.linked[i].num_cells())) {
       add_finding(findings, source, record_position(linked_pos, i),
                   "zero-instances",
                   "linked fault '" + list.linked[i].name() +
@@ -148,7 +152,7 @@ std::vector<LintFinding> lint_fault_list(const FaultList& list,
   }
   for (std::size_t i = 0; i < list.decoder.size(); ++i) {
     const DecoderFault& fault = list.decoder[i];
-    if (static_instance_count(fault, options.memory_size) == 0) {
+    if (decoder_address_count(fault, options.memory_size) == 0) {
       std::string hint;
       if (fault.bit < 63) {
         hint = " (first instantiable at n=" +

@@ -639,18 +639,6 @@ StaticResult analyze_fault(const MarchTest& test, const DecoderFault& fault,
   return combine_branches(std::move(branches));
 }
 
-std::uint64_t static_instance_count(const SimpleFault& fault, std::size_t n) {
-  return kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), 0);
-}
-
-std::uint64_t static_instance_count(const LinkedFault& fault, std::size_t n) {
-  return kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), 0);
-}
-
-std::uint64_t static_instance_count(const DecoderFault& fault, std::size_t n) {
-  return decoder_address_count(fault, n);
-}
-
 std::string StaticCoverage::summary() const {
   std::ostringstream out;
   out << "static: " << detected << " detected, " << not_detected
@@ -687,15 +675,15 @@ StaticCoverage analyze_coverage(const MarchTest& test, const FaultList& list,
   };
   for (const SimpleFault& fault : list.simple) {
     add(fault.name, analyze_fault(test, fault, n),
-        static_instance_count(fault, n));
+        kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), 0));
   }
   for (const LinkedFault& fault : list.linked) {
     add(fault.name(), analyze_fault(test, fault, n),
-        static_instance_count(fault, n));
+        kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), 0));
   }
   for (const DecoderFault& fault : list.decoder) {
     add(fault.name(), analyze_fault(test, fault, n),
-        static_instance_count(fault, n));
+        decoder_address_count(fault, n));
   }
   return coverage;
 }

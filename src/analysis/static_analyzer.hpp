@@ -131,13 +131,6 @@ StaticResult analyze_fault(const MarchTest& test, const LinkedFault& fault,
 StaticResult analyze_fault(const MarchTest& test, const DecoderFault& fault,
                            std::size_t n);
 
-/// Number of instances instantiate() enumerates uncapped at memory size n,
-/// computed analytically (no enumeration — safe for n = 2^40).  Saturates
-/// at uint64 max.
-std::uint64_t static_instance_count(const SimpleFault& fault, std::size_t n);
-std::uint64_t static_instance_count(const LinkedFault& fault, std::size_t n);
-std::uint64_t static_instance_count(const DecoderFault& fault, std::size_t n);
-
 /// Per-fault verdicts over a whole list, in instantiate_all's fault order
 /// (simple, then linked, then decoder).
 struct StaticCoverageEntry {

@@ -1,6 +1,7 @@
 #include "format/reader.hpp"
 
 #include <cctype>
+#include <cstdint>
 
 namespace mtg {
 namespace {
@@ -79,6 +80,73 @@ void LineReader::fail_at_end(const std::string& detail) const {
   throw ParseError(source_ + ":" + std::to_string(position.line) + ":1: " +
                        detail,
                    detail, position, 0);
+}
+
+std::size_t skip_ws(std::string_view line, std::size_t pos) {
+  const std::size_t next = line.find_first_not_of(" \t", pos);
+  return next == std::string_view::npos ? line.size() : next;
+}
+
+std::string_view read_token(std::string_view line, std::size_t& pos) {
+  const std::size_t begin = pos;
+  while (pos < line.size() && line[pos] != ' ' && line[pos] != '\t') ++pos;
+  return line.substr(begin, pos - begin);
+}
+
+std::string read_quoted(const LineReader& reader, std::size_t& pos,
+                        const std::string& what) {
+  const std::string_view line = reader.line();
+  if (pos >= line.size() || line[pos] != '"') {
+    reader.fail(pos + 1, "expected '\"' opening the quoted " + what);
+  }
+  ++pos;
+  std::string value;
+  while (pos < line.size() && line[pos] != '"') {
+    if (line[pos] == '\r') reader.fail(pos + 1, "line break in " + what);
+    if (line[pos] == '\\') {
+      if (pos + 1 >= line.size() ||
+          (line[pos + 1] != '"' && line[pos + 1] != '\\')) {
+        reader.fail(pos + 1,
+                    "bad escape in " + what + " (only \\\" and \\\\ exist)");
+      }
+      ++pos;
+    }
+    value += line[pos];
+    ++pos;
+  }
+  if (pos >= line.size()) {
+    reader.fail(line.size() + 1, "unterminated quoted " + what);
+  }
+  ++pos;  // closing quote
+  return value;
+}
+
+std::size_t read_number(const LineReader& reader, std::size_t& pos,
+                        const std::string& what) {
+  const std::string_view line = reader.line();
+  const std::size_t begin = pos;
+  std::size_t value = 0;
+  while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
+    const std::size_t digit = static_cast<std::size_t>(line[pos] - '0');
+    if (value > (SIZE_MAX - digit) / 10) {
+      reader.fail(begin + 1, what + " value is out of range");
+    }
+    value = value * 10 + digit;
+    ++pos;
+  }
+  if (pos == begin) reader.fail(pos + 1, "expected a number for " + what);
+  if (pos < line.size() && line[pos] != ' ' && line[pos] != '\t') {
+    reader.fail(pos + 1, "trailing characters after the " + what + " value");
+  }
+  return value;
+}
+
+void expect_end_of_record(const LineReader& reader, std::size_t pos,
+                          const std::string& what) {
+  pos = skip_ws(reader.line(), pos);
+  if (pos < reader.line().size()) {
+    reader.fail(pos + 1, "trailing characters after the " + what);
+  }
 }
 
 }  // namespace mtg

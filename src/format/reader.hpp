@@ -60,4 +60,30 @@ class LineReader {
   std::size_t indent_ = 1;
 };
 
+// Field scanners over a LineReader's current line.  `pos` indexes the
+// trimmed line; a scanner leaves it just past what it read and reports a
+// malformed field as a ParseError at the offending column.  `what` names
+// the field in the diagnostic.
+
+/// The first non-blank position at or after `pos` (line.size() at the end).
+std::size_t skip_ws(std::string_view line, std::size_t pos);
+
+/// Reads a bare token: the run of non-blank bytes at `pos`.
+std::string_view read_token(std::string_view line, std::size_t& pos);
+
+/// Reads a quoted string; `pos` must point at the opening '"'.  '\"' and
+/// '\\' escape.  A carriage return inside the quotes is a line break, which
+/// no writer emits, so it is rejected.
+std::string read_quoted(const LineReader& reader, std::size_t& pos,
+                        const std::string& what);
+
+/// Reads a non-negative decimal integer that ends at a blank or the end of
+/// the line.
+std::size_t read_number(const LineReader& reader, std::size_t& pos,
+                        const std::string& what);
+
+/// Rejects anything but blanks after `pos`: the end of a record's fields.
+void expect_end_of_record(const LineReader& reader, std::size_t pos,
+                          const std::string& what);
+
 }  // namespace mtg

@@ -42,41 +42,6 @@ std::string to_canonical_string(const MarchSuite& suite) {
   return out.str();
 }
 
-namespace {
-
-/// Reads the quoted name of a 'test' record starting at `pos` (which must
-/// point at the opening '"' within the trimmed line); leaves `pos` just
-/// past the closing quote.
-std::string read_quoted_name(const LineReader& reader, std::size_t& pos) {
-  const std::string_view line = reader.line();
-  if (pos >= line.size() || line[pos] != '"') {
-    reader.fail(pos + 1, "expected '\"' opening the quoted test name");
-  }
-  ++pos;
-  std::string name;
-  while (pos < line.size() && line[pos] != '"') {
-    // to_canonical_string refuses line breaks in names; so does the reader.
-    if (line[pos] == '\r') reader.fail(pos + 1, "line break in test name");
-    if (line[pos] == '\\') {
-      if (pos + 1 >= line.size() ||
-          (line[pos + 1] != '"' && line[pos + 1] != '\\')) {
-        reader.fail(pos + 1,
-                    "bad escape in test name (only \\\" and \\\\ exist)");
-      }
-      ++pos;
-    }
-    name += line[pos];
-    ++pos;
-  }
-  if (pos >= line.size()) {
-    reader.fail(line.size() + 1, "unterminated quoted test name");
-  }
-  ++pos;  // closing quote
-  return name;
-}
-
-}  // namespace
-
 MarchSuite parse_march_suite_text(std::string_view text,
                                   const std::string& source,
                                   std::vector<SuiteTestPosition>* positions) {
@@ -85,21 +50,19 @@ MarchSuite parse_march_suite_text(std::string_view text,
   MarchSuite suite;
   while (reader.next()) {
     const std::string_view line = reader.line();
-    const std::string_view keyword = line.substr(0, line.find_first_of(" \t"));
+    std::size_t pos = 0;
+    const std::string_view keyword = read_token(line, pos);
     if (keyword != "test") {
       reader.fail(1, "unknown record '" + std::string(keyword) +
                          "' (expected: test \"<name>\" <march notation>)");
     }
-    std::size_t pos = line.find_first_not_of(" \t", 4);
-    if (pos == std::string_view::npos) {
-      reader.fail(5, "expected '\"' opening the quoted test name");
-    }
-    const std::string name = read_quoted_name(reader, pos);
+    pos = skip_ws(line, pos);
+    const std::string name = read_quoted(reader, pos, "test name");
     if (suite.find(name) != nullptr) {
       reader.fail(1, "duplicate test name \"" + name + "\" in suite");
     }
-    pos = line.find_first_not_of(" \t", pos);
-    if (pos == std::string_view::npos) {
+    pos = skip_ws(line, pos);
+    if (pos == line.size()) {
       reader.fail(line.size() + 1,
                   "expected march notation after the test name");
     }

@@ -1,7 +1,6 @@
 #include "service/job_file.hpp"
 
 #include <cctype>
-#include <cstdint>
 
 #include "common/error.hpp"
 #include "format/catalog_io.hpp"
@@ -10,73 +9,6 @@
 namespace mtg {
 
 namespace {
-
-std::size_t skip_ws(std::string_view line, std::size_t pos) {
-  const std::size_t next = line.find_first_not_of(" \t", pos);
-  return next == std::string_view::npos ? line.size() : next;
-}
-
-/// Reads a bare token (run of non-whitespace); leaves `pos` past it.
-std::string_view read_token(std::string_view line, std::size_t& pos) {
-  const std::size_t begin = pos;
-  while (pos < line.size() && line[pos] != ' ' && line[pos] != '\t') ++pos;
-  return line.substr(begin, pos - begin);
-}
-
-/// Reads a quoted string starting at `pos` (which must point at the opening
-/// '"'); '\"' and '\\' escape.  Leaves `pos` just past the closing quote.
-std::string read_quoted(const LineReader& reader, std::size_t& pos,
-                        const char* what) {
-  const std::string_view line = reader.line();
-  if (pos >= line.size() || line[pos] != '"') {
-    reader.fail(pos + 1,
-                std::string("expected '\"' opening the quoted ") + what);
-  }
-  ++pos;
-  std::string value;
-  while (pos < line.size() && line[pos] != '"') {
-    if (line[pos] == '\\') {
-      if (pos + 1 >= line.size() ||
-          (line[pos + 1] != '"' && line[pos + 1] != '\\')) {
-        reader.fail(pos + 1, std::string("bad escape in ") + what +
-                                 " (only \\\" and \\\\ exist)");
-      }
-      ++pos;
-    }
-    value += line[pos];
-    ++pos;
-  }
-  if (pos >= line.size()) {
-    reader.fail(line.size() + 1, std::string("unterminated quoted ") + what);
-  }
-  ++pos;  // closing quote
-  return value;
-}
-
-/// Parses a non-negative decimal integer token at `pos`.
-std::size_t read_number(const LineReader& reader, std::size_t& pos,
-                        const char* what) {
-  const std::string_view line = reader.line();
-  const std::size_t begin = pos;
-  std::size_t value = 0;
-  while (pos < line.size() &&
-         std::isdigit(static_cast<unsigned char>(line[pos]))) {
-    const std::size_t digit = static_cast<std::size_t>(line[pos] - '0');
-    if (value > (SIZE_MAX - digit) / 10) {
-      reader.fail(begin + 1, std::string(what) + " value is out of range");
-    }
-    value = value * 10 + digit;
-    ++pos;
-  }
-  if (pos == begin) {
-    reader.fail(pos + 1, std::string("expected a number for ") + what);
-  }
-  if (pos < line.size() && line[pos] != ' ' && line[pos] != '\t') {
-    reader.fail(pos + 1, std::string("trailing characters after the ") + what +
-                             " value");
-  }
-  return value;
-}
 
 bool valid_alias(std::string_view alias) {
   if (alias.empty()) return false;

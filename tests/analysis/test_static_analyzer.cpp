@@ -79,23 +79,27 @@ TEST(StaticAnalyzer, ZeroInstanceFaultsReportNotDetected) {
 }
 
 TEST(StaticAnalyzer, InstanceCountsMatchEnumeration) {
+  // analyze_coverage counts instances analytically with kept_layouts and
+  // decoder_address_count; both must equal the uncapped enumeration.
   const FaultList list = fault_list_1();
   for (std::size_t n : {3u, 4u, 6u, 9u}) {
     std::size_t index = 0;
     for (const SimpleFault& fault : list.simple) {
-      EXPECT_EQ(static_instance_count(fault, n),
-                instantiate(fault, n, index++, 0).size())
+      EXPECT_EQ(
+          kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), 0),
+          instantiate(fault, n, index++, 0).size())
           << fault.name << " n=" << n;
     }
     for (const LinkedFault& fault : list.linked) {
-      EXPECT_EQ(static_instance_count(fault, n),
-                instantiate(fault, n, index++, 0).size())
+      EXPECT_EQ(
+          kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), 0),
+          instantiate(fault, n, index++, 0).size())
           << fault.name() << " n=" << n;
     }
   }
   for (const DecoderFault& fault : decoder_fault_list(5).decoder) {
     for (std::size_t n : {3u, 4u, 6u, 9u, 17u, 32u}) {
-      EXPECT_EQ(static_instance_count(fault, n),
+      EXPECT_EQ(decoder_address_count(fault, n),
                 instantiate(fault, n, 0, 0).size())
           << fault.name() << " n=" << n;
     }
@@ -106,11 +110,12 @@ TEST(StaticAnalyzer, HugeMemoryCountsAreAnalytic) {
   // 2^40 cells: enumeration is impossible, the analytic count is instant.
   const std::size_t n = std::size_t{1} << 40;
   const SimpleFault single = standard_simple_static_faults().simple.front();
-  EXPECT_EQ(static_instance_count(single, n), static_cast<std::uint64_t>(n));
+  EXPECT_EQ(kept_layouts(n, static_cast<std::size_t>(single.num_cells()), 0),
+            static_cast<std::uint64_t>(n));
   DecoderFault decoder;
   decoder.cls = DecoderFaultClass::WrongCell;
   decoder.bit = 10;
-  EXPECT_EQ(static_instance_count(decoder, n), static_cast<std::uint64_t>(n));
+  EXPECT_EQ(decoder_address_count(decoder, n), n);
 }
 
 /// Replays a Detected witness on the scalar simulator: the scenario it
