@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <set>
 
+#include "common/checksum.hpp"
+
 namespace mtg {
 namespace {
 
@@ -185,6 +187,17 @@ TEST(FaultListCanonical, HashSeparatesTheBuiltInLists) {
   EXPECT_NE(stable_hash(decoder_fault_list(8)), stable_hash(decoder_fault_list(12)));
 }
 
+/// Hash of every linked fault's display name and fully_masking bit, in list
+/// order: the canonical string leaves both out, so this pins them separately.
+std::uint64_t linked_names_hash(const FaultList& list) {
+  std::string text;
+  for (const LinkedFault& lf : list.linked) {
+    text += lf.name();
+    text += lf.fully_masking() ? " 1\n" : " 0\n";
+  }
+  return stable_hash64(text);
+}
+
 TEST(FaultListCanonical, HashIsStableAcrossRunsAndPlatforms) {
   // Golden values locking the canonical format and the FNV-1a hash: a drift
   // here silently invalidates every persisted sweep record, so it must be a
@@ -193,6 +206,10 @@ TEST(FaultListCanonical, HashIsStableAcrossRunsAndPlatforms) {
   EXPECT_EQ(stable_hash(standard_simple_static_faults()),
             0xAC9DC7A0D9D7FB26ull);
   EXPECT_EQ(stable_hash(decoder_fault_list()), 0xEF9B576B39423E08ull);
+  EXPECT_EQ(stable_hash(fault_list_1()), 0xB032BA9B7818B07Aull);
+  EXPECT_EQ(stable_hash(retention_fault_list()), 0x29B5C8D2D24EC983ull);
+  EXPECT_EQ(linked_names_hash(fault_list_1()), 0x136AF766777C4656ull);
+  EXPECT_EQ(linked_names_hash(retention_fault_list()), 0x471E5350EB5B568Cull);
 }
 
 }  // namespace
