@@ -48,7 +48,9 @@ constexpr int to_int(Bit b) noexcept { return b == Bit::One ? 1 : 0; }
 
 /// Converts 0/1 to a Bit; throws mtg::Error on any other value.
 inline Bit bit_from_int(int v) {
-  require(v == 0 || v == 1, "bit value must be 0 or 1, got " + std::to_string(v));
+  if (v != 0 && v != 1) {
+    throw Error("bit value must be 0 or 1, got " + std::to_string(v));
+  }
   return v == 1 ? Bit::One : Bit::Zero;
 }
 
@@ -57,8 +59,10 @@ constexpr char to_char(Bit b) noexcept { return b == Bit::One ? '1' : '0'; }
 
 /// Parses '0' or '1' into a Bit; throws mtg::Error otherwise.
 inline Bit bit_from_char(char c) {
-  require(c == '0' || c == '1',
-          std::string("bit character must be '0' or '1', got '") + c + "'");
+  if (c != '0' && c != '1') {
+    throw Error(std::string("bit character must be '0' or '1', got '") + c +
+                "'");
+  }
   return c == '1' ? Bit::One : Bit::Zero;
 }
 

@@ -11,9 +11,10 @@ SmallState::SmallState(std::size_t num_cells) : SmallState(num_cells, 0) {}
 
 SmallState::SmallState(std::size_t num_cells, std::uint16_t bits)
     : bits_(bits), num_cells_(static_cast<std::uint8_t>(num_cells)) {
-  require(num_cells >= 1 && num_cells <= kMaxCells,
-          "SmallState supports 1.." + std::to_string(kMaxCells) + " cells, got " +
-              std::to_string(num_cells));
+  if (num_cells < 1 || num_cells > kMaxCells) {
+    throw Error("SmallState supports 1.." + std::to_string(kMaxCells) +
+                " cells, got " + std::to_string(num_cells));
+  }
   require(num_cells == kMaxCells || bits < (1u << num_cells),
           "SmallState bits out of range for cell count");
 }

@@ -1,5 +1,6 @@
 #include "format/fault_list_text.hpp"
 
+#include <charconv>
 #include <string>
 
 #include "common/error.hpp"
@@ -93,9 +94,8 @@ long long record_int(const LineReader& reader, Field field, long long min,
                      long long max, const char* name) {
   const std::string digits(field.text);
   long long value = 0;
-  try {
-    value = std::stoll(digits);
-  } catch (const std::exception&) {
+  if (std::from_chars(digits.data(), digits.data() + digits.size(), value)
+          .ec != std::errc()) {
     reader.fail(field.column,
                 std::string(name) + " out of range: '" + digits + "'");
   }

@@ -23,29 +23,19 @@ SimpleFault SimpleFault::coupled(FaultPrimitive fp, bool aggressor_below) {
                      std::move(name)};
 }
 
-bool is_maskable(const FaultPrimitive& fp) {
-  return !fp.is_immediately_detecting();
-}
-
-bool can_mask(const FaultPrimitive& fp2, const FaultPrimitive& fp1) {
-  return fp2.fault_value() == flip(fp1.fault_value()) &&
-         fp2.v_state() == fp1.fault_value();
-}
-
 namespace {
 
-/// Appends the linked fault when the full chain check passes.
-///
-/// Note the chain check prunes more than the static predicates: e.g. a state
-/// fault never survives as FP2 because it settles within the very operation
-/// that sensitizes FP1, so FP1 produces no lasting deviation to mask, and
-/// same-aggressor pairs drop out when FP1's operation leaves the aggressor in
-/// a state incompatible with FP2's sensitization (I2 = Fv1 over *all* cells).
-void try_add(std::vector<LinkedFault>& out, const FaultPrimitive& fp1,
-             const FaultPrimitive& fp2, const LinkedLayout& layout) {
-  const LinkCheck check = check_link(fp1, fp2, layout);
-  if (check.structurally_linked && check.fp1_fired && check.fp2_fired) {
-    out.emplace_back(fp1, fp2, layout);
+/// Appends every FP1 → FP2 over `fp1s` × `fp2s` that links in `layout`.
+void append_links(std::vector<LinkedFault>& out,
+                  const std::vector<FaultPrimitive>& fp1s,
+                  const std::vector<FaultPrimitive>& fp2s,
+                  const LinkedLayout& layout) {
+  for (const FaultPrimitive& fp1 : fp1s) {
+    for (const FaultPrimitive& fp2 : fp2s) {
+      if (auto lf = LinkedFault::link(fp1, fp2, layout)) {
+        out.push_back(std::move(*lf));
+      }
+    }
   }
 }
 
@@ -54,13 +44,7 @@ void try_add(std::vector<LinkedFault>& out, const FaultPrimitive& fp1,
 std::vector<LinkedFault> enumerate_single_cell_linked_faults() {
   std::vector<LinkedFault> result;
   const auto fps = all_single_cell_static_fps();
-  for (const FaultPrimitive& fp1 : fps) {
-    if (!is_maskable(fp1)) continue;
-    for (const FaultPrimitive& fp2 : fps) {
-      if (!can_mask(fp2, fp1)) continue;
-      try_add(result, fp1, fp2, LinkedLayout::single_cell());
-    }
-  }
+  append_links(result, fps, fps, LinkedLayout::single_cell());
   return result;
 }
 
@@ -74,29 +58,14 @@ std::vector<LinkedFault> enumerate_two_cell_linked_faults() {
     const std::uint8_t v_pos = aggressor_below ? 1 : 0;
 
     // (a) CF linked with CF, same aggressor cell.
-    for (const FaultPrimitive& fp1 : coupled) {
-      if (!is_maskable(fp1)) continue;
-      for (const FaultPrimitive& fp2 : coupled) {
-        if (!can_mask(fp2, fp1)) continue;
-        try_add(result, fp1, fp2, LinkedLayout::two_cell(a_pos, a_pos, v_pos));
-      }
-    }
+    append_links(result, coupled, coupled,
+                 LinkedLayout::two_cell(a_pos, a_pos, v_pos));
     // (b) CF linked with a single-cell FP on the victim.
-    for (const FaultPrimitive& fp1 : coupled) {
-      if (!is_maskable(fp1)) continue;
-      for (const FaultPrimitive& fp2 : single) {
-        if (!can_mask(fp2, fp1)) continue;
-        try_add(result, fp1, fp2, LinkedLayout::two_cell(a_pos, -1, v_pos));
-      }
-    }
+    append_links(result, coupled, single,
+                 LinkedLayout::two_cell(a_pos, -1, v_pos));
     // (c) single-cell FP linked with a CF sharing the victim.
-    for (const FaultPrimitive& fp1 : single) {
-      if (!is_maskable(fp1)) continue;
-      for (const FaultPrimitive& fp2 : coupled) {
-        if (!can_mask(fp2, fp1)) continue;
-        try_add(result, fp1, fp2, LinkedLayout::two_cell(-1, a_pos, v_pos));
-      }
-    }
+    append_links(result, single, coupled,
+                 LinkedLayout::two_cell(-1, a_pos, v_pos));
   }
   return result;
 }
@@ -108,12 +77,12 @@ std::vector<LinkedFault> enumerate_three_cell_linked_faults() {
   static constexpr std::uint8_t kOrderings[6][3] = {
       {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {2, 0, 1}, {1, 2, 0}, {2, 1, 0}};
   for (const FaultPrimitive& fp1 : coupled) {
-    if (!is_maskable(fp1)) continue;
     for (const FaultPrimitive& fp2 : coupled) {
-      if (!can_mask(fp2, fp1)) continue;
       for (const auto& ord : kOrderings) {
-        try_add(result, fp1, fp2,
-                LinkedLayout::three_cell(ord[0], ord[1], ord[2]));
+        const auto layout = LinkedLayout::three_cell(ord[0], ord[1], ord[2]);
+        if (auto lf = LinkedFault::link(fp1, fp2, layout)) {
+          result.push_back(std::move(*lf));
+        }
       }
     }
   }
@@ -125,11 +94,11 @@ std::vector<LinkedFault> enumerate_retention_linked_faults() {
   std::vector<FaultPrimitive> fps = all_single_cell_static_fps();
   for (Bit s : {Bit::Zero, Bit::One}) fps.push_back(FaultPrimitive::drf(s));
   for (const FaultPrimitive& fp1 : fps) {
-    if (!is_maskable(fp1)) continue;
     for (const FaultPrimitive& fp2 : fps) {
       if (!fp1.is_retention() && !fp2.is_retention()) continue;
-      if (!can_mask(fp2, fp1)) continue;
-      try_add(result, fp1, fp2, LinkedLayout::single_cell());
+      if (auto lf = LinkedFault::link(fp1, fp2, LinkedLayout::single_cell())) {
+        result.push_back(std::move(*lf));
+      }
     }
   }
   return result;
@@ -156,10 +125,12 @@ FaultList fault_list_1() {
   FaultList list;
   list.name = "Fault List #1 (single-, two- and three-cell static linked faults)";
   list.linked = enumerate_single_cell_linked_faults();
-  auto two = enumerate_two_cell_linked_faults();
-  auto three = enumerate_three_cell_linked_faults();
-  list.linked.insert(list.linked.end(), two.begin(), two.end());
-  list.linked.insert(list.linked.end(), three.begin(), three.end());
+  for (LinkedFault& lf : enumerate_two_cell_linked_faults()) {
+    list.linked.push_back(std::move(lf));
+  }
+  for (LinkedFault& lf : enumerate_three_cell_linked_faults()) {
+    list.linked.push_back(std::move(lf));
+  }
   return list;
 }
 

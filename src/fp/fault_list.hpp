@@ -73,12 +73,6 @@ struct FaultList {
   }
 };
 
-/// FP1 candidates: FPs whose sensitization does not expose them on the spot.
-bool is_maskable(const FaultPrimitive& fp);
-
-/// FP2 candidates for a given FP1: v_state == F1 and F == not(F1).
-bool can_mask(const FaultPrimitive& fp2, const FaultPrimitive& fp1);
-
 /// All single-cell static linked faults (both FPs on the victim cell).
 std::vector<LinkedFault> enumerate_single_cell_linked_faults();
 

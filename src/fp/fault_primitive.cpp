@@ -1,7 +1,6 @@
 #include "fp/fault_primitive.hpp"
 
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -205,8 +204,7 @@ FpClass FaultPrimitive::classify() const {
 
 std::string FaultPrimitive::name() const {
   const FpClass c = classify();
-  std::ostringstream out;
-  out << to_string(c);
+  std::string out = to_string(c);
   switch (c) {
     case FpClass::SF:
     case FpClass::WDF:
@@ -214,29 +212,26 @@ std::string FaultPrimitive::name() const {
     case FpClass::DRDF:
     case FpClass::IRF:
     case FpClass::DRF:
-      out << to_char(v_state_);
+      out += to_char(v_state_);
       break;
     case FpClass::TF:
-      out << (v_state_ == Bit::Zero ? "↑" : "↓");
+      out += v_state_ == Bit::Zero ? "↑" : "↓";
       break;
     default:
       // coupling faults: spell out the sensitizer pair
-      out << '<' << sensitizer_string(a_state_, a_op_) << ';'
-          << sensitizer_string(v_state_, v_op_) << '>';
+      out += '<' + sensitizer_string(a_state_, a_op_) + ';' +
+             sensitizer_string(v_state_, v_op_) + '>';
       break;
   }
-  return out.str();
+  return out;
 }
 
 std::string FaultPrimitive::notation() const {
-  std::ostringstream out;
-  out << '<';
-  if (is_two_cell()) {
-    out << sensitizer_string(a_state_, a_op_) << ';';
-  }
-  out << sensitizer_string(v_state_, v_op_) << '/' << to_char(fault_value_)
-      << '/' << to_char(read_result_) << '>';
-  return out.str();
+  std::string out(1, '<');
+  if (is_two_cell()) out += sensitizer_string(a_state_, a_op_) + ';';
+  out += sensitizer_string(v_state_, v_op_);
+  out += {'/', to_char(fault_value_), '/', to_char(read_result_), '>'};
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, const FaultPrimitive& fp) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <set>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "fp/semantics.hpp"
@@ -88,12 +86,14 @@ void validate_layout(const FaultPrimitive& fp1, const FaultPrimitive& fp2,
               layout.a2_pos < 0,
           "FP2's aggressor must differ from the victim");
   // Every position 0..num_cells-1 must be used by some role.
-  std::set<int> used = {static_cast<int>(layout.v_pos)};
-  if (layout.a1_pos >= 0) used.insert(layout.a1_pos);
-  if (layout.a2_pos >= 0) used.insert(layout.a2_pos);
-  require(used.size() == layout.num_cells,
-          "layout uses " + std::to_string(used.size()) + " cells but declares " +
-              std::to_string(layout.num_cells));
+  unsigned used = 1u << layout.v_pos;
+  if (layout.a1_pos >= 0) used |= 1u << layout.a1_pos;
+  if (layout.a2_pos >= 0) used |= 1u << layout.a2_pos;
+  const std::size_t used_cells = popcount64(used);
+  if (used_cells != layout.num_cells) {
+    throw Error("layout uses " + std::to_string(used_cells) +
+                " cells but declares " + std::to_string(layout.num_cells));
+  }
 }
 
 /// Applies one sensitizing operation to a good machine and a faulty machine,
@@ -132,26 +132,20 @@ bool apply_sense_op(const FaultPrimitive& fp, std::size_t a_cell,
 LinkCheck check_link(const FaultPrimitive& fp1, const FaultPrimitive& fp2,
                      const LinkedLayout& layout) {
   validate_layout(fp1, fp2, layout);
-  LinkCheck result;
 
   // -- Structural conditions (Definitions 6/7) -------------------------
   if (fp2.fault_value() != flip(fp1.fault_value())) {
-    result.reason = "F2 != not(F1): FP2 cannot mask FP1";
-    return result;
+    return {"F2 != not(F1): FP2 cannot mask FP1"};
   }
   if (fp2.v_state() != fp1.fault_value()) {
-    result.reason = "I2 != Fv1: FP2 is not sensitized on the faulty victim";
-    return result;
+    return {"I2 != Fv1: FP2 is not sensitized on the faulty victim"};
   }
   if (fp1.is_immediately_detecting()) {
-    result.reason = "FP1 is exposed by its own sensitizing read (RDF/IRF-like)";
-    return result;
+    return {"FP1 is exposed by its own sensitizing read (RDF/IRF-like)"};
   }
   if (fp1.is_state_fault() && fp2.is_state_fault()) {
-    result.reason = "two state faults cannot form a well-defined link";
-    return result;
+    return {"two state faults cannot form a well-defined link"};
   }
-  result.structurally_linked = true;
 
   // -- Canonical chain on the semantics engine --------------------------
   const std::size_t k = layout.num_cells;
@@ -159,44 +153,60 @@ LinkCheck check_link(const FaultPrimitive& fp1, const FaultPrimitive& fp2,
   const std::size_t a1 = layout.a1_pos >= 0 ? layout.a1_pos : v;
   const std::size_t a2 = layout.a2_pos >= 0 ? layout.a2_pos : v;
 
-  MemoryState initial(k);
-  initial.set(v, fp1.v_state());
-  if (fp1.is_two_cell()) initial.set(a1, fp1.a_state());
+  MemoryState good(k);
+  good.set(v, fp1.v_state());
+  if (fp1.is_two_cell()) good.set(a1, fp1.a_state());
   if (fp2.is_two_cell() && static_cast<int>(a2) != layout.a1_pos &&
       a2 != v) {
-    initial.set(a2, fp2.a_state());
+    good.set(a2, fp2.a_state());
   }
 
-  MemoryState good = initial;
   FaultyMemory faulty(k, {BoundFp(fp1, a1, v), BoundFp(fp2, a2, v)});
-  faulty.power_on(initial);
+  faulty.power_on(good);
 
-  bool mismatch = false;
-  mismatch |= apply_sense_op(fp1, a1, v, good, faulty);
+  bool mismatch = apply_sense_op(fp1, a1, v, good, faulty);
   const bool deviation_after_fp1 = faulty.state() != good;
   mismatch |= apply_sense_op(fp2, a2, v, good, faulty);
 
-  result.fp1_fired = faulty.fire_count(0) > 0 && deviation_after_fp1;
-  result.fp2_fired = faulty.fire_count(1) > 0;
-  result.fully_masked = result.fp1_fired && result.fp2_fired && !mismatch &&
-                        faulty.state() == good;
-  if (!result.fp1_fired) {
-    result.reason = "FP1 did not fire (or caused no deviation) in the chain";
-  } else if (!result.fp2_fired) {
-    result.reason = "FP2 is not sensitized in the state reached by FP1";
+  if (faulty.fire_count(0) == 0 || !deviation_after_fp1) {
+    return {"FP1 did not fire (or caused no deviation) in the chain"};
   }
-  return result;
+  if (faulty.fire_count(1) == 0) {
+    return {"FP2 is not sensitized in the state reached by FP1"};
+  }
+  return {"", !mismatch && faulty.state() == good};
 }
 
 LinkedFault::LinkedFault(FaultPrimitive fp1, FaultPrimitive fp2,
                          LinkedLayout layout)
-    : fp1_(std::move(fp1)), fp2_(std::move(fp2)), layout_(layout) {
-  const LinkCheck check = check_link(fp1_, fp2_, layout_);
-  require(check.structurally_linked && check.fp1_fired && check.fp2_fired,
-          "FPs are not linked (" + fp1_.notation() + " -> " + fp2_.notation() +
-              " [" + layout_.to_string() + "]): " + check.reason);
-  fully_masking_ = check.fully_masked;
-  name_ = fp1_.name() + "→" + fp2_.name() + " [" + layout_.to_string() + "]";
+    : LinkedFault(fp1, fp2, layout, check_link(fp1, fp2, layout)) {}
+
+LinkedFault::LinkedFault(const FaultPrimitive& fp1, const FaultPrimitive& fp2,
+                         const LinkedLayout& layout, const LinkCheck& check)
+    : fp1_(fp1),
+      fp2_(fp2),
+      layout_(layout),
+      fully_masking_(check.fully_masked) {
+  if (!check.linked()) {
+    throw Error("FPs are not linked (" + fp1_.notation() + " -> " +
+                fp2_.notation() + " [" + layout_.to_string() +
+                "]): " + check.reason);
+  }
+  // One buffer sized up front: this runs for every fault of every list.
+  const std::string name1 = fp1_.name();
+  const std::string name2 = fp2_.name();
+  const std::string cells = layout_.to_string();
+  name_.reserve(name1.size() + name2.size() + cells.size() + 8);
+  name_.append(name1).append("→").append(name2).append(" [").append(cells);
+  name_ += ']';
+}
+
+std::optional<LinkedFault> LinkedFault::link(const FaultPrimitive& fp1,
+                                             const FaultPrimitive& fp2,
+                                             const LinkedLayout& layout) {
+  const LinkCheck check = check_link(fp1, fp2, layout);
+  if (!check.linked()) return std::nullopt;
+  return LinkedFault(fp1, fp2, layout, check);
 }
 
 std::ostream& operator<<(std::ostream& os, const LinkedFault& lf) {

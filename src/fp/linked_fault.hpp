@@ -54,25 +54,38 @@ std::ostream& operator<<(std::ostream& os, const LinkedLayout& layout);
 
 /// Result of checking the linking conditions for an (FP1, FP2, layout) triple.
 struct LinkCheck {
-  bool structurally_linked = false;  ///< Definition 6/7 conditions hold
-  bool fp1_fired = false;            ///< FP1 sensitized in the canonical chain
-  bool fp2_fired = false;            ///< FP2 sensitized right after FP1
-  bool fully_masked = false;         ///< after the chain: faulty == fault-free
-                                     ///< and no read exposed a wrong value
-  std::string reason;                ///< first failed condition, for diagnostics
+  std::string reason;         ///< first failed condition; empty when linked
+  bool fully_masked = false;  ///< after the chain: faulty == fault-free
+                              ///< and no read exposed a wrong value
+
+  bool linked() const noexcept { return reason.empty(); }
 };
 
-/// Evaluates the linking conditions by running the canonical two-step chain
-/// (FP1's sensitization, then FP2's) on the FaultyMemory engine.
+/// Decides whether FP1 → FP2 links in `layout`: checks the structural
+/// conditions of Definitions 6/7, then runs the canonical two-step chain
+/// (FP1's sensitization, then FP2's) on the FaultyMemory engine.  Throws
+/// mtg::Error when the layout is incoherent.
+///
+/// The chain prunes more than the structural conditions: e.g. a state fault
+/// never survives as FP2 because it settles within the very operation that
+/// sensitizes FP1, so FP1 produces no lasting deviation to mask, and
+/// same-aggressor pairs drop out when FP1's operation leaves the aggressor in
+/// a state incompatible with FP2's sensitization (I2 = Fv1 over *all* cells).
 LinkCheck check_link(const FaultPrimitive& fp1, const FaultPrimitive& fp2,
                      const LinkedLayout& layout);
 
 /// A validated linked fault FP1 → FP2 with its address layout.
 class LinkedFault {
  public:
-  /// Throws mtg::Error when the triple does not satisfy the structural
-  /// linking conditions (Definitions 6/7) or the layout is incoherent.
+  /// Throws mtg::Error when the triple does not satisfy the linking
+  /// conditions (see check_link) or the layout is incoherent.
   LinkedFault(FaultPrimitive fp1, FaultPrimitive fp2, LinkedLayout layout);
+
+  /// The linked fault FP1 → FP2, or nullopt when the triple does not link
+  /// (see check_link).  Throws mtg::Error when the layout is incoherent.
+  static std::optional<LinkedFault> link(const FaultPrimitive& fp1,
+                                         const FaultPrimitive& fp2,
+                                         const LinkedLayout& layout);
 
   const FaultPrimitive& fp1() const noexcept { return fp1_; }
   const FaultPrimitive& fp2() const noexcept { return fp2_; }
@@ -95,6 +108,10 @@ class LinkedFault {
   LinkedLayout layout_;
   bool fully_masking_ = false;
   std::string name_;
+
+  /// Throws mtg::Error unless `check` (check_link of the triple) linked.
+  LinkedFault(const FaultPrimitive& fp1, const FaultPrimitive& fp2,
+              const LinkedLayout& layout, const LinkCheck& check);
 };
 
 std::ostream& operator<<(std::ostream& os, const LinkedFault& lf);

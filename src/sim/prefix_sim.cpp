@@ -54,10 +54,11 @@ PrefixEngine::PrefixEngine(std::size_t memory_size,
     require_addresses_fit(instance, memory_size_);
     // The engine has no scalar fallback: reject oversized instances loudly
     // at entry.
-    require(PackedFaultSim::supports(instance),
-            "the prefix engine supports at most " +
-                std::to_string(PackedFaultSim::kMaxFps) +
-                " bound FPs per fault instance");
+    if (!PackedFaultSim::supports(instance)) {
+      throw Error("the prefix engine supports at most " +
+                  std::to_string(PackedFaultSim::kMaxFps) +
+                  " bound FPs per fault instance");
+    }
     Item item;
     item.fault_index = instance.fault_index;
     item.sim = PackedFaultSim(instance);

@@ -78,6 +78,10 @@ const std::vector<Row>& rows() {
        {"lists", "--list-file", "{corpus}/bad_header.faults"}, 1,
        "error: {corpus}/bad_header.faults:1:11: unsupported fault-list "
        "format version"},
+      {"lists_malformed_linked_layout",
+       {"lists", "--list-file", "{corpus}/bad_linked_layout.faults"}, 1,
+       "error: {corpus}/bad_linked_layout.faults:3:1: layout uses 2 cells but "
+       "declares 3"},
       {"lists_malformed_suite",
        {"lists", "--suite-file", "{corpus}/dup_name.suite"}, 1,
        "error: {corpus}/dup_name.suite:3:1: duplicate test name"},

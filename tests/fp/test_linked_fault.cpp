@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace mtg {
@@ -31,9 +34,7 @@ TEST(CheckLink, PaperEquation6IsLinkedViaTwoAggressors) {
   // FP1 = <0w1;0/1/->, FP2 = <0w1;1/0/-> with distinct aggressors (Fig. 1).
   const LinkCheck check =
       check_link(cfds_01_v0(), cfds_01_v1(), LinkedLayout::three_cell(0, 1, 2));
-  EXPECT_TRUE(check.structurally_linked) << check.reason;
-  EXPECT_TRUE(check.fp1_fired);
-  EXPECT_TRUE(check.fp2_fired);
+  EXPECT_TRUE(check.linked()) << check.reason;
   EXPECT_TRUE(check.fully_masked);
 }
 
@@ -41,9 +42,7 @@ TEST(CheckLink, PaperEquation12IsLinkedViaSharedAggressor) {
   // <0w1;0/1/-> → <1w0;1/0/-> sharing the aggressor (Equations 12-14).
   const LinkCheck check =
       check_link(cfds_01_v0(), cfds_10_v1(), LinkedLayout::two_cell(0, 0, 1));
-  EXPECT_TRUE(check.structurally_linked) << check.reason;
-  EXPECT_TRUE(check.fp1_fired);
-  EXPECT_TRUE(check.fp2_fired);
+  EXPECT_TRUE(check.linked()) << check.reason;
   EXPECT_TRUE(check.fully_masked);
 }
 
@@ -51,8 +50,8 @@ TEST(CheckLink, RejectsEqualFaultEffects) {
   // F2 must equal not(F1).
   const LinkCheck check =
       check_link(cfds_01_v0(), cfds_01_v0(), LinkedLayout::three_cell(0, 1, 2));
-  EXPECT_FALSE(check.structurally_linked);
-  EXPECT_NE(check.reason.find("F2"), std::string::npos);
+  EXPECT_FALSE(check.linked());
+  EXPECT_EQ(check.reason, "F2 != not(F1): FP2 cannot mask FP1");
 }
 
 TEST(CheckLink, RejectsBrokenChain) {
@@ -61,7 +60,8 @@ TEST(CheckLink, RejectsBrokenChain) {
       FaultPrimitive::cfds(Bit::Zero, SenseOp::W1, Bit::Zero);  // v_state 0
   const LinkCheck check = check_link(cfds_01_v0(), fp2_wrong_state,
                                      LinkedLayout::three_cell(0, 1, 2));
-  EXPECT_FALSE(check.structurally_linked);
+  EXPECT_FALSE(check.linked());
+  EXPECT_EQ(check.reason, "F2 != not(F1): FP2 cannot mask FP1");
 }
 
 TEST(CheckLink, RejectsImmediatelyDetectingFp1) {
@@ -69,7 +69,8 @@ TEST(CheckLink, RejectsImmediatelyDetectingFp1) {
   const LinkCheck check =
       check_link(FaultPrimitive::rdf(Bit::Zero), FaultPrimitive::wdf(Bit::One),
                  LinkedLayout::single_cell());
-  EXPECT_FALSE(check.structurally_linked);
+  EXPECT_EQ(check.reason,
+            "FP1 is exposed by its own sensitizing read (RDF/IRF-like)");
 }
 
 TEST(CheckLink, RejectsDoubleStateFaults) {
@@ -77,7 +78,7 @@ TEST(CheckLink, RejectsDoubleStateFaults) {
       check_link(FaultPrimitive::cfst(Bit::One, Bit::Zero),
                  FaultPrimitive::cfst(Bit::One, Bit::One),
                  LinkedLayout::two_cell(0, 0, 1));
-  EXPECT_FALSE(check.structurally_linked);
+  EXPECT_EQ(check.reason, "two state faults cannot form a well-defined link");
 }
 
 TEST(CheckLink, SingleCellTfWdfLink) {
@@ -86,9 +87,7 @@ TEST(CheckLink, SingleCellTfWdfLink) {
   const LinkCheck check =
       check_link(FaultPrimitive::tf(Bit::Zero), FaultPrimitive::wdf(Bit::Zero),
                  LinkedLayout::single_cell());
-  EXPECT_TRUE(check.structurally_linked) << check.reason;
-  EXPECT_TRUE(check.fp1_fired);
-  EXPECT_TRUE(check.fp2_fired);
+  EXPECT_TRUE(check.linked()) << check.reason;
   // The WDF inverts the error rather than hiding it completely.
   EXPECT_FALSE(check.fully_masked);
 }
@@ -97,20 +96,71 @@ TEST(CheckLink, SingleCellWdfRdfLinkFullyMasks) {
   const LinkCheck check =
       check_link(FaultPrimitive::wdf(Bit::Zero), FaultPrimitive::rdf(Bit::One),
                  LinkedLayout::single_cell());
-  EXPECT_TRUE(check.structurally_linked);
+  EXPECT_TRUE(check.linked()) << check.reason;
   EXPECT_TRUE(check.fully_masked);
 }
 
 TEST(LinkedFault, ConstructionValidates) {
   EXPECT_NO_THROW(
       LinkedFault(cfds_01_v0(), cfds_10_v1(), LinkedLayout::two_cell(0, 0, 1)));
-  EXPECT_THROW(
-      LinkedFault(cfds_01_v0(), cfds_01_v0(), LinkedLayout::three_cell(0, 1, 2)),
-      Error);
-  // Layout incoherence: FP1 is two-cell but no a1 position given.
-  EXPECT_THROW(
-      LinkedFault(cfds_01_v0(), cfds_10_v1(), LinkedLayout::two_cell(-1, 0, 1)),
-      Error);
+  const FaultPrimitive tf0 = FaultPrimitive::tf(Bit::Zero);
+  const FaultPrimitive wdf0 = FaultPrimitive::wdf(Bit::Zero);
+  LinkedLayout four_cells = LinkedLayout::three_cell(0, 1, 2);
+  four_cells.num_cells = 4;
+  LinkedLayout two_single_cells = LinkedLayout::single_cell();
+  two_single_cells.num_cells = 2;
+  const struct {
+    FaultPrimitive fp1;
+    FaultPrimitive fp2;
+    LinkedLayout layout;
+    const char* what;
+  } cases[] = {
+      {cfds_01_v0(), cfds_01_v1(), four_cells,
+       "linked fault layout: 1..3 distinct cells"},
+      // FP1 is two-cell but no a1 position given.
+      {cfds_01_v0(), cfds_10_v1(), LinkedLayout::two_cell(-1, 0, 1),
+       "layout a1 position must be present iff FP1 is a two-cell FP"},
+      {cfds_01_v0(), tf0, LinkedLayout::two_cell(0, 0, 1),
+       "layout a2 position must be present iff FP2 is a two-cell FP"},
+      {cfds_01_v0(), cfds_10_v1(), LinkedLayout::two_cell(0, 0, 2),
+       "layout victim position out of range"},
+      {cfds_01_v0(), cfds_10_v1(), LinkedLayout::two_cell(2, 0, 1),
+       "layout aggressor position out of range"},
+      {cfds_01_v0(), cfds_10_v1(), LinkedLayout::two_cell(1, 0, 1),
+       "FP1's aggressor must differ from the victim"},
+      {cfds_01_v0(), cfds_10_v1(), LinkedLayout::two_cell(0, 1, 1),
+       "FP2's aggressor must differ from the victim"},
+      {cfds_01_v0(), cfds_10_v1(), LinkedLayout::three_cell(0, 0, 1),
+       "layout uses 2 cells but declares 3"},
+      {tf0, wdf0, two_single_cells, "layout uses 1 cells but declares 2"},
+      {cfds_01_v0(), cfds_01_v0(), LinkedLayout::three_cell(0, 1, 2),
+       "FPs are not linked (<0w1;0/1/-> -> <0w1;0/1/-> [a1<a2<v]): "
+       "F2 != not(F1): FP2 cannot mask FP1"},
+      {wdf0, tf0, LinkedLayout::single_cell(),
+       "FPs are not linked (<0w0/1/-> -> <0w1/0/-> [v]): "
+       "I2 != Fv1: FP2 is not sensitized on the faulty victim"},
+  };
+  for (const auto& c : cases) {
+    try {
+      const LinkedFault lf(c.fp1, c.fp2, c.layout);
+      ADD_FAILURE() << "accepted " << lf.name() << ", expected: " << c.what;
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), c.what);
+    }
+    // link() throws the same layout errors and returns nullopt for an
+    // unlinked triple.
+    std::optional<LinkedFault> linked;
+    std::string link_error;
+    try {
+      linked = LinkedFault::link(c.fp1, c.fp2, c.layout);
+    } catch (const Error& e) {
+      link_error = e.what();
+    }
+    EXPECT_FALSE(linked) << c.what;
+    const bool unlinked =
+        std::string(c.what).rfind("FPs are not linked", 0) == 0;
+    EXPECT_EQ(link_error, unlinked ? "" : c.what);
+  }
 }
 
 TEST(LinkedFault, NameCarriesLayout) {
