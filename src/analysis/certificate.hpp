@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "analysis/static_analyzer.hpp"
-#include "analysis/subsumption.hpp"
+#include "analysis/universe.hpp"
 #include "format/suite_text.hpp"
 #include "march/march_test.hpp"
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "sim/coverage.hpp"
 #include "sim/simulator.hpp"
 
 namespace mtg {
@@ -44,20 +45,17 @@ bool test_well_formed(const MarchTest& test) {
   return FaultSimulator::validity_violation(test).empty();
 }
 
-/// The per-fault verdict vector `redundancy` compares, or nullopt when any
-/// verdict is Unknown (an indefinite verdict never licenses a removal
-/// claim).
-std::optional<std::vector<StaticVerdict>> definite_verdicts(
-    const MarchTest& test, const FaultList& list, const LintOptions& options) {
-  const StaticCoverage coverage =
-      analyze_coverage(test, list, options.memory_size);
-  if (coverage.unknown > 0) return std::nullopt;
-  std::vector<StaticVerdict> verdicts;
-  verdicts.reserve(coverage.entries.size());
-  for (const StaticCoverageEntry& entry : coverage.entries) {
-    verdicts.push_back(entry.verdict);
+/// The per-fault `covered` flags the redundancy checks compare: one
+/// uncapped, single-threaded evaluate_coverage at the linted memory size.
+std::vector<bool> covered_flags(const MarchTest& test, const FaultList& list,
+                                const FaultSimulator& simulator) {
+  const CoverageReport report = evaluate_coverage(simulator, test, list, 0);
+  std::vector<bool> covered;
+  covered.reserve(report.entries.size());
+  for (const CoverageEntry& entry : report.entries) {
+    covered.push_back(entry.covered);
   }
-  return verdicts;
+  return covered;
 }
 
 }  // namespace
@@ -172,11 +170,13 @@ std::vector<LintFinding> lint_march_test(const MarchTest& test,
                                          const LintOptions& options,
                                          const std::string& source,
                                          const SuiteTestPosition* positions) {
+  SimulatorOptions sim_options;
+  sim_options.memory_size = options.memory_size;
+  sim_options.coverage_threads = 1;
+  const FaultSimulator simulator(sim_options);  // rejects n < 3
   std::vector<LintFinding> findings;
   if (!test_well_formed(test)) return findings;
-  const std::optional<std::vector<StaticVerdict>> baseline =
-      definite_verdicts(test, list, options);
-  if (!baseline.has_value()) return findings;
+  const std::vector<bool> baseline = covered_flags(test, list, simulator);
 
   const auto element_position =
       [positions](std::size_t index) -> std::optional<TextPosition> {
@@ -186,10 +186,8 @@ std::vector<LintFinding> lint_march_test(const MarchTest& test,
     return positions->elements[index];
   };
   const auto verdicts_unchanged = [&](const MarchTest& trial) {
-    if (!test_well_formed(trial)) return false;
-    const std::optional<std::vector<StaticVerdict>> trial_verdicts =
-        definite_verdicts(trial, list, options);
-    return trial_verdicts.has_value() && *trial_verdicts == *baseline;
+    return test_well_formed(trial) &&
+           covered_flags(trial, list, simulator) == baseline;
   };
 
   std::vector<bool> element_redundant(test.elements().size(), false);
@@ -207,7 +205,6 @@ std::vector<LintFinding> lint_march_test(const MarchTest& test,
                     list.name + "'");
   }
 
-  if (!options.check_dead_ops) return findings;
   for (std::size_t e = 0; e < test.elements().size(); ++e) {
     if (element_redundant[e]) continue;  // already reported wholesale
     const MarchElement& element = test.elements()[e];

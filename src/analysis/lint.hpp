@@ -1,11 +1,11 @@
-// Catalog linter built on the symbolic march analyzer: position-bearing
-// warnings for march tests, fault-list catalogs and march-test suites.
+// Catalog linter built on the fault simulator: position-bearing warnings
+// for march tests, fault-list catalogs and march-test suites.
 //
 // Checks:
 //   * redundant-element — a march element whose removal keeps the test
-//     well-formed and leaves every fault's static verdict unchanged (all
-//     verdicts definite before and after — Unknown never licenses a
-//     removal claim);
+//     well-formed and leaves every fault's coverage verdict unchanged (the
+//     per-fault `covered` flags of an uncapped evaluate_coverage at the
+//     linted memory size, before and after);
 //   * dead-op — the same property at single-operation granularity, for
 //     elements that are not redundant outright;
 //   * duplicate-fault — a catalog record content-equal to an earlier one;
@@ -16,16 +16,15 @@
 //     (e.g. a decoder fault on address line `bit` with 2^bit >= n).
 //
 // Findings carry the document position of the offending record or element
-// when the linted object came from a catalog file (the PR 7 TextPosition
-// plumbing), so they print as "path:line:column: warning: ..." and drop
-// straight into editors and CI annotations.
+// when the linted object came from a catalog file (common/text_position.hpp),
+// so they print as "path:line:column: warning: ..." and drop straight into
+// editors and CI annotations.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "analysis/static_analyzer.hpp"
 #include "common/text_position.hpp"
 #include "format/fault_list_text.hpp"
 #include "format/suite_text.hpp"
@@ -44,10 +43,9 @@ struct LintFinding {
 };
 
 struct LintOptions {
-  /// Memory size the verdicts and instance counts are evaluated at.
+  /// Memory size the verdicts and instance counts are evaluated at (at
+  /// least 3 for lint_march_test, like the simulator).
   std::size_t memory_size = 6;
-  /// Skip the per-operation dead-op sweep (the most expensive check).
-  bool check_dead_ops = true;
 };
 
 /// Catalog-level checks (duplicate, subsumed, zero-instances) over a fault
@@ -60,7 +58,9 @@ std::vector<LintFinding> lint_fault_list(
 
 /// Test-level checks (redundant-element, dead-op) of `test` against the
 /// target fault list.  `positions` (when the test came from a suite file)
-/// anchors findings to element positions.
+/// anchors findings to element positions.  Throws mtg::Error when
+/// options.memory_size is below 3 or the simulator refuses the test (more
+/// than kMaxAnyOrderElements ⇕ elements).
 std::vector<LintFinding> lint_march_test(
     const MarchTest& test, const FaultList& list, const LintOptions& options,
     const std::string& source = "<test>",

@@ -1,6 +1,5 @@
-#include "analysis/subsumption.hpp"
+#include "analysis/universe.hpp"
 
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
@@ -169,68 +168,6 @@ FaultList FaultUniverse::materialize() const {
     result.name = "universe";
   }
   return result;
-}
-
-std::string to_string(SubsumptionVerdict verdict) {
-  switch (verdict) {
-    case SubsumptionVerdict::Subsumes:
-      return "subsumes";
-    case SubsumptionVerdict::NotSubsumes:
-      return "does not subsume";
-    case SubsumptionVerdict::Unknown:
-      return "unknown";
-  }
-  return "?";
-}
-
-SubsumptionResult prove_subsumption(const MarchTest& a, const MarchTest& b,
-                                    const FaultList& universe, std::size_t n) {
-  const StaticCoverage cov_a = analyze_coverage(a, universe, n);
-  const StaticCoverage cov_b = analyze_coverage(b, universe, n);
-
-  SubsumptionResult result;
-  result.verdict = SubsumptionVerdict::Subsumes;
-  result.faults = cov_a.entries.size();
-  result.detected_by_a = cov_a.detected;
-  result.detected_by_b = cov_b.detected;
-
-  for (std::size_t i = 0; i < cov_a.entries.size(); ++i) {
-    const StaticCoverageEntry& ea = cov_a.entries[i];
-    const StaticCoverageEntry& eb = cov_b.entries[i];
-    if (eb.verdict == StaticVerdict::Detected &&
-        ea.verdict == StaticVerdict::NotDetected) {
-      // A concrete counterexample decides the verdict outright — it beats
-      // any Unknown found elsewhere in the universe.
-      SubsumptionWitness witness;
-      witness.fault_index = i;
-      witness.fault_name = eb.fault_name;
-      witness.escape = ea.reason;
-      witness.detection = eb.witness;
-      result.verdict = SubsumptionVerdict::NotSubsumes;
-      result.witness = std::move(witness);
-      result.reason.clear();
-      return result;
-    }
-    const bool needed_unknown =
-        (eb.verdict == StaticVerdict::Detected &&
-         ea.verdict == StaticVerdict::Unknown) ||
-        (eb.verdict == StaticVerdict::Unknown &&
-         ea.verdict != StaticVerdict::Detected);
-    if (needed_unknown && result.verdict == SubsumptionVerdict::Subsumes) {
-      result.verdict = SubsumptionVerdict::Unknown;
-      std::ostringstream reason;
-      reason << eb.fault_name << ": "
-             << (eb.verdict == StaticVerdict::Unknown ? eb.reason : ea.reason);
-      result.reason = reason.str();
-    }
-  }
-  return result;
-}
-
-SubsumptionResult prove_subsumption(const MarchTest& a, const MarchTest& b,
-                                    const FaultUniverse& universe,
-                                    std::size_t n) {
-  return prove_subsumption(a, b, universe.materialize(), n);
 }
 
 }  // namespace mtg

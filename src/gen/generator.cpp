@@ -16,6 +16,11 @@
 namespace mtg {
 namespace {
 
+/// Greedy round bound (safety net; generation converges much earlier).
+constexpr std::size_t kMaxRounds = 64;
+/// Certification/extension iterations bound.
+constexpr std::size_t kMaxCertifyIterations = 6;
+
 /// The greedy loop of Figure 5: append the best-scoring valid SO until the
 /// engine's fault set is covered or no candidate helps.  Each round scores
 /// every eligible candidate in one batched PrefixEngine::gain_scan on
@@ -26,7 +31,6 @@ namespace {
 std::set<std::size_t> greedy_cover(PrefixEngine& engine,
                                    const std::vector<MarchElement>& pool,
                                    MarchTest& test,
-                                   const GeneratorOptions& options,
                                    ThreadPool& workers,
                                    GenerationStats& stats) {
   auto final_value = [&]() -> std::optional<Bit> {
@@ -49,7 +53,7 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
   }
 
   while (engine.undetected_instances() > 0 &&
-         stats.greedy_rounds < options.max_rounds) {
+         stats.greedy_rounds < kMaxRounds) {
     // Candidates compatible with the memory state the test leaves behind.
     std::vector<const MarchElement*> eligible;
     std::vector<const ElementTrace*> eligible_traces;
@@ -182,7 +186,7 @@ GenerationResult generate_march_test(const FaultList& list,
                         std::to_string(engine.num_instances()) +
                         " instances at n=" +
                         std::to_string(options.working_memory_size));
-    auto stalled = greedy_cover(engine, pool, test, options, workers, stats);
+    auto stalled = greedy_cover(engine, pool, test, workers, stats);
     uncoverable.insert(stalled.begin(), stalled.end());
   }
   lap("phase A (greedy)", &stats.phase_a_seconds);
@@ -230,7 +234,7 @@ GenerationResult generate_march_test(const FaultList& list,
   lap("phase B prep (persistent certify state)", &stats.cert_prep_seconds);
 
   auto certify_and_extend = [&]() {
-    for (std::size_t iter = 0; iter < options.max_certify_iterations; ++iter) {
+    for (std::size_t iter = 0; iter < kMaxCertifyIterations; ++iter) {
       // Replay the suffix appended since the last sync (a no-op on the
       // first round after prep) and scan the survivors.
       cert_engine.advance(test, &cert_workers);
@@ -248,7 +252,7 @@ GenerationResult generate_march_test(const FaultList& list,
       // of the test — no from-scratch rebuild.
       PrefixEngine scratch = cert_engine.clone_undetected();
       auto stalled =
-          greedy_cover(scratch, pool, test, options, workers, stats);
+          greedy_cover(scratch, pool, test, workers, stats);
       uncoverable.insert(stalled.begin(), stalled.end());
       cert_engine.exclude_faults(uncoverable);
     }

@@ -49,10 +49,6 @@ struct GeneratorOptions {
   /// static linked fault list we target (the published 7-op ABL elements
   /// decompose into shorter SOs); raise for exotic user-defined faults.
   std::size_t max_element_length = 6;
-  /// Greedy round bound (safety net; generation converges much earlier).
-  std::size_t max_rounds = 64;
-  /// Certification/extension iterations bound.
-  std::size_t max_certify_iterations = 6;
   /// Run the redundancy minimizer.
   bool minimize = true;
   /// Threads for the greedy engine's candidate gain scan (each round spreads

@@ -79,7 +79,8 @@ struct CoverageContext {
 /// which evolve identically against every test.  An FP fault is one class
 /// (all its layouts share their relative cell order), weighted by
 /// kept_layouts(); a decoder fault has at most two, split by bit `bit` of
-/// the corrupted address and tallied over decoder_sample().  Each class
+/// the corrupted address, counted in closed form over the whole address set
+/// (a smaller capped sample is tallied over decoder_sample()).  Each class
 /// adds its weight to the instance (and, if detected, the detected) count,
 /// and the escape description is the first sampled instance of the first
 /// escaping class — byte-identical to simulating every instance.

@@ -280,17 +280,34 @@ std::vector<BehaviourClass> behaviour_classes(const FaultList& list,
   for (const SimpleFault& fault : list.simple) add_fp_fault(fault);
   for (const LinkedFault& fault : list.linked) add_fp_fault(fault);
   // A decoder machine reads one address fact, bit `bit` of the corrupted
-  // address: at most two classes per fault, tallied over the sample.
+  // address: at most two classes per fault.
   for (const DecoderFault& fault : list.decoder) {
-    std::array<std::size_t, 2> slot_of_bit = {0, 0};  // 1 + class position
-    const std::size_t first = classes.size();
-    for (const std::size_t a : decoder_sample(fault, n, cap)) {
-      std::size_t& slot = slot_of_bit[(a >> fault.bit) & 1u];
-      if (slot == 0) {
-        classes.push_back(BehaviourClass{bind_decoder(fault, a, index), 0});
-        slot = classes.size() - first;
+    const std::size_t count = decoder_address_count(fault, n);
+    if (count > 0 && (cap == 0 || cap >= count)) {
+      // The whole address set, in closed form: address 0 is the first with
+      // the bit clear and 2^bit the first with it set.  Two-cell classes
+      // pair a with a XOR 2^bit, so half the set has the bit set.
+      const std::size_t half = std::size_t{1} << fault.bit;
+      const std::size_t set =
+          fault.cls != DecoderFaultClass::NoAccess
+              ? count / 2
+              : n / (2 * half) * half +
+                    (n % (2 * half) > half ? n % (2 * half) - half : 0);
+      classes.push_back(
+          BehaviourClass{bind_decoder(fault, 0, index), count - set});
+      classes.push_back(BehaviourClass{bind_decoder(fault, half, index), set});
+    } else {
+      // A capped sample: tally the sampled addresses, O(cap) at any n.
+      std::array<std::size_t, 2> slot_of_bit = {0, 0};  // 1 + class position
+      const std::size_t first = classes.size();
+      for (const std::size_t a : decoder_sample(fault, n, cap)) {
+        std::size_t& slot = slot_of_bit[(a >> fault.bit) & 1u];
+        if (slot == 0) {
+          classes.push_back(BehaviourClass{bind_decoder(fault, a, index), 0});
+          slot = classes.size() - first;
+        }
+        ++classes[first + slot - 1].weight;
       }
-      ++classes[first + slot - 1].weight;
     }
     ++index;
   }

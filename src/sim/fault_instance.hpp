@@ -11,8 +11,9 @@
 // them behave alike (one behaviour class, see PackedFaultSim::signature());
 // coverage evaluation therefore needs only their count, kept_layouts(), and
 // the lowest layout.  A decoder fault's instances split into at most two
-// classes by bit `bit` of the corrupted address; decoder_sample() lists the
-// sampled addresses without building instances.
+// classes by bit `bit` of the corrupted address; over the whole address set
+// their weights are closed-form counts, and only a capped sample smaller than
+// the set is walked address by address (decoder_sample()).
 #pragma once
 
 #include <cstddef>
@@ -109,8 +110,10 @@ struct BehaviourClass {
 /// the weights sum to that call's instance count.  An FP fault is one class
 /// (all its layouts share their relative cell order), weighted by
 /// kept_layouts(); a decoder fault has at most two, split by bit `bit` of the
-/// corrupted address and tallied over decoder_sample().  Nothing is
-/// instantiated beyond the representatives.
+/// corrupted address.  Over the whole address set (cap 0, or cap at least
+/// decoder_address_count()) both weights are counted in O(1); a smaller cap
+/// tallies decoder_sample(), O(cap) at any n.  Nothing is instantiated beyond
+/// the representatives.
 std::vector<BehaviourClass> behaviour_classes(
     const FaultList& list, std::size_t n,
     std::size_t max_instances_per_fault = 0);

@@ -39,8 +39,8 @@ class SweepStore;
 /// option the store key (store/sweep_store.hpp) does not carry.
 struct SweepOptions {
   /// Per-fault layout bound per sweep point (0 = full enumeration: counts
-  /// cover all O(n²) layouts of a two-cell fault, and every corrupted
-  /// address of a decoder fault is walked).
+  /// cover all O(n²) layouts of a two-cell fault and every corrupted
+  /// address of a decoder fault, both counted in closed form).
   std::size_t max_instances_per_fault = 4096;
   /// Worker threads across sweep points; 0 picks the hardware concurrency.
   std::size_t threads = 0;

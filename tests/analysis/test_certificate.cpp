@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "analysis/certificate.hpp"
-#include "analysis/subsumption.hpp"
+#include "analysis/universe.hpp"
 #include "common/error.hpp"
 #include "common/text_position.hpp"
 #include "fp/fault_list.hpp"

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+#include "format/catalog_io.hpp"
 #include "fp/fault_list.hpp"
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
@@ -54,6 +56,58 @@ TEST(Lint, GoldenSeededRedundantSuite) {
       "list 'Fault List #2 (single-cell static linked faults)'",
   };
   EXPECT_EQ(formatted(findings), golden);
+}
+
+TEST(Lint, GoldenClassicSuiteAgainstDecoderFaultsAtLargeN) {
+  // The shipped classic suite against every decoder fault at n = 65536:
+  // lint simulates each trial uncapped, so the decoder classes span the
+  // whole address space (closed-form weights, no address walk).
+  const std::string path = std::string(MTG_TESTS_SOURCE_DIR) +
+                           "/../examples/catalogs/classic.suite";
+  std::vector<SuiteTestPosition> positions;
+  const MarchSuite suite =
+      parse_march_suite_text(read_text_file(path), "classic.suite", &positions);
+  LintOptions options;
+  options.memory_size = 65536;
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    for (const std::string& line :
+         formatted(lint_march_test(suite.tests[i], decoder_fault_list(),
+                                   options, "classic.suite", &positions[i]))) {
+      lines.push_back(line);
+    }
+  }
+  const std::string against =
+      " is removable: no static verdict changes against list "
+      "'Address-decoder faults (12 address lines)'";
+  const std::string dead = " is dead: removable with no static verdict changes";
+  const std::vector<std::string> golden = {
+      "classic.suite:10:65: warning: [redundant-element] element #5 ⇕(r0) "
+      "of test 'March C-'" + against,
+      "classic.suite:10:25: warning: [dead-op] op #0 (r0) of element #1 "
+      "⇑(r0,w1) in test 'March C-'" + dead,
+      "classic.suite:10:35: warning: [dead-op] op #0 (r1) of element #2 "
+      "⇑(r1,w0) in test 'March C-'" + dead,
+      "classic.suite:10:45: warning: [dead-op] op #0 (r0) of element #3 "
+      "⇓(r0,w1) in test 'March C-'" + dead,
+      "classic.suite:10:55: warning: [dead-op] op #0 (r1) of element #4 "
+      "⇓(r1,w0) in test 'March C-'" + dead,
+      "classic.suite:11:50: warning: [redundant-element] element #3 ⇕(r0) "
+      "of test 'March Y'" + against,
+      "classic.suite:11:24: warning: [dead-op] op #2 (r1) of element #1 "
+      "⇑(r0,w1,r1) in test 'March Y'" + dead,
+      "classic.suite:11:37: warning: [dead-op] op #2 (r0) of element #2 "
+      "⇓(r1,w0,r0) in test 'March Y'" + dead,
+      "classic.suite:14:45: warning: [redundant-element] element #3 ⇕(r0) "
+      "of test 'Short C-'" + against,
+  };
+  EXPECT_EQ(lines, golden);
+}
+
+TEST(Lint, RejectsMemoriesBelowTheSimulatorMinimum) {
+  LintOptions options;
+  options.memory_size = 2;
+  EXPECT_THROW(lint_march_test(march_ss(), fault_list_2(), options), Error);
 }
 
 TEST(Lint, GoldenSeededFaultList) {
@@ -108,15 +162,6 @@ TEST(Lint, FlagsDeadOpsAtOperationGranularity) {
     EXPECT_EQ(finding.source, "<test>");
   }
   EXPECT_TRUE(saw_dead_op);
-}
-
-TEST(Lint, DeadOpSweepIsOptional) {
-  LintOptions options;
-  options.check_dead_ops = false;
-  for (const LintFinding& finding :
-       lint_march_test(march_ss(), fault_list_2(), options)) {
-    EXPECT_NE(finding.category, "dead-op");
-  }
 }
 
 TEST(Lint, PositionlessFindingsFormatWithoutLineColumn) {

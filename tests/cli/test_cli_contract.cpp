@@ -202,6 +202,13 @@ const std::vector<Row>& rows() {
        {"lint", "--werror", "--suite-file", "{catalogs}/classic.suite",
         "list1"},
        0, ""},
+      {"lint_valid_decoder_large_n",
+       {"lint", "--suite-file", "{catalogs}/classic.suite", "decoder",
+        "65536"},
+       0, "",
+       "{catalogs}/classic.suite:10:65: warning: [redundant-element] element "
+       "#5 ⇕(r0) of test 'March C-' is removable: no static verdict changes "
+       "against list 'Address-decoder faults (12 address lines)'\n"},
       {"lint_valid_jobs",
        {"lint", "--werror", "--jobs-file", "{catalogs}/matrix.jobs"}, 0, ""},
       {"lint_werror_finding",

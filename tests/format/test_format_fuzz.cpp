@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "analysis/certificate.hpp"
-#include "analysis/subsumption.hpp"
+#include "analysis/universe.hpp"
 #include "fp/fault_list.hpp"
 #include "format/catalog_io.hpp"
 #include "march/catalog.hpp"

@@ -1,5 +1,7 @@
 #include "coverage_helpers.hpp"
 
+#include <array>
+
 #include "march/parser.hpp"
 #include "sim/fault_instance.hpp"
 #include "sim/packed_engine.hpp"
@@ -45,6 +47,24 @@ CoverageReport evaluate_coverage_per_instance(
     }
   }
   return report;
+}
+
+std::vector<BehaviourClass> decoder_classes_by_walk(const DecoderFault& fault,
+                                                    std::size_t n,
+                                                    std::size_t cap,
+                                                    std::size_t fault_index) {
+  std::vector<BehaviourClass> classes;
+  std::array<std::size_t, 2> slot_of_bit = {0, 0};  // 1 + class position
+  for (const std::size_t a : decoder_sample(fault, n, cap)) {
+    std::size_t& slot = slot_of_bit[(a >> fault.bit) & 1u];
+    if (slot == 0) {
+      classes.push_back(
+          BehaviourClass{bind_decoder(fault, a, fault_index), 0});
+      slot = classes.size();
+    }
+    ++classes[slot - 1].weight;
+  }
+  return classes;
 }
 
 std::vector<BehaviourClass> instance_classes(

@@ -25,6 +25,16 @@ CoverageReport evaluate_coverage_per_instance(
     const FaultList& list, std::size_t max_instances_per_fault,
     bool scalar = false);
 
+/// The behaviour classes of one decoder fault by walking decoder_sample()
+/// address by address: a class per value of bit `bit`, in order of first
+/// sampled address, each represented by that address and weighted by the
+/// sampled addresses it holds.  behaviour_classes() counts the whole address
+/// set in closed form and must reproduce this walk exactly.
+std::vector<BehaviourClass> decoder_classes_by_walk(const DecoderFault& fault,
+                                                    std::size_t n,
+                                                    std::size_t cap,
+                                                    std::size_t fault_index);
+
 /// One weight-1 behaviour class per instance: a PrefixEngine or minimizer
 /// input that simulates the per-instance set itself, uncollapsed.
 std::vector<BehaviourClass> instance_classes(

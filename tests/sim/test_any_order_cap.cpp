@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/certificate.hpp"
+#include "analysis/lint.hpp"
 #include "common/error.hpp"
 #include "fp/fault_list.hpp"
 #include "march/parser.hpp"
@@ -54,6 +55,11 @@ void for_each_entry_point(const MarchTest& test, Check&& check) {
     const PrefixEngine engine(kN, behaviour_classes(list, kN), test,
                               /*record_checkpoints=*/false);
     EXPECT_GT(engine.num_instances(), 0u);
+  });
+  check("lint_march_test", [&] {
+    LintOptions options;
+    options.memory_size = kN;
+    lint_march_test(test, list, options);
   });
   check("optimize_suite", [&] {
     MarchSuite suite;

@@ -11,7 +11,6 @@
 #include "fp/fault_list.hpp"
 #include "fp/semantics.hpp"
 #include "gen/generator.hpp"
-#include "march/analysis.hpp"
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
 #include "sim/coverage.hpp"
@@ -300,7 +299,7 @@ TEST(DecoderCollapsing, PrefixEngineAdvanceAndTrialsStayExact) {
   }
 }
 
-// --- coverage, analysis and generation --------------------------------------
+// --- coverage and generation ------------------------------------------------
 
 TEST(DecoderCoverage, MissingAddressLinesAreReportedUncovered) {
   SimulatorOptions options;
@@ -320,32 +319,6 @@ TEST(DecoderCoverage, MissingAddressLinesAreReportedUncovered) {
   EXPECT_FALSE(report.full_coverage());
 }
 
-TEST(DecoderAnalysis, ReadComplementWriteStructureAndGaps) {
-  // March SL has r…w-complement elements of both polarities in both sweep
-  // directions; MATS+ has only ⇑(r0,w1) and ⇓(r1,w0).
-  EXPECT_TRUE(decoder_gaps(march_sl()).empty());
-  const MarchProfile mats = analyze(mats_plus());
-  EXPECT_TRUE(mats.up_read_complement_write[0]);
-  EXPECT_FALSE(mats.up_read_complement_write[1]);
-  EXPECT_TRUE(mats.down_read_complement_write[1]);
-  EXPECT_FALSE(mats.down_read_complement_write[0]);
-  EXPECT_EQ(decoder_gaps(mats_plus()).size(), 2u);
-  // ⇕ elements count for both directions.
-  const MarchProfile any = analyze(
-      parse_march_test("{c(w0); c(r0,w1); c(r1,w0)}", "any probe"));
-  EXPECT_TRUE(any.up_read_complement_write[0]);
-  EXPECT_TRUE(any.down_read_complement_write[0]);
-  EXPECT_TRUE(any.up_read_complement_write[1]);
-  EXPECT_TRUE(any.down_read_complement_write[1]);
-  // A read *after* an intra-element write senses that write back, not the
-  // previous element's content: ⇑(w0,r0,w1) must not be credited (it
-  // misses most AFwc/AFmc pairs, unlike a real ⇑(r0,…,w1)).
-  const MarchProfile rewrite = analyze(
-      parse_march_test("{c(w0); ^(w0,r0,w1)}", "rewrite probe"));
-  EXPECT_FALSE(rewrite.up_read_complement_write[0]);
-  EXPECT_FALSE(rewrite.down_read_complement_write[0]);
-}
-
 TEST(DecoderGeneration, GeneratorCoversEveryCertifiableDecoderFault) {
   // End-to-end: the generator must produce a test covering every decoder
   // fault the certify memory can host, reporting the others out of scope.
@@ -362,12 +335,6 @@ TEST(DecoderGeneration, GeneratorCoversEveryCertifiableDecoderFault) {
       EXPECT_TRUE(entry.covered) << entry.fault;
     }
   }
-  // The covering structure decoder faults need: reads of both polarities
-  // followed by complement writes (the generated {⇕(w0); ⇑(r0,w1); ⇑(r1,w0)}
-  // shape or stronger).
-  const MarchProfile profile = analyze(result.test);
-  EXPECT_TRUE(profile.up_read_complement_write[0]);
-  EXPECT_TRUE(profile.up_read_complement_write[1]);
 }
 
 TEST(DecoderGeneration, MixedListsSimulateDecoderAndFpFaultsTogether) {

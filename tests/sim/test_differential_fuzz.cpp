@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "analysis/static_analyzer.hpp"
-#include "analysis/subsumption.hpp"
 #include "fp/fault_list.hpp"
 #include "fp/fp_library.hpp"
 #include "march/march_test.hpp"
@@ -449,76 +448,6 @@ TEST(DifferentialFuzz, PrefixEngineCheckpointRestoreMatchesSimulator) {
     if (!check((engine.undetected_instances() == 0) == detected, fuzz, seed,
                "rewind to original")) {
       break;
-    }
-  }
-}
-
-TEST(DifferentialFuzz, SubsumptionVerdictsMatchPackedCoverageContainment) {
-  // Random test-pair subsumption sweep: a definite prover verdict must
-  // match full packed coverage (cap 0 — capped sampling would break the
-  // containment implication).  Subsumes(A, B) ⇒ every fault the packed
-  // engine says B covers, A covers too; NotSubsumes ⇒ the witness fault is
-  // a real counterexample.  Unknown is the prover's licensed answer for
-  // out-of-domain random tests and asserts nothing.
-  const FaultList universe =
-      FaultUniverse::parse("simple+decoder[0,3)").materialize();
-
-  const std::uint64_t base_seed = env_u64("MTG_FUZZ_SEED", 0);
-  const bool replay_single = std::getenv("MTG_FUZZ_SEED") != nullptr;
-  const std::uint64_t cases =
-      replay_single ? 1 : env_u64("MTG_FUZZ_CASES", 1500) / 25;
-
-  std::size_t failures = 0;
-  for (std::uint64_t i = 0; i < cases && failures < 3; ++i) {
-    const std::uint64_t seed = replay_single ? base_seed : 0x5B5E5Eull + i;
-    SCOPED_TRACE("seed " + std::to_string(seed) +
-                 " (replay: MTG_FUZZ_SEED=" + std::to_string(seed) + ")");
-    Rng rng(seed);
-    const MarchTest a = random_march_test(rng);
-    const MarchTest b = random_march_test(rng);
-    // Mostly the default size, with a multi-word slice: containment is a
-    // per-size property and the witness must hold at the proved n.
-    const std::size_t n = rng.below(4) == 0 ? 64 : 6;
-
-    const SubsumptionResult result = prove_subsumption(a, b, universe, n);
-    ASSERT_EQ(result.faults, universe.size());
-    if (result.verdict == SubsumptionVerdict::Unknown) continue;
-
-    SimulatorOptions options;
-    options.memory_size = n;
-    const FaultSimulator simulator(options);
-    CoverageReport by_a, by_b;
-    try {
-      by_a = evaluate_coverage(simulator, a, universe, 0);
-      by_b = evaluate_coverage(simulator, b, universe, 0);
-    } catch (const Error&) {
-      continue;  // e.g. an over-limit ⇕ mix the engines refuse to run
-    }
-
-    if (result.verdict == SubsumptionVerdict::Subsumes) {
-      for (std::size_t f = 0; f < universe.size(); ++f) {
-        if (by_b.entries[f].covered && !by_a.entries[f].covered) {
-          ADD_FAILURE() << "Subsumes verdict broken at fault "
-                        << by_b.entries[f].fault << " (n=" << n << ")\n  A: "
-                        << a.to_string(true) << "\n  B: " << b.to_string(true);
-          ++failures;
-          break;
-        }
-      }
-    } else {
-      ASSERT_TRUE(result.witness.has_value());
-      const SubsumptionWitness& witness = *result.witness;
-      ASSERT_LT(witness.fault_index, universe.size());
-      if (!by_b.entries[witness.fault_index].covered ||
-          by_a.entries[witness.fault_index].covered) {
-        ADD_FAILURE() << "NotSubsumes witness not confirmed by the packed "
-                      << "engine: " << witness.fault_name << " (n=" << n
-                      << ", B covers=" << by_b.entries[witness.fault_index].covered
-                      << ", A covers=" << by_a.entries[witness.fault_index].covered
-                      << ")\n  A: " << a.to_string(true)
-                      << "\n  B: " << b.to_string(true);
-        ++failures;
-      }
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "coverage_helpers.hpp"
 #include "memory/pattern_graph.hpp"
 
 namespace mtg {
@@ -150,6 +151,45 @@ TEST(FaultInstance, DecoderSampleMatchesBruteForceEnumeration) {
           }
           EXPECT_EQ(decoder_sample(fault, n, cap), expected)
               << fault.name() << " n=" << n << " cap=" << cap;
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultInstance, DecoderClassesMatchTheSampleWalk) {
+  // behaviour_classes() counts a whole decoder address set in closed form
+  // and walks only a capped sample smaller than it; both must equal the
+  // address-by-address walk (weights, representatives and class order) on
+  // either side of the whole-set boundary, at small and huge n.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 3; n <= 300; ++n) sizes.push_back(n);
+  for (const std::size_t n : {1000, 4096, 65536, 1 << 20}) sizes.push_back(n);
+  const FaultList decoders = decoder_fault_list();
+  for (const DecoderFault& fault : decoders.decoder) {
+    FaultList one;
+    one.decoder.push_back(fault);
+    for (const std::size_t n : sizes) {
+      const std::size_t count = decoder_address_count(fault, n);
+      // decoder_sample() keeps every address at cap 0 and at any cap of at
+      // least `count`, so one walk of the whole set serves those caps.
+      const std::vector<BehaviourClass> whole =
+          decoder_classes_by_walk(fault, n, 0, 0);
+      for (const std::size_t cap :
+           {std::size_t{0}, count - 1, count, count + 1, std::size_t{256}}) {
+        const std::vector<BehaviourClass> classes =
+            behaviour_classes(one, n, cap);
+        const std::vector<BehaviourClass> walked =
+            cap == 0 || cap >= count ? whole
+                                     : decoder_classes_by_walk(fault, n, cap, 0);
+        ASSERT_EQ(classes.size(), walked.size())
+            << fault.name() << " n=" << n << " cap=" << cap;
+        for (std::size_t c = 0; c < classes.size(); ++c) {
+          EXPECT_EQ(classes[c].weight, walked[c].weight)
+              << fault.name() << " n=" << n << " cap=" << cap << " class " << c;
+          EXPECT_EQ(classes[c].representative.description,
+                    walked[c].representative.description)
+              << fault.name() << " n=" << n << " cap=" << cap << " class " << c;
         }
       }
     }

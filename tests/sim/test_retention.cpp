@@ -8,7 +8,6 @@
 #include "fp/fp_library.hpp"
 #include "fp/semantics.hpp"
 #include "gen/generator.hpp"
-#include "march/analysis.hpp"
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
 #include "sim/coverage.hpp"
@@ -145,15 +144,6 @@ TEST(Retention, LinkedRetentionFaultsChainThroughWaits) {
   }
   EXPECT_TRUE(drf_first);
   EXPECT_TRUE(drf_second);
-}
-
-TEST(Retention, RetentionGapsReflectWaits) {
-  const auto sl_gaps = retention_gaps(march_sl());
-  ASSERT_EQ(sl_gaps.size(), 2u);  // no waits at all: both polarities escape
-  EXPECT_TRUE(retention_gaps(march_g()).empty());
-  const MarchProfile g = analyze(march_g());
-  EXPECT_TRUE(g.retention_observed[0]);
-  EXPECT_TRUE(g.retention_observed[1]);
 }
 
 TEST(Retention, GeneratorEmitsWaitOpsForRetentionFaults) {
