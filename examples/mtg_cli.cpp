@@ -70,38 +70,12 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// The built-in fault lists, in the order 'lists' prints them.
-struct BuiltinList {
-  const char* name;
-  FaultList (*make)();
-};
-const BuiltinList kBuiltinLists[] = {
-    {"list1", fault_list_1},
-    {"list2", fault_list_2},
-    {"simple", standard_simple_static_faults},
-    {"retention", retention_fault_list},
-    {"decoder", [] { return decoder_fault_list(); }},
-};
-
-const BuiltinList* find_builtin_list(const std::string& name) {
-  for (const BuiltinList& list : kBuiltinLists) {
-    if (name == list.name) return &list;
-  }
-  return nullptr;
-}
-
-std::string builtin_list_names() {
-  std::string names;
-  for (const BuiltinList& list : kBuiltinLists) {
-    names += (names.empty() ? "" : ", ") + std::string(list.name);
-  }
-  return names;
-}
-
 FaultList list_by_name(const std::string& name) {
-  if (const BuiltinList* list = find_builtin_list(name)) return list->make();
+  if (const BuiltinFaultList* list = find_builtin_fault_list(name)) {
+    return list->make();
+  }
   throw Error("unknown fault list '" + name + "' (use " +
-              builtin_list_names() + ")");
+              builtin_fault_list_names() + ")");
 }
 
 /// One parsed command line: the verb's operands and flags.  A value flag
@@ -204,7 +178,7 @@ void print_list_summary(const std::string& label, const FaultList& list) {
 }
 
 int cmd_lists(const Args& args) {
-  for (const BuiltinList& list : kBuiltinLists) {
+  for (const BuiltinFaultList& list : builtin_fault_lists()) {
     print_list_summary(list.name, list.make());
   }
   const std::string list_file = args.get("--list-file");
@@ -460,7 +434,7 @@ int cmd_lint(const Args& args) {
     if (all_digits(arg)) {
       if (n.has_value()) throw UsageError("extra memory size '" + arg + "'");
       n = parse_memory_size(arg, "memory size");
-    } else if (find_builtin_list(arg) != nullptr) {
+    } else if (find_builtin_fault_list(arg) != nullptr) {
       if (!list_name.empty() || !list_file.empty()) {
         throw UsageError("extra fault list '" + arg +
                          "' (lint takes one built-in list or --list-file)");
@@ -819,7 +793,7 @@ int usage(const std::string& reason, const Verb* verb) {
     for (const char* spec : entry.flags) std::cerr << " [" << spec << "]";
     std::cerr << "\n      " << entry.summary << "\n";
   }
-  std::cerr << "  <list>: " << builtin_list_names() << "\n";
+  std::cerr << "  <list>: " << builtin_fault_list_names() << "\n";
   for (const auto& [flag, needs] : kModifierFlags) {
     std::cerr << "  " << flag << " needs " << needs << "\n";
   }

@@ -4,7 +4,6 @@
 
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
-#include "memory/pattern_graph.hpp"
 #include "sim/trace.hpp"
 
 int main() {

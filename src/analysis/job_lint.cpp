@@ -6,16 +6,12 @@
 #include <string>
 #include <tuple>
 
+#include "fp/fault_list.hpp"
 #include "march/catalog.hpp"
 
 namespace mtg {
 
 namespace {
-
-bool builtin_list_name(const std::string& name) {
-  return name == "list1" || name == "list2" || name == "simple" ||
-         name == "retention" || name == "decoder";
-}
 
 std::optional<TextPosition> job_position(const JobFilePositions* positions,
                                          std::size_t index) {
@@ -83,12 +79,12 @@ std::vector<LintFinding> lint_job_file(const JobFile& file,
       }
     }
 
-    if (!builtin_list_name(job.list_name) &&
+    if (find_builtin_fault_list(job.list_name) == nullptr &&
         aliases.count(job.list_name) == 0) {
       add(job_position(positions, i), "undefined-reference",
           "list '" + job.list_name +
-              "' is neither a faultlist alias nor a built-in list name "
-              "(list1, list2, simple, retention, decoder)");
+              "' is neither a faultlist alias nor a built-in list name (" +
+              builtin_fault_list_names() + ")");
     }
 
     if (job.deadline_given) {

@@ -10,29 +10,20 @@ namespace {
 
 constexpr std::size_t kDecoderDefaultBits = 12;  // decoder_fault_list()
 
-/// The five decoder records decoder_fault_list() emits per address line, in
-/// its exact order — decoder[0,12) materializes identically to the built-in.
+/// decoder[a,b): the records decoder_fault_list(b) emits for address lines
+/// a and up, in its order — decoder[0,12) is exactly the built-in list.
 void append_decoder_range(FaultList& out, std::size_t bit_begin,
                           std::size_t bit_end) {
-  for (std::size_t bit = bit_begin; bit < bit_end; ++bit) {
-    out.decoder.push_back(
-        DecoderFault{DecoderFaultClass::NoAccess, bit, Bit::Zero});
-    out.decoder.push_back(
-        DecoderFault{DecoderFaultClass::WrongCell, bit, Bit::Zero});
-    out.decoder.push_back(
-        DecoderFault{DecoderFaultClass::MultipleCells, bit, Bit::Zero});
-    out.decoder.push_back(
-        DecoderFault{DecoderFaultClass::MultipleCells, bit, Bit::One});
-    out.decoder.push_back(
-        DecoderFault{DecoderFaultClass::MultipleAddresses, bit, Bit::Zero});
+  for (const DecoderFault& fault : decoder_fault_list(bit_end).decoder) {
+    if (fault.bit >= bit_begin) out.decoder.push_back(fault);
   }
 }
 
 FaultList family_list(const std::string& family) {
-  if (family == "simple") return standard_simple_static_faults();
-  if (family == "retention") return retention_fault_list();
-  if (family == "list1") return fault_list_1();
-  if (family == "list2") return fault_list_2();
+  // "decoder" never gets here: parse_term reads it as a decoder range.
+  if (const BuiltinFaultList* builtin = find_builtin_fault_list(family)) {
+    return builtin->make();
+  }
   FaultList list;
   if (family == "linked1") {
     list.linked = enumerate_single_cell_linked_faults();

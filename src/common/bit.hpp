@@ -14,10 +14,9 @@
 
 namespace mtg {
 
-/// Number of set bits in a 64-bit word — the one popcount shared by
-/// PackedBits and the packed engine's lane words.  The builtin-free
-/// implementation is exposed separately so the non-GNU branch can be
-/// unit-tested on every toolchain.
+/// Number of set bits in a 64-bit word (the packed engine's lane words).
+/// The builtin-free implementation is exposed separately so the non-GNU
+/// branch can be unit-tested on every toolchain.
 inline std::size_t popcount64_portable(std::uint64_t word) noexcept {
   std::size_t count = 0;
   while (word != 0) {

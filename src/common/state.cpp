@@ -79,22 +79,6 @@ void MemoryState::fill(Bit value) {
   for (auto& c : cells_) c = static_cast<std::uint8_t>(to_int(value));
 }
 
-PackedBits MemoryState::packed_bits() const {
-  PackedBits bits(cells_.size());
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i] != 0) bits.set(i, true);
-  }
-  return bits;
-}
-
-void MemoryState::set_packed_bits(const PackedBits& bits) {
-  require(bits.size() == cells_.size(),
-          "set_packed_bits: snapshot size mismatch");
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    cells_[i] = bits.get(i) ? 1 : 0;
-  }
-}
-
 std::string MemoryState::to_string() const {
   std::string out(cells_.size(), '0');
   for (std::size_t i = 0; i < cells_.size(); ++i) out[i] = to_char(get(i));

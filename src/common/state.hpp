@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/bit.hpp"
-#include "common/packed_bits.hpp"
 
 namespace mtg {
 
@@ -85,11 +84,6 @@ class MemoryState {
   void set(std::size_t address, Bit value);
   void flip(std::size_t address);
   void fill(Bit value);
-
-  /// Cell contents packed into bits 0..n-1 (bit i = cell i), for any n.
-  PackedBits packed_bits() const;
-  /// Restores a snapshot taken on a memory of the same size.
-  void set_packed_bits(const PackedBits& bits);
 
   std::string to_string() const;
 

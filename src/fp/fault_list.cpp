@@ -213,4 +213,30 @@ FaultList decoder_fault_list(std::size_t max_address_bits) {
   return list;
 }
 
+const std::vector<BuiltinFaultList>& builtin_fault_lists() {
+  static const std::vector<BuiltinFaultList> lists = {
+      {"list1", fault_list_1},
+      {"list2", fault_list_2},
+      {"simple", standard_simple_static_faults},
+      {"retention", retention_fault_list},
+      {"decoder", [] { return decoder_fault_list(); }},
+  };
+  return lists;
+}
+
+const BuiltinFaultList* find_builtin_fault_list(const std::string& name) {
+  for (const BuiltinFaultList& list : builtin_fault_lists()) {
+    if (name == list.name) return &list;
+  }
+  return nullptr;
+}
+
+std::string builtin_fault_list_names() {
+  std::string names;
+  for (const BuiltinFaultList& list : builtin_fault_lists()) {
+    names += (names.empty() ? "" : ", ") + std::string(list.name);
+  }
+  return names;
+}
+
 }  // namespace mtg

@@ -131,4 +131,22 @@ std::uint64_t stable_hash(const FaultList& list);
 /// the simulated memory size (the default 12 lines span n up to 4096).
 FaultList decoder_fault_list(std::size_t max_address_bits = 12);
 
+/// A built-in fault list: the name the command line and job files know it
+/// by, and its factory.
+struct BuiltinFaultList {
+  const char* name;
+  FaultList (*make)();
+};
+
+/// The built-in fault lists, in the order 'mtg_cli lists' prints them:
+/// list1, list2, simple, retention and decoder (decoder_fault_list() with
+/// its default address lines).
+const std::vector<BuiltinFaultList>& builtin_fault_lists();
+
+/// The built-in list called `name`, or nullptr.
+const BuiltinFaultList* find_builtin_fault_list(const std::string& name);
+
+/// The built-in list names in table order, separated by ", ".
+std::string builtin_fault_list_names();
+
 }  // namespace mtg

@@ -133,28 +133,6 @@ std::size_t FaultyMemory::fire_count(std::size_t fault_index) const {
   return fire_counts_[fault_index];
 }
 
-PackedBits FaultyMemory::packed_state() const { return state_.packed_bits(); }
-
-void FaultyMemory::set_packed_state(const PackedBits& bits) {
-  state_.set_packed_bits(bits);
-}
-
-std::uint32_t FaultyMemory::packed_armed() const {
-  require(faults_.size() <= 32, "packed_armed: too many bound faults");
-  std::uint32_t bits = 0;
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
-    if (armed_[i]) bits |= std::uint32_t{1} << i;
-  }
-  return bits;
-}
-
-void FaultyMemory::set_packed_armed(std::uint32_t bits) {
-  require(faults_.size() <= 32, "set_packed_armed: too many bound faults");
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
-    armed_[i] = ((bits >> i) & 1u) != 0;
-  }
-}
-
 bool FaultyMemory::op_matches(const BoundFp& bound, OpTarget target,
                               std::size_t address, Bit written) const {
   const FaultPrimitive& fp = bound.fp;

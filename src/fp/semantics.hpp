@@ -76,10 +76,6 @@ class FaultyMemory {
                std::vector<BoundDecoder> decoders = {});
 
   std::size_t num_cells() const noexcept { return state_.size(); }
-  const std::vector<BoundFp>& faults() const noexcept { return faults_; }
-  const std::vector<BoundDecoder>& decoder_faults() const noexcept {
-    return decoders_;
-  }
 
   /// Forces the memory content (power-on / test start), re-arms every state
   /// fault and lets state faults settle once on the initial content.
@@ -103,17 +99,6 @@ class FaultyMemory {
 
   /// Number of times fault #i fired since the last power_on.
   std::size_t fire_count(std::size_t fault_index) const;
-
-  // -- Compact snapshots (hot path of the generation engine) -----------
-  // Valid for memories of any size and at most 32 bound faults; fire
-  // counters are not part of the snapshot.
-
-  /// Cell contents packed into bits 0..n-1 (multi-word; any n).
-  PackedBits packed_state() const;
-  void set_packed_state(const PackedBits& bits);
-  /// State-fault armed flags packed into bits 0..#faults-1.
-  std::uint32_t packed_armed() const;
-  void set_packed_armed(std::uint32_t bits);
 
   /// Total number of FP firings since the last power_on.
   std::size_t total_fires() const noexcept { return total_fires_; }

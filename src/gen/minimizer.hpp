@@ -41,10 +41,10 @@ struct MinimizeStats {
 
 /// Returns a locally minimal test that still detects every class in
 /// `classes` on a `memory_size`-cell memory.  Every representative must fit
-/// the packed engine (PackedFaultSim::supports).  The class order is the
-/// trial scan order: put the classes most likely to escape first.  Appends
-/// a human-readable action trace to `log` when non-null; fills `stats` when
-/// non-null.
+/// the packed engine (the PackedFaultSim constructor).  The class order is
+/// the trial scan order: put the classes most likely to escape first.
+/// Appends a human-readable action trace to `log` when non-null; fills
+/// `stats` when non-null.
 MarchTest minimize_test(const MarchTest& test,
                         const std::vector<BehaviourClass>& classes,
                         std::size_t memory_size,

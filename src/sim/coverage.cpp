@@ -124,8 +124,8 @@ CoverageReport evaluate_coverage(const FaultSimulator& simulator,
     // pool's first_error and is rethrown on the calling thread).
     if (cancel != nullptr) cancel->check();
     for (std::size_t i = begin; i < end; ++i) {
-      detected[i] = simulator.detects_compiled(test, *compiled,
-                                               classes[i].representative);
+      detected[i] =
+          simulator.detects(test, classes[i].representative, compiled);
     }
   };
   const std::size_t chunk = 16;

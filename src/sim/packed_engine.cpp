@@ -86,29 +86,6 @@ std::uint64_t element_down_word(const MarchElement& element, int any_ordinal,
   }
 }
 
-std::size_t lane_popcount_portable(std::uint64_t word) noexcept {
-  return popcount64_portable(word);
-}
-
-std::size_t lowest_lane_portable(std::uint64_t word) noexcept {
-  std::size_t lane = 0;
-  while (lane < 64 && ((word >> lane) & 1u) == 0) ++lane;
-  return lane;
-}
-
-std::size_t lane_popcount(std::uint64_t word) noexcept {
-  return popcount64(word);
-}
-
-std::size_t lowest_lane(std::uint64_t word) noexcept {
-  if (word == 0) return 64;  // __builtin_ctzll(0) is undefined behaviour
-#if defined(__GNUC__) || defined(__clang__)
-  return static_cast<std::size_t>(__builtin_ctzll(word));
-#else
-  return lowest_lane_portable(word);
-#endif
-}
-
 void require_addresses_fit(const FaultInstance& instance, std::size_t n) {
   for (const BoundFp& bound : instance.fps) {
     require(bound.v_cell < n && bound.a_cell < n,
@@ -121,7 +98,8 @@ void require_addresses_fit(const FaultInstance& instance, std::size_t n) {
 }
 
 PackedFaultSim::PackedFaultSim(const FaultInstance& instance) {
-  require(supports(instance),
+  require(instance.fps.size() <= kMaxFps && instance.decoders.size() <= 1 &&
+              (instance.decoders.empty() || instance.fps.empty()),
           "fault instance does not fit the packed engine (too many bound "
           "FPs, or a decoder fault combined with FPs)");
   if (!instance.decoders.empty()) {
@@ -485,15 +463,10 @@ std::uint64_t PackedFaultSim::run_batch(Lanes& lanes,
   return lanes.detected & ~before;
 }
 
-PackedOutcome packed_run(const MarchTest& test, const CompiledTest& compiled,
-                         const PackedFaultSim& sim, bool stop_at_first_escape) {
+bool packed_run(const MarchTest& test, const CompiledTest& compiled,
+                const PackedFaultSim& sim) {
   const std::size_t combos = std::size_t{1} << compiled.any_count;
   const std::size_t total = 2 * combos;
-  const auto scenario_of = [&](std::size_t sc) {
-    return std::make_pair(sc >= combos ? Bit::One : Bit::Zero, sc % combos);
-  };
-
-  PackedOutcome outcome;
   for (std::size_t base = 0; base < total; base += 64) {
     PackedFaultSim::Lanes lanes;
     sim.power_on_block(lanes, base, combos);
@@ -506,20 +479,9 @@ PackedOutcome packed_run(const MarchTest& test, const CompiledTest& compiled,
       // Detection is sticky and monotone: a fully detected block is done.
       if (lanes.detected == lanes.active) break;
     }
-
-    if (!outcome.first_detected.has_value() && lanes.detected != 0) {
-      outcome.first_detected = scenario_of(base + lowest_lane(lanes.detected));
-    }
-    const std::uint64_t escaped = lanes.active & ~lanes.detected;
-    if (escaped != 0) {
-      outcome.all_detected = false;
-      if (!outcome.first_escape.has_value()) {
-        outcome.first_escape = scenario_of(base + lowest_lane(escaped));
-      }
-      if (stop_at_first_escape) return outcome;
-    }
+    if ((lanes.active & ~lanes.detected) != 0) return false;
   }
-  return outcome;
+  return true;
 }
 
 }  // namespace mtg

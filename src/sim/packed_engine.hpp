@@ -1,6 +1,6 @@
 // The packed fault-simulation engine: scenario packing + cell collapsing.
 //
-// This is the shared substrate behind FaultSimulator::detects/simulate,
+// This is the shared substrate behind FaultSimulator::detects,
 // evaluate_coverage and the generator's greedy engine.  It produces verdicts
 // bit-identical to the scalar reference machine (fp/semantics.hpp executed
 // by FaultSimulator::run_scenario) while cutting the cost per fault instance
@@ -85,9 +85,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/bit.hpp"
@@ -143,20 +141,6 @@ std::uint64_t scenario_down_word(std::size_t base, std::size_t combos,
 std::uint64_t element_down_word(const MarchElement& element, int any_ordinal,
                                 std::size_t base, std::size_t combos);
 
-/// Number of set bits (detected lanes etc.).
-std::size_t lane_popcount(std::uint64_t word) noexcept;
-
-/// Index of the lowest set bit, or 64 ("no lane") for a zero word.  The
-/// zero case is explicitly defined — it used to be undefined behaviour
-/// (__builtin_ctzll(0)) and a portable-fallback infinite loop.
-std::size_t lowest_lane(std::uint64_t word) noexcept;
-
-/// Builtin-free implementations behind lane_popcount/lowest_lane: the
-/// compiled-in path on non-GNU toolchains, and unit-tested directly on every
-/// toolchain so the fallback branch is never dead code in CI.
-std::size_t lane_popcount_portable(std::uint64_t word) noexcept;
-std::size_t lowest_lane_portable(std::uint64_t word) noexcept;
-
 // -- The packed machine ------------------------------------------------------
 
 /// Throws unless every bound FP of `instance` addresses a cell of an
@@ -175,19 +159,13 @@ class PackedFaultSim {
   static constexpr std::size_t kMaxFps = 4;
   static constexpr std::size_t kMaxSlots = 2 * kMaxFps;
 
-  /// True when the instance fits the packed representation (every instance
-  /// the fault library instantiates does; callers fall back to the scalar
-  /// machine otherwise).  Decoder instances are supported when they respect
-  /// the one-decoder-no-FPs shape FaultyMemory enforces.
-  static bool supports(const FaultInstance& instance) noexcept {
-    return instance.fps.size() <= kMaxFps && instance.decoders.size() <= 1 &&
-           (instance.decoders.empty() || instance.fps.empty());
-  }
-
   /// Fault-free machine (no fault primitives, no involved cells).
   PackedFaultSim() = default;
 
-  /// Compiles `instance`; requires supports(instance).
+  /// Compiles `instance`.  Throws mtg::Error unless it fits the packed
+  /// representation: at most kMaxFps bound FPs, or exactly one decoder
+  /// fault and no FPs (the shape FaultyMemory enforces).  Every instance
+  /// the fault library and the text formats build fits.
   explicit PackedFaultSim(const FaultInstance& instance);
 
   std::size_t num_slots() const noexcept { return num_slots_; }
@@ -328,20 +306,12 @@ struct ElementBatch {
 
 // -- Full-test runner --------------------------------------------------------
 
-/// Verdict of running every scenario of one instance against one test.
-struct PackedOutcome {
-  bool all_detected = true;  ///< detected in every scenario (covered)
-  /// Lowest detecting scenario (power-on, ⇕-order mask), if any.
-  std::optional<std::pair<Bit, std::size_t>> first_detected;
-  /// Lowest escaping scenario, if any.
-  std::optional<std::pair<Bit, std::size_t>> first_escape;
-};
-
-/// Runs every (power-on, ⇕-order) scenario of `instance` against `test`.
-/// `compiled` must be compile_march_test(test).  With `stop_at_first_escape`
-/// the run aborts at the first block containing an undetected scenario (the
-/// detects() fast path); first_detected is then only valid up to that block.
-PackedOutcome packed_run(const MarchTest& test, const CompiledTest& compiled,
-                         const PackedFaultSim& sim, bool stop_at_first_escape);
+/// Runs every (power-on, ⇕-order) scenario of `instance` against `test` and
+/// returns true iff every scenario detects it.  `compiled` must be
+/// compile_march_test(test).  The run stops at the first block with an
+/// escaping scenario, and each block stops at its first fully detected
+/// element.
+bool packed_run(const MarchTest& test, const CompiledTest& compiled,
+                const PackedFaultSim& sim);
 
 }  // namespace mtg

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <string>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -52,13 +51,6 @@ PrefixEngine::PrefixEngine(std::size_t memory_size,
   for (const BehaviourClass& cls : classes) {
     const FaultInstance& instance = cls.representative;
     require_addresses_fit(instance, memory_size_);
-    // The engine has no scalar fallback: reject oversized instances loudly
-    // at entry.
-    if (!PackedFaultSim::supports(instance)) {
-      throw Error("the prefix engine supports at most " +
-                  std::to_string(PackedFaultSim::kMaxFps) +
-                  " bound FPs per fault instance");
-    }
     Item item;
     item.fault_index = instance.fault_index;
     item.sim = PackedFaultSim(instance);
@@ -139,7 +131,6 @@ std::size_t PrefixEngine::run_steps(
     if (step.ordinal >= 0) {
       expand_blocks(blocks, combos);
       combos *= 2;
-      ++local.lane_expansions;
     }
     ++local.element_replays;
     bool done = true;
@@ -167,7 +158,7 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
     tail.push_back(Step{&prefix_.elements()[e], &traces_[e], ordinals_[e]});
   }
 
-  std::atomic<std::size_t> replays{0}, expansions{0};
+  std::atomic<std::size_t> replays{0};
   const auto sync = [&](std::size_t, std::size_t begin, std::size_t end) {
     Stats local;
     for (std::size_t i = begin; i < end; ++i) {
@@ -203,7 +194,6 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
       }
     }
     replays += local.element_replays;
-    expansions += local.lane_expansions;
   };
 
   if (pool == nullptr) {
@@ -212,7 +202,6 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
     pool->parallel_for(items_.size(), /*chunk=*/32, sync);
   }
   stats_.element_replays += replays.load();
-  stats_.lane_expansions += expansions.load();
 }
 
 std::size_t PrefixEngine::undetected_instances() const {
@@ -249,7 +238,7 @@ std::size_t PrefixEngine::undetected_scenarios() const {
   for (const Item& item : items_) {
     if (item.done) continue;
     for (const PackedFaultSim::Lanes& block : item.blocks) {
-      count += lane_popcount(block.active & ~block.detected) * item.weight;
+      count += popcount64(block.active & ~block.detected) * item.weight;
     }
   }
   return count;
@@ -319,14 +308,14 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
         if (item.done) continue;
         for (const PackedFaultSim::Lanes& block : item.blocks) {
           const std::size_t undetected =
-              lane_popcount(block.active & ~block.detected);
+              popcount64(block.active & ~block.detected);
           if (undetected == 0) continue;
           remaining -= undetected * item.weight;
           PackedFaultSim::Lanes trial = replicate(block, span);
           const std::uint64_t newly = item.sim.run_batch(trial, word.batch);
           if (newly != 0) {
             for (std::size_t j = 0; j < count; ++j) {
-              g[j] += lane_popcount(newly & member_lanes(j)) * item.weight;
+              g[j] += popcount64(newly & member_lanes(j)) * item.weight;
             }
           }
           if (hopeless()) {
@@ -473,7 +462,6 @@ bool PrefixEngine::trial_covers(std::size_t edit,
     }
   }
   stats_.element_replays += local.element_replays;
-  stats_.lane_expansions += local.lane_expansions;
   return covered;
 }
 

@@ -65,8 +65,6 @@ class PrefixEngine {
     /// rescan of t trials costs ~ t × items × elements replays, a
     /// checkpointed trial only the replayed suffix of the surviving items.
     std::size_t element_replays = 0;
-    /// Scenario-lane block expansions performed for ⇕ elements.
-    std::size_t lane_expansions = 0;
     /// trial_covers() calls.
     std::size_t trials = 0;
   };
@@ -74,7 +72,7 @@ class PrefixEngine {
   /// Builds the engine from `classes` (behaviour_classes()): one item per
   /// class, in the given order, standing for its weight, simulated to the
   /// end of `prefix`.  Every representative must fit the packed
-  /// representation (PackedFaultSim::supports) and address a
+  /// representation (the PackedFaultSim constructor) and address a
   /// `memory_size`-cell memory; the prefix must respect
   /// kMaxAnyOrderElements (sim/simulator.hpp).  `record_checkpoints` keeps
   /// per-element lane snapshots (required by trial_covers and rewinding

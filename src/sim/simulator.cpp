@@ -6,15 +6,6 @@
 #include "sim/packed_engine.hpp"
 
 namespace mtg {
-namespace {
-
-/// compile_march_test, after checking the test's ⇕ count against the cap.
-CompiledTest compile_checked(const MarchTest& test) {
-  require_any_order_cap(FaultSimulator::any_order_count(test));
-  return compile_march_test(test);
-}
-
-}  // namespace
 
 void require_any_order_cap(std::size_t any_count) {
   require(any_count <= kMaxAnyOrderElements,
@@ -84,12 +75,13 @@ std::size_t FaultSimulator::any_order_count(const MarchTest& test) {
 
 std::optional<DetectionEvent> FaultSimulator::run_scenario(
     const MarchTest& test, const FaultInstance& instance, Bit power_on,
-    std::size_t any_order_mask) const {
+    std::size_t any_order_mask, const ScenarioRecorder& recorder) const {
   const std::size_t n = options_.memory_size;
   FaultyMemory faulty(n, instance.fps, instance.decoders);
   faulty.power_on_uniform(power_on);
   MemoryState good(n, power_on);
 
+  std::optional<DetectionEvent> first;
   std::size_t any_index = 0;
   for (std::size_t e = 0; e < test.elements().size(); ++e) {
     const MarchElement& element = test.elements()[e];
@@ -104,6 +96,7 @@ std::optional<DetectionEvent> FaultSimulator::run_scenario(
           order == AddressOrder::Up ? step : n - 1 - step;
       for (std::size_t i = 0; i < element.ops().size(); ++i) {
         const Op op = element.ops()[i];
+        bool mismatch = false;
         if (is_write(op)) {
           const Bit value = written_value(op);
           good.set(address, value);
@@ -112,94 +105,37 @@ std::optional<DetectionEvent> FaultSimulator::run_scenario(
           const Bit expected = good.get(address);
           const Bit observed = faulty.read(address);
           if (observed != expected) {
-            return DetectionEvent{e, address, i, expected, observed};
+            mismatch = true;
+            if (!first.has_value()) {
+              first = DetectionEvent{e, address, i, expected, observed};
+            }
+            if (!recorder) return first;
           }
         } else {
           faulty.wait(address);
         }
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-DetectionResult FaultSimulator::simulate(const MarchTest& test,
-                                         const FaultInstance& instance) const {
-  if (!PackedFaultSim::supports(instance)) {
-    return simulate_scalar(test, instance);
-  }
-  const CompiledTest compiled = compile_checked(test);
-  require_addresses_fit(instance, options_.memory_size);
-  const PackedOutcome outcome =
-      packed_run(test, compiled, PackedFaultSim(instance),
-                 /*stop_at_first_escape=*/false);
-  DetectionResult result;
-  result.detected = outcome.all_detected;
-  if (outcome.first_detected.has_value()) {
-    // Replay the lowest detecting scenario on the scalar machine for the
-    // op-level diagnostics (one scenario — cheap).
-    result.first_event = run_scenario(test, instance,
-                                      outcome.first_detected->first,
-                                      outcome.first_detected->second);
-  }
-  result.escape_scenario = outcome.first_escape;
-  return result;
-}
-
-DetectionResult FaultSimulator::simulate_scalar(
-    const MarchTest& test, const FaultInstance& instance) const {
-  const std::size_t any_count = any_order_count(test);
-  require_any_order_cap(any_count);
-  const std::size_t combos = std::size_t{1} << any_count;
-
-  DetectionResult result;
-  result.detected = true;
-  for (const Bit power_on : {Bit::Zero, Bit::One}) {
-    for (std::size_t mask = 0; mask < combos; ++mask) {
-      const auto event = run_scenario(test, instance, power_on, mask);
-      if (event.has_value()) {
-        if (!result.first_event.has_value()) result.first_event = event;
-      } else {
-        result.detected = false;
-        if (!result.escape_scenario.has_value()) {
-          result.escape_scenario = std::make_pair(power_on, mask);
+        if (recorder) {
+          recorder(ReplayedOp{e, address, i, op, mismatch, good, faulty});
         }
       }
     }
   }
-  return result;
+  return first;
 }
 
 bool FaultSimulator::detects(const MarchTest& test,
-                             const FaultInstance& instance) const {
-  return detects_compiled(test, compile_checked(test), instance);
-}
-
-bool FaultSimulator::detects_all(
-    const MarchTest& test, const std::vector<FaultInstance>& instances) const {
-  const CompiledTest compiled = compile_checked(test);
-  for (const FaultInstance& instance : instances) {
-    if (!detects_compiled(test, compiled, instance)) return false;
-  }
-  return true;
-}
-
-bool FaultSimulator::detects_compiled(const MarchTest& test,
-                                      const CompiledTest& compiled,
-                                      const FaultInstance& instance) const {
-  require_any_order_cap(compiled.any_count);
-  if (!PackedFaultSim::supports(instance)) {
-    return detects_scalar(test, instance);
-  }
+                             const FaultInstance& instance,
+                             const CompiledTest* compiled) const {
+  require_any_order_cap(compiled != nullptr ? compiled->any_count
+                                            : any_order_count(test));
+  std::optional<CompiledTest> owned;
+  if (compiled == nullptr) compiled = &owned.emplace(compile_march_test(test));
   require_addresses_fit(instance, options_.memory_size);
-  return packed_run(test, compiled, PackedFaultSim(instance),
-                    /*stop_at_first_escape=*/true)
-      .all_detected;
+  return packed_run(test, *compiled, PackedFaultSim(instance));
 }
 
 bool FaultSimulator::detects_scalar(const MarchTest& test,
                                     const FaultInstance& instance) const {
-  // Fast path of simulate(): bail out on the first escaping scenario.
   const std::size_t any_count = any_order_count(test);
   require_any_order_cap(any_count);
   const std::size_t combos = std::size_t{1} << any_count;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -54,15 +55,20 @@ struct DetectionEvent {
   std::string to_string() const;
 };
 
-/// Outcome of simulating one fault instance against one march test.
-struct DetectionResult {
-  bool detected = false;  ///< detected in every power-on/order scenario
-  /// Detection event of the first scenario (diagnostics), if any.
-  std::optional<DetectionEvent> first_event;
-  /// Scenario that escaped detection (diagnostics), when !detected:
-  /// power-on value and ⇕-order assignment bitmask.
-  std::optional<std::pair<Bit, std::size_t>> escape_scenario;
+/// One operation of a run_scenario replay, as a ScenarioRecorder sees it
+/// right after the operation executed on both machines.
+struct ReplayedOp {
+  std::size_t element_index;
+  std::size_t address;
+  std::size_t op_index;
+  Op op;
+  bool mismatch;               ///< a read returned a wrong value here
+  const MemoryState& good;     ///< fault-free machine
+  const FaultyMemory& faulty;  ///< faulty machine
 };
+
+/// Per-operation observer of run_scenario (trace_run records with one).
+using ScenarioRecorder = std::function<void(const ReplayedOp&)>;
 
 class FaultSimulator {
  public:
@@ -79,43 +85,26 @@ class FaultSimulator {
   /// Throws mtg::Error when the test is invalid (see validity_violation).
   static void validate(const MarchTest& test);
 
-  /// Full detection semantics (all power-on states, all ⇕ orders).  Runs on
-  /// the packed engine (sim/packed_engine.hpp), or on the scalar machine
-  /// for an instance the packed representation rejects
-  /// (PackedFaultSim::supports); both produce identical results.
-  DetectionResult simulate(const MarchTest& test,
-                           const FaultInstance& instance) const;
+  /// Full detection semantics (all power-on states, all ⇕ orders) on the
+  /// packed engine (sim/packed_engine.hpp).  `compiled`, when given, must be
+  /// compile_march_test(test): batch callers compile once and share it.
+  bool detects(const MarchTest& test, const FaultInstance& instance,
+               const CompiledTest* compiled = nullptr) const;
 
-  /// Convenience: simulate(...).detected (with an early-exit fast path).
-  bool detects(const MarchTest& test, const FaultInstance& instance) const;
-
-  /// Batch variant of detects(): true iff every instance is detected.  The
-  /// compiled test is shared across the whole batch (detects() recompiles
-  /// it per call), and the scan stops at the first undetected instance —
-  /// the shape of a per-instance coverage check.
-  bool detects_all(const MarchTest& test,
-                   const std::vector<FaultInstance>& instances) const;
-
-  /// detects() against a pre-compiled test (compile_march_test), shared by
-  /// detects_all and evaluate_coverage so batch callers compile once.
-  bool detects_compiled(const MarchTest& test, const CompiledTest& compiled,
-                        const FaultInstance& instance) const;
-
-  /// Scalar reference implementations (one FaultyMemory run per scenario):
-  /// the differential-testing oracle for the packed engine, and the
-  /// fallback for instances it does not support.
-  DetectionResult simulate_scalar(const MarchTest& test,
-                                  const FaultInstance& instance) const;
+  /// detects() on the scalar reference machine, one run_scenario per
+  /// scenario with an early exit at the first escape: the
+  /// differential-testing oracle for the packed engine.
   bool detects_scalar(const MarchTest& test,
                       const FaultInstance& instance) const;
 
   /// Single scenario run: fixed power-on value and a bitmask choosing the
   /// concrete order of each ⇕ element (bit i = 1 → the i-th ⇕ element runs
-  /// Down).  Returns the first detection event, if any.
-  std::optional<DetectionEvent> run_scenario(const MarchTest& test,
-                                             const FaultInstance& instance,
-                                             Bit power_on,
-                                             std::size_t any_order_mask) const;
+  /// Down).  Returns the first detection event, if any.  Without a recorder
+  /// the run stops there; with one it runs to the end of the test and calls
+  /// `recorder` after every operation.
+  std::optional<DetectionEvent> run_scenario(
+      const MarchTest& test, const FaultInstance& instance, Bit power_on,
+      std::size_t any_order_mask, const ScenarioRecorder& recorder = {}) const;
 
   /// Number of ⇕ elements in the test (scenario mask width).
   static std::size_t any_order_count(const MarchTest& test);

@@ -3,7 +3,8 @@
 #include <ostream>
 #include <sstream>
 
-#include "common/error.hpp"
+#include "sim/packed_engine.hpp"
+#include "sim/simulator.hpp"
 
 namespace mtg {
 
@@ -37,11 +38,8 @@ std::ostream& operator<<(std::ostream& os, const Trace& trace) {
 
 Trace trace_run(const MarchTest& test, const FaultInstance& instance,
                 std::size_t n, Bit power_on, std::size_t any_order_mask) {
-  require(n >= 1, "trace_run: empty memory");
-  for (const BoundFp& bound : instance.fps) {
-    require(bound.v_cell < n && bound.a_cell < n,
-            "trace_run: fault addresses exceed the memory size");
-  }
+  const FaultSimulator simulator(SimulatorOptions{n});
+  require_addresses_fit(instance, n);
 
   Trace trace;
   trace.test = test;
@@ -49,54 +47,24 @@ Trace trace_run(const MarchTest& test, const FaultInstance& instance,
       instance.description.empty() ? "fault-free run" : instance.description;
   trace.power_on = power_on;
 
-  FaultyMemory faulty(n, instance.fps);
-  faulty.power_on_uniform(power_on);
-  MemoryState good(n, power_on);
-
-  std::size_t any_index = 0;
-  std::size_t fires_before = 0;
-  for (std::size_t e = 0; e < test.elements().size(); ++e) {
-    const MarchElement& element = test.elements()[e];
-    AddressOrder order = element.order();
-    if (order == AddressOrder::Any) {
-      order = (any_order_mask >> any_index) & 1u ? AddressOrder::Down
-                                                 : AddressOrder::Up;
-      ++any_index;
+  const ScenarioRecorder record = [&](const ReplayedOp& replayed) {
+    TraceStep step;
+    step.element_index = replayed.element_index;
+    step.address = replayed.address;
+    step.op_index = replayed.op_index;
+    step.op = replayed.op;
+    step.fired = replayed.faulty.total_fires() > trace.total_fires;
+    step.mismatch = replayed.mismatch;
+    step.good_state = replayed.good.to_string();
+    step.faulty_state = replayed.faulty.state().to_string();
+    if (step.mismatch && !trace.detected) {
+      trace.detected = true;
+      trace.first_mismatch = trace.steps.size();
     }
-    for (std::size_t step = 0; step < n; ++step) {
-      const std::size_t address =
-          order == AddressOrder::Up ? step : n - 1 - step;
-      for (std::size_t i = 0; i < element.ops().size(); ++i) {
-        const Op op = element.ops()[i];
-        TraceStep record;
-        record.element_index = e;
-        record.address = address;
-        record.op_index = i;
-        record.op = op;
-        if (is_write(op)) {
-          const Bit value = written_value(op);
-          good.set(address, value);
-          faulty.write(address, value);
-        } else if (is_read(op)) {
-          const Bit expected = good.get(address);
-          const Bit observed = faulty.read(address);
-          record.mismatch = observed != expected;
-        } else {
-          faulty.wait(address);
-        }
-        record.fired = faulty.total_fires() > fires_before;
-        fires_before = faulty.total_fires();
-        record.good_state = good.to_string();
-        record.faulty_state = faulty.state().to_string();
-        if (record.mismatch && !trace.detected) {
-          trace.detected = true;
-          trace.first_mismatch = trace.steps.size();
-        }
-        trace.steps.push_back(std::move(record));
-      }
-    }
-  }
-  trace.total_fires = faulty.total_fires();
+    trace.total_fires = replayed.faulty.total_fires();
+    trace.steps.push_back(std::move(step));
+  };
+  simulator.run_scenario(test, instance, power_on, any_order_mask, record);
   return trace;
 }
 

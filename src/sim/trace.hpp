@@ -47,7 +47,9 @@ std::ostream& operator<<(std::ostream& os, const Trace& trace);
 
 /// Replays `test` (with every ⇕ element resolved by `any_order_mask`, bit i
 /// = 1 meaning the i-th ⇕ element runs Down) on an `n`-cell memory holding
-/// `power_on` everywhere, with `instance` injected.
+/// `power_on` everywhere, with `instance` injected: the scenario
+/// FaultSimulator::run_scenario replays, recorded operation by operation.
+/// Throws mtg::Error when n < 3 or a fault address does not fit.
 Trace trace_run(const MarchTest& test, const FaultInstance& instance,
                 std::size_t n, Bit power_on, std::size_t any_order_mask = 0);
 

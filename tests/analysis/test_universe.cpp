@@ -32,6 +32,20 @@ TEST(FaultUniverse, BareDecoderIsTheFullBuiltinRange) {
   EXPECT_EQ(stable_hash(materialized), stable_hash(builtin));
 }
 
+TEST(FaultUniverse, DecoderRangeIsTheFilteredBuiltinList) {
+  // decoder[3,7): the built-in list's records on address lines 3..6, in
+  // the built-in order.
+  FaultList expected;
+  for (const DecoderFault& fault : decoder_fault_list().decoder) {
+    if (fault.bit >= 3 && fault.bit < 7) expected.decoder.push_back(fault);
+  }
+  ASSERT_EQ(expected.decoder.size(), 4u * 5u);
+  const FaultList materialized =
+      FaultUniverse::parse("decoder[3,7)").materialize();
+  EXPECT_EQ(materialized.decoder, expected.decoder);
+  EXPECT_EQ(stable_hash(materialized), stable_hash(expected));
+}
+
 TEST(FaultUniverse, FamiliesMatchTheBuiltinLists) {
   EXPECT_EQ(stable_hash(FaultUniverse::parse("list1").materialize()),
             stable_hash(fault_list_1()));

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <iterator>
 #include <set>
 
 #include "common/checksum.hpp"
@@ -249,6 +250,24 @@ TEST(FaultList, SimpleFaultFactoriesValidate) {
 }
 
 // --- canonical serialization + stable hashing (sweep store keys) ------------
+
+TEST(FaultList, BuiltinTableNamesEveryListInOrder) {
+  EXPECT_EQ(builtin_fault_list_names(),
+            "list1, list2, simple, retention, decoder");
+  const FaultList factories[] = {fault_list_1(), fault_list_2(),
+                                 standard_simple_static_faults(),
+                                 retention_fault_list(), decoder_fault_list()};
+  ASSERT_EQ(builtin_fault_lists().size(), std::size(factories));
+  for (std::size_t i = 0; i < std::size(factories); ++i) {
+    const BuiltinFaultList& builtin = builtin_fault_lists()[i];
+    EXPECT_EQ(find_builtin_fault_list(builtin.name), &builtin);
+    const FaultList made = builtin.make();
+    EXPECT_EQ(made.name, factories[i].name);
+    EXPECT_EQ(stable_hash(made), stable_hash(factories[i])) << builtin.name;
+  }
+  EXPECT_EQ(find_builtin_fault_list("linked1"), nullptr);
+  EXPECT_EQ(find_builtin_fault_list(""), nullptr);
+}
 
 TEST(FaultListCanonical, IsDeterministicAndNameFree) {
   const std::string a = to_canonical_string(fault_list_1());

@@ -216,57 +216,6 @@ TEST(FaultyMemory, LinkedWdfRdfHidesEveryVictimRead) {
   EXPECT_EQ(memory.state().get(0), Bit::Zero);  // and restores the cell
 }
 
-// --- snapshots --------------------------------------------------------------
-
-TEST(FaultyMemory, PackedSnapshotsRoundTrip) {
-  FaultyMemory memory(4, {BoundFp::at(FaultPrimitive::sf(Bit::One), 2)});
-  memory.power_on_uniform(Bit::Zero);
-  memory.write(0, Bit::One);
-  memory.write(2, Bit::One);  // SF1 fires, disarms until condition drops
-  const PackedBits state = memory.packed_state();
-  const std::uint32_t armed = memory.packed_armed();
-
-  memory.write(1, Bit::One);
-  memory.set_packed_state(state);
-  memory.set_packed_armed(armed);
-  EXPECT_EQ(memory.packed_state(), state);
-  EXPECT_EQ(memory.packed_armed(), armed);
-  EXPECT_EQ(memory.state().get(0), Bit::One);
-  EXPECT_EQ(memory.state().get(1), Bit::Zero);
-}
-
-TEST(FaultyMemory, PackedSnapshotsRoundTripBeyondOneWord) {
-  // 130 cells span three snapshot words; the old single-uint64_t snapshot
-  // hard-failed here.  Touch cells in every word, including both word
-  // boundaries (63/64 and 127/128).
-  const std::size_t n = 130;
-  FaultyMemory memory(n, {BoundFp::at(FaultPrimitive::sf(Bit::One), 127)});
-  memory.power_on_uniform(Bit::Zero);
-  for (const std::size_t cell : {std::size_t{0}, std::size_t{63},
-                                 std::size_t{64}, std::size_t{128},
-                                 std::size_t{129}}) {
-    memory.write(cell, Bit::One);
-  }
-  memory.write(127, Bit::One);  // SF1 fires: the victim decays back to 0
-  EXPECT_EQ(memory.state().get(127), Bit::Zero);
-  const PackedBits state = memory.packed_state();
-  EXPECT_EQ(state.size(), n);
-  EXPECT_EQ(state.popcount(), 5u);
-
-  memory.write(64, Bit::Zero);
-  memory.write(129, Bit::Zero);
-  memory.set_packed_state(state);
-  memory.set_packed_armed(memory.packed_armed());
-  EXPECT_EQ(memory.packed_state(), state);
-  for (const std::size_t cell : {std::size_t{0}, std::size_t{63},
-                                 std::size_t{64}, std::size_t{128},
-                                 std::size_t{129}}) {
-    EXPECT_EQ(memory.state().get(cell), Bit::One) << "cell " << cell;
-  }
-  EXPECT_EQ(memory.state().get(1), Bit::Zero);
-  EXPECT_EQ(memory.state().get(127), Bit::Zero);
-}
-
 TEST(FaultyMemory, PowerOnResetsFireCounts) {
   auto memory =
       single_fault_memory(2, FaultPrimitive::wdf(Bit::Zero), 0, Bit::Zero);

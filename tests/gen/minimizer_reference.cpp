@@ -1,11 +1,13 @@
 #include "minimizer_reference.hpp"
 
+#include "../sim/coverage_helpers.hpp"
+
 namespace mtg {
 
 bool covers_all(const FaultSimulator& simulator, const MarchTest& test,
                 const std::vector<FaultInstance>& instances) {
   if (!FaultSimulator::validity_violation(test).empty()) return false;
-  return simulator.detects_all(test, instances);
+  return detects_every(simulator, test, instances);
 }
 
 MarchTest minimize_test_rescan(const FaultSimulator& simulator,

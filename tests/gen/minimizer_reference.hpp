@@ -1,5 +1,5 @@
 // The from-scratch reference minimizer: every trial re-simulates the whole
-// trial test against every instance (FaultSimulator::detects_all), with
+// trial test against every instance (FaultSimulator::detects), with
 // its own copy of the greedy removal loop.  minimize_test
 // (gen/minimizer.hpp) runs checkpointed trials on behaviour classes and
 // must return the same test and log.

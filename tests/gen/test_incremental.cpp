@@ -5,8 +5,8 @@
 //  * Golden tests: the generated march test for every built-in fault list,
 //    captured from the pre-incremental implementation (the sequential
 //    certification loop re-simulating every instance per CEGIS round and
-//    the detects_all-per-trial minimizer).  Any divergence — however the
-//    engine is refactored — fails here first.
+//    the minimizer re-simulating every instance per trial).  Any
+//    divergence — however the engine is refactored — fails here first.
 //  * Thread invariance: gain_threads × certify_threads sweeps produce the
 //    same test as the single-threaded run.
 //  * Minimizer differential: minimize_test (checkpointed, on behaviour

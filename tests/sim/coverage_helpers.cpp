@@ -30,7 +30,7 @@ CoverageReport evaluate_coverage_per_instance(
     ++entry.instances;
     const bool detected =
         scalar ? simulator.detects_scalar(test, instance)
-               : simulator.detects_compiled(test, compiled, instance);
+               : simulator.detects(test, instance, &compiled);
     if (detected) {
       ++entry.detected;
     } else {
@@ -104,12 +104,55 @@ std::vector<std::size_t> reference_gains(
         const std::uint64_t down =
             candidates[c].order() == AddressOrder::Down ? ~std::uint64_t{0}
                                                         : 0;
-        gains[c] += lane_popcount(
+        gains[c] += popcount64(
             sim.run_element(trial, candidates[c], traces[c], down));
       }
     }
   }
   return gains;
+}
+
+bool detects_every(const FaultSimulator& simulator, const MarchTest& test,
+                   const std::vector<FaultInstance>& instances) {
+  const CompiledTest compiled = compile_march_test(test);
+  for (const FaultInstance& instance : instances) {
+    if (!simulator.detects(test, instance, &compiled)) return false;
+  }
+  return true;
+}
+
+std::vector<std::uint64_t> packed_detected_words(const MarchTest& test,
+                                                 const PackedFaultSim& sim) {
+  const CompiledTest compiled = compile_march_test(test);
+  const std::size_t combos = std::size_t{1} << compiled.any_count;
+  std::vector<std::uint64_t> words;
+  for (std::size_t base = 0; base < 2 * combos; base += 64) {
+    PackedFaultSim::Lanes lanes;
+    sim.power_on_block(lanes, base, combos);
+    for (std::size_t e = 0; e < test.elements().size(); ++e) {
+      const MarchElement& element = test.elements()[e];
+      sim.run_element(
+          lanes, element, compiled.traces[e],
+          element_down_word(element, compiled.any_ordinal[e], base, combos));
+    }
+    words.push_back(lanes.detected);
+  }
+  return words;
+}
+
+std::vector<std::uint64_t> scalar_detected_words(
+    const FaultSimulator& simulator, const MarchTest& test,
+    const FaultInstance& instance) {
+  const std::size_t combos = std::size_t{1}
+                             << FaultSimulator::any_order_count(test);
+  std::vector<std::uint64_t> words((2 * combos + 63) / 64, 0);
+  for (std::size_t sc = 0; sc < 2 * combos; ++sc) {
+    const Bit power_on = sc >= combos ? Bit::One : Bit::Zero;
+    if (simulator.run_scenario(test, instance, power_on, sc % combos)) {
+      words[sc / 64] |= std::uint64_t{1} << (sc % 64);
+    }
+  }
+  return words;
 }
 
 MarchTest slow_coverage_test() {

@@ -1,21 +1,24 @@
 // Test helpers around evaluate_coverage: the per-instance reference it is
 // checked against, and a workload slow enough to cancel mid-evaluation.
-// Also the per-candidate reference of the greedy gain scan.
+// Also the per-candidate reference of the greedy gain scan, and every
+// scenario's verdict on the packed engine and on the scalar machine.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "fp/fault_list.hpp"
 #include "march/march_test.hpp"
 #include "sim/coverage.hpp"
 #include "sim/fault_instance.hpp"
+#include "sim/packed_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace mtg {
 
 /// The coverage report by brute force: instantiate_all() and simulate every
-/// sampled instance — on the packed engine (detects_compiled), or with
+/// sampled instance — on the packed engine (detects), or with
 /// `scalar` on the scalar reference machine (detects_scalar) — aggregating
 /// in instance order (counts, first escaping instance).  evaluate_coverage
 /// simulates one instance per behaviour class and must reproduce this byte
@@ -49,6 +52,24 @@ std::vector<BehaviourClass> instance_classes(
 std::vector<std::size_t> reference_gains(
     const std::vector<FaultInstance>& instances, const MarchTest& prefix,
     const std::vector<MarchElement>& candidates);
+
+/// True when `test` detects every instance in `instances` on the packed
+/// engine: a loop over detects() sharing one compiled test.
+bool detects_every(const FaultSimulator& simulator, const MarchTest& test,
+                   const std::vector<FaultInstance>& instances);
+
+/// Every scenario's detected bit on the packed engine: per 64-lane block,
+/// the `detected` word after power_on_block and every element's
+/// run_element, with no early exit.  Scenario sc = power_on · 2^⇕ + mask
+/// is bit (sc mod 64) of word (sc div 64).
+std::vector<std::uint64_t> packed_detected_words(const MarchTest& test,
+                                                 const PackedFaultSim& sim);
+
+/// The same words from the scalar machine: a scenario's bit is set iff
+/// run_scenario detects the instance in it.
+std::vector<std::uint64_t> scalar_detected_words(
+    const FaultSimulator& simulator, const MarchTest& test,
+    const FaultInstance& instance);
 
 /// A (test, list) pair whose evaluation takes hundreds of milliseconds on
 /// the packed engine at any memory size: Fault List #1 repeated 16 times

@@ -43,7 +43,7 @@ void for_each_entry_point(const MarchTest& test, Check&& check) {
   const FaultSimulator simulator(SimulatorOptions{kN});
   const FaultInstance instance = instantiate_all(list, kN).front();
   check("detects", [&] { simulator.detects(test, instance); });
-  check("simulate_scalar", [&] { simulator.simulate_scalar(test, instance); });
+  check("detects_scalar", [&] { simulator.detects_scalar(test, instance); });
   check("evaluate_coverage",
         [&] { evaluate_coverage(simulator, test, list); });
   check("sweep_coverage", [&] {

@@ -17,6 +17,7 @@
 #include "sim/prefix_sim.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "coverage_helpers.hpp"
 
 namespace mtg {
 namespace {
@@ -109,18 +110,8 @@ TEST(DecoderPacked, MatchesScalarOnEveryCatalogTest) {
   ASSERT_FALSE(instances.empty());
   for (const MarchTest& test : all_catalog_tests()) {
     for (const FaultInstance& inst : instances) {
-      const DetectionResult packed = simulator.simulate(test, inst);
-      const DetectionResult scalar = simulator.simulate_scalar(test, inst);
-      ASSERT_EQ(packed.detected, scalar.detected)
-          << test.name() << " / " << inst.description;
-      ASSERT_EQ(packed.first_event.has_value(), scalar.first_event.has_value())
-          << test.name() << " / " << inst.description;
-      if (packed.first_event.has_value()) {
-        EXPECT_EQ(packed.first_event->to_string(),
-                  scalar.first_event->to_string())
-            << test.name() << " / " << inst.description;
-      }
-      EXPECT_EQ(packed.escape_scenario, scalar.escape_scenario)
+      EXPECT_EQ(packed_detected_words(test, PackedFaultSim(inst)),
+                scalar_detected_words(simulator, test, inst))
           << test.name() << " / " << inst.description;
       EXPECT_EQ(simulator.detects(test, inst),
                 simulator.detects_scalar(test, inst))

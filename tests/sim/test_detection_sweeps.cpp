@@ -74,9 +74,15 @@ TEST_P(FalseAlarmSweep, FaultFreeMemoryPasses) {
   const FaultSimulator simulator(SimulatorOptions{6});
   FaultInstance none;
   none.description = "fault-free";
-  const DetectionResult result = simulator.simulate(GetParam(), none);
-  EXPECT_FALSE(result.detected);
-  EXPECT_FALSE(result.first_event.has_value());
+  EXPECT_FALSE(simulator.detects(GetParam(), none));
+  const std::size_t combos = std::size_t{1}
+                             << FaultSimulator::any_order_count(GetParam());
+  for (const Bit power_on : {Bit::Zero, Bit::One}) {
+    for (std::size_t mask = 0; mask < combos; ++mask) {
+      EXPECT_FALSE(simulator.run_scenario(GetParam(), none, power_on, mask))
+          << "power-on " << power_on << ", mask " << mask;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,11 +5,12 @@
 // random operations including waits) and a random fault instance (random
 // FP bindings over the full static + retention FP space, a random instance
 // of a real linked fault, or a random address-decoder fault), then asserts
-// that the packed engine and the scalar oracle agree on the verdict *and*
-// the diagnostics (first detection event, first escaping scenario), and
-// that every *definite* verdict of the static analyzer
-// (analysis/static_analyzer.hpp) matches them — the soundness contract that
-// licenses the generator's static pre-filter.  A further leg checks
+// that the packed engine and the scalar oracle agree on every scenario's
+// detected bit (the packed block's `detected` lane word against
+// run_scenario for every power-on × ⇕ mask) and on the early-exit verdicts
+// detects() and detects_scalar(), and that every *definite* verdict of the
+// static analyzer (analysis/static_analyzer.hpp) matches them — the
+// soundness contract that licenses the generator's static pre-filter.  A further leg checks
 // class-level coverage evaluation against the per-instance reference
 // (coverage_helpers.hpp).
 //
@@ -222,17 +223,11 @@ FuzzCase make_case(std::uint64_t seed, const std::vector<FaultPrimitive>& fps,
   return fuzz;
 }
 
-/// Canonical string of everything the two paths must agree on.
-std::string verdict_string(const DetectionResult& result) {
+/// Scenario words as hex, block 0 first.
+std::string words_string(const std::vector<std::uint64_t>& words) {
   std::ostringstream out;
-  out << (result.detected ? "detected" : "escaped");
-  if (result.first_event.has_value()) {
-    out << " | first: " << result.first_event->to_string();
-  }
-  if (result.escape_scenario.has_value()) {
-    out << " | escape: power-on " << to_char(result.escape_scenario->first)
-        << " mask " << result.escape_scenario->second;
-  }
+  out << std::hex;
+  for (const std::uint64_t word : words) out << " 0x" << word;
   return out.str();
 }
 
@@ -242,32 +237,40 @@ std::string divergence(const FuzzCase& fuzz) {
   options.memory_size = fuzz.memory_size;
   const FaultSimulator simulator(options);
 
-  const DetectionResult packed = simulator.simulate(fuzz.test, fuzz.instance);
-  const DetectionResult scalar =
-      simulator.simulate_scalar(fuzz.test, fuzz.instance);
-  const std::string packed_verdict = verdict_string(packed);
-  const std::string scalar_verdict = verdict_string(scalar);
-  if (packed_verdict != scalar_verdict) {
-    return "simulate mismatch:\n  packed: " + packed_verdict +
-           "\n  scalar: " + scalar_verdict;
+  const std::vector<std::uint64_t> packed =
+      packed_detected_words(fuzz.test, PackedFaultSim(fuzz.instance));
+  const std::vector<std::uint64_t> scalar =
+      scalar_detected_words(simulator, fuzz.test, fuzz.instance);
+  if (packed != scalar) {
+    return "per-scenario detected bits differ:\n  packed:" +
+           words_string(packed) + "\n  scalar:" + words_string(scalar);
   }
-  // The fast path (early exit at the first escaping block) must agree too.
-  if (simulator.detects(fuzz.test, fuzz.instance) !=
-      simulator.detects_scalar(fuzz.test, fuzz.instance)) {
-    return "detects() disagrees with detects_scalar()";
+  const std::size_t total =
+      std::size_t{2} << FaultSimulator::any_order_count(fuzz.test);
+  bool detected = true;
+  for (std::size_t sc = 0; sc < total; ++sc) {
+    detected = detected && ((scalar[sc / 64] >> (sc % 64)) & 1u) != 0;
+  }
+  // The early-exit verdicts (first escaping block / scenario) must agree
+  // with the full per-scenario verdict.
+  if (simulator.detects(fuzz.test, fuzz.instance) != detected) {
+    return "detects() disagrees with the per-scenario verdict";
+  }
+  if (simulator.detects_scalar(fuzz.test, fuzz.instance) != detected) {
+    return "detects_scalar() disagrees with the per-scenario verdict";
   }
   // Third leg: a definite verdict from the symbolic analyzer must agree
   // with both engines (static == packed == scalar); Unknown is its licensed
   // fall-back-to-simulation answer and never a divergence.
   const StaticResult statics = analyze_instance(fuzz.test, fuzz.instance);
   if (statics.definite() &&
-      (statics.verdict == StaticVerdict::Detected) != scalar.detected) {
+      (statics.verdict == StaticVerdict::Detected) != detected) {
     return "static analyzer disagrees:\n  static: " +
            to_string(statics.verdict) +
            (statics.witness.has_value()
                 ? " | witness: " + statics.witness->to_string()
                 : " | reason: " + statics.reason) +
-           "\n  scalar: " + scalar_verdict;
+           "\n  scalar: " + (detected ? "detected" : "escaped");
   }
   return {};
 }
@@ -458,7 +461,7 @@ TEST(DifferentialFuzz, CollapsedCoverageMatchesPerInstanceReference) {
   // simulates every sampled instance, on the packed engine and on the
   // scalar machine.  At random n and cap — spanning cap 0 and all three
   // sampler tiers — the reports must be byte-identical, and random
-  // same-signature instance pairs must give the same PackedOutcome.
+  // same-signature instance pairs must detect in the same scenarios.
   const FaultList pool = [] {
     FaultList all = fault_list_1();
     const FaultList retention = retention_fault_list();
@@ -524,10 +527,9 @@ TEST(DifferentialFuzz, CollapsedCoverageMatchesPerInstanceReference) {
       }
     }
 
-    // Same-class pairs: equal signatures ⇒ identical packed outcomes.
+    // Same-class pairs: equal signatures ⇒ identical per-scenario words.
     const std::vector<FaultInstance> instances =
         instantiate_all(list, n, cap == 0 ? 64 : cap);
-    const CompiledTest compiled = compile_march_test(test);
     for (int pair = 0; pair < 16; ++pair) {
       const FaultInstance& x = instances[rng.below(instances.size())];
       // Instances are grouped by fault: draw y from x's fault.
@@ -542,11 +544,7 @@ TEST(DifferentialFuzz, CollapsedCoverageMatchesPerInstanceReference) {
           *(same_fault.first + static_cast<std::ptrdiff_t>(rng.below(width)));
       const PackedFaultSim sx(x), sy(y);
       if (sx.signature() != sy.signature()) continue;
-      const PackedOutcome ox = packed_run(test, compiled, sx, false);
-      const PackedOutcome oy = packed_run(test, compiled, sy, false);
-      if (ox.all_detected != oy.all_detected ||
-          ox.first_detected != oy.first_detected ||
-          ox.first_escape != oy.first_escape) {
+      if (packed_detected_words(test, sx) != packed_detected_words(test, sy)) {
         ADD_FAILURE() << "same-class instances diverge:\n  " << x.description
                       << "\n  " << y.description << "\n  "
                       << test.to_string(true);

@@ -72,23 +72,15 @@ TEST(PackedEngine, AnyOrderHeavyTestsAgree) {
 }
 
 TEST(PackedEngine, SimulateDiagnosticsAgree) {
+  // Every scenario's verdict, not just the overall one: the packed block's
+  // detected lanes against run_scenario for each power-on × ⇕ mask.
   const FaultSimulator simulator(options_for(4));
   const FaultList list = standard_simple_static_faults();
   for (const MarchTest& test : {mats_plus(), march_x(), march_ss()}) {
     for (const FaultInstance& inst : instantiate_all(list, 4)) {
-      const DetectionResult p = simulator.simulate(test, inst);
-      const DetectionResult s = simulator.simulate_scalar(test, inst);
-      ASSERT_EQ(p.detected, s.detected) << inst.description;
-      ASSERT_EQ(p.first_event.has_value(), s.first_event.has_value());
-      if (p.first_event.has_value()) {
-        EXPECT_EQ(p.first_event->to_string(), s.first_event->to_string())
-            << test.name() << " / " << inst.description;
-      }
-      ASSERT_EQ(p.escape_scenario.has_value(), s.escape_scenario.has_value());
-      if (p.escape_scenario.has_value()) {
-        EXPECT_EQ(*p.escape_scenario, *s.escape_scenario)
-            << test.name() << " / " << inst.description;
-      }
+      EXPECT_EQ(packed_detected_words(test, PackedFaultSim(inst)),
+                scalar_detected_words(simulator, test, inst))
+          << test.name() << " / " << inst.description;
     }
   }
 }
@@ -123,10 +115,11 @@ TEST(PackedEngine, RequiresDetectionFromBothPowerOnStates) {
   const FaultSimulator simulator(options_for(4));
   EXPECT_FALSE(simulator.detects(bare_read, irf0));
   EXPECT_FALSE(simulator.detects_scalar(bare_read, irf0));
-  const DetectionResult result = simulator.simulate(bare_read, irf0);
-  ASSERT_TRUE(result.escape_scenario.has_value());
-  EXPECT_EQ(result.escape_scenario->first, Bit::One);
-  ASSERT_TRUE(result.first_event.has_value());
+  EXPECT_TRUE(simulator.run_scenario(bare_read, irf0, Bit::Zero, 0));
+  EXPECT_FALSE(simulator.run_scenario(bare_read, irf0, Bit::One, 0));
+  // Scenarios 0/1 power on all-0 (detected), 2/3 all-1 (escape).
+  EXPECT_EQ(packed_detected_words(bare_read, PackedFaultSim(irf0)),
+            std::vector<std::uint64_t>{0b0011});
 }
 
 TEST(PackedEngine, CoverageReportsAgree) {
@@ -194,21 +187,38 @@ TEST(PackedEngine, OutOfRangeAddressesThrowLikeScalar) {
   const FaultSimulator packed(options_for(4));
   EXPECT_THROW(packed.detects(mats_plus(), oob), Error);
   EXPECT_THROW(packed.detects_scalar(mats_plus(), oob), Error);
-  EXPECT_THROW(packed.simulate(mats_plus(), oob), Error);
-  EXPECT_THROW(packed.detects_all(mats_plus(), {oob}), Error);
 }
 
 TEST(PackedEngine, DetectsAllMatchesPerInstanceDetects) {
+  // The batch shape of evaluate_coverage: one compiled test shared by every
+  // detects() call must give each instance its scalar verdict.
   const FaultSimulator packed(options_for(4));
   const std::vector<FaultInstance> instances =
       instantiate_all(standard_simple_static_faults(), 4);
   for (const MarchTest& test : {mats_plus(), march_ss()}) {
-    bool all = true;
+    const CompiledTest compiled = compile_march_test(test);
     for (const FaultInstance& inst : instances) {
-      all = all && packed.detects_scalar(test, inst);
+      EXPECT_EQ(packed.detects(test, inst, &compiled),
+                packed.detects_scalar(test, inst))
+          << test.name() << " / " << inst.description;
     }
-    EXPECT_EQ(packed.detects_all(test, instances), all) << test.name();
   }
+}
+
+TEST(PackedEngine, OversizedInstancesAreRejected) {
+  // The packed engine has no scalar fallback: an instance past kMaxFps
+  // bound FPs, or a decoder fault combined with FPs, throws at entry.
+  FaultInstance five;
+  for (std::size_t cell = 0; cell < 5; ++cell) {
+    five.fps.push_back(BoundFp::at(FaultPrimitive::sf(Bit::One), cell));
+  }
+  FaultInstance mixed;
+  mixed.fps.push_back(BoundFp::at(FaultPrimitive::sf(Bit::One), 0));
+  mixed.decoders.push_back(BoundDecoder(
+      DecoderFault{DecoderFaultClass::NoAccess, 0, Bit::Zero}, 1, 1));
+  const FaultSimulator packed(options_for(8));
+  EXPECT_THROW(packed.detects(mats_plus(), five), Error);
+  EXPECT_THROW(packed.detects(mats_plus(), mixed), Error);
 }
 
 TEST(PackedEngine, FaultFreeInstanceNeverDetected) {

@@ -93,7 +93,7 @@ TEST(PrefixSim, TrialCoversMatchesFromScratchCoversAll) {
       MarchTest trial = test;
       trial.elements().erase(trial.elements().begin() + static_cast<long>(i));
       EXPECT_EQ(engine.trial_covers(i, nullptr),
-                simulator.detects_all(trial, instances))
+                detects_every(simulator, trial, instances))
           << test.name() << " drop element " << i;
     }
 
@@ -108,7 +108,7 @@ TEST(PrefixSim, TrialCoversMatchesFromScratchCoversAll) {
         MarchTest trial = test;
         trial.elements()[i] = replacement;
         EXPECT_EQ(engine.trial_covers(i, &replacement),
-                  simulator.detects_all(trial, instances))
+                  detects_every(simulator, trial, instances))
             << test.name() << " drop op " << j << " of element " << i;
       }
     }

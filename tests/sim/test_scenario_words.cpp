@@ -1,7 +1,7 @@
 // Exhaustive unit tests of the packed engine's scenario word helpers
 // (sim/packed_engine.hpp) against a naive per-scenario enumeration, plus the
-// lane-word helpers (lane_popcount / lowest_lane) and their portable
-// (builtin-free) twins.
+// lane-word popcount (popcount64, common/bit.hpp) and its portable
+// (builtin-free) twin.
 //
 // The naive reference restates the lane layout of the engine's file comment
 // from scratch: scenario sc = power_on · combos + order_mask lives in lane
@@ -71,15 +71,6 @@ TEST(ScenarioWords, ElementDownWordFollowsTheOrder) {
   }
 }
 
-TEST(LaneWords, LowestLaneIsDefinedForZero) {
-  // __builtin_ctzll(0) is UB and the old portable fallback looped forever;
-  // the zero word now has the defined "no lane" result 64.  (Call-site
-  // audit: both packed_run uses guard with != 0 before calling — the
-  // defined zero case is defence in depth, not a behaviour change.)
-  EXPECT_EQ(lowest_lane(0), 64u);
-  EXPECT_EQ(lowest_lane_portable(0), 64u);
-}
-
 TEST(LaneWords, HelpersMatchTheirPortableTwins) {
   // The portable branches used to be dead code in CI; exercise them
   // directly against the builtin-backed versions over single bits, dense
@@ -94,16 +85,11 @@ TEST(LaneWords, HelpersMatchTheirPortableTwins) {
                               0xFFFF0000FFFF0000ull};
   for (std::size_t bit = 0; bit < 64; ++bit) {
     const std::uint64_t word = std::uint64_t{1} << bit;
-    EXPECT_EQ(lowest_lane(word), bit);
-    EXPECT_EQ(lowest_lane_portable(word), bit);
-    EXPECT_EQ(lane_popcount(word), 1u);
-    EXPECT_EQ(lane_popcount_portable(word), 1u);
-    // A high bit above the lowest must not change the result.
-    EXPECT_EQ(lowest_lane(word | 0x8000000000000000ull), bit < 63 ? bit : 63);
+    EXPECT_EQ(popcount64(word), 1u);
+    EXPECT_EQ(popcount64_portable(word), 1u);
   }
   for (const std::uint64_t word : patterns) {
-    EXPECT_EQ(lane_popcount_portable(word), lane_popcount(word));
-    EXPECT_EQ(lowest_lane_portable(word), lowest_lane(word));
+    EXPECT_EQ(popcount64_portable(word), popcount64(word));
   }
 }
 

@@ -115,16 +115,15 @@ TEST(Simulator, LinkedWdfPairEscapesClassicTests) {
 
 TEST(Simulator, SimulateReportsScenarioDiagnostics) {
   const FaultSimulator simulator(SimulatorOptions{4});
-  // Detected fault: event populated, no escape scenario needed.
+  // Detected fault: every scenario reports a detection event.
   const auto tf_up = single_instance(FaultPrimitive::tf(Bit::Zero), 1);
-  const DetectionResult hit = simulator.simulate(march_x(), tf_up);
-  EXPECT_TRUE(hit.detected);
-  EXPECT_TRUE(hit.first_event.has_value());
-  // Escaping fault: the escape scenario is reported.
+  EXPECT_TRUE(simulator.detects(march_x(), tf_up));
+  EXPECT_TRUE(simulator.run_scenario(march_x(), tf_up, Bit::Zero, 0));
+  // Escaping fault: MATS+ never reads a cell after its 1→0 write, so the
+  // failing transition escapes from the all-0 power-on.
   const auto tf_down = single_instance(FaultPrimitive::tf(Bit::One), 1);
-  const DetectionResult miss = simulator.simulate(mats_plus(), tf_down);
-  EXPECT_FALSE(miss.detected);
-  EXPECT_TRUE(miss.escape_scenario.has_value());
+  EXPECT_FALSE(simulator.detects(mats_plus(), tf_down));
+  EXPECT_FALSE(simulator.run_scenario(mats_plus(), tf_down, Bit::Zero, 0));
 }
 
 TEST(Simulator, RunScenarioReportsEventDetails) {

@@ -12,6 +12,7 @@
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
 #include "sim/fault_instance.hpp"
+#include "coverage_helpers.hpp"
 
 namespace mtg {
 namespace {
@@ -149,10 +150,8 @@ TEST(BoundedInstantiation, SampleIncludesBothBoundaryLayouts) {
 // --- multi-word scalar/packed agreement -------------------------------------
 
 TEST(MultiWord, ScalarAndPackedAgreeAtN200) {
-  // The acceptance bar of the n <= 64 lift: detects_scalar works at n = 200
-  // (the old packed_bits() snapshot threw above one word on any
-  // save/restore path) and still matches the packed engine bit for bit,
-  // including for instances bound at the far memory boundary.
+  // detects_scalar works at n = 200 and matches the packed engine bit for
+  // bit, including for instances bound at the far memory boundary.
   const std::size_t n = 200;
   const FaultSimulator simulator(options_for(n));
   const FaultList list = fault_list_2();
@@ -168,23 +167,16 @@ TEST(MultiWord, ScalarAndPackedAgreeAtN200) {
 }
 
 TEST(MultiWord, SimulateDiagnosticsAgreeAtN150) {
+  // Every scenario's verdict at n = 150: the packed block's detected lanes
+  // against run_scenario for each power-on × ⇕ mask.
   const std::size_t n = 150;
   const FaultSimulator simulator(options_for(n));
   const MarchTest test = march_c_minus();  // escapes exist: both branches
   for (const FaultInstance& inst :
        instantiate_all(standard_simple_static_faults(), n, 4)) {
-    const DetectionResult p = simulator.simulate(test, inst);
-    const DetectionResult s = simulator.simulate_scalar(test, inst);
-    ASSERT_EQ(p.detected, s.detected) << inst.description;
-    ASSERT_EQ(p.first_event.has_value(), s.first_event.has_value());
-    if (p.first_event.has_value()) {
-      EXPECT_EQ(p.first_event->to_string(), s.first_event->to_string())
-          << inst.description;
-    }
-    ASSERT_EQ(p.escape_scenario.has_value(), s.escape_scenario.has_value());
-    if (p.escape_scenario.has_value()) {
-      EXPECT_EQ(*p.escape_scenario, *s.escape_scenario) << inst.description;
-    }
+    EXPECT_EQ(packed_detected_words(test, PackedFaultSim(inst)),
+              scalar_detected_words(simulator, test, inst))
+        << inst.description;
   }
 }
 

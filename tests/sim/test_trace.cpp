@@ -6,6 +6,7 @@
 #include "march/catalog.hpp"
 #include "march/parser.hpp"
 #include "memory/pattern_graph.hpp"
+#include "sim/simulator.hpp"
 
 namespace mtg {
 namespace {
@@ -81,6 +82,43 @@ TEST(Trace, ValidatesAddresses) {
   FaultInstance inst;
   inst.fps.push_back(BoundFp::at(FaultPrimitive::sf(Bit::One), 9));
   EXPECT_THROW(trace_run(mats_plus(), inst, 4, Bit::Zero), Error);
+}
+
+TEST(Trace, DecoderInstancesMatchTheScalarOracle) {
+  // The trace replays run_scenario's scenario, decoder faults included:
+  // its verdict must be run_scenario's in every scenario of every class.
+  const std::size_t n = 8;
+  const FaultSimulator simulator(SimulatorOptions{n});
+  const MarchTest test = march_c_minus();
+  const std::size_t combos = std::size_t{1}
+                             << FaultSimulator::any_order_count(test);
+  const std::vector<BehaviourClass> classes =
+      behaviour_classes(decoder_fault_list(3), n);
+  ASSERT_FALSE(classes.empty());
+  for (const BehaviourClass& cls : classes) {
+    const FaultInstance& inst = cls.representative;
+    for (const Bit power_on : {Bit::Zero, Bit::One}) {
+      for (std::size_t mask = 0; mask < combos; ++mask) {
+        EXPECT_EQ(trace_run(test, inst, n, power_on, mask).detected,
+                  simulator.run_scenario(test, inst, power_on, mask)
+                      .has_value())
+            << inst.description << ", power-on " << power_on << ", mask "
+            << mask;
+      }
+    }
+  }
+}
+
+TEST(Trace, ValidatesDecoderAddresses) {
+  FaultInstance inst;
+  inst.decoders.push_back(BoundDecoder(
+      DecoderFault{DecoderFaultClass::WrongCell, 0, Bit::Zero}, 8, 9));
+  EXPECT_THROW(trace_run(mats_plus(), inst, 8, Bit::Zero), Error);
+}
+
+TEST(Trace, NeedsThreeCells) {
+  FaultInstance none;
+  EXPECT_THROW(trace_run(mats_plus(), none, 2, Bit::Zero), Error);
 }
 
 }  // namespace
