@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%-34s %6s %9s %8s  %s\n", "configuration", "O(n)", "CPU",
+  std::printf("%-34s %6s %9s %8s  %s\n", "configuration", "O(n)", "wall",
               "coverage", "stats");
   std::printf("%s\n", std::string(80, '-').c_str());
 

@@ -207,7 +207,7 @@ int cmd_generate(const Args& args) {
   const GenerationResult result = generate_march_test(list);
   std::cout << result.test.to_string() << "\n"
             << "complexity: " << result.test.complexity_label() << "\n"
-            << "cpu time:   " << result.stats.elapsed_seconds << " s\n"
+            << "wall time:  " << result.stats.elapsed_seconds << " s\n"
             << result.certification.summary() << "\n";
   for (const std::string& name : result.uncoverable) {
     std::cout << "uncoverable: " << name << "\n";

@@ -52,10 +52,10 @@ struct GeneratorOptions {
   /// Run the redundancy minimizer.
   bool minimize = true;
   /// Threads for the greedy engine's candidate gain scan (each round spreads
-  /// its batch words, 64/S candidates each, over a bounded pool; all
-  /// threads prune against one shared bound).  0 picks the hardware
-  /// concurrency, 1 runs the scan on the calling thread.  The generated test
-  /// is identical for every thread count.
+  /// its batch words, 64/S candidates of one cost each, cheapest first,
+  /// over a bounded pool; all threads prune against one shared bound).  0
+  /// picks the hardware concurrency, 1 runs the scan on the calling thread.
+  /// The generated test is identical for every thread count.
   std::size_t gain_threads = 0;
   /// Threads for the persistent certification engine (building the packed
   /// prefix state and replaying appended suffixes spreads the surviving
@@ -85,6 +85,8 @@ struct GenerationStats {
   /// would cost ~ trials × instances × test length replays).
   std::size_t minimize_trials = 0;
   std::size_t minimize_element_replays = 0;
+  /// Steady-clock wall time of the whole generation (not CPU time: the
+  /// scans run on gain_threads/certify_threads workers).
   double elapsed_seconds = 0.0;
   // Per-phase wall times (see the phase walkthrough in gen/generator.hpp's
   // file comment and README "Generator pipeline").  cert_prep_seconds is

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -259,30 +261,41 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
                       : ((std::uint64_t{1} << span) - 1) << (j * span);
   };
 
-  // Batch words in input order, one sweep direction each (⇕ reads as ⇑);
-  // member j of a word owns lanes [j·span, (j+1)·span).  Lanes past the
-  // last member of a partly filled word carry copies no op ever touches.
+  // Batch words of one sweep direction (⇕ reads as ⇑) and one cost each:
+  // candidates stably sorted by (direction, cost), so a cheap candidate
+  // never keeps a word of costly ones alive and the cheap words of each
+  // direction set the shared bound early.  Member j of a word owns lanes
+  // [j·span, (j+1)·span); lanes past the last member of a partly filled
+  // word carry copies no op ever touches.
+  const auto word_key = [&](std::size_t c) {
+    return std::make_pair(candidates[c]->order() == AddressOrder::Down,
+                          candidates[c]->cost());
+  };
+  std::vector<std::size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return word_key(x) < word_key(y);
+                   });
   struct Word {
     ElementBatch batch;
     std::vector<std::size_t> members;  ///< candidate indices
-    std::vector<double> costs;
+    double cost = 0.0;                 ///< every member's
   };
   std::vector<Word> words;
-  for (const bool down : {false, true}) {
-    bool open = false;
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      if ((candidates[c]->order() == AddressOrder::Down) != down) continue;
-      if (!open || words.back().members.size() == per_word) {
-        words.emplace_back();
-        words.back().batch.down = down;
-        open = true;
-      }
-      Word& word = words.back();
-      const std::uint64_t lanes = member_lanes(word.members.size());
-      word.batch.add(*candidates[c], *traces[c], lanes);
-      word.members.push_back(c);
-      word.costs.push_back(static_cast<double>(candidates[c]->cost()));
+  for (const std::size_t c : order) {
+    const bool down = word_key(c).first;
+    const double cost = static_cast<double>(word_key(c).second);
+    if (words.empty() || words.back().members.size() == per_word ||
+        words.back().batch.down != down || words.back().cost != cost) {
+      words.emplace_back();
+      words.back().batch.down = down;
+      words.back().cost = cost;
     }
+    Word& word = words.back();
+    const std::uint64_t lanes = member_lanes(word.members.size());
+    word.batch.add(*candidates[c], *traces[c], lanes);
+    word.members.push_back(c);
   }
 
   const std::size_t undetected_start = undetected_scenarios();
@@ -293,15 +306,11 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
       const Word& word = words[w];
       const std::size_t count = word.members.size();
       std::array<std::size_t, 64> g{};
+      std::size_t top = 0;  ///< the largest g[j]
       std::size_t remaining = undetected_start;
+      // One cost per word: it is hopeless once its best member is.
       const auto hopeless = [&] {
-        const double b = bound.load();
-        for (std::size_t j = 0; j < count; ++j) {
-          if (static_cast<double>(g[j] + remaining) / word.costs[j] >= b) {
-            return false;
-          }
-        }
-        return true;
+        return static_cast<double>(top + remaining) / word.cost < bound.load();
       };
       bool pruned = false;
       for (const Item& item : items_) {
@@ -316,6 +325,7 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
           if (newly != 0) {
             for (std::size_t j = 0; j < count; ++j) {
               g[j] += popcount64(newly & member_lanes(j)) * item.weight;
+              top = std::max(top, g[j]);
             }
           }
           if (hopeless()) {
@@ -325,11 +335,8 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
         }
         if (pruned) break;
       }
-      double best = 0.0;
-      for (std::size_t j = 0; j < count; ++j) {
-        gains[word.members[j]] = g[j];
-        best = std::max(best, static_cast<double>(g[j]) / word.costs[j]);
-      }
+      for (std::size_t j = 0; j < count; ++j) gains[word.members[j]] = g[j];
+      const double best = static_cast<double>(top) / word.cost;
       // A finished word's scores are exact: raise the shared bound.
       double seen = bound.load();
       while (!pruned && best > seen &&

@@ -8,11 +8,11 @@
 //  * Greedy construction (phase A): candidate march elements are scored
 //    against the tracked prefix state in one batched scan per round
 //    (gain_scan): the scenario lanes an item leaves idle carry further
-//    candidates, 64/S candidates to a word, and hopeless words are pruned
-//    against a shared bound that keeps the winner's gain exact.  The winner
-//    is appended with commit().  ⇕ candidates are scored and committed in
-//    their ⇑ reading — the greedy approximation the certification pass
-//    repairs.
+//    candidates, 64/S candidates of one cost to a word, and hopeless words
+//    are pruned against a shared bound that keeps the winner's gain exact.
+//    The winner is appended with commit().  ⇕ candidates are scored and
+//    committed in their ⇑ reading — the greedy approximation the
+//    certification pass repairs.
 //  * Incremental certification (phase B, CEGIS): advance() replays only the
 //    elements appended since the last sync, with *exact* ⇕ resolution — when
 //    the suffix contains a ⇕ element the scenario lanes are expanded in
@@ -116,10 +116,12 @@ class PrefixEngine {
   ///
   /// Candidates are scored 64/S at a time, where S is the number of
   /// scenario lanes of an item (2 power-on states × 2^⇕ of the prefix): a
-  /// batch word holds candidates of one sweep direction, each on S lanes
-  /// carrying a copy of the item's block, and is replayed by
+  /// batch word holds candidates of one sweep direction and one cost, each
+  /// on S lanes carrying a copy of the item's block, and is replayed by
   /// PackedFaultSim::run_batch.  With S ≥ 64 a candidate spans S/64 words.
-  /// Words are scanned in parallel on `pool` (inline when null).
+  /// Words are packed from the candidates stably sorted by cost, cheapest
+  /// first per direction, and scanned in parallel on `pool` (inline when
+  /// null).  The returned gains are indexed like `candidates`.
   ///
   /// The scan prunes: a word is abandoned once no candidate in it can reach
   /// the shared bound, i.e. (gain so far + unscanned scenarios) / cost <

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -289,46 +291,59 @@ TEST(PrefixSim, GainScanMatchesPerCandidateReference) {
               << where << " (classes) " << candidates[i].to_string();
         }
 
-        // The whole set, inline and threaded: pruned candidates report a
-        // lower bound, every candidate that ties the best score its exact
-        // gain.
-        std::vector<const MarchElement*> all;
-        std::vector<const ElementTrace*> all_traces;
+        // The whole set, in input order and reversed, inline and threaded:
+        // pruned candidates report a lower bound, every candidate that ties
+        // the best score its exact gain.
         double best = 0.0;
         for (std::size_t i = 0; i < candidates.size(); ++i) {
-          all.push_back(&candidates[i]);
-          all_traces.push_back(&traces[i]);
           best = std::max(best, static_cast<double>(reference[i]) /
                                     static_cast<double>(candidates[i].cost()));
         }
-        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &threads}) {
-          const std::vector<std::size_t> gains =
-              engine.gain_scan(all, all_traces, pool);
-          for (std::size_t i = 0; i < candidates.size(); ++i) {
-            EXPECT_LE(gains[i], reference[i]) << where << " " << i;
-            if (static_cast<double>(reference[i]) /
-                    static_cast<double>(candidates[i].cost()) >=
-                best) {
-              EXPECT_EQ(gains[i], reference[i]) << where << " " << i;
+        for (const bool reversed : {false, true}) {
+          std::vector<std::size_t> order(candidates.size());
+          std::iota(order.begin(), order.end(), std::size_t{0});
+          if (reversed) std::reverse(order.begin(), order.end());
+          std::vector<const MarchElement*> all;
+          std::vector<const ElementTrace*> all_traces;
+          for (const std::size_t i : order) {
+            all.push_back(&candidates[i]);
+            all_traces.push_back(&traces[i]);
+          }
+          for (ThreadPool* pool :
+               {static_cast<ThreadPool*>(nullptr), &threads}) {
+            const std::vector<std::size_t> gains =
+                engine.gain_scan(all, all_traces, pool);
+            for (std::size_t k = 0; k < order.size(); ++k) {
+              const std::size_t i = order[k];
+              EXPECT_LE(gains[k], reference[i]) << where << " " << i;
+              if (static_cast<double>(reference[i]) /
+                      static_cast<double>(candidates[i].cost()) >=
+                  best) {
+                EXPECT_EQ(gains[k], reference[i])
+                    << where << " " << i << (reversed ? " reversed" : "");
+              }
             }
           }
         }
 
-        // Each direction alone, ascending by score, scanned inline: every
-        // word then holds a score at least as high as the bound the words
-        // before it set, so nothing is pruned and every packed lane range
-        // reports its exact gain.
-        for (const bool down_words : {false, true}) {
-          std::vector<std::size_t> order;
-          for (std::size_t i = 0; i < candidates.size(); ++i) {
-            if ((candidates[i].order() == AddressOrder::Down) == down_words) {
-              order.push_back(i);
-            }
-          }
+        // Each (direction, cost) class alone, ascending by score, scanned
+        // inline: the scan packs a class into words in input order, so
+        // every word holds a score at least as high as the bound the words
+        // before it set; nothing is pruned and every packed lane range
+        // reports its exact gain.  The classes partition the candidates, so
+        // every candidate's gain is checked.
+        std::map<std::pair<bool, std::size_t>, std::vector<std::size_t>>
+            classes;
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          classes[{candidates[i].order() == AddressOrder::Down,
+                   candidates[i].cost()}]
+              .push_back(i);
+        }
+        std::vector<std::size_t> checked;
+        for (auto& [key, order] : classes) {
           std::stable_sort(order.begin(), order.end(),
                            [&](std::size_t x, std::size_t y) {
-                             return reference[x] * candidates[y].cost() <
-                                    reference[y] * candidates[x].cost();
+                             return reference[x] < reference[y];
                            });
           std::vector<const MarchElement*> sorted;
           std::vector<const ElementTrace*> sorted_traces;
@@ -342,7 +357,12 @@ TEST(PrefixSim, GainScanMatchesPerCandidateReference) {
             EXPECT_EQ(gains[k], reference[order[k]])
                 << where << " " << candidates[order[k]].to_string();
           }
+          checked.insert(checked.end(), order.begin(), order.end());
         }
+        std::sort(checked.begin(), checked.end());
+        std::vector<std::size_t> every(candidates.size());
+        std::iota(every.begin(), every.end(), std::size_t{0});
+        EXPECT_EQ(checked, every) << where;
       }
     }
   }
