@@ -17,6 +17,37 @@ constexpr std::uint64_t kAlternating[6] = {
     0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull,
 };
 
+/// True when any lane of `word` is set.
+bool any_lane(std::uint64_t word) { return word != 0; }
+bool any_lane(BatchWord word) { return (word[0] | word[1]) != 0; }
+
+PackedFaultSim::OpKind kind_of(Op op) {
+  if (is_read(op)) return PackedFaultSim::kRead;
+  if (is_wait(op)) return PackedFaultSim::kWait;
+  return op == Op::W1 ? PackedFaultSim::kW1 : PackedFaultSim::kW0;
+}
+
+PackedFaultSim::OpKind kind_of(SenseOp sense) {
+  switch (sense) {
+    case SenseOp::W0:
+      return PackedFaultSim::kW0;
+    case SenseOp::W1:
+      return PackedFaultSim::kW1;
+    case SenseOp::Wt:
+      return PackedFaultSim::kWait;
+    case SenseOp::Rd:
+    case SenseOp::None:
+    default:
+      return PackedFaultSim::kRead;
+  }
+}
+
+/// The default effect of the w0 / w1 lanes on one cell word.
+template <typename Word>
+void write_cell(Word& cell, Word w0, Word w1) {
+  cell = (cell & ~w0) | w1;
+}
+
 }  // namespace
 
 ElementTrace compile_element_trace(const MarchElement& element) {
@@ -151,6 +182,7 @@ PackedFaultSim::PackedFaultSim(const FaultInstance& instance) {
     fp.state_fault = bound.fp.is_state_fault();
     fp.op_on_victim = bound.fp.op_on_victim();
     fp.sense = bound.fp.sense_op();
+    fp.sense_kind = kind_of(fp.sense);
     fp.sense_slot = fp.op_on_victim ? fp.v_slot : fp.a_slot;
     fp.v_state_one = bound.fp.v_state() == Bit::One;
     fp.a_state_one = fp.two_cell && bound.fp.a_state() == Bit::One;
@@ -188,20 +220,19 @@ std::string PackedFaultSim::signature() const {
   return out;
 }
 
-std::uint64_t PackedFaultSim::condition_word(const Lanes& lanes,
-                                             const Fp& fp) const {
-  std::uint64_t cond =
-      fp.v_state_one ? lanes.val[fp.v_slot] : ~lanes.val[fp.v_slot];
+template <typename Word>
+Word PackedFaultSim::condition_word(const LanesOf<Word>& lanes,
+                                    const Fp& fp) const {
+  Word cond = fp.v_state_one ? lanes.val[fp.v_slot] : ~lanes.val[fp.v_slot];
   if (fp.two_cell) {
     cond &= fp.a_state_one ? lanes.val[fp.a_slot] : ~lanes.val[fp.a_slot];
   }
   return cond;
 }
 
+template <typename Word>
 void PackedFaultSim::settle_state_faults(
-    Lanes& lanes, std::uint64_t group,
-    std::array<std::uint64_t, kMaxFps>& fired) const {
-  if (!has_state_fault_) return;
+    LanesOf<Word>& lanes, Word group, std::array<Word, kMaxFps>& fired) const {
   // Fixpoint over the (≤ kMaxFps) state faults, mirroring the scalar
   // settle loop: a fault fires in the lanes where it is armed, has not
   // fired during this operation, and its state condition holds.
@@ -211,11 +242,11 @@ void PackedFaultSim::settle_state_faults(
     for (std::size_t i = 0; i < num_fps_; ++i) {
       const Fp& fp = fps_[i];
       if (!fp.state_fault) continue;
-      const std::uint64_t can =
+      const Word can =
           group & lanes.armed[i] & ~fired[i] & condition_word(lanes, fp);
-      if (can == 0) continue;
+      if (!any_lane(can)) continue;
       lanes.val[fp.v_slot] =
-          (lanes.val[fp.v_slot] & ~can) | (fp.fault_one ? can : 0);
+          (lanes.val[fp.v_slot] & ~can) | (fp.fault_one ? can : Word{});
       lanes.armed[i] &= ~can;
       fired[i] |= can;
       changed = true;
@@ -223,9 +254,9 @@ void PackedFaultSim::settle_state_faults(
   }
 }
 
-void PackedFaultSim::rearm_state_faults(Lanes& lanes,
-                                        std::uint64_t group) const {
-  if (!has_state_fault_) return;
+template <typename Word>
+void PackedFaultSim::rearm_state_faults(LanesOf<Word>& lanes,
+                                        Word group) const {
   // Scalar re-arm: a disarmed state fault re-arms once its condition is
   // false again (edge-trigger semantics).
   for (std::size_t i = 0; i < num_fps_; ++i) {
@@ -247,130 +278,98 @@ void PackedFaultSim::power_on(Lanes& lanes, std::uint64_t active,
   lanes.uniform = power1 & active;
   for (std::size_t s = 0; s < num_slots_; ++s) lanes.val[s] = lanes.uniform;
   for (std::size_t i = 0; i < num_fps_; ++i) lanes.armed[i] = active;
-  std::array<std::uint64_t, kMaxFps> fired{};
-  settle_state_faults(lanes, active, fired);
-  rearm_state_faults(lanes, active);
-}
-
-void PackedFaultSim::apply_decoder_op(Lanes& lanes, Op op, std::size_t slot,
-                                      std::uint64_t group,
-                                      std::uint64_t expected) const {
-  // Decoder instances carry no FPs: every deviation is a rerouting of the
-  // operation itself, mirroring the scalar FaultyMemory decoder branches.
-  const bool read = is_read(op);
-  std::uint64_t out = lanes.val[slot];
-  if (slot == decoder_a_slot_) {
-    const std::uint64_t a_val = lanes.val[decoder_a_slot_];
-    const std::uint64_t v_val = lanes.val[decoder_v_slot_];
-    switch (decoder_cls_) {
-      case DecoderFaultClass::NoAccess:
-        // Writes and waits select no cell; reads sense the address-coupled
-        // floating line (a constant per instance, not per lane).
-        out = decoder_read_one_ ? ~std::uint64_t{0} : 0;
-        break;
-      case DecoderFaultClass::WrongCell:
-        out = v_val;
-        if (is_write(op)) {
-          if (op == Op::W1) {
-            lanes.val[decoder_v_slot_] |= group;
-          } else {
-            lanes.val[decoder_v_slot_] &= ~group;
-          }
-        }
-        break;
-      case DecoderFaultClass::MultipleCells:
-        out = decoder_read_one_ ? (a_val | v_val) : (a_val & v_val);
-        if (is_write(op)) {
-          if (op == Op::W1) {
-            lanes.val[decoder_a_slot_] |= group;
-            lanes.val[decoder_v_slot_] |= group;
-          } else {
-            lanes.val[decoder_a_slot_] &= ~group;
-            lanes.val[decoder_v_slot_] &= ~group;
-          }
-        }
-        break;
-      case DecoderFaultClass::MultipleAddresses:
-        out = a_val;  // the read path is intact; only writes are redirected
-        if (is_write(op)) {
-          if (op == Op::W1) {
-            lanes.val[decoder_v_slot_] |= group;
-          } else {
-            lanes.val[decoder_v_slot_] &= ~group;
-          }
-        }
-        break;
-    }
-  } else {
-    // The partner cell's own address decodes normally.
-    if (is_write(op)) {
-      if (op == Op::W1) {
-        lanes.val[slot] |= group;
-      } else {
-        lanes.val[slot] &= ~group;
-      }
-    }
+  if (has_state_fault_) {
+    std::array<std::uint64_t, kMaxFps> fired{};
+    settle_state_faults(lanes, active, fired);
+    rearm_state_faults(lanes, active);
   }
-  if (read) lanes.detected |= group & (out ^ expected);
 }
 
-void PackedFaultSim::apply_op(Lanes& lanes, Op op, std::size_t slot,
-                              std::uint64_t group,
-                              std::uint64_t expected) const {
+template <typename Word>
+void PackedFaultSim::step(LanesOf<Word>& lanes, std::size_t slot,
+                          const KindMasks<Word>& kinds, Word expected) const {
+  const Word reads = kinds[kRead];
+  const Word w0 = kinds[kW0];
+  const Word w1 = kinds[kW1];
+  // A read returns the pre-op faulty value unless overridden below.
+  Word out = lanes.val[slot];
+
   if (has_decoder_) {
-    apply_decoder_op(lanes, op, slot, group, expected);
+    // Decoder instances carry no FPs: every deviation is a rerouting of the
+    // operation itself, mirroring the scalar FaultyMemory decoder branches.
+    if (slot == decoder_a_slot_) {
+      const Word a_val = lanes.val[decoder_a_slot_];
+      const Word v_val = lanes.val[decoder_v_slot_];
+      switch (decoder_cls_) {
+        case DecoderFaultClass::NoAccess:
+          // Writes and waits select no cell; reads sense the address-coupled
+          // floating line (a constant per instance, not per lane).
+          out = decoder_read_one_ ? ~Word{} : Word{};
+          break;
+        case DecoderFaultClass::WrongCell:
+          out = v_val;
+          write_cell(lanes.val[decoder_v_slot_], w0, w1);
+          break;
+        case DecoderFaultClass::MultipleCells:
+          out = decoder_read_one_ ? (a_val | v_val) : (a_val & v_val);
+          write_cell(lanes.val[decoder_a_slot_], w0, w1);
+          write_cell(lanes.val[decoder_v_slot_], w0, w1);
+          break;
+        case DecoderFaultClass::MultipleAddresses:
+          out = a_val;  // the read path is intact; only writes are redirected
+          write_cell(lanes.val[decoder_v_slot_], w0, w1);
+          break;
+      }
+    } else {
+      // The partner cell's own address decodes normally.
+      write_cell(lanes.val[slot], w0, w1);
+    }
+    lanes.detected |= reads & (out ^ expected);
     return;
   }
-  const bool read = is_read(op);
 
-  // 1. Sensitization on the pre-op state (scalar op_matches).  The op kind
-  //    and target address are lane-invariant; only the state condition is a
-  //    per-lane word.  Waits sensitize the retention FPs (SenseOp::Wt) of
-  //    the visited slot, exactly like the scalar machine's wait(address).
-  const SenseOp kind = read ? SenseOp::Rd
-                       : is_wait(op)
-                           ? SenseOp::Wt
-                           : (op == Op::W1 ? SenseOp::W1 : SenseOp::W0);
-  std::array<std::uint64_t, kMaxFps> matched{};
+  // 1. Sensitization on the pre-op state (scalar op_matches): an FP sensed
+  //    at `slot` matches the lanes of its op kind whose state condition
+  //    holds.  Waits sensitize the retention FPs (SenseOp::Wt) of the
+  //    visited slot, exactly like the scalar machine's wait(address).
+  std::array<Word, kMaxFps> matched{};
   for (std::size_t i = 0; i < num_fps_; ++i) {
     const Fp& fp = fps_[i];
     if (fp.state_fault || fp.sense_slot != slot) continue;
-    if (fp.sense != kind) continue;
-    matched[i] = group & condition_word(lanes, fp);
+    const Word sensed = kinds[fp.sense_kind];
+    if (any_lane(sensed)) matched[i] = sensed & condition_word(lanes, fp);
   }
 
-  // 2. A read returns the pre-op faulty value unless overridden below.
-  std::uint64_t out = lanes.val[slot];
+  // 2. Default operation effect (reads and waits leave the content
+  //    untouched).
+  write_cell(lanes.val[slot], w0, w1);
 
-  // 3. Default operation effect (waits leave the content untouched).
-  if (is_write(op)) {
-    if (op == Op::W1) {
-      lanes.val[slot] |= group;
-    } else {
-      lanes.val[slot] &= ~group;
-    }
-  }
-
-  // 4. Fault overrides, in FP order (a later FP overrides an earlier one on
-  //    a shared victim, matching the scalar loop).
-  std::array<std::uint64_t, kMaxFps> fired{};
+  // 3. Fault overrides, in FP order (a later FP overrides an earlier one on
+  //    a shared victim, matching the scalar loop).  Only a read-sensitized
+  //    FP on the victim overrides the read result, so that override lands
+  //    on read lanes only.
+  std::array<Word, kMaxFps> fired{};
   for (std::size_t i = 0; i < num_fps_; ++i) {
-    if (matched[i] == 0) continue;
+    const Word m = matched[i];
+    if (!any_lane(m)) continue;
     const Fp& fp = fps_[i];
     lanes.val[fp.v_slot] =
-        (lanes.val[fp.v_slot] & ~matched[i]) | (fp.fault_one ? matched[i] : 0);
-    if (read && fp.op_on_victim && fp.v_slot == slot) {
-      out = (out & ~matched[i]) | (fp.read_one ? matched[i] : 0);
+        (lanes.val[fp.v_slot] & ~m) | (fp.fault_one ? m : Word{});
+    if (fp.sense == SenseOp::Rd && fp.op_on_victim) {
+      out = (out & ~m) | (fp.read_one ? m : Word{});
     }
-    fired[i] = matched[i];
+    fired[i] = m;
   }
 
-  // 5. State faults settle and re-arm.
-  settle_state_faults(lanes, group, fired);
-  rearm_state_faults(lanes, group);
+  // 4. State faults settle and re-arm.
+  if (has_state_fault_) {
+    const Word group = reads | w0 | w1 | kinds[kWait];
+    settle_state_faults(lanes, group, fired);
+    rearm_state_faults(lanes, group);
+  }
 
-  // 6. Detection: the read mismatches the good machine's value.
-  if (read) lanes.detected |= group & (out ^ expected);
+  // 5. Detection: the read mismatches the good machine's value.
+  lanes.detected |= reads & (out ^ expected);
 }
 
 std::uint64_t PackedFaultSim::run_element(Lanes& lanes,
@@ -399,10 +398,12 @@ std::uint64_t PackedFaultSim::run_element(Lanes& lanes,
     const std::uint64_t group = groups[g];
     if (group == 0) continue;
     const bool ascending = g == 0;
-    for (std::size_t step = 0; step < num_slots_; ++step) {
-      const std::size_t slot = ascending ? step : num_slots_ - 1 - step;
+    for (std::size_t visit = 0; visit < num_slots_; ++visit) {
+      const std::size_t slot = ascending ? visit : num_slots_ - 1 - visit;
       for (std::size_t i = 0; i < ops.size(); ++i) {
-        apply_op(lanes, ops[i], slot, group, expected_word(trace.pre[i]));
+        KindMasks<std::uint64_t> kinds{};
+        kinds[kind_of(ops[i])] = group;
+        step(lanes, slot, kinds, expected_word(trace.pre[i]));
       }
     }
   }
@@ -421,18 +422,30 @@ std::uint64_t PackedFaultSim::run_element(Lanes& lanes,
   return lanes.detected & ~before;
 }
 
-void ElementBatch::add(const MarchElement& element, const ElementTrace& trace,
-                       std::uint64_t lanes) {
+ElementBatch::ElementBatch(bool down_sweep, std::size_t member_span)
+    : down(down_sweep), span(member_span) {
+  require(span >= 1 && span <= 64 && (span & (span - 1)) == 0,
+          "element batch: member span must be a power of two <= 64");
+}
+
+void ElementBatch::add(const MarchElement& element,
+                       const ElementTrace& trace) {
+  require(members < capacity(), "element batch: every member lane is taken");
+  // Member m's lanes [m·span, (m+1)·span) lie in half m·span / 64: span
+  // divides 64, so no member straddles the halves.
+  const std::size_t first = members * span;
+  const std::uint64_t range =
+      (span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1)
+      << (first % 64);
+  BatchWord lanes{};
+  lanes[first / 64] = range;
+  ++members;
+
   const std::vector<Op>& ops = element.ops();
   if (steps.size() < ops.size()) steps.resize(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    const Op op = ops[i];
-    const Kind kind = is_read(op)   ? kRead
-                      : is_wait(op) ? kWait
-                      : op == Op::W1 ? kW1
-                                     : kW0;
     Step& step = steps[i];
-    step.kind[kind] |= lanes;
+    step.kind[kind_of(ops[i])] |= lanes;
     if (trace.pre[i] == TraceVal::One) step.expect_one |= lanes;
     if (trace.pre[i] == TraceVal::Prev) step.expect_prev |= lanes;
   }
@@ -440,23 +453,44 @@ void ElementBatch::add(const MarchElement& element, const ElementTrace& trace,
   if (trace.final_value == TraceVal::Prev) final_prev |= lanes;
 }
 
-std::uint64_t PackedFaultSim::run_batch(Lanes& lanes,
-                                        const ElementBatch& batch) const {
-  // apply_op tells reads apart only through `expected`, so one read op
-  // stands for every read kind.
-  static constexpr Op kKindOp[ElementBatch::kKinds] = {Op::R0, Op::W0, Op::W1,
-                                                       Op::T};
-  const std::uint64_t before = lanes.detected;
-  const std::uint64_t entry_uniform = lanes.uniform;
+PackedFaultSim::LanesOf<BatchWord> ElementBatch::replicate(
+    const PackedFaultSim::Lanes& block) const {
+  // Multiplying lanes [0, span) by `repeat` (bit k·span set for every k)
+  // copies them into every span-wide range: the copies are disjoint, so
+  // the product carries nothing.
+  const std::uint64_t low =
+      span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1;
+  const std::uint64_t repeat = ~std::uint64_t{0} / low;
+  const auto spread = [&](std::uint64_t word) {
+    word = (word & low) * repeat;
+    return BatchWord{word, word};
+  };
+  PackedFaultSim::LanesOf<BatchWord> out;
+  out.active = spread(block.active);
+  out.detected = spread(block.detected);
+  out.uniform = spread(block.uniform);
+  for (std::size_t s = 0; s < PackedFaultSim::kMaxSlots; ++s) {
+    out.val[s] = spread(block.val[s]);
+  }
+  for (std::size_t f = 0; f < PackedFaultSim::kMaxFps; ++f) {
+    out.armed[f] = spread(block.armed[f]);
+  }
+  return out;
+}
+
+BatchWord PackedFaultSim::run_batch(LanesOf<BatchWord>& lanes,
+                                    const ElementBatch& batch) const {
+  const BatchWord before = lanes.detected;
+  const BatchWord entry_uniform = lanes.uniform;
   for (std::size_t visit = 0; visit < num_slots_; ++visit) {
     const std::size_t slot = batch.down ? num_slots_ - 1 - visit : visit;
-    for (const ElementBatch::Step& step : batch.steps) {
-      const std::uint64_t expected =
-          step.expect_one | (step.expect_prev & entry_uniform);
-      for (std::size_t k = 0; k < ElementBatch::kKinds; ++k) {
-        const std::uint64_t group = step.kind[k] & lanes.active;
-        if (group != 0) apply_op(lanes, kKindOp[k], slot, group, expected);
+    for (const ElementBatch::Step& op : batch.steps) {
+      KindMasks<BatchWord> kinds{};
+      for (std::size_t k = 0; k < kOpKinds; ++k) {
+        kinds[k] = op.kind[k] & lanes.active;
       }
+      step(lanes, slot, kinds,
+           op.expect_one | (op.expect_prev & entry_uniform));
     }
   }
   lanes.uniform = batch.final_one | (batch.final_prev & entry_uniform);

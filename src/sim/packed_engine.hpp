@@ -141,6 +141,11 @@ std::uint64_t scenario_down_word(std::size_t base, std::size_t combos,
 std::uint64_t element_down_word(const MarchElement& element, int any_ordinal,
                                 std::size_t base, std::size_t combos);
 
+/// A 128-lane word for ElementBatch: two 64-lane halves, lane l in half
+/// l / 64, with the bitwise operators of std::uint64_t (the GCC/Clang vector
+/// extension; SSE2, the x86-64 baseline, keeps it in one register).
+using BatchWord = std::uint64_t __attribute__((vector_size(16)));
+
 // -- The packed machine ------------------------------------------------------
 
 /// Throws unless every bound FP of `instance` addresses a cell of an
@@ -187,15 +192,24 @@ class PackedFaultSim {
   /// (class, wired, bit `bit` of the corrupted address).
   std::string signature() const;
 
-  /// Per-block lane state; plain data, copyable (the greedy engine's trial
-  /// evaluation relies on cheap copies).
-  struct Lanes {
-    std::uint64_t active = 0;    ///< lanes carrying a scenario
-    std::uint64_t detected = 0;  ///< sticky detection flags
-    std::uint64_t uniform = 0;   ///< good-machine uniform value per lane
-    std::array<std::uint64_t, kMaxSlots> val{};   ///< faulty involved cells
-    std::array<std::uint64_t, kMaxFps> armed{};   ///< state-fault edge flags
+  /// Lane state over `Word`-wide lane words; plain data, copyable (the
+  /// greedy engine's trial evaluation relies on cheap copies).  A scenario
+  /// block is 64 lanes (Lanes); run_batch replays 128 (BatchWord).
+  template <typename Word>
+  struct LanesOf {
+    Word active{};    ///< lanes carrying a scenario
+    Word detected{};  ///< sticky detection flags
+    Word uniform{};   ///< good-machine uniform value per lane
+    std::array<Word, kMaxSlots> val{};  ///< faulty involved cells
+    std::array<Word, kMaxFps> armed{};  ///< state-fault edge flags
   };
+  using Lanes = LanesOf<std::uint64_t>;
+
+  /// Op kinds at one op position.  Every read kind shares one: the step
+  /// kernel tells reads apart only by their expected value.
+  enum OpKind : std::uint8_t { kRead, kW0, kW1, kWait, kOpKinds };
+  template <typename Word>
+  using KindMasks = std::array<Word, kOpKinds>;
 
   /// Initialises a block: every lane holds its power-on value everywhere,
   /// state faults settle once and re-arm (scalar power_on semantics).
@@ -217,20 +231,25 @@ class PackedFaultSim {
 
   /// Replays the batch's elements side by side, each over its own lanes
   /// (see ElementBatch), and returns the lanes newly detected.  `lanes`
-  /// holds one scenario block replicated into every element's lanes, with
-  /// `uniform` the good machine's entry value per lane.
+  /// holds one scenario block replicated into every member's lanes
+  /// (ElementBatch::replicate), with `uniform` the good machine's entry
+  /// value per lane.
   ///
   /// Soundness: the result in every lane equals run_element() of that
   /// lane's element.  The slots are visited in the batch's sweep order and,
   /// at each slot, op position after op position, so every lane sees its
   /// own element's operations in exactly run_element's order.  At one
-  /// (slot, position) apply_op runs once per op kind present, masked to the
-  /// lanes of that kind.  Every apply_op update is masked to its lane group
-  /// and lanes never read each other's bits, so the kinds' masks being
-  /// disjoint makes the order in which kinds run at one position
-  /// irrelevant.  Reads take the per-lane expected word
+  /// (slot, position) the step kernel runs once over all four kind masks,
+  /// where run_element runs it with one mask set.  Every update the kernel
+  /// makes is masked per lane — sensitization to the lanes of the FP's op
+  /// kind, writes to the w0 / w1 lanes, the read-result override and
+  /// detection to the read lanes, settle and re-arm to the union — and
+  /// lanes never read each other's bits.  The kind masks are disjoint, so
+  /// the one fused pass equals the per-kind passes run one after another,
+  /// lane for lane, in any order.  Reads take the per-lane expected word
   /// expect_one | (expect_prev & entry uniform).
-  std::uint64_t run_batch(Lanes& lanes, const ElementBatch& batch) const;
+  BatchWord run_batch(LanesOf<BatchWord>& lanes,
+                      const ElementBatch& batch) const;
 
  private:
   /// A fault primitive lowered to slot-indexed bit tests.
@@ -242,25 +261,33 @@ class PackedFaultSim {
     bool state_fault = false;
     bool op_on_victim = false;
     SenseOp sense = SenseOp::None;
+    OpKind sense_kind = kRead;  ///< `sense` as an op kind (not state faults)
     bool v_state_one = false;  ///< sensitizing victim state
     bool a_state_one = false;  ///< sensitizing aggressor state (2-cell)
     bool fault_one = false;    ///< F — forced victim value
     bool read_one = false;     ///< R — returned value on a victim read
   };
 
-  /// Lanes (of `within`) whose pre-op state matches the FP's sensitizing
-  /// states.
-  std::uint64_t condition_word(const Lanes& lanes, const Fp& fp) const;
+  /// Lanes whose pre-op state matches the FP's sensitizing states.
+  template <typename Word>
+  Word condition_word(const LanesOf<Word>& lanes, const Fp& fp) const;
 
-  void apply_op(Lanes& lanes, Op op, std::size_t slot, std::uint64_t group,
-                std::uint64_t expected) const;
-  void settle_state_faults(Lanes& lanes, std::uint64_t group,
-                           std::array<std::uint64_t, kMaxFps>& fired) const;
-  void rearm_state_faults(Lanes& lanes, std::uint64_t group) const;
-
-  /// Decoder-op dispatch of apply_op (has_decoder_ machines only).
-  void apply_decoder_op(Lanes& lanes, Op op, std::size_t slot,
-                        std::uint64_t group, std::uint64_t expected) const;
+  /// The step kernel: applies one op position at `slot` to every lane in
+  /// `kinds` — four disjoint masks (read, w0, w1, wait) — in one pass.
+  /// Reads compare against `expected`.  FP machines sensitize on the
+  /// pre-op state, write, apply the FP overrides in FP order, then settle
+  /// and re-arm state faults; decoder machines reroute the operation at the
+  /// corrupted address (mirroring the scalar FaultyMemory branches).
+  template <typename Word>
+  void step(LanesOf<Word>& lanes, std::size_t slot,
+            const KindMasks<Word>& kinds, Word expected) const;
+  /// State-fault settle and re-arm over `group` (machines with a state
+  /// fault only).
+  template <typename Word>
+  void settle_state_faults(LanesOf<Word>& lanes, Word group,
+                           std::array<Word, kMaxFps>& fired) const;
+  template <typename Word>
+  void rearm_state_faults(LanesOf<Word>& lanes, Word group) const;
 
   std::array<std::size_t, kMaxSlots> cells_{};  ///< involved addresses, asc
   std::size_t num_slots_ = 0;
@@ -277,31 +304,42 @@ class PackedFaultSim {
   bool decoder_read_one_ = false;
 };
 
-/// Several march elements packed side by side into the lanes of one block,
-/// for PrefixEngine::gain_scan: each element owns a disjoint lane range and
-/// all of them sweep the batch's direction.  Per op position the batch keeps
-/// one lane mask per op kind (every read kind shares a mask: apply_op only
-/// distinguishes reads by their expected value, which is per lane here).
+/// Several march elements packed side by side into the 128 lanes of a
+/// BatchWord, for PrefixEngine::gain_scan: each element (a *member*) owns
+/// `span` lanes, member m lanes [m·span, (m+1)·span), and all of them sweep
+/// the batch's direction.  Per op position the batch keeps one lane mask per
+/// op kind, the step kernel's input.
 struct ElementBatch {
-  /// Op kinds, in the order run_batch applies them at one position.
-  enum Kind : std::uint8_t { kRead, kW0, kW1, kWait, kKinds };
+  static constexpr std::size_t kLanes = 128;
 
   struct Step {
-    std::array<std::uint64_t, kKinds> kind{};  ///< lanes per op kind
-    std::uint64_t expect_one = 0;   ///< reads here expect 1
-    std::uint64_t expect_prev = 0;  ///< reads here expect the entry value
+    PackedFaultSim::KindMasks<BatchWord> kind{};  ///< lanes per op kind
+    BatchWord expect_one{};   ///< reads here expect 1
+    BatchWord expect_prev{};  ///< reads here expect the entry value
   };
 
+  /// An empty batch of `span`-lane members (span a power of two ≤ 64).
+  ElementBatch(bool down_sweep, std::size_t member_span);
+
   bool down = false;        ///< every element sweeps ⇓ (else ⇑)
+  std::size_t span = 64;    ///< lanes per member
+  std::size_t members = 0;  ///< elements added so far
   std::vector<Step> steps;  ///< one per op position of the longest element
   /// Lanes whose element leaves the memory 1 / unchanged (TraceVal::Prev).
-  std::uint64_t final_one = 0;
-  std::uint64_t final_prev = 0;
+  BatchWord final_one{};
+  BatchWord final_prev{};
 
-  /// Adds `element` (with its compiled trace) on `lanes`, which no element
-  /// added before may use.  The element's own order is ignored.
-  void add(const MarchElement& element, const ElementTrace& trace,
-           std::uint64_t lanes);
+  /// Members a batch holds: kLanes / span.
+  std::size_t capacity() const noexcept { return kLanes / span; }
+
+  /// Adds `element` (with its compiled trace) as the next member; the batch
+  /// must not be full.  The element's own order is ignored.
+  void add(const MarchElement& element, const ElementTrace& trace);
+
+  /// Lanes [0, span) of `block` copied into every member's lane range (and
+  /// the unused ranges past the last member, which no op touches).
+  PackedFaultSim::LanesOf<BatchWord> replicate(
+      const PackedFaultSim::Lanes& block) const;
 };
 
 // -- Full-test runner --------------------------------------------------------

@@ -11,34 +11,6 @@
 #include "sim/simulator.hpp"
 
 namespace mtg {
-namespace {
-
-/// Lanes [0, span) of `block`, copied into every span-wide lane range (span
-/// a power of two ≤ 64).
-PackedFaultSim::Lanes replicate(const PackedFaultSim::Lanes& block,
-                                std::size_t span) {
-  const std::uint64_t low =
-      span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1;
-  const auto spread = [&](std::uint64_t word) {
-    word &= low;
-    for (std::size_t shift = span; shift < 64; shift *= 2) word |= word << shift;
-    return word;
-  };
-  PackedFaultSim::Lanes out;
-  out.active = spread(block.active);
-  out.detected = spread(block.detected);
-  out.uniform = spread(block.uniform);
-  for (std::size_t s = 0; s < PackedFaultSim::kMaxSlots; ++s) {
-    out.val[s] = spread(block.val[s]);
-  }
-  for (std::size_t f = 0; f < PackedFaultSim::kMaxFps; ++f) {
-    out.armed[f] = spread(block.armed[f]);
-  }
-  return out;
-}
-
-}  // namespace
-
 PrefixEngine::PrefixEngine(std::size_t memory_size, bool record_checkpoints)
     : memory_size_(memory_size), record_checkpoints_(record_checkpoints) {
   any_before_.push_back(0);
@@ -252,21 +224,15 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
   require(traces.size() == candidates.size(),
           "prefix engine: gain_scan needs one trace per candidate");
   // Every item has the prefix's S = 2 · 2^(⇕ elements) scenario lanes:
-  // commit() never expands them.
+  // commit() never expands them.  A member takes min(S, 64) lanes, so a
+  // batch word holds 128/S members, or 2 when a candidate spans S/64 blocks.
   const std::size_t scenarios = std::size_t{2} << any_before_.back();
   const std::size_t span = std::min<std::size_t>(scenarios, 64);
-  const std::size_t per_word = 64 / span;
-  const auto member_lanes = [&](std::size_t j) {
-    return span == 64 ? ~std::uint64_t{0}
-                      : ((std::uint64_t{1} << span) - 1) << (j * span);
-  };
 
   // Batch words of one sweep direction (⇕ reads as ⇑) and one cost each:
   // candidates stably sorted by (direction, cost), so a cheap candidate
   // never keeps a word of costly ones alive and the cheap words of each
-  // direction set the shared bound early.  Member j of a word owns lanes
-  // [j·span, (j+1)·span); lanes past the last member of a partly filled
-  // word carry copies no op ever touches.
+  // direction set the shared bound early.
   const auto word_key = [&](std::size_t c) {
     return std::make_pair(candidates[c]->order() == AddressOrder::Down,
                           candidates[c]->cost());
@@ -286,15 +252,13 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
   for (const std::size_t c : order) {
     const bool down = word_key(c).first;
     const double cost = static_cast<double>(word_key(c).second);
-    if (words.empty() || words.back().members.size() == per_word ||
+    if (words.empty() ||
+        words.back().members.size() == words.back().batch.capacity() ||
         words.back().batch.down != down || words.back().cost != cost) {
-      words.emplace_back();
-      words.back().batch.down = down;
-      words.back().cost = cost;
+      words.push_back(Word{ElementBatch(down, span), {}, cost});
     }
     Word& word = words.back();
-    const std::uint64_t lanes = member_lanes(word.members.size());
-    word.batch.add(*candidates[c], *traces[c], lanes);
+    word.batch.add(*candidates[c], *traces[c]);
     word.members.push_back(c);
   }
 
@@ -305,7 +269,7 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
     for (std::size_t w = begin; w < end; ++w) {
       const Word& word = words[w];
       const std::size_t count = word.members.size();
-      std::array<std::size_t, 64> g{};
+      std::array<std::size_t, ElementBatch::kLanes> g{};
       std::size_t top = 0;  ///< the largest g[j]
       std::size_t remaining = undetected_start;
       // One cost per word: it is hopeless once its best member is.
@@ -320,12 +284,18 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
               popcount64(block.active & ~block.detected);
           if (undetected == 0) continue;
           remaining -= undetected * item.weight;
-          PackedFaultSim::Lanes trial = replicate(block, span);
-          const std::uint64_t newly = item.sim.run_batch(trial, word.batch);
-          if (newly != 0) {
-            for (std::size_t j = 0; j < count; ++j) {
-              g[j] += popcount64(newly & member_lanes(j)) * item.weight;
-              top = std::max(top, g[j]);
+          PackedFaultSim::LanesOf<BatchWord> trial =
+              word.batch.replicate(block);
+          const BatchWord newly = item.sim.run_batch(trial, word.batch);
+          // Lane l belongs to member l / span.
+          for (std::size_t half = 0; half < 2; ++half) {
+            for (std::uint64_t bits = newly[half]; bits != 0;
+                 bits &= bits - 1) {
+              const std::size_t lane =
+                  64 * half + static_cast<std::size_t>(__builtin_ctzll(bits));
+              std::size_t& gain = g[lane / span];
+              gain += item.weight;
+              top = std::max(top, gain);
             }
           }
           if (hopeless()) {

@@ -8,8 +8,9 @@
 //  * Greedy construction (phase A): candidate march elements are scored
 //    against the tracked prefix state in one batched scan per round
 //    (gain_scan): the scenario lanes an item leaves idle carry further
-//    candidates, 64/S candidates of one cost to a word, and hopeless words
-//    are pruned against a shared bound that keeps the winner's gain exact.
+//    candidates, 128/S candidates of one cost to a 128-lane batch word, and
+//    hopeless words are pruned against a shared bound that keeps the
+//    winner's gain exact.
 //    The winner is appended with commit().  ⇕ candidates are scored and
 //    committed in their ⇑ reading — the greedy approximation the
 //    certification pass repairs.
@@ -114,11 +115,14 @@ class PrefixEngine {
   /// ⇑ reading (as the scalar engine did); certification re-resolves ⇕
   /// orders exactly.  `traces[i]` must be candidates[i]'s compiled trace.
   ///
-  /// Candidates are scored 64/S at a time, where S is the number of
+  /// Candidates are scored 128/S at a time, where S is the number of
   /// scenario lanes of an item (2 power-on states × 2^⇕ of the prefix): a
-  /// batch word holds candidates of one sweep direction and one cost, each
-  /// on S lanes carrying a copy of the item's block, and is replayed by
-  /// PackedFaultSim::run_batch.  With S ≥ 64 a candidate spans S/64 words.
+  /// 128-lane batch word (ElementBatch) holds candidates of one sweep
+  /// direction and one cost, each on S lanes carrying a copy of the item's
+  /// block, and is replayed by PackedFaultSim::run_batch.  With S ≥ 64 a
+  /// word holds two candidates, one per 64-lane half, and each block of the
+  /// item is replayed in turn.  A word's newly detected lanes are credited
+  /// bit by bit, lane l to member l / min(S, 64).
   /// Words are packed from the candidates stably sorted by cost, cheapest
   /// first per direction, and scanned in parallel on `pool` (inline when
   /// null).  The returned gains are indexed like `candidates`.

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "fp/fault_list.hpp"
 #include "../sim/coverage_helpers.hpp"
@@ -65,6 +66,42 @@ TEST(IncrementalGenerator, DefaultOptionsMatchPreIncrementalGoldens) {
     // The persistent engine drops every certify instance it pays for.
     EXPECT_GT(result.stats.instances_dropped, 0u) << golden.list;
   }
+}
+
+TEST(IncrementalGenerator, GainScanOutputsArePinned) {
+  // What "byte-identical" means for a change to the phase-A gain scan,
+  // captured from the 64-lane scan with default GeneratorOptions: the
+  // decoder list's generated test, and every greedy round of List #1 —
+  // the winner and its exact gain, which pruning must never cut short.
+  EXPECT_EQ(generate_march_test(list_by_name("decoder")).test.to_string(),
+            "{⇕(w0); ⇑(r0,w1); ⇑(r1,w0)}");
+
+  const std::vector<std::string> rounds = {
+      "appended ⇑(r0) (gain 3823, 3632 instances left)",
+      "appended ⇓(r0) (gain 1972, 3139 instances left)",
+      "appended ⇑(r0,w1,r1) (gain 3463, 2226 instances left)",
+      "appended ⇑(r1) (gain 2150, 1560 instances left)",
+      "appended ⇑(r1,w0,r0) (gain 1932, 1003 instances left)",
+      "appended ⇑(r0) (gain 718, 810 instances left)",
+      "appended ⇓(r0,w1,w1,r1) (gain 1101, 486 instances left)",
+      "appended ⇑(r1) (gain 509, 325 instances left)",
+      "appended ⇓(r1,w1,r1,w0) (gain 586, 131 instances left)",
+      "appended ⇑(r0) (gain 130, 94 instances left)",
+      "appended ⇑(w0,r0) (gain 108, 58 instances left)",
+      "appended ⇑(r0) (gain 30, 48 instances left)",
+      "appended ⇑(r0,w0,r0,r0,w1) (gain 104, 20 instances left)",
+      "appended ⇑(r1) (gain 24, 14 instances left)",
+      "appended ⇑(r1,w0,w0,w1) (gain 22, 8 instances left)",
+      "appended ⇑(r1) (gain 8, 6 instances left)",
+      "appended ⇓(r1,w0,r0,w1) (gain 16, 2 instances left)",
+      "appended ⇑(r1) (gain 8, 0 instances left)",
+  };
+  std::vector<std::string> appended;
+  for (const std::string& line :
+       generate_march_test(list_by_name("list1")).stats.log) {
+    if (line.rfind("appended ", 0) == 0) appended.push_back(line);
+  }
+  EXPECT_EQ(appended, rounds);
 }
 
 TEST(IncrementalGenerator, VariantOptionsMatchPreIncrementalGoldens) {
