@@ -52,11 +52,11 @@ struct GeneratorOptions {
   /// Run the redundancy minimizer.
   bool minimize = true;
   /// Threads for the greedy engine's candidate gain scan (each round spreads
-  /// its 128-lane batch words, 128/S candidates of one cost each, cheapest
-  /// first, over a bounded pool; all threads prune against one shared
-  /// bound).  0 picks the hardware concurrency, 1 runs the scan on the
-  /// calling thread.  The generated test is identical for every thread
-  /// count.
+  /// its 128-lane batch words, 128 candidates of one direction and one cost
+  /// each, cheapest first, over a bounded pool; all threads prune against
+  /// one shared bound).  0 picks the hardware concurrency, 1 runs the scan
+  /// on the calling thread.  The generated test is identical for every
+  /// thread count.
   std::size_t gain_threads = 0;
   /// Threads for the persistent certification engine (building the packed
   /// prefix state and replaying appended suffixes spreads the surviving

@@ -116,6 +116,60 @@ std::uint64_t layout_seed(std::size_t fault_index, std::size_t n,
          (static_cast<std::uint64_t>(n) << 8) ^ static_cast<std::uint64_t>(k);
 }
 
+/// The instance binding a simple fault's layout positions to `cells`.
+FaultInstance bind(const SimpleFault& fault,
+                   const std::vector<std::size_t>& cells,
+                   std::size_t fault_index) {
+  const std::size_t v = cells[fault.v_pos];
+  const std::size_t a = fault.a_pos >= 0 ? cells[fault.a_pos] : v;
+  FaultInstance inst;
+  inst.fault_index = fault_index;
+  inst.fps.push_back(BoundFp(fault.fp, a, v));
+  inst.description = fault.name + " @ " + inst.fps[0].to_string();
+  return inst;
+}
+
+/// The instance binding a linked fault's layout positions to `cells`.
+FaultInstance bind(const LinkedFault& fault,
+                   const std::vector<std::size_t>& cells,
+                   std::size_t fault_index) {
+  const LinkedLayout& layout = fault.layout();
+  const std::size_t v = cells[layout.v_pos];
+  const std::size_t a1 = layout.a1_pos >= 0 ? cells[layout.a1_pos] : v;
+  const std::size_t a2 = layout.a2_pos >= 0 ? cells[layout.a2_pos] : v;
+  FaultInstance inst;
+  inst.fault_index = fault_index;
+  inst.fps.push_back(BoundFp(fault.fp1(), a1, v));
+  inst.fps.push_back(BoundFp(fault.fp2(), a2, v));
+  inst.description = fault.name() + " @ v=" + std::to_string(v) +
+                     " a1=" + std::to_string(a1) + " a2=" + std::to_string(a2);
+  return inst;
+}
+
+/// The number k of cells an FP fault's layout binds; throws unless an
+/// n-cell memory has them.
+template <typename Fault>
+std::size_t layout_cells(const Fault& fault, std::size_t n) {
+  const std::size_t k = static_cast<std::size_t>(fault.num_cells());
+  require(n >= k, "memory too small for the fault layout");
+  return k;
+}
+
+/// instantiate() of an FP fault: bind() over bounded_subsets().
+template <typename Fault>
+std::vector<FaultInstance> instantiate_layouts(const Fault& fault,
+                                               std::size_t n,
+                                               std::size_t fault_index,
+                                               std::size_t max_instances) {
+  const std::size_t k = layout_cells(fault, n);
+  std::vector<FaultInstance> result;
+  for (const auto& cells : bounded_subsets(
+           n, k, max_instances, layout_seed(fault_index, n, k))) {
+    result.push_back(bind(fault, cells, fault_index));
+  }
+  return result;
+}
+
 }  // namespace
 
 std::uint64_t kept_layouts(std::size_t n, std::size_t k, std::size_t cap) {
@@ -137,43 +191,13 @@ std::uint64_t kept_layouts(std::size_t n, std::size_t k, std::size_t cap) {
 std::vector<FaultInstance> instantiate(const SimpleFault& fault, std::size_t n,
                                        std::size_t fault_index,
                                        std::size_t max_instances) {
-  std::vector<FaultInstance> result;
-  const std::size_t k = fault.num_cells();
-  require(n >= k, "memory too small for the fault layout");
-  for (const auto& cells : bounded_subsets(
-           n, k, max_instances, layout_seed(fault_index, n, k))) {
-    const std::size_t v = cells[fault.v_pos];
-    const std::size_t a = fault.a_pos >= 0 ? cells[fault.a_pos] : v;
-    FaultInstance inst;
-    inst.fault_index = fault_index;
-    inst.fps.push_back(BoundFp(fault.fp, a, v));
-    inst.description = fault.name + " @ " + inst.fps[0].to_string();
-    result.push_back(std::move(inst));
-  }
-  return result;
+  return instantiate_layouts(fault, n, fault_index, max_instances);
 }
 
 std::vector<FaultInstance> instantiate(const LinkedFault& fault, std::size_t n,
                                        std::size_t fault_index,
                                        std::size_t max_instances) {
-  std::vector<FaultInstance> result;
-  const std::size_t k = fault.num_cells();
-  require(n >= k, "memory too small for the fault layout");
-  const LinkedLayout& layout = fault.layout();
-  for (const auto& cells : bounded_subsets(
-           n, k, max_instances, layout_seed(fault_index, n, k))) {
-    const std::size_t v = cells[layout.v_pos];
-    const std::size_t a1 = layout.a1_pos >= 0 ? cells[layout.a1_pos] : v;
-    const std::size_t a2 = layout.a2_pos >= 0 ? cells[layout.a2_pos] : v;
-    FaultInstance inst;
-    inst.fault_index = fault_index;
-    inst.fps.push_back(BoundFp(fault.fp1(), a1, v));
-    inst.fps.push_back(BoundFp(fault.fp2(), a2, v));
-    inst.description = fault.name() + " @ v=" + std::to_string(v) +
-                       " a1=" + std::to_string(a1) + " a2=" + std::to_string(a2);
-    result.push_back(std::move(inst));
-  }
-  return result;
+  return instantiate_layouts(fault, n, fault_index, max_instances);
 }
 
 std::size_t decoder_address_count(const DecoderFault& fault, std::size_t n) {
@@ -268,13 +292,14 @@ std::vector<BehaviourClass> behaviour_classes(const FaultList& list,
   std::vector<BehaviourClass> classes;
   std::size_t index = 0;
   // Every layout of an FP fault has the same relative cell order: one class,
-  // represented by the lowest layout, weighted by the analytic layout count.
+  // represented by the lowest layout {0..k-1} (the first instantiate() keeps
+  // under every cap), weighted by the analytic layout count.
   const auto add_fp_fault = [&](const auto& fault) {
-    BehaviourClass cls;
-    cls.representative = instantiate(fault, n, index, 1).front();
-    cls.weight = static_cast<std::size_t>(
-        kept_layouts(n, static_cast<std::size_t>(fault.num_cells()), cap));
-    classes.push_back(std::move(cls));
+    std::vector<std::size_t> lowest(layout_cells(fault, n));
+    std::iota(lowest.begin(), lowest.end(), std::size_t{0});
+    classes.push_back(BehaviourClass{
+        bind(fault, lowest, index),
+        static_cast<std::size_t>(kept_layouts(n, lowest.size(), cap))});
     ++index;
   };
   for (const SimpleFault& fault : list.simple) add_fp_fault(fault);

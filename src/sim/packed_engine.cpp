@@ -422,23 +422,11 @@ std::uint64_t PackedFaultSim::run_element(Lanes& lanes,
   return lanes.detected & ~before;
 }
 
-ElementBatch::ElementBatch(bool down_sweep, std::size_t member_span)
-    : down(down_sweep), span(member_span) {
-  require(span >= 1 && span <= 64 && (span & (span - 1)) == 0,
-          "element batch: member span must be a power of two <= 64");
-}
-
 void ElementBatch::add(const MarchElement& element,
                        const ElementTrace& trace) {
-  require(members < capacity(), "element batch: every member lane is taken");
-  // Member m's lanes [m·span, (m+1)·span) lie in half m·span / 64: span
-  // divides 64, so no member straddles the halves.
-  const std::size_t first = members * span;
-  const std::uint64_t range =
-      (span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1)
-      << (first % 64);
+  require(members < kLanes, "element batch: every member lane is taken");
   BatchWord lanes{};
-  lanes[first / 64] = range;
+  lanes[members / 64] = std::uint64_t{1} << (members % 64);
   ++members;
 
   const std::vector<Op>& ops = element.ops();
@@ -453,17 +441,11 @@ void ElementBatch::add(const MarchElement& element,
   if (trace.final_value == TraceVal::Prev) final_prev |= lanes;
 }
 
-PackedFaultSim::LanesOf<BatchWord> ElementBatch::replicate(
-    const PackedFaultSim::Lanes& block) const {
-  // Multiplying lanes [0, span) by `repeat` (bit k·span set for every k)
-  // copies them into every span-wide range: the copies are disjoint, so
-  // the product carries nothing.
-  const std::uint64_t low =
-      span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1;
-  const std::uint64_t repeat = ~std::uint64_t{0} / low;
+PackedFaultSim::LanesOf<BatchWord> ElementBatch::broadcast(
+    const PackedFaultSim::Lanes& block, std::size_t lane) {
   const auto spread = [&](std::uint64_t word) {
-    word = (word & low) * repeat;
-    return BatchWord{word, word};
+    const std::uint64_t all = std::uint64_t{0} - ((word >> lane) & 1u);
+    return BatchWord{all, all};
   };
   PackedFaultSim::LanesOf<BatchWord> out;
   out.active = spread(block.active);
@@ -485,11 +467,7 @@ BatchWord PackedFaultSim::run_batch(LanesOf<BatchWord>& lanes,
   for (std::size_t visit = 0; visit < num_slots_; ++visit) {
     const std::size_t slot = batch.down ? num_slots_ - 1 - visit : visit;
     for (const ElementBatch::Step& op : batch.steps) {
-      KindMasks<BatchWord> kinds{};
-      for (std::size_t k = 0; k < kOpKinds; ++k) {
-        kinds[k] = op.kind[k] & lanes.active;
-      }
-      step(lanes, slot, kinds,
+      step(lanes, slot, op.kind,
            op.expect_one | (op.expect_prev & entry_uniform));
     }
   }

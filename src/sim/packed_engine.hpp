@@ -229,11 +229,10 @@ class PackedFaultSim {
                             const ElementTrace& trace,
                             std::uint64_t down) const;
 
-  /// Replays the batch's elements side by side, each over its own lanes
-  /// (see ElementBatch), and returns the lanes newly detected.  `lanes`
-  /// holds one scenario block replicated into every member's lanes
-  /// (ElementBatch::replicate), with `uniform` the good machine's entry
-  /// value per lane.
+  /// Replays the batch's elements side by side, member m on lane m, and
+  /// returns the lanes newly detected.  `lanes` holds one active lane's
+  /// state broadcast to every lane (ElementBatch::broadcast), with `uniform`
+  /// the good machine's entry value; every lane counts as active.
   ///
   /// Soundness: the result in every lane equals run_element() of that
   /// lane's element.  The slots are visited in the batch's sweep order and,
@@ -304,11 +303,11 @@ class PackedFaultSim {
   bool decoder_read_one_ = false;
 };
 
-/// Several march elements packed side by side into the 128 lanes of a
-/// BatchWord, for PrefixEngine::gain_scan: each element (a *member*) owns
-/// `span` lanes, member m lanes [m·span, (m+1)·span), and all of them sweep
-/// the batch's direction.  Per op position the batch keeps one lane mask per
-/// op kind, the step kernel's input.
+/// Up to 128 march elements packed side by side into the lanes of a
+/// BatchWord, for PrefixEngine::gain_scan: each element (a *member*) owns one
+/// lane, member m lane m, and all of them sweep the batch's direction.  Per
+/// op position the batch keeps one lane mask per op kind, the step kernel's
+/// input.
 struct ElementBatch {
   static constexpr std::size_t kLanes = 128;
 
@@ -318,28 +317,24 @@ struct ElementBatch {
     BatchWord expect_prev{};  ///< reads here expect the entry value
   };
 
-  /// An empty batch of `span`-lane members (span a power of two ≤ 64).
-  ElementBatch(bool down_sweep, std::size_t member_span);
+  /// An empty batch.
+  explicit ElementBatch(bool down_sweep) : down(down_sweep) {}
 
   bool down = false;        ///< every element sweeps ⇓ (else ⇑)
-  std::size_t span = 64;    ///< lanes per member
-  std::size_t members = 0;  ///< elements added so far
+  std::size_t members = 0;  ///< elements added so far, at most kLanes
   std::vector<Step> steps;  ///< one per op position of the longest element
   /// Lanes whose element leaves the memory 1 / unchanged (TraceVal::Prev).
   BatchWord final_one{};
   BatchWord final_prev{};
 
-  /// Members a batch holds: kLanes / span.
-  std::size_t capacity() const noexcept { return kLanes / span; }
-
   /// Adds `element` (with its compiled trace) as the next member; the batch
   /// must not be full.  The element's own order is ignored.
   void add(const MarchElement& element, const ElementTrace& trace);
 
-  /// Lanes [0, span) of `block` copied into every member's lane range (and
-  /// the unused ranges past the last member, which no op touches).
-  PackedFaultSim::LanesOf<BatchWord> replicate(
-      const PackedFaultSim::Lanes& block) const;
+  /// Lane `lane` of `block` copied into all 128 lanes.  The lanes past the
+  /// last member carry the copy too, but no op touches them.
+  static PackedFaultSim::LanesOf<BatchWord> broadcast(
+      const PackedFaultSim::Lanes& block, std::size_t lane);
 };
 
 // -- Full-test runner --------------------------------------------------------

@@ -11,6 +11,29 @@
 #include "sim/simulator.hpp"
 
 namespace mtg {
+namespace {
+
+/// Lanes of `block` whose state (uniform, val, armed) equals the state of
+/// lane `lane` of `ref`: each field XORed against the broadcast of that
+/// lane's bit.
+std::uint64_t same_state_lanes(const PackedFaultSim::Lanes& block,
+                               const PackedFaultSim::Lanes& ref,
+                               std::size_t lane) {
+  const auto differs = [&](std::uint64_t word, std::uint64_t ref_word) {
+    return word ^ (std::uint64_t{0} - ((ref_word >> lane) & 1u));
+  };
+  std::uint64_t diff = differs(block.uniform, ref.uniform);
+  for (std::size_t s = 0; s < PackedFaultSim::kMaxSlots; ++s) {
+    diff |= differs(block.val[s], ref.val[s]);
+  }
+  for (std::size_t f = 0; f < PackedFaultSim::kMaxFps; ++f) {
+    diff |= differs(block.armed[f], ref.armed[f]);
+  }
+  return ~diff;
+}
+
+}  // namespace
+
 PrefixEngine::PrefixEngine(std::size_t memory_size, bool record_checkpoints)
     : memory_size_(memory_size), record_checkpoints_(record_checkpoints) {
   any_before_.push_back(0);
@@ -223,11 +246,40 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
     const std::vector<const ElementTrace*>& traces, ThreadPool* pool) const {
   require(traces.size() == candidates.size(),
           "prefix engine: gain_scan needs one trace per candidate");
-  // Every item has the prefix's S = 2 · 2^(⇕ elements) scenario lanes:
-  // commit() never expands them.  A member takes min(S, 64) lanes, so a
-  // batch word holds 128/S members, or 2 when a candidate spans S/64 blocks.
-  const std::size_t scenarios = std::size_t{2} << any_before_.back();
-  const std::size_t span = std::min<std::size_t>(scenarios, 64);
+  // Units: every live item's distinct undetected lane states, across all of
+  // its blocks, each weighted by item.weight × the lanes that share it.
+  struct Unit {
+    const PackedFaultSim* sim;
+    const PackedFaultSim::Lanes* block;  ///< holds the state in lane `lane`
+    std::size_t lane;
+    std::size_t weight;
+  };
+  std::vector<Unit> units;
+  std::vector<std::uint64_t> pending;  ///< per block: lanes in no unit yet
+  std::size_t undetected_start = 0;
+  for (const Item& item : items_) {
+    if (item.done) continue;
+    const std::vector<PackedFaultSim::Lanes>& blocks = item.blocks;
+    pending.resize(blocks.size());
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      pending[b] = blocks[b].active & ~blocks[b].detected;
+    }
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      while (pending[b] != 0) {
+        const std::size_t lane =
+            static_cast<std::size_t>(__builtin_ctzll(pending[b]));
+        std::size_t lanes = 0;
+        for (std::size_t c = b; c < blocks.size(); ++c) {
+          const std::uint64_t same =
+              pending[c] & same_state_lanes(blocks[c], blocks[b], lane);
+          pending[c] &= ~same;
+          lanes += popcount64(same);
+        }
+        units.push_back(Unit{&item.sim, &blocks[b], lane, item.weight * lanes});
+        undetected_start += item.weight * lanes;
+      }
+    }
+  }
 
   // Batch words of one sweep direction (⇕ reads as ⇑) and one cost each:
   // candidates stably sorted by (direction, cost), so a cheap candidate
@@ -253,16 +305,15 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
     const bool down = word_key(c).first;
     const double cost = static_cast<double>(word_key(c).second);
     if (words.empty() ||
-        words.back().members.size() == words.back().batch.capacity() ||
+        words.back().members.size() == ElementBatch::kLanes ||
         words.back().batch.down != down || words.back().cost != cost) {
-      words.push_back(Word{ElementBatch(down, span), {}, cost});
+      words.push_back(Word{ElementBatch(down), {}, cost});
     }
     Word& word = words.back();
     word.batch.add(*candidates[c], *traces[c]);
     word.members.push_back(c);
   }
 
-  const std::size_t undetected_start = undetected_scenarios();
   std::vector<std::size_t> gains(candidates.size(), 0);
   std::atomic<double> bound{0.0};
   const auto scan = [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -277,33 +328,24 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
         return static_cast<double>(top + remaining) / word.cost < bound.load();
       };
       bool pruned = false;
-      for (const Item& item : items_) {
-        if (item.done) continue;
-        for (const PackedFaultSim::Lanes& block : item.blocks) {
-          const std::size_t undetected =
-              popcount64(block.active & ~block.detected);
-          if (undetected == 0) continue;
-          remaining -= undetected * item.weight;
-          PackedFaultSim::LanesOf<BatchWord> trial =
-              word.batch.replicate(block);
-          const BatchWord newly = item.sim.run_batch(trial, word.batch);
-          // Lane l belongs to member l / span.
-          for (std::size_t half = 0; half < 2; ++half) {
-            for (std::uint64_t bits = newly[half]; bits != 0;
-                 bits &= bits - 1) {
-              const std::size_t lane =
-                  64 * half + static_cast<std::size_t>(__builtin_ctzll(bits));
-              std::size_t& gain = g[lane / span];
-              gain += item.weight;
-              top = std::max(top, gain);
-            }
-          }
-          if (hopeless()) {
-            pruned = true;
-            break;
+      for (const Unit& unit : units) {
+        remaining -= unit.weight;
+        PackedFaultSim::LanesOf<BatchWord> trial =
+            ElementBatch::broadcast(*unit.block, unit.lane);
+        const BatchWord newly = unit.sim->run_batch(trial, word.batch);
+        // Lane l belongs to member l.
+        for (std::size_t half = 0; half < 2; ++half) {
+          for (std::uint64_t bits = newly[half]; bits != 0; bits &= bits - 1) {
+            std::size_t& gain =
+                g[64 * half + static_cast<std::size_t>(__builtin_ctzll(bits))];
+            gain += unit.weight;
+            top = std::max(top, gain);
           }
         }
-        if (pruned) break;
+        if (hopeless()) {
+          pruned = true;
+          break;
+        }
       }
       for (std::size_t j = 0; j < count; ++j) gains[word.members[j]] = g[j];
       const double best = static_cast<double>(top) / word.cost;

@@ -7,8 +7,9 @@
 //
 //  * Greedy construction (phase A): candidate march elements are scored
 //    against the tracked prefix state in one batched scan per round
-//    (gain_scan): the scenario lanes an item leaves idle carry further
-//    candidates, 128/S candidates of one cost to a 128-lane batch word, and
+//    (gain_scan): each distinct undetected lane state of an item is
+//    replayed once, weighted by the lanes holding it, against 128
+//    candidates of one cost at a time (one per lane of a batch word), and
 //    hopeless words are pruned against a shared bound that keeps the
 //    winner's gain exact.
 //    The winner is appended with commit().  ⇕ candidates are scored and
@@ -115,21 +116,31 @@ class PrefixEngine {
   /// ⇑ reading (as the scalar engine did); certification re-resolves ⇕
   /// orders exactly.  `traces[i]` must be candidates[i]'s compiled trace.
   ///
-  /// Candidates are scored 128/S at a time, where S is the number of
-  /// scenario lanes of an item (2 power-on states × 2^⇕ of the prefix): a
+  /// Candidates are scored 128 at a time.  The scan first collapses each
+  /// live item's undetected lanes, across all of its blocks, into *units*:
+  /// one lane state (uniform, val, armed) each, weighted by the item's
+  /// weight times the number of lanes holding it (equal lanes are found
+  /// with word-wide equality masks against the lowest unmatched lane).  A
   /// 128-lane batch word (ElementBatch) holds candidates of one sweep
-  /// direction and one cost, each on S lanes carrying a copy of the item's
-  /// block, and is replayed by PackedFaultSim::run_batch.  With S ≥ 64 a
-  /// word holds two candidates, one per 64-lane half, and each block of the
-  /// item is replayed in turn.  A word's newly detected lanes are credited
-  /// bit by bit, lane l to member l / min(S, 64).
-  /// Words are packed from the candidates stably sorted by cost, cheapest
-  /// first per direction, and scanned in parallel on `pool` (inline when
-  /// null).  The returned gains are indexed like `candidates`.
+  /// direction and one cost, member m on lane m; every unit is broadcast to
+  /// all lanes, replayed by PackedFaultSim::run_batch, and lane l's newly
+  /// detected bit credits member l with the unit's weight.  Words are
+  /// packed from the candidates stably sorted by cost, cheapest first per
+  /// direction, and scanned in parallel on `pool` (inline when null).  The
+  /// returned gains are indexed like `candidates`.
+  ///
+  /// Exactness: run_batch is lane-independent, and under a fixed-order
+  /// element a lane's evolution depends only on its (uniform, val, armed)
+  /// — its detected bit is clear, and its scenario only chose the orders
+  /// of elements already replayed.  So equal lanes detect identically, and
+  /// each unit's weighted credit equals the credits its lanes would earn
+  /// one by one: the gains equal a lane-by-lane replay's, term for term.
+  /// A word replays each unit at most once, and an item has at most as many
+  /// units as undetected lanes.
   ///
   /// The scan prunes: a word is abandoned once no candidate in it can reach
-  /// the shared bound, i.e. (gain so far + unscanned scenarios) / cost <
-  /// bound for each.  The bound is the exact score gain / cost of some
+  /// the shared bound, i.e. (gain so far + weight of the unscanned units) /
+  /// cost < bound for each.  The bound is the exact score gain / cost of some
   /// finished candidate, raised monotonically, so it never exceeds the best
   /// score; the comparison is strict, so a candidate scoring the best is
   /// never abandoned.  Hence every candidate that can win or tie the

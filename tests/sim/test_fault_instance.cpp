@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -191,6 +193,70 @@ TEST(FaultInstance, DecoderClassesMatchTheSampleWalk) {
                     walked[c].representative.description)
               << fault.name() << " n=" << n << " cap=" << cap << " class " << c;
         }
+      }
+    }
+  }
+}
+
+
+TEST(FaultInstance, ClassRepresentativesAreTheFirstInstances) {
+  // behaviour_classes() binds an FP fault's lowest layout directly; it must
+  // be the instance instantiate() keeps first under any cap.  A decoder
+  // class is represented by the first sampled address with its value of bit
+  // `bit`.  Checked field by field for every built-in list.
+  const auto expect_same = [](const FaultInstance& got,
+                              const FaultInstance& want,
+                              const std::string& where) {
+    EXPECT_EQ(got.fault_index, want.fault_index) << where;
+    EXPECT_EQ(got.description, want.description) << where;
+    ASSERT_EQ(got.fps.size(), want.fps.size()) << where;
+    for (std::size_t i = 0; i < got.fps.size(); ++i) {
+      EXPECT_TRUE(got.fps[i].fp == want.fps[i].fp) << where;
+      EXPECT_EQ(got.fps[i].a_cell, want.fps[i].a_cell) << where;
+      EXPECT_EQ(got.fps[i].v_cell, want.fps[i].v_cell) << where;
+    }
+    ASSERT_EQ(got.decoders.size(), want.decoders.size()) << where;
+    for (std::size_t i = 0; i < got.decoders.size(); ++i) {
+      EXPECT_TRUE(got.decoders[i].fault == want.decoders[i].fault) << where;
+      EXPECT_EQ(got.decoders[i].a_cell, want.decoders[i].a_cell) << where;
+      EXPECT_EQ(got.decoders[i].v_cell, want.decoders[i].v_cell) << where;
+    }
+  };
+  for (const BuiltinFaultList& builtin : builtin_fault_lists()) {
+    const FaultList list = builtin.make();
+    for (const std::size_t n : {3, 4, 6, 64, 65536}) {
+      for (const std::size_t cap : {0, 1, 256}) {
+        const std::string at = std::string(builtin.name) +
+                               " n=" + std::to_string(n) +
+                               " cap=" + std::to_string(cap);
+        const std::vector<BehaviourClass> classes =
+            behaviour_classes(list, n, cap);
+        std::size_t c = 0;
+        std::size_t index = 0;
+        const auto check_fp_fault = [&](const auto& fault) {
+          ASSERT_LT(c, classes.size()) << at;
+          expect_same(classes[c++].representative,
+                      instantiate(fault, n, index, 1).front(),
+                      at + " fault " + std::to_string(index));
+          ++index;
+        };
+        for (const SimpleFault& fault : list.simple) check_fp_fault(fault);
+        for (const LinkedFault& fault : list.linked) check_fp_fault(fault);
+        for (const DecoderFault& fault : list.decoder) {
+          std::array<bool, 2> seen = {false, false};
+          for (const std::size_t a : decoder_sample(fault, n, cap)) {
+            const std::size_t bit = (a >> fault.bit) & 1u;
+            if (seen[bit]) continue;
+            seen[bit] = true;
+            ASSERT_LT(c, classes.size()) << at;
+            expect_same(classes[c++].representative,
+                        bind_decoder(fault, a, index),
+                        at + " fault " + std::to_string(index));
+            if (seen[0] && seen[1]) break;
+          }
+          ++index;
+        }
+        EXPECT_EQ(c, classes.size()) << at;
       }
     }
   }

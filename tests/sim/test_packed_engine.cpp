@@ -264,86 +264,95 @@ MarchElement random_element(std::mt19937& rng) {
   return MarchElement(AddressOrder::Up, ops);
 }
 
-/// Member `m`'s `span` lanes of a batch word, shifted down to lanes
-/// [0, span): lane l of the word is bit l % 64 of half l / 64.
-std::uint64_t member_bits(BatchWord word, std::size_t m, std::size_t span) {
-  const std::size_t first = m * span;
-  const std::uint64_t low =
-      span == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << span) - 1;
-  return (word[first / 64] >> (first % 64)) & low;
+/// Bit `lane` of a 64- or 128-lane word (lane l of a BatchWord is bit
+/// l % 64 of half l / 64).
+std::uint32_t lane_bit(std::uint64_t word, std::size_t lane) {
+  return static_cast<std::uint32_t>((word >> lane) & 1u);
+}
+std::uint32_t lane_bit(BatchWord word, std::size_t lane) {
+  return lane_bit(word[lane / 64], lane % 64);
+}
+
+/// Lane `lane`'s whole state, one bit per word: detected, uniform, every
+/// val slot and every armed flag.
+template <typename Word>
+std::uint32_t lane_state(const PackedFaultSim::LanesOf<Word>& lanes,
+                         std::size_t lane) {
+  std::uint32_t state =
+      lane_bit(lanes.detected, lane) | lane_bit(lanes.uniform, lane) << 1;
+  std::size_t at = 2;
+  for (const Word& word : lanes.val) state |= lane_bit(word, lane) << at++;
+  for (const Word& word : lanes.armed) state |= lane_bit(word, lane) << at++;
+  return state;
 }
 
 TEST(PackedEngine, BatchMatchesRunElementPerLane) {
-  // run_batch packs up to 128 / S members of one direction side by side and
-  // steps every op kind of a position in one fused pass.  Each member's
-  // lanes must end exactly as run_element leaves a copy of the block: the
-  // newly detected bits and the whole lane state.  Elements mix kinds at
-  // every position; words are partly or fully filled; S ∈ {2, 4, 64, 128}
-  // covers 64 down to 1 member per half and members past lane 63.
+  // run_batch replays up to 128 members of one direction side by side, one
+  // lane each, from one lane state broadcast to every lane, and steps every
+  // op kind of a position in one fused pass.  For every active lane of a
+  // random block, member m's lane must end exactly as run_element leaves
+  // that lane of the block under member m's element: the newly detected bit
+  // and the whole lane state.  Elements mix kinds at every position; words
+  // are partly or fully filled, so members sit on both halves; S ∈ {2, 4,
+  // 64, 128} varies the blocks' power-on and ⇕ histories.
   std::mt19937 rng(20261018);
   const std::pair<FaultList, std::size_t> lists[] = {
       {fault_list_1(), 5},         // two- and three-cell linked faults
       {retention_fault_list(), 4},  // state faults and waits
       {decoder_fault_list(3), 8},  // the four decoder classes
   };
+  constexpr std::size_t kScenarios[] = {2, 4, 64, 128};
   for (const auto& [list, n] : lists) {
     const std::vector<FaultInstance> instances = instantiate_all(list, n, 2);
     const std::size_t stride = std::max<std::size_t>(1, instances.size() / 150);
     for (std::size_t i = 0; i < instances.size(); i += stride) {
       const PackedFaultSim sim(instances[i]);
-      for (const std::size_t scenarios : {2, 4, 64, 128}) {
-        const std::size_t span = std::min<std::size_t>(scenarios, 64);
-        const std::uint64_t low = member_bits(~BatchWord{}, 0, span);
-        for (std::size_t base = 0; base < scenarios; base += 64) {
-          // A block past power-on and up to two elements in mixed orders.
-          PackedFaultSim::Lanes block;
-          sim.power_on_block(block, base, scenarios / 2);
-          for (std::size_t e = rng() % 3; e > 0; --e) {
-            const MarchElement element = random_element(rng);
-            const std::uint64_t high = rng();
-            const std::uint64_t down = (high << 32 | rng()) & block.active;
-            sim.run_element(block, element, compile_element_trace(element),
-                            down);
-          }
-          for (const bool down : {false, true}) {
-            ElementBatch batch(down, span);
-            const std::size_t members = 1 + rng() % batch.capacity();
-            std::vector<MarchElement> elements;
-            for (std::size_t m = 0; m < members; ++m) {
-              elements.push_back(random_element(rng));
-              batch.add(elements.back(),
-                        compile_element_trace(elements.back()));
-            }
-            PackedFaultSim::LanesOf<BatchWord> lanes = batch.replicate(block);
-            const BatchWord newly = sim.run_batch(lanes, batch);
-            for (std::size_t m = 0; m < members; ++m) {
-              PackedFaultSim::Lanes ref = block;
-              const std::uint64_t ref_newly = sim.run_element(
-                  ref, elements[m], compile_element_trace(elements[m]),
-                  down ? ~std::uint64_t{0} : 0);
-              const std::string where =
-                  list.name + " / " + instances[i].description +
-                  " S=" + std::to_string(scenarios) +
-                  " base=" + std::to_string(base) + " member " +
-                  std::to_string(m) + "/" + std::to_string(members) +
-                  (down ? " ⇓" : " ⇑") + elements[m].to_string();
-              ASSERT_EQ(member_bits(newly, m, span), ref_newly & low) << where;
-              EXPECT_EQ(member_bits(lanes.detected, m, span),
-                        ref.detected & low)
-                  << where;
-              EXPECT_EQ(member_bits(lanes.uniform, m, span), ref.uniform & low)
-                  << where;
-              for (std::size_t s = 0; s < PackedFaultSim::kMaxSlots; ++s) {
-                EXPECT_EQ(member_bits(lanes.val[s], m, span),
-                          ref.val[s] & low)
-                    << where << " slot " << s;
-              }
-              for (std::size_t f = 0; f < PackedFaultSim::kMaxFps; ++f) {
-                EXPECT_EQ(member_bits(lanes.armed[f], m, span),
-                          ref.armed[f] & low)
-                    << where << " fp " << f;
-              }
-            }
+      // A block past power-on and up to two elements in mixed orders.
+      const std::size_t scenarios = kScenarios[rng() % 4];
+      const std::size_t base = 64 * (rng() % ((scenarios + 63) / 64));
+      PackedFaultSim::Lanes block;
+      sim.power_on_block(block, base, scenarios / 2);
+      for (std::size_t e = rng() % 3; e > 0; --e) {
+        const MarchElement element = random_element(rng);
+        const std::uint64_t high = rng();
+        const std::uint64_t down = (high << 32 | rng()) & block.active;
+        sim.run_element(block, element, compile_element_trace(element), down);
+      }
+      for (const bool down : {false, true}) {
+        ElementBatch batch(down);
+        const std::size_t members = rng() % 4 == 0
+                                        ? ElementBatch::kLanes
+                                        : 1 + rng() % ElementBatch::kLanes;
+        std::vector<MarchElement> elements;
+        std::vector<PackedFaultSim::Lanes> refs(members, block);
+        std::vector<std::uint64_t> ref_newly;
+        for (std::size_t m = 0; m < members; ++m) {
+          elements.push_back(random_element(rng));
+          const ElementTrace trace = compile_element_trace(elements.back());
+          batch.add(elements.back(), trace);
+          ref_newly.push_back(sim.run_element(refs[m], elements.back(), trace,
+                                              down ? ~std::uint64_t{0} : 0));
+        }
+        for (std::uint64_t active = block.active; active != 0;
+             active &= active - 1) {
+          const std::size_t lane =
+              static_cast<std::size_t>(__builtin_ctzll(active));
+          PackedFaultSim::LanesOf<BatchWord> lanes =
+              ElementBatch::broadcast(block, lane);
+          const BatchWord newly = sim.run_batch(lanes, batch);
+          for (std::size_t m = 0; m < members; ++m) {
+            const auto where = [&] {
+              return list.name + " / " + instances[i].description +
+                     " S=" + std::to_string(scenarios) +
+                     " base=" + std::to_string(base) + " lane " +
+                     std::to_string(lane) + " member " + std::to_string(m) +
+                     "/" + std::to_string(members) + (down ? " ⇓" : " ⇑") +
+                     elements[m].to_string();
+            };
+            ASSERT_EQ(lane_bit(newly, m), lane_bit(ref_newly[m], lane))
+                << where();
+            ASSERT_EQ(lane_state(lanes, m), lane_state(refs[m], lane))
+                << where();
           }
         }
       }

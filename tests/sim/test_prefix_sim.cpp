@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <numeric>
 #include <set>
@@ -365,6 +366,161 @@ TEST(PrefixSim, GainScanMatchesPerCandidateReference) {
         EXPECT_EQ(checked, every) << where;
       }
     }
+  }
+}
+
+/// What the undetected lanes of each instance hold after a prefix, per
+/// instance and over every 64-lane block: how many distinct lane states
+/// (uniform, val, armed) there are, whether some state is held by several
+/// lanes, and which fields two of the states differ in.
+struct LaneStateCensus {
+  std::size_t most_states = 0;  ///< the most distinct states of one instance
+  bool shared_state = false;    ///< some state is held by two lanes or more
+  /// only_val_differs[s]: two states of one instance differ in val[s] alone.
+  std::array<bool, PackedFaultSim::kMaxSlots> only_val_differs{};
+  bool only_armed_differs = false;  ///< two states differ in armed alone
+};
+
+LaneStateCensus lane_state_census(const std::vector<FaultInstance>& instances,
+                                  const MarchTest& prefix) {
+  // A state packed as uniform | val[s] << 1 + s | armed[f] << 1 + 8 + f.
+  constexpr std::uint32_t kValBits = ((1u << PackedFaultSim::kMaxSlots) - 1)
+                                     << 1;
+  const CompiledTest compiled = compile_march_test(prefix);
+  const std::size_t combos = std::size_t{1} << compiled.any_count;
+  LaneStateCensus census;
+  for (const FaultInstance& instance : instances) {
+    const PackedFaultSim sim(instance);
+    std::map<std::uint32_t, std::size_t> states;
+    for (std::size_t base = 0; base < 2 * combos; base += 64) {
+      PackedFaultSim::Lanes block;
+      sim.power_on_block(block, base, combos);
+      for (std::size_t e = 0; e < prefix.elements().size(); ++e) {
+        const MarchElement& element = prefix.elements()[e];
+        sim.run_element(block, element, compiled.traces[e],
+                        element_down_word(element, compiled.any_ordinal[e],
+                                          base, combos));
+      }
+      for (std::uint64_t lanes = block.active & ~block.detected; lanes != 0;
+           lanes &= lanes - 1) {
+        const int l = __builtin_ctzll(lanes);
+        std::uint32_t state = (block.uniform >> l) & 1u;
+        for (std::size_t s = 0; s < PackedFaultSim::kMaxSlots; ++s) {
+          state |= static_cast<std::uint32_t>((block.val[s] >> l) & 1u)
+                   << (1 + s);
+        }
+        for (std::size_t f = 0; f < PackedFaultSim::kMaxFps; ++f) {
+          state |= static_cast<std::uint32_t>((block.armed[f] >> l) & 1u)
+                   << (1 + PackedFaultSim::kMaxSlots + f);
+        }
+        ++states[state];
+      }
+    }
+    census.most_states = std::max(census.most_states, states.size());
+    for (const auto& [x, lanes] : states) {
+      census.shared_state = census.shared_state || lanes > 1;
+      for (const auto& [y, unused] : states) {
+        const std::uint32_t diff = x ^ y;
+        if (diff == 0) continue;
+        if ((diff & ~kValBits) == 0 && (diff & (diff - 1)) == 0) {
+          census.only_val_differs[__builtin_ctz(diff) - 1] = true;
+        }
+        if ((diff & (kValBits | 1u)) == 0) census.only_armed_differs = true;
+      }
+    }
+  }
+  return census;
+}
+
+TEST(PrefixSim, GainScanScoresEachDistinctLaneStateOnce) {
+  // gain_scan replays each distinct undetected lane state of an item once,
+  // weighted by the lanes holding it.  These prefixes leave one instance's
+  // lanes in several states: no initializing write (the power-on content is
+  // still in the cells), ⇕ elements whose two orders leave two-cell faults
+  // apart, and waits against the retention list's state faults.  Every
+  // candidate's gain, scanned alone, must equal the per-instance,
+  // per-lane reference; scanned together, every candidate that can win or
+  // tie must keep its exact gain.
+  const std::vector<MarchElement> candidates = gain_scan_candidates();
+  std::vector<ElementTrace> traces;
+  std::vector<const MarchElement*> all;
+  std::vector<const ElementTrace*> all_traces;
+  for (const MarchElement& c : candidates) {
+    traces.push_back(compile_element_trace(c));
+  }
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    all.push_back(&candidates[i]);
+    all_traces.push_back(&traces[i]);
+  }
+  const char* const prefixes[] = {
+      "{c(r0)}",                       // power-on content, S = 4
+      "{c(r0,w1); c(r1)}",             // S = 8
+      "{c(w0); c(r0,w1); v(r1,w0)}",   // ⇕ orders apart, S = 8
+      "{c(t); c(r0,t,w1); c(t,r1)}",   // waits, S = 16
+  };
+  const FaultList lists[] = {fault_list_1(), fault_list_2(),
+                             standard_simple_static_faults(),
+                             retention_fault_list()};
+  ThreadPool threads(3);
+  LaneStateCensus seen;
+  for (const FaultList& list : lists) {
+    // List #1 runs at n = 3 only: its three-cell faults fill every slot
+    // there already, and n = 4 would more than double this test's time.
+    for (const std::size_t n : {std::size_t{3}, std::size_t{4}}) {
+      if (n == 4 && list.name == fault_list_1().name) continue;
+      const auto instances = instantiate_all(list, n);
+      for (const char* notation : prefixes) {
+        const MarchTest prefix = parse_march_test(notation, "prefix");
+        const std::string where =
+            list.name + " n=" + std::to_string(n) + " " + notation;
+        const LaneStateCensus census = lane_state_census(instances, prefix);
+        seen.most_states = std::max(seen.most_states, census.most_states);
+        seen.shared_state = seen.shared_state || census.shared_state;
+        for (std::size_t s = 0; s < PackedFaultSim::kMaxSlots; ++s) {
+          seen.only_val_differs[s] =
+              seen.only_val_differs[s] || census.only_val_differs[s];
+        }
+        // Every reachable lane holds armed[f] = "state fault f's condition
+        // is false" (settle then re-arm after every operation), so armed is
+        // a function of val: no two lanes differ in armed alone.
+        EXPECT_FALSE(census.only_armed_differs) << where;
+
+        const std::vector<std::size_t> reference =
+            reference_gains(instances, prefix, candidates);
+        const PrefixEngine engine(n, behaviour_classes(list, n), prefix,
+                                  /*record_checkpoints=*/false);
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          EXPECT_EQ(engine.gain_scan({all[i]}, {all_traces[i]}),
+                    std::vector<std::size_t>{reference[i]})
+              << where << " " << candidates[i].to_string();
+        }
+        double best = 0.0;
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          best = std::max(best, static_cast<double>(reference[i]) /
+                                    static_cast<double>(candidates[i].cost()));
+        }
+        for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &threads}) {
+          const std::vector<std::size_t> gains =
+              engine.gain_scan(all, all_traces, pool);
+          for (std::size_t i = 0; i < candidates.size(); ++i) {
+            EXPECT_LE(gains[i], reference[i]) << where << " " << i;
+            if (static_cast<double>(reference[i]) /
+                    static_cast<double>(candidates[i].cost()) >=
+                best) {
+              EXPECT_EQ(gains[i], reference[i]) << where << " " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The prefixes reach what the collapse must get right: several states per
+  // instance, states shared by several lanes, and states apart in one cell
+  // (each of the three slots a fault of these lists involves).
+  EXPECT_GE(seen.most_states, 3u);
+  EXPECT_TRUE(seen.shared_state);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_TRUE(seen.only_val_differs[s]) << "slot " << s;
   }
 }
 
