@@ -1,4 +1,5 @@
-// Ablation of the generator's design choices (DESIGN.md experiment index):
+// Ablation of the generator's design choices (the phases are described in
+// README "Generator pipeline"):
 //   * redundancy elimination on/off (the paper's "non-redundant" claim),
 //   * working memory size (greedy fidelity vs speed),
 //   * candidate element length bound (SO search space).

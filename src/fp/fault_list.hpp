@@ -12,8 +12,8 @@
 // Definitions 6/7 — F2 = not(F1), FP2 sensitized in the state Fv1 the faulty
 // memory reaches after FP1 (I2 = Fv1), FP1 maskable — over every address
 // layout.  This matches the paper's claim of targeting "the complete set of
-// Static Linked Faults".  See DESIGN.md, "Substitutions", for calibration
-// against the published March SL / March ABL tests.
+// Static Linked Faults".  tests/integration/test_calibration.cpp calibrates
+// the lists against the published March SL / March ABL tests.
 #pragma once
 
 #include <cstdint>

@@ -195,11 +195,12 @@ GenerationResult generate_march_test(const FaultList& list,
   // The persistent engine simulates one representative per certify-size
   // behaviour class, weighted by the instances it stands for, to the end of
   // the phase-A test exactly once (this prep is the unavoidable first
-  // full-prefix simulation; checkpoints are recorded for the phase-C
-  // rewind).  Every later round only replays elements appended since the
-  // previous sync, and instances detected under every scenario are dropped
-  // permanently: march tests grow append-only within the CEGIS loop and
-  // detection is sticky, so a dropped instance can never escape again.
+  // full-prefix simulation; checkpoints are recorded for phase C, which
+  // runs its trials on this same engine).  Every later round only replays
+  // elements appended since the previous sync, and instances detected under
+  // every scenario are dropped permanently: march tests grow append-only
+  // within the CEGIS loop and detection is sticky, so a dropped instance can
+  // never escape again.
   std::vector<BehaviourClass> cert_classes = behaviour_classes(
       list, options.certify_memory_size, options.max_instances_per_fault);
   std::vector<std::uint8_t> instantiable(fault_count(list), 0);
@@ -215,6 +216,15 @@ GenerationResult generate_march_test(const FaultList& list,
   cert_classes.erase(std::remove_if(cert_classes.begin(), cert_classes.end(),
                                     out_of_scope),
                      cert_classes.end());
+  // Phase C's trials bail out at the first surviving class, and rejected
+  // removals dominate its cost: scan the binding constraints (the largest,
+  // last-enumerated faults) first.  Phase B's results do not depend on the
+  // item order.
+  std::stable_sort(cert_classes.begin(), cert_classes.end(),
+                   [](const BehaviourClass& x, const BehaviourClass& y) {
+                     return x.representative.fault_index >
+                            y.representative.fault_index;
+                   });
   // Faults with no instance at the certify size cannot be certified there
   // at all (e.g. a decoder fault on an address line the certify memory does
   // not have, 2^bit >= n): report them out of scope instead of letting the
@@ -263,30 +273,17 @@ GenerationResult generate_march_test(const FaultList& list,
   // -- Phase C: redundancy elimination ----------------------------------
   stats.complexity_before_minimize = test.complexity();
   if (options.minimize) {
-    std::vector<BehaviourClass> min_classes = behaviour_classes(
-        list, options.minimize_memory_size, options.max_instances_per_fault);
-    min_classes.erase(std::remove_if(min_classes.begin(), min_classes.end(),
-                                     out_of_scope),
-                      min_classes.end());
-    // Rejected removals dominate the minimizer's cost and bail out at the
-    // first surviving class; scan the binding constraints (the largest,
-    // last-enumerated faults) first.
-    std::stable_sort(min_classes.begin(), min_classes.end(),
-                     [](const BehaviourClass& x, const BehaviourClass& y) {
-                       return x.representative.fault_index >
-                              y.representative.fault_index;
-                     });
     MinimizeStats min_stats;
-    test = minimize_test(test, min_classes, options.minimize_memory_size,
-                         &stats.log, &min_stats);
+    test = minimize_test(test, cert_engine, &stats.log, &min_stats);
     stats.minimize_trials = min_stats.trials;
     stats.minimize_element_replays = min_stats.element_replays;
     lap("phase C (minimizer)", &stats.phase_c_seconds);
-    // Re-certify the minimized test.  The persistent engine rewinds to the
-    // checkpoint at the longest prefix the minimizer left untouched and
-    // replays only the remainder; instances detected within that prefix
-    // stay dropped.
-    certify_and_extend();  // a removal may only matter at certify size
+    // Re-certify the minimized test.  Every kept removal was proven on
+    // cert_engine, which the minimizer leaves synced to its result, so after
+    // a converged phase B this finds nothing.  When phase B stopped at
+    // kMaxCertifyIterations with escapes, every trial failed and this pass
+    // gives the extension more rounds.
+    certify_and_extend();
     lap("phase B2 (re-certification)", &stats.phase_b2_seconds);
   }
   stats.instances_dropped = cert_engine.dropped_instances();

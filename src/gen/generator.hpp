@@ -18,8 +18,9 @@
 //      address layout instantiated; feed escaped instances back to the
 //      greedy loop.
 //   4. Redundancy elimination (gen/minimizer.hpp) — the paper's
-//      "non-redundant March Tests" claim — followed by a final
-//      certification pass.
+//      "non-redundant March Tests" claim — on the certification engine of
+//      step 3, so every removal is proven at the certify size; a final
+//      certification pass re-runs step 3 on the result.
 #pragma once
 
 #include <cstddef>
@@ -39,12 +40,12 @@ struct GeneratorOptions {
   /// Memory size used by the greedy working phase.  Small is fast; escapes
   /// are caught by certification.
   std::size_t working_memory_size = 3;
-  /// Memory size used by the certification passes (and reported coverage).
-  /// Layout behaviour only depends on relative address order, which n=6
-  /// already exercises at every boundary; raise for extra assurance.
+  /// Memory size used by certification, by the redundancy minimizer (which
+  /// runs its trials on the certification engine) and by the reported
+  /// coverage.  Layout behaviour only depends on relative address order,
+  /// which n=6 already exercises at every boundary; raise for extra
+  /// assurance.
   std::size_t certify_memory_size = 6;
-  /// Memory size used by the redundancy minimizer.
-  std::size_t minimize_memory_size = 4;
   /// Longest candidate march element enumerated.  6 suffices for every
   /// static linked fault list we target (the published 7-op ABL elements
   /// decompose into shorter SOs); raise for exotic user-defined faults.

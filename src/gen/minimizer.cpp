@@ -12,15 +12,12 @@ void note(std::vector<std::string>* log, const std::string& line) {
 
 }  // namespace
 
-MarchTest minimize_test(const MarchTest& test,
-                        const std::vector<BehaviourClass>& classes,
-                        std::size_t memory_size,
+MarchTest minimize_test(const MarchTest& test, PrefixEngine& engine,
                         std::vector<std::string>* log, MinimizeStats* stats) {
-  // One full simulation of every class, with per-element checkpoints;
-  // every trial below replays only the suffix after its edit point.
-  PrefixEngine engine(memory_size, classes, test,
-                      /*record_checkpoints=*/true);
-  engine.reset_stats();  // report trial/rewind work, not the one-time build
+  // Every trial below replays only the suffix after its edit point; report
+  // trial/rewind work, not the sync to `test`.
+  engine.advance(test);
+  const std::size_t replays_before = engine.stats().element_replays;
 
   // A trial keeps the removal iff the trial test is valid and every class
   // stays detected: element `edit` dropped (replacement == nullptr) or
@@ -75,7 +72,8 @@ MarchTest minimize_test(const MarchTest& test,
     }
   }
   if (stats != nullptr) {
-    stats->element_replays += engine.stats().element_replays;
+    stats->element_replays +=
+        engine.stats().element_replays - replays_before;
   }
   return current;
 }

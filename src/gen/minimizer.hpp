@@ -7,17 +7,16 @@
 // fault instance.  The result is locally minimal: no single element or
 // operation can be removed without losing coverage.
 //
-// The targets are behaviour classes (sim/fault_instance.hpp
-// behaviour_classes()): one representative per class stands for every
-// instance of it, as in generator phases A and B.  Trials run on the
-// incremental prefix engine (sim/prefix_sim.hpp): the representatives are
-// simulated once to the end of the current test with per-element
-// checkpoints, and a "drop element i / drop op j" trial restores the
-// checkpoint before the edit and replays only the suffix, bailing out at
-// the first surviving undetected class.  Classes detected strictly before
-// the edit are skipped outright.  Verdicts — and therefore the minimized
-// test — are identical to re-simulating every instance per trial (the
-// from-scratch reference in tests/gen/ checks this).
+// The targets are the items of an exact, checkpointed prefix engine
+// (sim/prefix_sim.hpp) — in the generator, the persistent certification
+// engine itself, so phase C proves every removal at the certify size on the
+// behaviour classes phase B already simulated.  A "drop element i / drop
+// op j" trial restores the checkpoint before the edit and replays only the
+// suffix (PrefixEngine::trial_covers), bailing out at the first surviving
+// undetected class; classes detected strictly before the edit are skipped
+// outright.  Verdicts — and therefore the minimized test — are identical to
+// re-simulating every instance per trial (the from-scratch reference in
+// tests/gen/ checks this).
 #pragma once
 
 #include <cstddef>
@@ -25,29 +24,29 @@
 #include <vector>
 
 #include "march/march_test.hpp"
-#include "sim/fault_instance.hpp"
 
 namespace mtg {
+
+class PrefixEngine;  // sim/prefix_sim.hpp
 
 /// Work counters of one minimize_test call.
 struct MinimizeStats {
   std::size_t trials = 0;  ///< element/op removal attempts
-  /// (class, element) replays the trials cost.  A from-scratch rescan
-  /// would cost ~ trials × instances × test length; checkpointed trials pay
-  /// only the replayed suffix of the classes not already detected by the
-  /// untouched prefix.
+  /// (class, element) replays the trials and accepted removals cost.  A
+  /// from-scratch rescan would cost ~ trials × instances × test length;
+  /// checkpointed trials pay only the replayed suffix of the classes not
+  /// already detected by the untouched prefix.
   std::size_t element_replays = 0;
 };
 
-/// Returns a locally minimal test that still detects every class in
-/// `classes` on a `memory_size`-cell memory.  Every representative must fit
-/// the packed engine (the PackedFaultSim constructor).  The class order is
+/// Returns a locally minimal test that still detects every (non-excluded)
+/// item of `engine`.  The engine must be exact and record checkpoints
+/// (PrefixEngine::trial_covers); it is first synced to `test` with
+/// advance() and is left synced to the returned test.  Its item order is
 /// the trial scan order: put the classes most likely to escape first.
 /// Appends a human-readable action trace to `log` when non-null; fills
 /// `stats` when non-null.
-MarchTest minimize_test(const MarchTest& test,
-                        const std::vector<BehaviourClass>& classes,
-                        std::size_t memory_size,
+MarchTest minimize_test(const MarchTest& test, PrefixEngine& engine,
                         std::vector<std::string>* log = nullptr,
                         MinimizeStats* stats = nullptr);
 

@@ -13,7 +13,7 @@
 //  * March LF1 [16]: 11n test for single-cell linked faults.  The exact
 //    sequence is not printed in the reproduced paper; this is a
 //    reconstruction validated by the fault simulator against Fault List #2
-//    (see DESIGN.md, "Substitutions").
+//    (tests/integration/test_calibration.cpp).
 //  * March ABL (37n), March RABL (35n), March ABL1 (9n): the tests generated
 //    by the paper, transcribed verbatim from Table 1.
 #pragma once

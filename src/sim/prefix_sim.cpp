@@ -230,17 +230,6 @@ void PrefixEngine::exclude_faults(const std::set<std::size_t>& fault_indices) {
   }
 }
 
-std::size_t PrefixEngine::undetected_scenarios() const {
-  std::size_t count = 0;
-  for (const Item& item : items_) {
-    if (item.done) continue;
-    for (const PackedFaultSim::Lanes& block : item.blocks) {
-      count += popcount64(block.active & ~block.detected) * item.weight;
-    }
-  }
-  return count;
-}
-
 std::vector<std::size_t> PrefixEngine::gain_scan(
     const std::vector<const MarchElement*>& candidates,
     const std::vector<const ElementTrace*>& traces, ThreadPool* pool) const {
@@ -437,7 +426,6 @@ bool PrefixEngine::trial_covers(std::size_t edit,
           "prefix engine: trials require exact state with checkpoints");
   require(edit < prefix_.elements().size(),
           "prefix engine: trial edit index out of range");
-  ++stats_.trials;
 
   // The trial plan: the (optional) replacement of element `edit`, then the
   // recorded tail.  ⇕ ordinals are renumbered for the trial's own scenario

@@ -27,19 +27,22 @@
 //    only the survivors.  The scan spreads items over a bounded ThreadPool;
 //    items are independent and the reduction runs in item order, so results
 //    are identical for every thread count.
-//  * Checkpointed minimization (phase C): with record_checkpoints the engine
-//    snapshots every item's lane blocks at each element boundary (cheap
-//    plain-data copies).  A "drop element i / drop op j" trial restores the
-//    checkpoint before the edit and replays only the suffix
-//    (trial_covers()), bailing out at the first surviving undetected
-//    instance; an accepted edit re-syncs via rewind().  Items that were
-//    fully detected strictly before the edit point are skipped outright:
-//    their detection only depends on the unchanged prefix.
+//  * Checkpointed minimization (phase C, on the same persistent engine as
+//    phase B): with record_checkpoints the engine snapshots every item's
+//    lane blocks at each element boundary (cheap plain-data copies).  A
+//    "drop element i / drop op j" trial restores the checkpoint before the
+//    edit and replays only the suffix (trial_covers()), bailing out at the
+//    first surviving undetected instance; an accepted edit re-syncs via
+//    advance(), which rewinds to the longest unedited prefix.  Items that
+//    were fully detected strictly before the edit point — including items
+//    phase B dropped there — are skipped outright: their detection only
+//    depends on the unchanged prefix.
 //
-// Exactness: advance()/rewind()/trial_covers() reproduce the packed full-run
-// verdicts (sim/packed_engine.hpp packed_run) bit for bit.  Fully detected
-// blocks are frozen (not advanced further) exactly like the full runner;
-// their stale cell values are unobservable because detection is sticky.
+// Exactness: advance() (rewinds included) and trial_covers() reproduce the
+// packed full-run verdicts (sim/packed_engine.hpp packed_run) bit for bit.
+// Fully detected blocks are frozen (not advanced further) exactly like the
+// full runner; their stale cell values are unobservable because detection
+// is sticky.
 #pragma once
 
 #include <cstddef>
@@ -60,15 +63,13 @@ class PrefixEngine {
   /// "Not detected (yet)" marker for element indices.
   static constexpr std::size_t kNever = ~std::size_t{0};
 
-  /// Work counters, cumulative since construction (or reset_stats()).
+  /// Work counters, cumulative since construction.
   struct Stats {
     /// March elements replayed, counted per (instance, element) — the unit
     /// the minimizer's trial-cost guarantee is stated in: a from-scratch
     /// rescan of t trials costs ~ t × items × elements replays, a
     /// checkpointed trial only the replayed suffix of the surviving items.
     std::size_t element_replays = 0;
-    /// trial_covers() calls.
-    std::size_t trials = 0;
   };
 
   /// Builds the engine from `classes` (behaviour_classes()): one item per
@@ -102,11 +103,8 @@ class PrefixEngine {
   std::set<std::size_t> undetected_fault_indices() const;
 
   /// Marks every instance of the given faults as out of scope (uncoverable).
-  /// Excluded faults stay dropped across advance()/rewind().
+  /// Excluded faults stay dropped across advance(), rewinds included.
   void exclude_faults(const std::set<std::size_t>& fault_indices);
-
-  /// Number of undetected (instance, scenario) pairs.
-  std::size_t undetected_scenarios() const;
 
   /// Gains of appending each candidate: the number of (instance, scenario)
   /// pairs it newly detects.  Scenario granularity matters: an element can
@@ -153,8 +151,8 @@ class PrefixEngine {
 
   /// Appends the candidate to the tracked lane state in the greedy reading
   /// (⇕ runs ⇑).  Marks the engine approximate: the recorded prefix no
-  /// longer matches the lane state exactly, so advance()/rewind()/
-  /// trial_covers() refuse to run afterwards.
+  /// longer matches the lane state exactly, so advance(), trial_covers() and
+  /// clone_undetected() refuse to run afterwards.
   void commit(const MarchElement& candidate, const ElementTrace& trace);
 
   // -- Incremental certification (phase B) -----------------------------------
@@ -204,7 +202,6 @@ class PrefixEngine {
   bool trial_covers(std::size_t edit, const MarchElement* replacement);
 
   const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() { stats_ = Stats{}; }
 
  private:
   struct Item {

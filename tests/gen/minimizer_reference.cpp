@@ -1,6 +1,7 @@
 #include "minimizer_reference.hpp"
 
 #include "../sim/coverage_helpers.hpp"
+#include "sim/prefix_sim.hpp"
 
 namespace mtg {
 
@@ -8,6 +9,16 @@ bool covers_all(const FaultSimulator& simulator, const MarchTest& test,
                 const std::vector<FaultInstance>& instances) {
   if (!FaultSimulator::validity_violation(test).empty()) return false;
   return detects_every(simulator, test, instances);
+}
+
+MarchTest minimize_classes(const MarchTest& test,
+                           const std::vector<BehaviourClass>& classes,
+                           std::size_t memory_size,
+                           std::vector<std::string>* log,
+                           MinimizeStats* stats) {
+  PrefixEngine engine(memory_size, classes, test,
+                      /*record_checkpoints=*/true);
+  return minimize_test(test, engine, log, stats);
 }
 
 MarchTest minimize_test_rescan(const FaultSimulator& simulator,

@@ -13,7 +13,6 @@ GeneratorOptions fast_options() {
   GeneratorOptions options;
   options.working_memory_size = 4;
   options.certify_memory_size = 5;
-  options.minimize_memory_size = 4;
   options.max_element_length = 5;
   return options;
 }

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,9 @@ TEST(IncrementalGenerator, DefaultOptionsMatchPreIncrementalGoldens) {
        "{c(w0); ^(r0,w1,r1); ^(r1,w0,r0); ^(r0); v(r0,w1,w1,r1); "
        "v(r1,w1,r1,w0); ^(r0); ^(w0); ^(r0,w0,r0,r0,w1); ^(r1,w0,w0,w1); "
        "^(r1); v(r1,w0,r0,w1); ^(r1)}"},
+      // Phase C also proves its removals on the bit-2 decoder classes,
+      // which only memories of more than 4 cells have.
+      {"decoder", "{c(w0); ^(r0,w1); ^(r1,w0)}"},
   };
   for (const Golden& golden : goldens) {
     const GenerationResult result =
@@ -65,6 +69,29 @@ TEST(IncrementalGenerator, DefaultOptionsMatchPreIncrementalGoldens) {
     EXPECT_TRUE(result.full_coverage) << golden.list;
     // The persistent engine drops every certify instance it pays for.
     EXPECT_GT(result.stats.instances_dropped, 0u) << golden.list;
+  }
+}
+
+TEST(IncrementalGenerator, ReCertificationAfterMinimizingFindsNoEscapes) {
+  // Phase C proves every removal on the certification engine, so once
+  // phase B has converged the B2 pass has nothing left to find.
+  for (const char* name : {"list1", "list2", "simple", "retention", "decoder"}) {
+    for (const std::size_t certify_threads : {std::size_t{0}, std::size_t{2}}) {
+      GeneratorOptions options;
+      options.certify_threads = certify_threads;
+      const std::vector<std::string> log =
+          generate_march_test(list_by_name(name), options).stats.log;
+      const auto minimized =
+          std::find_if(log.begin(), log.end(), [](const std::string& line) {
+            return line.rfind("phase C (minimizer) done", 0) == 0;
+          });
+      ASSERT_NE(minimized, log.end()) << name;
+      for (auto line = minimized; line != log.end(); ++line) {
+        EXPECT_EQ(line->rfind("certification found", 0), std::string::npos)
+            << name << " certify_threads=" << certify_threads << ": "
+            << *line;
+      }
+    }
   }
 }
 
@@ -110,7 +137,6 @@ TEST(IncrementalGenerator, VariantOptionsMatchPreIncrementalGoldens) {
   GeneratorOptions weak;
   weak.working_memory_size = 2;
   weak.certify_memory_size = 6;
-  weak.minimize_memory_size = 4;
   weak.max_element_length = 5;
   const GenerationResult weak_simple =
       generate_march_test(list_by_name("simple"), weak);
@@ -175,9 +201,10 @@ void expect_minimizers_agree(const MarchTest& test,
                              std::size_t n, const std::string& where) {
   const FaultSimulator simulator(SimulatorOptions{n});
   std::vector<std::string> log_classes, log_instances, log_ref;
-  const MarchTest by_classes = minimize_test(test, classes, n, &log_classes);
+  const MarchTest by_classes =
+      minimize_classes(test, classes, n, &log_classes);
   const MarchTest by_instances =
-      minimize_test(test, instance_classes(instances), n, &log_instances);
+      minimize_classes(test, instance_classes(instances), n, &log_instances);
   const MarchTest reference =
       minimize_test_rescan(simulator, test, instances, &log_ref);
   EXPECT_EQ(by_classes, reference) << where;
@@ -215,7 +242,7 @@ TEST(IncrementalMinimizer, DecoderClassesMatchFromScratchRescanReference) {
   std::size_t shortened = 0;
   for (const MarchTest& test : all_catalog_tests()) {
     expect_minimizers_agree(test, classes, instances, n, test.name());
-    const MarchTest minimized = minimize_test(test, classes, n);
+    const MarchTest minimized = minimize_classes(test, classes, n);
     shortened += minimized.complexity() < test.complexity() ? 1 : 0;
   }
   EXPECT_GT(shortened, 0u);
@@ -239,7 +266,7 @@ TEST(IncrementalMinimizer, TrialsNeverFullRescanOnThePackedPath) {
   const MarchTest padded = parse_march_test(
       "{c(w0); c(w0,r0,r0,w1); c(w1,r1,r1,w0); c(r0,w1); c(r1,w0)}", "padded");
   MinimizeStats stats;
-  const MarchTest minimized = minimize_test(
+  const MarchTest minimized = minimize_classes(
       padded, behaviour_classes(fault_list_2(), 4), 4, nullptr, &stats);
   EXPECT_GT(stats.trials, 0u);
   EXPECT_GT(stats.element_replays, 0u);

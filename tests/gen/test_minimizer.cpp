@@ -17,7 +17,7 @@ std::vector<FaultInstance> instances_for(const FaultList& list, std::size_t n) {
 /// minimize_test on the behaviour classes of `list` at n = 4.
 MarchTest minimize(const MarchTest& test, const FaultList& list,
                    std::vector<std::string>* log = nullptr) {
-  return minimize_test(test, behaviour_classes(list, 4), 4, log);
+  return minimize_classes(test, behaviour_classes(list, 4), 4, log);
 }
 
 TEST(Minimizer, CoversAllAgreesWithCoverage) {
@@ -83,12 +83,12 @@ TEST(Minimizer, SingleElementTestsAreReturnedUnchanged) {
   for (const char* notation : {"{c(w0)}", "{c(w0,r0)}"}) {
     const MarchTest test = parse_march_test(notation, "tiny");
     std::vector<std::string> log;
-    const MarchTest minimized = minimize_test(test, {}, 4, &log);
+    const MarchTest minimized = minimize_classes(test, {}, 4, &log);
     // With no instances to keep covered, only op-dropping inside the
     // two-op element can fire; the single-op test is a strict fixpoint.
     EXPECT_TRUE(covers_all(simulator, minimized, {}));
     EXPECT_GE(minimized.elements().size(), 1u);
-    EXPECT_EQ(minimize_test(minimized, {}, 4), minimized);
+    EXPECT_EQ(minimize_classes(minimized, {}, 4), minimized);
   }
 }
 

@@ -36,6 +36,22 @@ MarchTest prefix_of(const MarchTest& test, std::size_t length) {
                                                  static_cast<long>(length)));
 }
 
+/// Inline gain_scan of every candidate march element of length <= 4
+/// against `engine`'s tracked state.
+std::vector<std::size_t> pool_gains(const PrefixEngine& engine) {
+  const std::vector<MarchElement> pool = enumerate_march_elements(4);
+  std::vector<const MarchElement*> candidates;
+  std::vector<ElementTrace> traces;
+  traces.reserve(pool.size());
+  for (const MarchElement& element : pool) {
+    candidates.push_back(&element);
+    traces.push_back(compile_element_trace(element));
+  }
+  std::vector<const ElementTrace*> trace_ptrs;
+  for (const ElementTrace& trace : traces) trace_ptrs.push_back(&trace);
+  return engine.gain_scan(candidates, trace_ptrs);
+}
+
 /// (undetected instance count, undetected fault indices) per the
 /// from-scratch simulator — the oracle the engine must reproduce.
 std::pair<std::size_t, std::set<std::size_t>> undetected_by_simulator(
@@ -164,7 +180,9 @@ TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
                      /*record_checkpoints=*/false);
   PrefixEngine clone = engine.clone_undetected();
   EXPECT_EQ(clone.undetected_instances(), fresh.undetected_instances());
-  EXPECT_EQ(clone.undetected_scenarios(), fresh.undetected_scenarios());
+  // Every undetected lane's state feeds the pool's gains, so equal gains
+  // pin the clone's lane state, not just its counts.
+  EXPECT_EQ(pool_gains(clone), pool_gains(fresh));
   EXPECT_EQ(clone.undetected_fault_indices(),
             fresh.undetected_fault_indices());
 
@@ -559,7 +577,7 @@ TEST(PrefixSim, ParallelSyncMatchesSequential) {
   sequential.advance(test);
   parallel.advance(test, &pool);
   EXPECT_EQ(sequential.undetected_instances(), parallel.undetected_instances());
-  EXPECT_EQ(sequential.undetected_scenarios(), parallel.undetected_scenarios());
+  EXPECT_EQ(pool_gains(sequential), pool_gains(parallel));
   EXPECT_EQ(sequential.undetected_fault_indices(),
             parallel.undetected_fault_indices());
 
@@ -614,15 +632,16 @@ TEST(PrefixSim, TrialCostIsProportionalToTheReplayedSuffix) {
                       /*record_checkpoints=*/true);
   const std::size_t last = test.elements().size() - 1;
 
-  engine.reset_stats();
-  engine.trial_covers(last, nullptr);
-  EXPECT_LE(engine.stats().element_replays, engine.num_representatives())
+  const auto trial_replays = [&](std::size_t edit) {
+    const std::size_t before = engine.stats().element_replays;
+    engine.trial_covers(edit, nullptr);
+    return engine.stats().element_replays - before;
+  };
+
+  EXPECT_LE(trial_replays(last), engine.num_representatives())
       << "a last-element trial must replay at most the dropped element's "
          "suffix (nothing) per live instance";
-
-  engine.reset_stats();
-  engine.trial_covers(last - 1, nullptr);
-  EXPECT_LE(engine.stats().element_replays, 2 * engine.num_representatives());
+  EXPECT_LE(trial_replays(last - 1), 2 * engine.num_representatives());
 }
 
 }  // namespace

@@ -152,7 +152,6 @@ TEST(Retention, GeneratorEmitsWaitOpsForRetentionFaults) {
   GeneratorOptions options;
   options.working_memory_size = 3;
   options.certify_memory_size = 5;
-  options.minimize_memory_size = 4;
   options.max_element_length = 4;
 
   const GenerationResult result =
