@@ -1,6 +1,7 @@
 #include "gen/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <optional>
 #include <set>
@@ -21,16 +22,59 @@ constexpr std::size_t kMaxRounds = 64;
 /// Certification/extension iterations bound.
 constexpr std::size_t kMaxCertifyIterations = 6;
 
+/// The candidate pool with its compiled traces, and its batch words packed
+/// lazily once per entry value.  A round's eligible candidates are the
+/// ones compatible with the value the test leaves in memory (none, 0 or 1),
+/// so phase A and every CEGIS extension round share at most three packings.
+class CandidateSets {
+ public:
+  struct Eligible {
+    std::vector<const MarchElement*> elements;  ///< in pool order
+    std::vector<const ElementTrace*> traces;
+    PrefixEngine::CandidateWords words;
+  };
+
+  explicit CandidateSets(const std::vector<MarchElement>& pool) : pool_(pool) {
+    traces_.reserve(pool.size());
+    for (const MarchElement& candidate : pool) {
+      traces_.push_back(compile_element_trace(candidate));
+    }
+  }
+
+  /// The candidates eligible after a test that leaves `entry` in memory.
+  const Eligible& eligible(std::optional<Bit> entry) {
+    std::optional<Eligible>& set =
+        sets_[entry.has_value() ? 1 + (*entry == Bit::One ? 1 : 0) : 0];
+    if (!set.has_value()) {
+      set.emplace();
+      for (std::size_t c = 0; c < pool_.size(); ++c) {
+        if (auto required = pool_[c].required_entry_value()) {
+          if (!entry.has_value() || *required != *entry) continue;
+        }
+        set->elements.push_back(&pool_[c]);
+        set->traces.push_back(&traces_[c]);
+      }
+      set->words = PrefixEngine::pack_candidates(set->elements, set->traces);
+    }
+    return *set;
+  }
+
+ private:
+  const std::vector<MarchElement>& pool_;
+  std::vector<ElementTrace> traces_;
+  std::array<std::optional<Eligible>, 3> sets_;
+};
+
 /// The greedy loop of Figure 5: append the best-scoring valid SO until the
 /// engine's fault set is covered or no candidate helps.  Each round scores
 /// every eligible candidate in one batched PrefixEngine::gain_scan on
 /// `workers`; its pruning keeps the exact gain of every candidate that can
 /// win or tie, and the reduction runs sequentially in pool order, so the
 /// selected element — and hence the generated test — is identical for every
-/// thread count.  Returns the fault indices reported uncoverable (step d.i).
+/// thread count.  Winners are committed on `workers` too.  Returns the fault
+/// indices reported uncoverable (step d.i).
 std::set<std::size_t> greedy_cover(PrefixEngine& engine,
-                                   const std::vector<MarchElement>& pool,
-                                   MarchTest& test,
+                                   CandidateSets& candidates, MarchTest& test,
                                    ThreadPool& workers,
                                    GenerationStats& stats) {
   auto final_value = [&]() -> std::optional<Bit> {
@@ -45,42 +89,26 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
   std::set<std::size_t> uncoverable;
   std::size_t stalls_in_a_row = 0;
 
-  // Element traces are order-independent; compile the pool's once.
-  std::vector<ElementTrace> pool_traces;
-  pool_traces.reserve(pool.size());
-  for (const MarchElement& candidate : pool) {
-    pool_traces.push_back(compile_element_trace(candidate));
-  }
-
   while (engine.undetected_instances() > 0 &&
          stats.greedy_rounds < kMaxRounds) {
     // Candidates compatible with the memory state the test leaves behind.
-    std::vector<const MarchElement*> eligible;
-    std::vector<const ElementTrace*> eligible_traces;
-    eligible.reserve(pool.size());
-    eligible_traces.reserve(pool.size());
-    for (std::size_t c = 0; c < pool.size(); ++c) {
-      if (auto entry = pool[c].required_entry_value()) {
-        if (!current_final.has_value() || *entry != *current_final) continue;
-      }
-      eligible.push_back(&pool[c]);
-      eligible_traces.push_back(&pool_traces[c]);
-    }
+    const CandidateSets::Eligible& eligible =
+        candidates.eligible(current_final);
 
     // Every candidate that can win or tie gets its exact gain (see
     // PrefixEngine::gain_scan), so the reduction below is schedule-invariant.
     const std::vector<std::size_t> gains =
-        engine.gain_scan(eligible, eligible_traces, &workers);
+        engine.gain_scan(eligible.words, &workers);
 
     // Deterministic reduction in pool order.
     const MarchElement* best = nullptr;
     const ElementTrace* best_trace = nullptr;
     std::size_t best_gain = 0;
     double best_score = 0.0;
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
+    for (std::size_t i = 0; i < eligible.elements.size(); ++i) {
       const std::size_t g = gains[i];
       if (g == 0) continue;
-      const MarchElement& candidate = *eligible[i];
+      const MarchElement& candidate = *eligible.elements[i];
       const double score =
           static_cast<double>(g) / static_cast<double>(candidate.cost());
       const bool better =
@@ -90,7 +118,7 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
             (g == best_gain && candidate.cost() < best->cost())));
       if (better) {
         best = &candidate;
-        best_trace = eligible_traces[i];
+        best_trace = eligible.traces[i];
         best_gain = g;
         best_score = score;
       }
@@ -106,7 +134,7 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
         const MarchElement bridge(AddressOrder::Up,
                                   {make_write(flip(*current_final))});
         test.append(bridge);
-        engine.commit(bridge, compile_element_trace(bridge));
+        engine.commit(bridge, compile_element_trace(bridge), &workers);
         current_final = flip(*current_final);
         ++stalls_in_a_row;
         ++stats.greedy_rounds;
@@ -124,7 +152,7 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
 
     stalls_in_a_row = 0;
     test.append(*best);
-    engine.commit(*best, *best_trace);
+    engine.commit(*best, *best_trace, &workers);
     if (auto v = best->final_value()) current_final = v;
     ++stats.greedy_rounds;
     stats.log.push_back("appended " + best->to_string() + " (gain " +
@@ -160,6 +188,7 @@ GenerationResult generate_march_test(const FaultList& list,
   const std::vector<MarchElement> pool = enumerate_march_elements(
       options.max_element_length, targets_retention(list));
   stats.candidate_pool = pool.size();
+  CandidateSets candidates(pool);
 
   // Shared gain-scan pool; the calling thread participates in every scan.
   ThreadPool workers(ThreadPool::resolve_thread_count(options.gain_threads) -
@@ -186,7 +215,7 @@ GenerationResult generate_march_test(const FaultList& list,
                         std::to_string(engine.num_instances()) +
                         " instances at n=" +
                         std::to_string(options.working_memory_size));
-    auto stalled = greedy_cover(engine, pool, test, workers, stats);
+    auto stalled = greedy_cover(engine, candidates, test, workers, stats);
     uncoverable.insert(stalled.begin(), stalled.end());
   }
   lap("phase A (greedy)", &stats.phase_a_seconds);
@@ -262,7 +291,7 @@ GenerationResult generate_march_test(const FaultList& list,
       // of the test — no from-scratch rebuild.
       PrefixEngine scratch = cert_engine.clone_undetected();
       auto stalled =
-          greedy_cover(scratch, pool, test, workers, stats);
+          greedy_cover(scratch, candidates, test, workers, stats);
       uncoverable.insert(stalled.begin(), stalled.end());
       cert_engine.exclude_faults(uncoverable);
     }
@@ -274,7 +303,8 @@ GenerationResult generate_march_test(const FaultList& list,
   stats.complexity_before_minimize = test.complexity();
   if (options.minimize) {
     MinimizeStats min_stats;
-    test = minimize_test(test, cert_engine, &stats.log, &min_stats);
+    test = minimize_test(test, cert_engine, &cert_workers, &stats.log,
+                         &min_stats);
     stats.minimize_trials = min_stats.trials;
     stats.minimize_element_replays = min_stats.element_replays;
     lap("phase C (minimizer)", &stats.phase_c_seconds);
@@ -289,7 +319,8 @@ GenerationResult generate_march_test(const FaultList& list,
   stats.instances_dropped = cert_engine.dropped_instances();
 
   // -- Final report ------------------------------------------------------
-  const FaultSimulator cert_sim(SimulatorOptions{options.certify_memory_size});
+  const FaultSimulator cert_sim(SimulatorOptions{options.certify_memory_size,
+                                                 options.certify_threads});
   result.certification = evaluate_coverage(cert_sim, test, list,
                                            options.max_instances_per_fault);
   result.full_coverage = true;

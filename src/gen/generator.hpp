@@ -52,17 +52,21 @@ struct GeneratorOptions {
   std::size_t max_element_length = 6;
   /// Run the redundancy minimizer.
   bool minimize = true;
-  /// Threads for the greedy engine's candidate gain scan (each round spreads
-  /// its 128-lane batch words, 128 candidates of one direction and one cost
-  /// each, cheapest first, over a bounded pool; all threads prune against
-  /// one shared bound).  0 picks the hardware concurrency, 1 runs the scan
-  /// on the calling thread.  The generated test is identical for every
-  /// thread count.
+  /// Threads for the greedy engine: each round's candidate gain scan
+  /// spreads its 128-lane batch words (128 candidates of one direction and
+  /// one cost each, cheapest first, packed once per generation and memory
+  /// entry value) over a bounded pool, all threads pruning against one
+  /// shared bound, and the winner's commit spreads the engine's items over
+  /// the same pool.  0 picks the hardware concurrency, 1 runs everything on
+  /// the calling thread.  The generated test is identical for every thread
+  /// count.
   std::size_t gain_threads = 0;
-  /// Threads for the persistent certification engine (building the packed
-  /// prefix state and replaying appended suffixes spreads the surviving
-  /// instances over a bounded pool).  Same 0/1 convention as gain_threads;
-  /// the generated test is identical for every thread count.
+  /// Threads for the persistent certification engine and everything that
+  /// runs on it: building the packed prefix state, replaying appended
+  /// suffixes (phase B), the minimizer's trials and rewinds (phase C), and
+  /// the final coverage report.  Each spreads the surviving instances over
+  /// a bounded pool.  Same 0/1 convention as gain_threads; the generated
+  /// test, log and stats are identical for every thread count.
   std::size_t certify_threads = 0;
   /// Per-fault layout bound for every instantiation (working, certification,
   /// minimization and the final report); 0 = full enumeration.  Lets the

@@ -13,10 +13,11 @@ void note(std::vector<std::string>* log, const std::string& line) {
 }  // namespace
 
 MarchTest minimize_test(const MarchTest& test, PrefixEngine& engine,
-                        std::vector<std::string>* log, MinimizeStats* stats) {
+                        ThreadPool* pool, std::vector<std::string>* log,
+                        MinimizeStats* stats) {
   // Every trial below replays only the suffix after its edit point; report
   // trial/rewind work, not the sync to `test`.
-  engine.advance(test);
+  engine.advance(test, pool);
   const std::size_t replays_before = engine.stats().element_replays;
 
   // A trial keeps the removal iff the trial test is valid and every class
@@ -26,7 +27,7 @@ MarchTest minimize_test(const MarchTest& test, PrefixEngine& engine,
                                   const MarchElement* replacement) {
     if (stats != nullptr) ++stats->trials;
     if (!FaultSimulator::validity_violation(trial).empty()) return false;
-    return engine.trial_covers(edit, replacement);
+    return engine.trial_covers(edit, replacement, pool);
   };
 
   MarchTest current = test;
@@ -42,7 +43,7 @@ MarchTest minimize_test(const MarchTest& test, PrefixEngine& engine,
       if (keeps_coverage(trial, i, nullptr)) {
         note(log, "dropped element " + current.elements()[i].to_string());
         current = std::move(trial);
-        engine.advance(current);  // checkpoint rewind + suffix re-record
+        engine.advance(current, pool);  // checkpoint rewind + re-record
         changed = true;
         break;
       }
@@ -64,7 +65,7 @@ MarchTest minimize_test(const MarchTest& test, PrefixEngine& engine,
           note(log, "dropped op " + to_string(removed) + " from " +
                         element.to_string());
           current = std::move(trial);
-          engine.advance(current);
+          engine.advance(current, pool);
           changed = true;
           break;
         }

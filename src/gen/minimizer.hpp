@@ -14,9 +14,11 @@
 // op j" trial restores the checkpoint before the edit and replays only the
 // suffix (PrefixEngine::trial_covers), bailing out at the first surviving
 // undetected class; classes detected strictly before the edit are skipped
-// outright.  Verdicts — and therefore the minimized test — are identical to
-// re-simulating every instance per trial (the from-scratch reference in
-// tests/gen/ checks this).
+// outright.  Trials and the rewinds of accepted removals spread the classes
+// over a thread pool; their verdicts and replay counts do not depend on the
+// thread count.  Verdicts — and therefore the minimized test — are
+// identical to re-simulating every instance per trial (the from-scratch
+// reference in tests/gen/ checks this).
 #pragma once
 
 #include <cstddef>
@@ -28,6 +30,7 @@
 namespace mtg {
 
 class PrefixEngine;  // sim/prefix_sim.hpp
+class ThreadPool;    // common/parallel.hpp
 
 /// Work counters of one minimize_test call.
 struct MinimizeStats {
@@ -44,9 +47,11 @@ struct MinimizeStats {
 /// (PrefixEngine::trial_covers); it is first synced to `test` with
 /// advance() and is left synced to the returned test.  Its item order is
 /// the trial scan order: put the classes most likely to escape first.
-/// Appends a human-readable action trace to `log` when non-null; fills
-/// `stats` when non-null.
+/// Trials and syncs run on `pool` (inline when null); the result, log and
+/// stats are identical for every thread count.  Appends a human-readable
+/// action trace to `log` when non-null; fills `stats` when non-null.
 MarchTest minimize_test(const MarchTest& test, PrefixEngine& engine,
+                        ThreadPool* pool,
                         std::vector<std::string>* log = nullptr,
                         MinimizeStats* stats = nullptr);
 

@@ -32,6 +32,17 @@ std::uint64_t same_state_lanes(const PackedFaultSim::Lanes& block,
   return ~diff;
 }
 
+/// Runs fn(worker, begin, end) over [0, count) items in chunks of 32, on
+/// `pool`, or inline when it is null.
+void for_item_chunks(ThreadPool* pool, std::size_t count,
+                     const ThreadPool::RangeFn& fn) {
+  if (pool == nullptr) {
+    fn(0, 0, count);
+  } else {
+    pool->parallel_for(count, /*chunk=*/32, fn);
+  }
+}
+
 }  // namespace
 
 PrefixEngine::PrefixEngine(std::size_t memory_size, bool record_checkpoints)
@@ -193,11 +204,7 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
     replays += local.element_replays;
   };
 
-  if (pool == nullptr) {
-    sync(0, 0, items_.size());
-  } else {
-    pool->parallel_for(items_.size(), /*chunk=*/32, sync);
-  }
+  for_item_chunks(pool, items_.size(), sync);
   stats_.element_replays += replays.load();
 }
 
@@ -230,11 +237,41 @@ void PrefixEngine::exclude_faults(const std::set<std::size_t>& fault_indices) {
   }
 }
 
-std::vector<std::size_t> PrefixEngine::gain_scan(
+PrefixEngine::CandidateWords PrefixEngine::pack_candidates(
     const std::vector<const MarchElement*>& candidates,
-    const std::vector<const ElementTrace*>& traces, ThreadPool* pool) const {
+    const std::vector<const ElementTrace*>& traces) {
   require(traces.size() == candidates.size(),
-          "prefix engine: gain_scan needs one trace per candidate");
+          "prefix engine: packing needs one trace per candidate");
+  const auto word_key = [&](std::size_t c) {
+    return std::make_pair(candidates[c]->order() == AddressOrder::Down,
+                          candidates[c]->cost());
+  };
+  std::vector<std::size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return word_key(x) < word_key(y);
+                   });
+  CandidateWords packed;
+  packed.candidates = candidates.size();
+  std::vector<CandidateWords::Word>& words = packed.words;
+  for (const std::size_t c : order) {
+    const bool down = word_key(c).first;
+    const double cost = static_cast<double>(word_key(c).second);
+    if (words.empty() ||
+        words.back().members.size() == ElementBatch::kLanes ||
+        words.back().batch.down != down || words.back().cost != cost) {
+      words.push_back(CandidateWords::Word{ElementBatch(down), {}, cost});
+    }
+    CandidateWords::Word& word = words.back();
+    word.batch.add(*candidates[c], *traces[c]);
+    word.members.push_back(c);
+  }
+  return packed;
+}
+
+std::vector<std::size_t> PrefixEngine::gain_scan(const CandidateWords& packed,
+                                                 ThreadPool* pool) const {
   // Units: every live item's distinct undetected lane states, across all of
   // its blocks, each weighted by item.weight × the lanes that share it.
   struct Unit {
@@ -270,44 +307,12 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
     }
   }
 
-  // Batch words of one sweep direction (⇕ reads as ⇑) and one cost each:
-  // candidates stably sorted by (direction, cost), so a cheap candidate
-  // never keeps a word of costly ones alive and the cheap words of each
-  // direction set the shared bound early.
-  const auto word_key = [&](std::size_t c) {
-    return std::make_pair(candidates[c]->order() == AddressOrder::Down,
-                          candidates[c]->cost());
-  };
-  std::vector<std::size_t> order(candidates.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t x, std::size_t y) {
-                     return word_key(x) < word_key(y);
-                   });
-  struct Word {
-    ElementBatch batch;
-    std::vector<std::size_t> members;  ///< candidate indices
-    double cost = 0.0;                 ///< every member's
-  };
-  std::vector<Word> words;
-  for (const std::size_t c : order) {
-    const bool down = word_key(c).first;
-    const double cost = static_cast<double>(word_key(c).second);
-    if (words.empty() ||
-        words.back().members.size() == ElementBatch::kLanes ||
-        words.back().batch.down != down || words.back().cost != cost) {
-      words.push_back(Word{ElementBatch(down), {}, cost});
-    }
-    Word& word = words.back();
-    word.batch.add(*candidates[c], *traces[c]);
-    word.members.push_back(c);
-  }
-
-  std::vector<std::size_t> gains(candidates.size(), 0);
+  const std::vector<CandidateWords::Word>& words = packed.words;
+  std::vector<std::size_t> gains(packed.candidates, 0);
   std::atomic<double> bound{0.0};
   const auto scan = [&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t w = begin; w < end; ++w) {
-      const Word& word = words[w];
+      const CandidateWords::Word& word = words[w];
       const std::size_t count = word.members.size();
       std::array<std::size_t, ElementBatch::kLanes> g{};
       std::size_t top = 0;  ///< the largest g[j]
@@ -355,18 +360,23 @@ std::vector<std::size_t> PrefixEngine::gain_scan(
 }
 
 void PrefixEngine::commit(const MarchElement& candidate,
-                          const ElementTrace& trace) {
+                          const ElementTrace& trace, ThreadPool* pool) {
   approximate_ = true;
   const std::uint64_t down =
       candidate.order() == AddressOrder::Down ? ~std::uint64_t{0} : 0;
-  for (Item& item : items_) {
-    if (item.done) continue;
-    for (PackedFaultSim::Lanes& block : item.blocks) {
-      if ((block.active & ~block.detected) == 0) continue;  // fully detected
-      item.sim.run_element(block, candidate, trace, down);
-    }
-    item.done = all_detected(item.blocks);
-  }
+  for_item_chunks(pool, items_.size(),
+                  [&](std::size_t, std::size_t begin, std::size_t end) {
+                    for (std::size_t i = begin; i < end; ++i) {
+                      Item& item = items_[i];
+                      if (item.done) continue;
+                      for (PackedFaultSim::Lanes& block : item.blocks) {
+                        // Fully detected blocks stay frozen.
+                        if ((block.active & ~block.detected) == 0) continue;
+                        item.sim.run_element(block, candidate, trace, down);
+                      }
+                      item.done = all_detected(item.blocks);
+                    }
+                  });
 }
 
 void PrefixEngine::advance(const MarchTest& test, ThreadPool* pool) {
@@ -421,7 +431,8 @@ std::size_t PrefixEngine::dropped_instances() const {
 }
 
 bool PrefixEngine::trial_covers(std::size_t edit,
-                                const MarchElement* replacement) {
+                                const MarchElement* replacement,
+                                ThreadPool* pool) {
   require(!approximate_ && record_checkpoints_,
           "prefix engine: trials require exact state with checkpoints");
   require(edit < prefix_.elements().size(),
@@ -453,23 +464,42 @@ bool PrefixEngine::trial_covers(std::size_t edit,
     plan.push_back(Step{&element, &traces_[e], ordinal});
   }
 
-  Stats local;
-  bool covered = true;
-  for (const Item& item : items_) {
-    if (item.excluded) continue;
-    // Detected strictly before the edit: the trial replays that detection
-    // unchanged (the prefix below `edit` is untouched).
-    if (item.detected_at != kNever && item.detected_at < edit) continue;
-    std::vector<PackedFaultSim::Lanes> scratch = item.checkpoints[edit];
-    std::size_t combos = std::size_t{1} << any_before_[edit];
-    if (run_steps(item, scratch, combos, plan.data(), plan.size(), nullptr,
-                  local) == kNever) {
-      covered = false;  // bail out at the first surviving instance
-      break;
+  // Every item at or below the final first escape is visited (the index
+  // only falls, and only after its own item ran), so trial_replays_ holds a
+  // fresh count for each of them; entries above it are stale and unread.
+  trial_replays_.resize(items_.size());
+  std::atomic<std::size_t> first_escape{kNever};
+  for_item_chunks(pool, items_.size(), [&](std::size_t, std::size_t begin,
+                                           std::size_t end) {
+    std::vector<PackedFaultSim::Lanes> scratch;
+    for (std::size_t i = begin; i < end && i < first_escape.load(); ++i) {
+      const Item& item = items_[i];
+      trial_replays_[i] = 0;
+      if (item.excluded) continue;
+      // Detected strictly before the edit: the trial replays that detection
+      // unchanged (the prefix below `edit` is untouched).
+      if (item.detected_at != kNever && item.detected_at < edit) continue;
+      scratch = item.checkpoints[edit];
+      std::size_t combos = std::size_t{1} << any_before_[edit];
+      Stats local;
+      const bool escaped = run_steps(item, scratch, combos, plan.data(),
+                                     plan.size(), nullptr, local) == kNever;
+      trial_replays_[i] = local.element_replays;
+      if (escaped) {
+        std::size_t seen = first_escape.load();
+        while (i < seen && !first_escape.compare_exchange_weak(seen, i)) {
+        }
+        break;
+      }
     }
-  }
-  stats_.element_replays += local.element_replays;
-  return covered;
+  });
+  const std::size_t escape = first_escape.load();
+  const std::size_t counted = escape == kNever ? items_.size() : escape + 1;
+  stats_.element_replays +=
+      std::accumulate(trial_replays_.begin(),
+                      trial_replays_.begin() + static_cast<long>(counted),
+                      std::size_t{0});
+  return escape == kNever;
 }
 
 }  // namespace mtg

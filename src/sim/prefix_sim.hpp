@@ -11,10 +11,12 @@
 //    replayed once, weighted by the lanes holding it, against 128
 //    candidates of one cost at a time (one per lane of a batch word), and
 //    hopeless words are pruned against a shared bound that keeps the
-//    winner's gain exact.
-//    The winner is appended with commit().  ⇕ candidates are scored and
-//    committed in their ⇑ reading — the greedy approximation the
-//    certification pass repairs.
+//    winner's gain exact.  The words depend only on the candidates, not on
+//    the lane state, so pack_candidates() builds them once and every round
+//    that scores the same candidates rescans them.
+//    The winner is appended with commit(), in parallel over items.  ⇕
+//    candidates are scored and committed in their ⇑ reading — the greedy
+//    approximation the certification pass repairs.
 //  * Incremental certification (phase B, CEGIS): advance() replays only the
 //    elements appended since the last sync, with *exact* ⇕ resolution — when
 //    the suffix contains a ⇕ element the scenario lanes are expanded in
@@ -24,9 +26,7 @@
 //    already-simulated prefix.  Instances detected under every scenario are
 //    dropped permanently (classic fault dropping — detection is sticky and
 //    appended elements can only add detections), so each CEGIS round scans
-//    only the survivors.  The scan spreads items over a bounded ThreadPool;
-//    items are independent and the reduction runs in item order, so results
-//    are identical for every thread count.
+//    only the survivors.
 //  * Checkpointed minimization (phase C, on the same persistent engine as
 //    phase B): with record_checkpoints the engine snapshots every item's
 //    lane blocks at each element boundary (cheap plain-data copies).  A
@@ -37,6 +37,12 @@
 //    were fully detected strictly before the edit point — including items
 //    phase B dropped there — are skipped outright: their detection only
 //    depends on the unchanged prefix.
+//
+// Every entry point that walks the items (construction, advance, commit,
+// trial_covers) spreads them over a bounded ThreadPool in chunks of 32 when
+// given one.  Items are independent and every reduction runs in item
+// order, so results — verdicts, lane state and work counters — are
+// identical for every thread count.
 //
 // Exactness: advance() (rewinds included) and trial_covers() reproduce the
 // packed full-run verdicts (sim/packed_engine.hpp packed_run) bit for bit.
@@ -106,26 +112,46 @@ class PrefixEngine {
   /// Excluded faults stay dropped across advance(), rewinds included.
   void exclude_faults(const std::set<std::size_t>& fault_indices);
 
-  /// Gains of appending each candidate: the number of (instance, scenario)
-  /// pairs it newly detects.  Scenario granularity matters: an element can
-  /// make progress on one power-on polarity only (the complementary
-  /// polarity being handled by a later element), which instance-level
-  /// counting would miss and stall on.  ⇕ candidates are evaluated in their
-  /// ⇑ reading (as the scalar engine did); certification re-resolves ⇕
-  /// orders exactly.  `traces[i]` must be candidates[i]'s compiled trace.
+  /// Candidates packed into 128-lane batch words (ElementBatch) for
+  /// gain_scan.  A word holds candidates of one sweep direction (⇕ reads as
+  /// ⇑) and one cost, member m on lane m.  Words depend only on the
+  /// candidates, so one packing serves every scan of the same candidates,
+  /// on any engine.
+  struct CandidateWords {
+    struct Word {
+      ElementBatch batch;
+      std::vector<std::size_t> members;  ///< candidate indices, lane order
+      double cost = 0.0;                 ///< every member's
+    };
+    std::vector<Word> words;
+    std::size_t candidates = 0;  ///< number of candidates packed
+  };
+
+  /// Packs `candidates` (`traces[i]` must be candidates[i]'s compiled
+  /// trace) from the candidates stably sorted by (direction, cost),
+  /// cheapest first per direction, so a cheap candidate never keeps a word
+  /// of costly ones alive and the cheap words set the scan's shared bound
+  /// early.  The words copy what they need: they hold no pointers.
+  static CandidateWords pack_candidates(
+      const std::vector<const MarchElement*>& candidates,
+      const std::vector<const ElementTrace*>& traces);
+
+  /// Gains of appending each packed candidate: the number of (instance,
+  /// scenario) pairs it newly detects, indexed like the candidates given to
+  /// pack_candidates.  Scenario granularity matters: an element can make
+  /// progress on one power-on polarity only (the complementary polarity
+  /// being handled by a later element), which instance-level counting would
+  /// miss and stall on.  ⇕ candidates are evaluated in their ⇑ reading (as
+  /// the scalar engine did); certification re-resolves ⇕ orders exactly.
   ///
-  /// Candidates are scored 128 at a time.  The scan first collapses each
-  /// live item's undetected lanes, across all of its blocks, into *units*:
-  /// one lane state (uniform, val, armed) each, weighted by the item's
-  /// weight times the number of lanes holding it (equal lanes are found
-  /// with word-wide equality masks against the lowest unmatched lane).  A
-  /// 128-lane batch word (ElementBatch) holds candidates of one sweep
-  /// direction and one cost, member m on lane m; every unit is broadcast to
-  /// all lanes, replayed by PackedFaultSim::run_batch, and lane l's newly
+  /// The scan first collapses each live item's undetected lanes, across all
+  /// of its blocks, into *units*: one lane state (uniform, val, armed) each,
+  /// weighted by the item's weight times the number of lanes holding it
+  /// (equal lanes are found with word-wide equality masks against the
+  /// lowest unmatched lane).  Every unit is broadcast to all lanes of a
+  /// word, replayed by PackedFaultSim::run_batch, and lane l's newly
   /// detected bit credits member l with the unit's weight.  Words are
-  /// packed from the candidates stably sorted by cost, cheapest first per
-  /// direction, and scanned in parallel on `pool` (inline when null).  The
-  /// returned gains are indexed like `candidates`.
+  /// scanned in parallel on `pool` (inline when null).
   ///
   /// Exactness: run_batch is lane-independent, and under a fixed-order
   /// element a lane's evolution depends only on its (uniform, val, armed)
@@ -144,16 +170,25 @@ class PrefixEngine {
   /// never abandoned.  Hence every candidate that can win or tie the
   /// score / gain / cost selection gets its exact gain, whatever the thread
   /// count or schedule; abandoned candidates get a lower bound of theirs.
+  std::vector<std::size_t> gain_scan(const CandidateWords& packed,
+                                     ThreadPool* pool = nullptr) const;
+
+  /// pack_candidates, then gain_scan of the words.
   std::vector<std::size_t> gain_scan(
       const std::vector<const MarchElement*>& candidates,
       const std::vector<const ElementTrace*>& traces,
-      ThreadPool* pool = nullptr) const;
+      ThreadPool* pool = nullptr) const {
+    return gain_scan(pack_candidates(candidates, traces), pool);
+  }
 
   /// Appends the candidate to the tracked lane state in the greedy reading
-  /// (⇕ runs ⇑).  Marks the engine approximate: the recorded prefix no
-  /// longer matches the lane state exactly, so advance(), trial_covers() and
-  /// clone_undetected() refuse to run afterwards.
-  void commit(const MarchElement& candidate, const ElementTrace& trace);
+  /// (⇕ runs ⇑), replaying each live item's blocks in place, in parallel
+  /// over items on `pool` (inline when null).  Marks the engine
+  /// approximate: the recorded prefix no longer matches the lane state
+  /// exactly, so advance(), trial_covers() and clone_undetected() refuse to
+  /// run afterwards.
+  void commit(const MarchElement& candidate, const ElementTrace& trace,
+              ThreadPool* pool = nullptr);
 
   // -- Incremental certification (phase B) -----------------------------------
 
@@ -164,8 +199,7 @@ class PrefixEngine {
   /// are restored from the checkpoint at the longest common prefix and the
   /// remainder is replayed; this requires record_checkpoints.  Items fully
   /// detected within the common prefix stay dropped: their detection
-  /// replays unchanged.  `pool` spreads items over worker threads; results
-  /// are identical for every thread count.
+  /// replays unchanged.  `pool` spreads items over worker threads.
   void advance(const MarchTest& test, ThreadPool* pool = nullptr);
 
   /// Clones the still-undetected (and non-excluded) items into a scratch
@@ -196,10 +230,18 @@ class PrefixEngine {
   /// i.e. element `edit` is dropped (replacement == nullptr) or swapped for
   /// `replacement` (the minimizer's drop-op-j trials).  Restores each item's
   /// checkpoint at `edit` and replays only the suffix, skipping items that
-  /// were fully detected strictly before `edit` and bailing out at the
-  /// first surviving undetected instance.  Requires record_checkpoints and
-  /// an exact engine; the tracked state is left untouched.
-  bool trial_covers(std::size_t edit, const MarchElement* replacement);
+  /// were fully detected strictly before `edit`.  Requires
+  /// record_checkpoints and an exact engine; the tracked state is left
+  /// untouched.
+  ///
+  /// Items are spread over `pool` (inline when null).  The verdict is the
+  /// AND over all items, so it does not depend on evaluation order.  An
+  /// escape lowers a shared "first escape" index and items above it are
+  /// skipped, so the scan bails out early on every thread.  element_replays counts the replays of the
+  /// items up to the first escape only — exactly what an in-order scan that
+  /// stops there would count — so it is identical for every thread count.
+  bool trial_covers(std::size_t edit, const MarchElement* replacement,
+                    ThreadPool* pool = nullptr);
 
   const Stats& stats() const noexcept { return stats_; }
 
@@ -276,6 +318,8 @@ class PrefixEngine {
 
   std::vector<Item> items_;
   Stats stats_;
+  /// trial_covers scratch: per-item element replays of the last trial.
+  std::vector<std::size_t> trial_replays_;
 };
 
 }  // namespace mtg

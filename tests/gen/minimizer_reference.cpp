@@ -18,7 +18,7 @@ MarchTest minimize_classes(const MarchTest& test,
                            MinimizeStats* stats) {
   PrefixEngine engine(memory_size, classes, test,
                       /*record_checkpoints=*/true);
-  return minimize_test(test, engine, log, stats);
+  return minimize_test(test, engine, /*pool=*/nullptr, log, stats);
 }
 
 MarchTest minimize_test_rescan(const FaultSimulator& simulator,

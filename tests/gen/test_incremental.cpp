@@ -8,7 +8,8 @@
 //    the minimizer re-simulating every instance per trial).  Any
 //    divergence — however the engine is refactored — fails here first.
 //  * Thread invariance: gain_threads × certify_threads sweeps produce the
-//    same test as the single-threaded run.
+//    same test, log, counters and certification report as the
+//    single-threaded run; phase C's counters are pinned.
 //  * Minimizer differential: minimize_test (checkpointed, on behaviour
 //    classes) equals minimize_test_rescan (the from-scratch reference in
 //    minimizer_reference.hpp, on every instance) on padded and catalog
@@ -154,12 +155,51 @@ TEST(IncrementalGenerator, VariantOptionsMatchPreIncrementalGoldens) {
             "v(r0,w0,r0,w1); ^(r1)}");
 }
 
+/// The generation log with the phase lap times cut off ("... done at t=").
+std::vector<std::string> untimed_log(const GenerationStats& stats) {
+  std::vector<std::string> out;
+  for (const std::string& line : stats.log) {
+    out.push_back(line.substr(0, line.find(" done at t=")));
+  }
+  return out;
+}
+
+/// Expects `result` to match `reference` in everything but wall times: the
+/// test, the log, every work counter and the certification report.
+void expect_same_generation(const GenerationResult& reference,
+                            const GenerationResult& result,
+                            const std::string& where) {
+  EXPECT_EQ(reference.test, result.test) << where;
+  EXPECT_EQ(untimed_log(reference.stats), untimed_log(result.stats)) << where;
+  EXPECT_EQ(reference.stats.greedy_rounds, result.stats.greedy_rounds)
+      << where;
+  EXPECT_EQ(reference.stats.certify_iterations,
+            result.stats.certify_iterations)
+      << where;
+  EXPECT_EQ(reference.stats.instances_dropped, result.stats.instances_dropped)
+      << where;
+  EXPECT_EQ(reference.stats.minimize_trials, result.stats.minimize_trials)
+      << where;
+  EXPECT_EQ(reference.stats.minimize_element_replays,
+            result.stats.minimize_element_replays)
+      << where;
+  const auto& expected = reference.certification.entries;
+  const auto& actual = result.certification.entries;
+  ASSERT_EQ(expected.size(), actual.size()) << where;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].instances, actual[i].instances) << where << " " << i;
+    EXPECT_EQ(expected[i].detected, actual[i].detected) << where << " " << i;
+    EXPECT_EQ(expected[i].covered, actual[i].covered) << where << " " << i;
+  }
+}
+
 TEST(IncrementalGenerator, ThreadCountsDoNotChangeTheTest) {
-  // gain_threads parallelizes the greedy candidate scan, certify_threads
-  // the persistent certification engine's item sync; both must keep the
-  // generated test byte-identical (the scan's shared pruning bound only
-  // abandons candidates that cannot win or tie, and certification items
-  // are independent with in-order reductions).
+  // gain_threads parallelizes the greedy candidate scan and commits,
+  // certify_threads the persistent certification engine's item sync, the
+  // minimizer's trials and rewinds and the final report; both must keep
+  // the generated test, the log and every counter byte-identical (the
+  // scan's shared pruning bound only abandons candidates that cannot win or
+  // tie, and items are independent with in-order reductions).
   for (const char* name : {"list2", "simple", "retention", "decoder"}) {
     const FaultList list = list_by_name(name);
     GeneratorOptions sequential;
@@ -171,22 +211,25 @@ TEST(IncrementalGenerator, ThreadCountsDoNotChangeTheTest) {
       GeneratorOptions options = sequential;
       options.gain_threads = pair[0];
       options.certify_threads = pair[1];
-      const GenerationResult result = generate_march_test(list, options);
-      EXPECT_EQ(reference.test, result.test)
-          << name << " gain_threads=" << pair[0]
-          << " certify_threads=" << pair[1];
-      EXPECT_EQ(reference.stats.greedy_rounds, result.stats.greedy_rounds);
-      EXPECT_EQ(reference.stats.certify_iterations,
-                result.stats.certify_iterations);
+      expect_same_generation(reference, generate_march_test(list, options),
+                             std::string(name) +
+                                 " gain_threads=" + std::to_string(pair[0]) +
+                                 " certify_threads=" +
+                                 std::to_string(pair[1]));
     }
   }
-  // The big list once, hardware-threaded against the golden (which the
-  // single-threaded default-options test above already pins).
+  // The big list once, hardware-threaded against the sequential run and
+  // the golden (which the default-options test above already pins).
+  GeneratorOptions single;
+  single.gain_threads = 1;
+  single.certify_threads = 1;
   GeneratorOptions hw;
   hw.gain_threads = 0;
   hw.certify_threads = 0;
   const GenerationResult list1 =
       generate_march_test(list_by_name("list1"), hw);
+  expect_same_generation(generate_march_test(list_by_name("list1"), single),
+                         list1, "list1 hardware threads");
   EXPECT_EQ(list1.test.to_string(true),
             "{c(w0); ^(r0,w1,r1); ^(r1,w0,r0); ^(r0); v(r0,w1,w1,r1); "
             "v(r1,w1,r1,w0); ^(r0); ^(w0); ^(r0,w0,r0,r0,w1); "
@@ -255,6 +298,29 @@ TEST(IncrementalMinimizer, ListTwoCountersMatchThePerInstanceEngine) {
   const GenerationResult result = generate_march_test(fault_list_2());
   EXPECT_EQ(result.stats.minimize_trials, 10u);
   EXPECT_EQ(result.stats.minimize_element_replays, 83u);
+}
+
+TEST(IncrementalMinimizer, PhaseCCountersArePinned) {
+  // Phase C's work, captured with default options (List #2's counters are
+  // pinned above).  Where trials and rewinds run must not change how many
+  // there are or how many elements they replay.
+  const struct {
+    const char* list;
+    std::size_t trials;
+    std::size_t element_replays;
+  } pinned[] = {
+      {"list1", 101, 54643},
+      {"simple", 47, 1692},
+      {"retention", 26, 534},
+      {"decoder", 10, 25},
+  };
+  for (const auto& expected : pinned) {
+    const GenerationResult result =
+        generate_march_test(list_by_name(expected.list));
+    EXPECT_EQ(result.stats.minimize_trials, expected.trials) << expected.list;
+    EXPECT_EQ(result.stats.minimize_element_replays, expected.element_replays)
+        << expected.list;
+  }
 }
 
 TEST(IncrementalMinimizer, TrialsNeverFullRescanOnThePackedPath) {

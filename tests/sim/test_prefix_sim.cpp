@@ -2,8 +2,9 @@
 // against the from-scratch simulator: element-by-element advance, scenario
 // lane expansion at mid-test ⇕ elements, checkpointed trials and rewinds,
 // undetected-item cloning, weighted instance collapsing, thread-count
-// invariance of the parallel sync, and the batched greedy gain scan against
-// its per-candidate reference.
+// invariance of the pooled sync, trials and commits, and the batched greedy
+// gain scan (its words packed once and rescanned) against its
+// per-candidate reference.
 #include "sim/prefix_sim.hpp"
 
 #include <gtest/gtest.h>
@@ -36,20 +37,31 @@ MarchTest prefix_of(const MarchTest& test, std::size_t length) {
                                                  static_cast<long>(length)));
 }
 
+/// Every candidate march element of length <= 4, with its compiled trace,
+/// in gain_scan's input form.
+struct ShortCandidates {
+  ShortCandidates() {
+    traces.reserve(pool.size());
+    for (const MarchElement& element : pool) {
+      elements.push_back(&element);
+      traces.push_back(compile_element_trace(element));
+    }
+    for (const ElementTrace& trace : traces) trace_ptrs.push_back(&trace);
+  }
+  ShortCandidates(const ShortCandidates&) = delete;
+  ShortCandidates& operator=(const ShortCandidates&) = delete;
+
+  const std::vector<MarchElement> pool = enumerate_march_elements(4);
+  std::vector<ElementTrace> traces;
+  std::vector<const MarchElement*> elements;
+  std::vector<const ElementTrace*> trace_ptrs;
+};
+
 /// Inline gain_scan of every candidate march element of length <= 4
 /// against `engine`'s tracked state.
 std::vector<std::size_t> pool_gains(const PrefixEngine& engine) {
-  const std::vector<MarchElement> pool = enumerate_march_elements(4);
-  std::vector<const MarchElement*> candidates;
-  std::vector<ElementTrace> traces;
-  traces.reserve(pool.size());
-  for (const MarchElement& element : pool) {
-    candidates.push_back(&element);
-    traces.push_back(compile_element_trace(element));
-  }
-  std::vector<const ElementTrace*> trace_ptrs;
-  for (const ElementTrace& trace : traces) trace_ptrs.push_back(&trace);
-  return engine.gain_scan(candidates, trace_ptrs);
+  const ShortCandidates candidates;
+  return engine.gain_scan(candidates.elements, candidates.trace_ptrs);
 }
 
 /// (undetected instance count, undetected fault indices) per the
@@ -586,6 +598,134 @@ TEST(PrefixSim, ParallelSyncMatchesSequential) {
     EXPECT_EQ(sequential.trial_covers(i, nullptr),
               parallel.trial_covers(i, nullptr))
         << "edit " << i;
+  }
+}
+
+TEST(PrefixSim, ParallelTrialsMatchInline) {
+  // Every drop-element and drop-op trial on a pool must give the inline
+  // verdict and count the inline element replays (only the items up to the
+  // first escape), and leave the engine's tracked state untouched.
+  const FaultList lists[] = {fault_list_2(), standard_simple_static_faults(),
+                             retention_fault_list(), decoder_fault_list()};
+  const MarchTest tests[] = {
+      march_sl(),
+      parse_march_test(
+          "{c(w0); c(w0,r0,r0,w1); c(w1,r1,r1,w0); c(r0,w1); c(r1,w0)}",
+          "padded"),
+      parse_march_test(
+          "{c(w0); ^(w1,t); ^(t,r1,w0); ^(t,r0,w1); ^(w0,t,r0); ^(r0,t,r0)}",
+          "padded-waits"),
+  };
+  ThreadPool pool(3);
+  std::size_t covered = 0;
+  std::size_t escaped = 0;
+  for (const FaultList& list : lists) {
+    for (const std::size_t n : {std::size_t{4}, std::size_t{6}}) {
+      for (const MarchTest& test : tests) {
+        const std::string where =
+            list.name + " n=" + std::to_string(n) + " " + test.name();
+        const auto classes = behaviour_classes(list, n);
+        PrefixEngine inline_engine(n, classes, test,
+                                   /*record_checkpoints=*/true);
+        PrefixEngine pooled(n, classes, test, /*record_checkpoints=*/true,
+                            &pool);
+        const std::vector<std::size_t> gains_before = pool_gains(pooled);
+        const std::size_t undetected_before = pooled.undetected_instances();
+
+        const auto expect_same_trial = [&](std::size_t edit,
+                                           const MarchElement* replacement,
+                                           const std::string& trial) {
+          const std::size_t inline_before =
+              inline_engine.stats().element_replays;
+          const std::size_t pooled_before = pooled.stats().element_replays;
+          const bool verdict = inline_engine.trial_covers(edit, replacement);
+          EXPECT_EQ(pooled.trial_covers(edit, replacement, &pool), verdict)
+              << where << " " << trial;
+          EXPECT_EQ(pooled.stats().element_replays - pooled_before,
+                    inline_engine.stats().element_replays - inline_before)
+              << where << " " << trial;
+          (verdict ? covered : escaped) += 1;
+        };
+        for (std::size_t i = 0; i < test.elements().size(); ++i) {
+          const MarchElement& element = test.elements()[i];
+          expect_same_trial(i, nullptr, "drop element " + std::to_string(i));
+          if (element.ops().size() == 1) continue;
+          for (std::size_t j = 0; j < element.ops().size(); ++j) {
+            std::vector<Op> ops = element.ops();
+            ops.erase(ops.begin() + static_cast<long>(j));
+            const MarchElement replacement(element.order(), std::move(ops));
+            expect_same_trial(i, &replacement,
+                              "drop op " + std::to_string(j) + " of " +
+                                  std::to_string(i));
+          }
+        }
+        EXPECT_EQ(pool_gains(pooled), gains_before) << where;
+        EXPECT_EQ(pooled.undetected_instances(), undetected_before) << where;
+      }
+    }
+  }
+  // Both verdicts occur, so both the bail-out and the full scan ran.
+  EXPECT_GT(covered, 0u);
+  EXPECT_GT(escaped, 0u);
+}
+
+/// The elements of List #1's generated test after its ⇕(w0) seed.
+std::vector<MarchElement> commit_sequence() {
+  return parse_march_test(
+             "{^(r0,w1,r1); ^(r1,w0,r0); ^(r0); v(r0,w1,w1,r1); "
+             "v(r1,w1,r1,w0); ^(r0); c(w0); ^(r0,w0,r0,r0,w1); "
+             "^(r1,w0,w0,w1); ^(r1); v(r1,w0,r0,w1); ^(r1)}",
+             "sequence")
+      .elements();
+}
+
+TEST(PrefixSim, ParallelCommitMatchesInline) {
+  // commit() on a pool replays each item in place; after every commit the
+  // lane state must equal the inline commit's.
+  const std::size_t n = 3;
+  const MarchTest seed = parse_march_test("{c(w0)}", "seed");
+  ThreadPool pool(3);
+  for (const FaultList& list : {fault_list_1(), fault_list_2()}) {
+    const auto classes = behaviour_classes(list, n);
+    PrefixEngine inline_engine(n, classes, seed, /*record_checkpoints=*/false);
+    PrefixEngine pooled(n, classes, seed, /*record_checkpoints=*/false);
+    for (const MarchElement& element : commit_sequence()) {
+      const ElementTrace trace = compile_element_trace(element);
+      inline_engine.commit(element, trace);
+      pooled.commit(element, trace, &pool);
+      const std::string where = list.name + " " + element.to_string();
+      EXPECT_EQ(pooled.undetected_instances(),
+                inline_engine.undetected_instances())
+          << where;
+      EXPECT_EQ(pooled.undetected_fault_indices(),
+                inline_engine.undetected_fault_indices())
+          << where;
+      EXPECT_EQ(pool_gains(pooled), pool_gains(inline_engine)) << where;
+    }
+  }
+}
+
+TEST(PrefixSim, PackedWordsServeEveryRound) {
+  // The generator packs its candidates once and rescans the same words
+  // every greedy round: after each commit, scanning them must give the
+  // gains of a fresh packing.
+  const std::size_t n = 3;
+  const ShortCandidates candidates;
+  const PrefixEngine::CandidateWords words =
+      PrefixEngine::pack_candidates(candidates.elements, candidates.trace_ptrs);
+  ASSERT_EQ(words.candidates, candidates.pool.size());
+
+  PrefixEngine engine(n, behaviour_classes(fault_list_1(), n),
+                      parse_march_test("{c(w0)}", "seed"),
+                      /*record_checkpoints=*/false);
+  for (const MarchElement& element : commit_sequence()) {
+    const std::vector<std::size_t> gains = engine.gain_scan(words);
+    EXPECT_EQ(gains,
+              engine.gain_scan(candidates.elements, candidates.trace_ptrs))
+        << "before " << element.to_string();
+    EXPECT_GT(*std::max_element(gains.begin(), gains.end()), 0u)
+        << "before " << element.to_string();
+    engine.commit(element, compile_element_trace(element));
   }
 }
 
