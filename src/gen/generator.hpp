@@ -20,7 +20,8 @@
 //   4. Redundancy elimination (gen/minimizer.hpp) — the paper's
 //      "non-redundant March Tests" claim — on the certification engine of
 //      step 3, so every removal is proven at the certify size; a final
-//      certification pass re-runs step 3 on the result.
+//      certification pass re-runs step 3 on the result, and the coverage
+//      report reads its verdicts from that engine.
 #pragma once
 
 #include <cstddef>
@@ -64,8 +65,8 @@ struct GeneratorOptions {
   /// Threads for the persistent certification engine and everything that
   /// runs on it: building the packed prefix state, replaying appended
   /// suffixes (phase B), the minimizer's trials and rewinds (phase C), and
-  /// the final coverage report.  Each spreads the surviving instances over
-  /// a bounded pool.  Same 0/1 convention as gain_threads; the generated
+  /// the final sync the coverage report reads its verdicts from.  Each
+  /// spreads the surviving instances over a bounded pool.  Same 0/1 convention as gain_threads; the generated
   /// test, log and stats are identical for every thread count.
   std::size_t certify_threads = 0;
   /// Per-fault layout bound for every instantiation (working, certification,
@@ -112,7 +113,13 @@ struct GenerationResult {
   MarchTest test;
   bool full_coverage = false;            ///< over the coverable faults
   std::vector<std::string> uncoverable;  ///< faults reported per Fig. 5 d.i
-  CoverageReport certification;          ///< final coverage at certify size
+  /// Final coverage of the test at the certify size, named "generated"
+  /// (the test's name when the report is made).  Read from the
+  /// certification engine's per-class verdicts; only classes outside it
+  /// (faults reported uncoverable) are simulated for it.  Equal to
+  /// evaluate_coverage(FaultSimulator({certify_memory_size}), test, list,
+  /// max_instances_per_fault) for the test under that name.
+  CoverageReport certification;
   GenerationStats stats;
 };
 

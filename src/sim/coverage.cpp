@@ -82,14 +82,9 @@ std::ostream& operator<<(std::ostream& os, const CoverageReport& report) {
   return os << report.summary();
 }
 
-CoverageReport evaluate_coverage(const FaultSimulator& simulator,
-                                 const MarchTest& test, const FaultList& list,
-                                 std::size_t max_instances_per_fault,
-                                 const CancelToken* cancel,
-                                 const CoverageContext* context) {
-  FaultSimulator::validate(test);
-  require_any_order_cap(FaultSimulator::any_order_count(test));
-  if (cancel != nullptr) cancel->check();
+CoverageReport coverage_report(const MarchTest& test, const FaultList& list,
+                               const std::vector<BehaviourClass>& classes,
+                               const std::vector<std::uint8_t>& detected) {
   CoverageReport report;
   report.test_name = test.name().empty() ? test.to_string() : test.name();
   report.list_name = list.name;
@@ -102,6 +97,42 @@ CoverageReport evaluate_coverage(const FaultSimulator& simulator,
     report.entries[i].fault = fault_name(list, i);
     report.entries[i].covered = true;
   }
+
+  // Deterministic aggregation in class order, regardless of how the
+  // verdicts were computed.  A fault's classes are ordered by first sampled
+  // instance, so the first escaping class holds the first escaping instance
+  // of the per-instance enumeration.
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const BehaviourClass& cls = classes[i];
+    CoverageEntry& entry = report.entries[cls.representative.fault_index];
+    entry.instances += cls.weight;
+    if (detected[i] != 0) {
+      entry.detected += cls.weight;
+    } else {
+      entry.covered = false;
+      if (entry.escape_description.empty()) {
+        entry.escape_description = cls.representative.description;
+      }
+    }
+  }
+  // Faults with zero instances (memory too small) count as uncovered.
+  for (CoverageEntry& entry : report.entries) {
+    if (entry.instances == 0) {
+      entry.covered = false;
+      entry.escape_description = "no instances fit the simulated memory";
+    }
+  }
+  return report;
+}
+
+CoverageReport evaluate_coverage(const FaultSimulator& simulator,
+                                 const MarchTest& test, const FaultList& list,
+                                 std::size_t max_instances_per_fault,
+                                 const CancelToken* cancel,
+                                 const CoverageContext* context) {
+  FaultSimulator::validate(test);
+  require_any_order_cap(FaultSimulator::any_order_count(test));
+  if (cancel != nullptr) cancel->check();
 
   const std::vector<BehaviourClass> classes = behaviour_classes(
       list, simulator.options().memory_size, max_instances_per_fault);
@@ -146,31 +177,7 @@ CoverageReport evaluate_coverage(const FaultSimulator& simulator,
     pool.parallel_for(classes.size(), chunk, evaluate);
   }
 
-  // Deterministic aggregation in class order, regardless of the thread
-  // schedule.  A fault's classes are ordered by first sampled instance, so
-  // the first escaping class holds the first escaping instance of the
-  // per-instance enumeration.
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    const BehaviourClass& cls = classes[i];
-    CoverageEntry& entry = report.entries[cls.representative.fault_index];
-    entry.instances += cls.weight;
-    if (detected[i] != 0) {
-      entry.detected += cls.weight;
-    } else {
-      entry.covered = false;
-      if (entry.escape_description.empty()) {
-        entry.escape_description = cls.representative.description;
-      }
-    }
-  }
-  // Faults with zero instances (memory too small) count as uncovered.
-  for (CoverageEntry& entry : report.entries) {
-    if (entry.instances == 0) {
-      entry.covered = false;
-      entry.escape_description = "no instances fit the simulated memory";
-    }
-  }
-  return report;
+  return coverage_report(test, list, classes, detected);
 }
 
 }  // namespace mtg

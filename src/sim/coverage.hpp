@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -68,6 +69,19 @@ struct CoverageContext {
   /// compile_march_test(test) — the compiled traces and ⇕ numbering.
   const CompiledTest* compiled = nullptr;
 };
+
+/// The report of `test` against `list` from per-class verdicts:
+/// `detected[i]` is non-zero iff `test` detects `classes[i]` (every
+/// scenario).  `classes` are behaviour_classes() of `list`, in that order or
+/// any order that keeps each fault's classes in their relative order (the
+/// first escaping class of a fault holds its first escaping instance).  Each
+/// class adds its weight to its fault's instance (and, if detected, the
+/// detected) count; a fault with no class gets the "no instances fit the
+/// simulated memory" row.  Shared by evaluate_coverage and the generator's
+/// final report, which reads the verdicts from its certification engine.
+CoverageReport coverage_report(const MarchTest& test, const FaultList& list,
+                               const std::vector<BehaviourClass>& classes,
+                               const std::vector<std::uint8_t>& detected);
 
 /// Coverage of every fault of `list` by `test`, as if every sampled
 /// instance (instantiate_all(list, n, max_instances_per_fault); 0 = full

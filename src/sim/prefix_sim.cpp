@@ -48,6 +48,7 @@ void for_item_chunks(ThreadPool* pool, std::size_t count,
 PrefixEngine::PrefixEngine(std::size_t memory_size, bool record_checkpoints)
     : memory_size_(memory_size), record_checkpoints_(record_checkpoints) {
   any_before_.push_back(0);
+  checkpoint_offsets_.push_back(0);
 }
 
 PrefixEngine::PrefixEngine(std::size_t memory_size,
@@ -83,6 +84,9 @@ void PrefixEngine::append_plan(const MarchTest& test, std::size_t from) {
     const MarchElement& element = test.elements()[e];
     traces_.push_back(compile_element_trace(element));
     std::size_t any = any_before_.back();
+    const std::size_t scenarios = std::size_t{2} << any;
+    checkpoint_offsets_.push_back(checkpoint_offsets_.back() +
+                                  (scenarios + 63) / 64);
     if (element.order() == AddressOrder::Any) {
       ordinals_.push_back(static_cast<int>(any));
       ++any;
@@ -131,10 +135,11 @@ void PrefixEngine::expand_blocks(std::vector<PackedFaultSim::Lanes>& blocks,
 std::size_t PrefixEngine::run_steps(
     const Item& item, std::vector<PackedFaultSim::Lanes>& blocks,
     std::size_t& combos, const Step* steps, std::size_t count,
-    std::vector<std::vector<PackedFaultSim::Lanes>>* checkpoints,
-    Stats& local) const {
+    std::vector<PackedFaultSim::Lanes>* checkpoints, Stats& local) const {
   for (std::size_t s = 0; s < count; ++s) {
-    if (checkpoints != nullptr) checkpoints->push_back(blocks);
+    if (checkpoints != nullptr) {
+      checkpoints->insert(checkpoints->end(), blocks.begin(), blocks.end());
+    }
     const Step& step = steps[s];
     if (step.ordinal >= 0) {
       expand_blocks(blocks, combos);
@@ -156,6 +161,14 @@ std::size_t PrefixEngine::run_steps(
     if (done) return s;
   }
   return kNever;
+}
+
+void PrefixEngine::restore_checkpoint(
+    const Item& item, std::size_t e,
+    std::vector<PackedFaultSim::Lanes>& blocks) const {
+  const auto first = item.checkpoints.begin();
+  blocks.assign(first + static_cast<long>(checkpoint_offsets_[e]),
+                first + static_cast<long>(checkpoint_offsets_[e + 1]));
 }
 
 void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
@@ -187,8 +200,9 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
       } else if (item.done || common < previous_length) {
         // The item's state is past `common` (frozen at detected_at + 1, or
         // a live item being rewound): restore the checkpoint before it.
-        item.blocks = item.checkpoints[common];
-        item.checkpoints.resize(common);  // re-recorded by run_steps below
+        // The offsets of checkpoints [0, common] are the old plan's too.
+        restore_checkpoint(item, common, item.blocks);
+        item.checkpoints.resize(checkpoint_offsets_[common]);  // re-recorded
         item.done = false;
         item.detected_at = kNever;
       }
@@ -397,6 +411,7 @@ void PrefixEngine::advance(const MarchTest& test, ThreadPool* pool) {
   traces_.resize(common);
   ordinals_.resize(common);
   any_before_.resize(common + 1);
+  checkpoint_offsets_.resize(common + 1);
   prefix_ = test;
   append_plan(test, common);
   sync_items(common, previous_length, pool);
@@ -410,6 +425,7 @@ PrefixEngine PrefixEngine::clone_undetected() const {
   out.traces_ = traces_;
   out.ordinals_ = ordinals_;
   out.any_before_ = any_before_;
+  out.checkpoint_offsets_ = checkpoint_offsets_;
   for (const Item& item : items_) {
     if (item.done) continue;
     Item copy;
@@ -420,6 +436,13 @@ PrefixEngine PrefixEngine::clone_undetected() const {
     out.items_.push_back(std::move(copy));
   }
   return out;
+}
+
+PrefixEngine::Verdict PrefixEngine::verdict(std::size_t item) const {
+  require(!approximate_, "prefix engine: verdicts require exact state");
+  const Item& it = items_.at(item);
+  if (it.excluded) return Verdict::Excluded;
+  return it.done ? Verdict::Detected : Verdict::Undetected;
 }
 
 std::size_t PrefixEngine::dropped_instances() const {
@@ -479,7 +502,7 @@ bool PrefixEngine::trial_covers(std::size_t edit,
       // Detected strictly before the edit: the trial replays that detection
       // unchanged (the prefix below `edit` is untouched).
       if (item.detected_at != kNever && item.detected_at < edit) continue;
-      scratch = item.checkpoints[edit];
+      restore_checkpoint(item, edit, scratch);
       std::size_t combos = std::size_t{1} << any_before_[edit];
       Stats local;
       const bool escaped = run_steps(item, scratch, combos, plan.data(),

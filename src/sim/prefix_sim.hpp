@@ -29,14 +29,21 @@
 //    only the survivors.
 //  * Checkpointed minimization (phase C, on the same persistent engine as
 //    phase B): with record_checkpoints the engine snapshots every item's
-//    lane blocks at each element boundary (cheap plain-data copies).  A
-//    "drop element i / drop op j" trial restores the checkpoint before the
-//    edit and replays only the suffix (trial_covers()), bailing out at the
-//    first surviving undetected instance; an accepted edit re-syncs via
-//    advance(), which rewinds to the longest unedited prefix.  Items that
-//    were fully detected strictly before the edit point — including items
-//    phase B dropped there — are skipped outright: their detection only
-//    depends on the unchanged prefix.
+//    lane blocks at each element boundary, as plain-data copies appended to
+//    one flat buffer per item.  The scenario layout before an element is the
+//    same for every item, so one table of per-element start offsets serves
+//    all buffers.  A "drop element i / drop op j" trial copies the
+//    checkpoint before the edit into per-chunk scratch and replays only the
+//    suffix (trial_covers()), bailing out at the first surviving undetected
+//    instance; an accepted edit re-syncs via advance(), which rewinds to the
+//    longest unedited prefix: it truncates each buffer to the edit point,
+//    keeping its capacity, so re-recording the suffix allocates nothing.
+//    Items that were fully detected strictly before the edit point —
+//    including items phase B dropped there — are skipped outright: their
+//    detection only depends on the unchanged prefix.
+//  * The final report: verdict() reads each item's certification verdict
+//    against the recorded prefix, so the generator reports coverage without
+//    re-simulating what the engine has already proved.
 //
 // Every entry point that walks the items (construction, advance, commit,
 // trial_covers) spreads them over a bounded ThreadPool in chunks of 32 when
@@ -219,6 +226,19 @@ class PrefixEngine {
   /// per-element workload).
   std::size_t num_representatives() const noexcept { return items_.size(); }
 
+  /// An item's verdict against the recorded prefix.
+  enum class Verdict : std::uint8_t {
+    Detected,    ///< detected in every scenario
+    Undetected,  ///< escapes in at least one scenario
+    Excluded,    ///< out of scope (exclude_faults); no verdict tracked
+  };
+
+  /// The verdict of item `item` (the class at that position of the
+  /// constructor's `classes`) against prefix() — equal to
+  /// FaultSimulator::detects(prefix(), representative) for every item not
+  /// excluded.  Requires an exact engine.
+  Verdict verdict(std::size_t item) const;
+
   // -- Checkpointed trials (phase C) -----------------------------------------
 
   /// True iff every tracked (non-excluded) instance is detected in every
@@ -260,9 +280,12 @@ class PrefixEngine {
     bool excluded = false;  ///< dropped as uncoverable (never revisited)
     /// Element index whose replay completed detection, kNever otherwise.
     std::size_t detected_at = kNever;
-    /// checkpoints[e] = `blocks` before element e (recorded while the item
-    /// was live), in the scenario layout of prefix elements [0, e).
-    std::vector<std::vector<PackedFaultSim::Lanes>> checkpoints;
+    /// The checkpoints recorded while the item was live, back to back in
+    /// one buffer: checkpoint e = `blocks` before element e, in the
+    /// scenario layout of prefix elements [0, e), at
+    /// [checkpoint_offsets_[e], checkpoint_offsets_[e + 1]).  Recording
+    /// appends; a rewind truncates and keeps the capacity.
+    std::vector<PackedFaultSim::Lanes> checkpoints;
   };
 
   /// One element of a replay plan: the element, its compiled trace, and its
@@ -285,14 +308,17 @@ class PrefixEngine {
   /// Replays `steps[0, count)` over `blocks` (layout entry: `combos` ⇕
   /// combinations), expanding at ⇕ steps and freezing fully detected
   /// blocks.  Returns the step offset whose replay completed detection, or
-  /// kNever.  With `checkpoints` non-null, snapshots `blocks` before every
-  /// step.  `local` accumulates work counters (merged into stats_ by the
-  /// caller — run_steps runs on worker threads).
+  /// kNever.  With `checkpoints` non-null, appends `blocks` to it before
+  /// every step.  `local` accumulates work counters (merged into stats_ by
+  /// the caller — run_steps runs on worker threads).
   std::size_t run_steps(
       const Item& item, std::vector<PackedFaultSim::Lanes>& blocks,
       std::size_t& combos, const Step* steps, std::size_t count,
-      std::vector<std::vector<PackedFaultSim::Lanes>>* checkpoints,
-      Stats& local) const;
+      std::vector<PackedFaultSim::Lanes>* checkpoints, Stats& local) const;
+
+  /// Copies `item`'s checkpoint e into `blocks`, reusing its capacity.
+  void restore_checkpoint(const Item& item, std::size_t e,
+                          std::vector<PackedFaultSim::Lanes>& blocks) const;
 
   /// Clone/internal constructor: prefix bookkeeping filled by the caller.
   PrefixEngine(std::size_t memory_size, bool record_checkpoints);
@@ -315,6 +341,10 @@ class PrefixEngine {
   std::vector<ElementTrace> traces_;  ///< per prefix element
   std::vector<int> ordinals_;         ///< per prefix element: ⇕ ordinal or -1
   std::vector<std::size_t> any_before_;  ///< #⇕ in elements [0, e), e ≤ size
+  /// Per e ≤ size: where checkpoint e starts in every item's `checkpoints`.
+  /// The layout before element e has 2 · 2^any_before_[e] scenario lanes,
+  /// so every item's checkpoint e has the same block count.
+  std::vector<std::size_t> checkpoint_offsets_;
 
   std::vector<Item> items_;
   Stats stats_;

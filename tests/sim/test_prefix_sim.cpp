@@ -87,6 +87,15 @@ MarchTest any_heavy_test() {
       "{c(w0); ^(r0,w1); c(r1,w0); v(r0,w1); c(r1,w0); ^(r0)}", "any-heavy");
 }
 
+/// Seven ⇕ elements: its scenario count grows from 2 to 256 lanes (one to
+/// four 64-lane blocks), so its checkpoints differ in block count.
+MarchTest many_any_test() {
+  return parse_march_test(
+      "{c(w0); c(r0,w1); c(r1,w0); ^(r0,w1); c(r1,w0); c(r0,w1); v(r1,w0); "
+      "c(r0,w1); c(r1)}",
+      "many-any");
+}
+
 TEST(PrefixSim, AdvanceMatchesFromScratchAfterEveryElement) {
   const std::size_t n = 5;
   const FaultSimulator simulator(SimulatorOptions{n});
@@ -114,7 +123,8 @@ TEST(PrefixSim, AdvanceMatchesFromScratchAfterEveryElement) {
 TEST(PrefixSim, TrialCoversMatchesFromScratchCoversAll) {
   const std::size_t n = 4;
   const FaultSimulator simulator(SimulatorOptions{n});
-  for (const MarchTest& test : {march_abl1(), any_heavy_test()}) {
+  for (const MarchTest& test :
+       {march_abl1(), any_heavy_test(), many_any_test()}) {
     const auto instances = instantiate_all(fault_list_2(), n);
     PrefixEngine engine(n, instance_classes(instances), test,
                         /*record_checkpoints=*/true);
@@ -149,25 +159,92 @@ TEST(PrefixSim, TrialCoversMatchesFromScratchCoversAll) {
 TEST(PrefixSim, RewindToEditedTestMatchesFromScratch) {
   const std::size_t n = 4;
   const FaultSimulator simulator(SimulatorOptions{n});
-  const MarchTest test = any_heavy_test();
-  const auto instances = instantiate_all(fault_list_2(), n);
-  PrefixEngine engine(n, instance_classes(instances), test,
-                      /*record_checkpoints=*/true);
+  for (const MarchTest& test : {any_heavy_test(), many_any_test()}) {
+    const auto instances = instantiate_all(fault_list_2(), n);
+    PrefixEngine engine(n, instance_classes(instances), test,
+                        /*record_checkpoints=*/true);
 
-  // Drop every element in turn (fresh engine state each time via rewind
-  // back to the full test), including the ⇕ ones — the scenario space
-  // shrinks and the tail's ⇕ ordinals shift down.
-  for (std::size_t i = 0; i < test.elements().size(); ++i) {
-    MarchTest edited = test;
-    edited.elements().erase(edited.elements().begin() + static_cast<long>(i));
-    engine.advance(edited);
-    const auto expected = undetected_by_simulator(simulator, edited, instances);
-    EXPECT_EQ(engine.undetected_instances(), expected.first) << "edit " << i;
-    EXPECT_EQ(engine.undetected_fault_indices(), expected.second)
-        << "edit " << i;
-    engine.advance(test);  // restore for the next round
-    EXPECT_EQ(engine.undetected_instances(),
-              undetected_by_simulator(simulator, test, instances).first);
+    // Drop every element in turn (fresh engine state each time via rewind
+    // back to the full test), including the ⇕ ones — the scenario space
+    // shrinks and the tail's ⇕ ordinals shift down.
+    for (std::size_t i = 0; i < test.elements().size(); ++i) {
+      MarchTest edited = test;
+      edited.elements().erase(edited.elements().begin() +
+                              static_cast<long>(i));
+      engine.advance(edited);
+      const auto expected =
+          undetected_by_simulator(simulator, edited, instances);
+      EXPECT_EQ(engine.undetected_instances(), expected.first)
+          << test.name() << " edit " << i;
+      EXPECT_EQ(engine.undetected_fault_indices(), expected.second)
+          << test.name() << " edit " << i;
+      engine.advance(test);  // restore for the next round
+      EXPECT_EQ(engine.undetected_instances(),
+                undetected_by_simulator(simulator, test, instances).first)
+          << test.name();
+    }
+  }
+}
+
+TEST(PrefixSim, ChainedRewindsMatchFromScratch) {
+  // Edits stacked on one engine, each rewinding into checkpoint buffers the
+  // previous ones truncated and re-recorded: removals of ⇕ and fixed-order
+  // elements and of single ops, a cut to a bare prefix, a divergence at the
+  // first element and regrowth to the full test.  After each, every item's
+  // verdict must equal the simulator's, and the lane state a fresh engine's
+  // (equal gains pin every undetected lane, so a restore that copies too
+  // many or too few blocks fails even where the verdicts survive it).
+  const std::size_t n = 4;
+  const FaultSimulator simulator(SimulatorOptions{n});
+  const MarchTest full = many_any_test();
+  const std::vector<BehaviourClass> classes =
+      behaviour_classes(fault_list_2(), n);
+  const auto edit = [](MarchTest test, std::size_t element) {
+    test.elements().erase(test.elements().begin() +
+                          static_cast<long>(element));
+    return test;
+  };
+  const auto drop_op = [](MarchTest test, std::size_t element,
+                          std::size_t op) {
+    std::vector<Op> ops = test.elements()[element].ops();
+    ops.erase(ops.begin() + static_cast<long>(op));
+    test.elements()[element] =
+        MarchElement(test.elements()[element].order(), std::move(ops));
+    return test;
+  };
+  std::vector<MarchTest> chain;
+  chain.push_back(edit(full, 3));                 // ^(r0,w1)
+  chain.push_back(edit(chain.back(), 4));         // c(r0,w1)
+  chain.push_back(drop_op(chain.back(), 5, 0));   // c(r0,w1) -> c(w1)
+  chain.push_back(edit(chain.back(), 1));         // c(r0,w1)
+  chain.push_back(prefix_of(chain.back(), 3));
+  chain.push_back(full);
+  chain.push_back(edit(full, 0));                 // c(w0): diverges at 0
+  chain.push_back(edit(edit(full, 8), 2));        // c(r1) and c(r1,w0)
+  chain.push_back(full);
+
+  const auto instances = instantiate_all(fault_list_2(), n);
+  ThreadPool workers(3);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &workers}) {
+    PrefixEngine engine(n, classes, full, /*record_checkpoints=*/true, pool);
+    for (std::size_t step = 0; step < chain.size(); ++step) {
+      const MarchTest& test = chain[step];
+      engine.advance(test, pool);
+      const PrefixEngine fresh(n, classes, test, /*record_checkpoints=*/false);
+      EXPECT_EQ(pool_gains(engine), pool_gains(fresh)) << "step " << step;
+      for (std::size_t i = 0; i < classes.size(); ++i) {
+        EXPECT_EQ(engine.verdict(i) == PrefixEngine::Verdict::Detected,
+                  simulator.detects(test, classes[i].representative))
+            << "step " << step << " " << test.to_string(true) << " class "
+            << classes[i].representative.description;
+      }
+      // Trials read the re-recorded checkpoints.
+      for (std::size_t e = 0; e < test.elements().size(); ++e) {
+        EXPECT_EQ(engine.trial_covers(e, nullptr, pool),
+                  detects_every(simulator, edit(test, e), instances))
+            << "step " << step << " drop element " << e;
+      }
+    }
   }
 }
 
