@@ -1,11 +1,14 @@
 // Ablation of the generator's design choices (the phases are described in
 // README "Generator pipeline"):
 //   * redundancy elimination on/off (the paper's "non-redundant" claim),
-//   * working memory size (greedy fidelity vs speed),
+//   * working memory size (greedy fidelity vs speed; List #1 at n=2 leaves
+//     its three-cell faults to the certification loop, cegis= counts its
+//     rounds),
 //   * candidate element length bound (SO search space).
 //
-// Fault List #2 is swept fully; Fault List #1 ablates the minimizer only
-// (its sweeps dominate runtime on a laptop-class host).
+// Fault List #2 is swept fully; Fault List #1 ablates the minimizer and the
+// two-cell working memory only (its sweeps dominate runtime on a
+// laptop-class host).
 //
 // --quick runs a reduced matrix (CI smoke).  Per-phase generation times
 // are printed by `mtg_cli generate --stats`.
@@ -23,10 +26,12 @@ void run(const char* label, const mtg::FaultList& list,
   const mtg::GenerationResult result = generate_march_test(list, options);
   const mtg::GenerationStats& s = result.stats;
   std::printf(
-      "%-34s %5zun %8.2fs  %6.2f%%  rounds=%zu pool=%zu B+B2=%.4fs%s\n",
+      "%-34s %5zun %8.2fs  %6.2f%%  rounds=%zu cegis=%zu pool=%zu "
+      "B+B2=%.4fs%s\n",
       label, result.test.complexity(), s.elapsed_seconds,
       result.certification.fault_coverage_percent(), s.greedy_rounds,
-      s.candidate_pool, s.phase_b_seconds + s.phase_b2_seconds,
+      s.certify_iterations, s.candidate_pool,
+      s.phase_b_seconds + s.phase_b2_seconds,
       result.uncoverable.empty() ? "" : "  (uncoverable reported!)");
 }
 
@@ -79,6 +84,11 @@ int main(int argc, char** argv) {
   {
     GeneratorOptions options;
     run("L1 default", list1, options);
+  }
+  {
+    GeneratorOptions options;
+    options.working_memory_size = 2;
+    run("L1 working memory n=2", list1, options);
   }
   if (!quick) {
     GeneratorOptions options;

@@ -30,7 +30,6 @@ class CandidateSets {
  public:
   struct Eligible {
     std::vector<const MarchElement*> elements;  ///< in pool order
-    std::vector<const ElementTrace*> traces;
     PrefixEngine::CandidateWords words;
   };
 
@@ -47,14 +46,15 @@ class CandidateSets {
         sets_[entry.has_value() ? 1 + (*entry == Bit::One ? 1 : 0) : 0];
     if (!set.has_value()) {
       set.emplace();
+      std::vector<const ElementTrace*> traces;
       for (std::size_t c = 0; c < pool_.size(); ++c) {
         if (auto required = pool_[c].required_entry_value()) {
           if (!entry.has_value() || *required != *entry) continue;
         }
         set->elements.push_back(&pool_[c]);
-        set->traces.push_back(&traces_[c]);
+        traces.push_back(&traces_[c]);
       }
-      set->words = PrefixEngine::pack_candidates(set->elements, set->traces);
+      set->words = PrefixEngine::pack_candidates(set->elements, traces);
     }
     return *set;
   }
@@ -66,16 +66,18 @@ class CandidateSets {
 };
 
 /// The greedy loop of Figure 5: append the best-scoring valid SO until the
-/// engine's fault set is covered or no candidate helps.  Each round scores
-/// every eligible candidate in one batched PrefixEngine::gain_scan on
-/// `workers`; its pruning keeps the exact gain of every candidate that can
-/// win or tie, and the reduction runs sequentially in pool order, so the
-/// selected element — and hence the generated test — is identical for every
-/// thread count.  Winners are committed on `workers` too.  Returns the fault
-/// indices reported uncoverable (step d.i).
+/// engine's fault set is covered or no candidate helps.  `engine` must be
+/// synced to `test`, and stays synced: each winner (or polarity bridge) is
+/// appended to `test` and replayed with PrefixEngine::advance on
+/// `append_pool`.  Each round scores every eligible candidate in one batched
+/// PrefixEngine::gain_scan on `workers`; its pruning keeps the exact gain of
+/// every candidate that can win or tie, and the reduction runs sequentially
+/// in pool order, so the selected element — and hence the generated test —
+/// is identical for every thread count.  Returns the fault indices reported
+/// uncoverable (step d.i), which are excluded on `engine`.
 std::set<std::size_t> greedy_cover(PrefixEngine& engine,
                                    CandidateSets& candidates, MarchTest& test,
-                                   ThreadPool& workers,
+                                   ThreadPool& workers, ThreadPool& append_pool,
                                    GenerationStats& stats) {
   auto final_value = [&]() -> std::optional<Bit> {
     std::optional<Bit> value;
@@ -102,7 +104,6 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
 
     // Deterministic reduction in pool order.
     const MarchElement* best = nullptr;
-    const ElementTrace* best_trace = nullptr;
     std::size_t best_gain = 0;
     double best_score = 0.0;
     for (std::size_t i = 0; i < eligible.elements.size(); ++i) {
@@ -118,7 +119,6 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
             (g == best_gain && candidate.cost() < best->cost())));
       if (better) {
         best = &candidate;
-        best_trace = eligible.traces[i];
         best_gain = g;
         best_score = score;
       }
@@ -134,7 +134,7 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
         const MarchElement bridge(AddressOrder::Up,
                                   {make_write(flip(*current_final))});
         test.append(bridge);
-        engine.commit(bridge, compile_element_trace(bridge), &workers);
+        engine.advance(test, &append_pool);
         current_final = flip(*current_final);
         ++stalls_in_a_row;
         ++stats.greedy_rounds;
@@ -152,7 +152,7 @@ std::set<std::size_t> greedy_cover(PrefixEngine& engine,
 
     stalls_in_a_row = 0;
     test.append(*best);
-    engine.commit(*best, *best_trace, &workers);
+    engine.advance(test, &append_pool);
     if (auto v = best->final_value()) current_final = v;
     ++stats.greedy_rounds;
     stats.log.push_back("appended " + best->to_string() + " (gain " +
@@ -222,7 +222,8 @@ GenerationResult generate_march_test(const FaultList& list,
                         std::to_string(engine.num_instances()) +
                         " instances at n=" +
                         std::to_string(options.working_memory_size));
-    auto stalled = greedy_cover(engine, candidates, test, workers, stats);
+    auto stalled =
+        greedy_cover(engine, candidates, test, workers, workers, stats);
     uncoverable.insert(stalled.begin(), stalled.end());
   }
   lap("phase A (greedy)", &stats.phase_a_seconds);
@@ -232,11 +233,12 @@ GenerationResult generate_march_test(const FaultList& list,
   // behaviour class, weighted by the instances it stands for, to the end of
   // the phase-A test exactly once (this prep is the unavoidable first
   // full-prefix simulation; checkpoints are recorded for phase C, which
-  // runs its trials on this same engine).  Every later round only replays
-  // elements appended since the previous sync, and instances detected under
-  // every scenario are dropped permanently: march tests grow append-only
-  // within the CEGIS loop and detection is sticky, so a dropped instance can
-  // never escape again.
+  // runs its trials on this same engine).  From then on the engine stays
+  // synced to `test`: the CEGIS rounds extend it in place, one appended
+  // element at a time, and phase C leaves it at its result.  Instances
+  // detected under every scenario are dropped permanently: march tests grow
+  // append-only within the CEGIS loop and detection is sticky, so a dropped
+  // instance can never escape again.
   //
   // The classes are built once and kept for the final report, which reads
   // the engine's verdicts instead of re-simulating them.
@@ -282,9 +284,6 @@ GenerationResult generate_march_test(const FaultList& list,
 
   auto certify_and_extend = [&]() {
     for (std::size_t iter = 0; iter < kMaxCertifyIterations; ++iter) {
-      // Replay the suffix appended since the last sync (a no-op on the
-      // first round after prep) and scan the survivors.
-      cert_engine.advance(test, &cert_workers);
       const std::size_t missed = cert_engine.undetected_instances();
       if (missed == 0) return;
       ++stats.certify_iterations;
@@ -294,14 +293,12 @@ GenerationResult generate_march_test(const FaultList& list,
           std::to_string(options.certify_memory_size) + " (" +
           std::to_string(cert_engine.dropped_instances()) +
           " instances dropped)");
-      // Extend greedily from the persistent lane state: the scratch clone
-      // holds exactly the escaped instances, already simulated to the end
-      // of the test — no from-scratch rebuild.
-      PrefixEngine scratch = cert_engine.clone_undetected();
-      auto stalled =
-          greedy_cover(scratch, candidates, test, workers, stats);
+      // Extend greedily on the certification engine itself: its live items
+      // are exactly the escaped instances, already simulated to the end of
+      // the test, so the greedy loop scores and appends against them.
+      auto stalled = greedy_cover(cert_engine, candidates, test, workers,
+                                  cert_workers, stats);
       uncoverable.insert(stalled.begin(), stalled.end());
-      cert_engine.exclude_faults(uncoverable);
     }
   };
   certify_and_extend();
@@ -327,11 +324,9 @@ GenerationResult generate_march_test(const FaultList& list,
   stats.instances_dropped = cert_engine.dropped_instances();
 
   // -- Final report ------------------------------------------------------
-  // The engine has proved every class it tracks; phase B can stop at
-  // kMaxCertifyIterations one greedy extension ahead of it, so sync first.
-  // Only the classes it excluded (faults phase A or a CEGIS round reported
-  // uncoverable) are simulated here.
-  cert_engine.advance(test, &cert_workers);
+  // The engine, synced to the final test, has a verdict for every class it
+  // tracks.  Only the classes it excluded (faults phase A or a CEGIS round
+  // reported uncoverable) are simulated here.
   const FaultSimulator cert_sim(
       SimulatorOptions{options.certify_memory_size, /*coverage_threads=*/1});
   std::vector<std::uint8_t> detected(cert_classes.size(), 0);

@@ -14,9 +14,10 @@
 //      operation; repeat until the working fault set is covered or no
 //      candidate helps (the latter faults are reported uncoverable —
 //      step d.i of Figure 5).
-//   3. Certification (CEGIS loop): re-simulate on a larger memory with every
-//      address layout instantiated; feed escaped instances back to the
-//      greedy loop.
+//   3. Certification (CEGIS loop): re-simulate on a larger memory, one
+//      representative per behaviour class of its instances; feed escaped
+//      instances back to the greedy loop, which extends the certification
+//      engine in place.
 //   4. Redundancy elimination (gen/minimizer.hpp) — the paper's
 //      "non-redundant March Tests" claim — on the certification engine of
 //      step 3, so every removal is proven at the certify size; a final
@@ -39,7 +40,8 @@ namespace mtg {
 /// space is fixed, not an option.
 struct GeneratorOptions {
   /// Memory size used by the greedy working phase.  Small is fast; escapes
-  /// are caught by certification.
+  /// are caught by certification, and so are faults whose layout needs more
+  /// cells than this (they have no instance here).
   std::size_t working_memory_size = 3;
   /// Memory size used by certification, by the redundancy minimizer (which
   /// runs its trials on the certification engine) and by the reported
@@ -57,17 +59,17 @@ struct GeneratorOptions {
   /// spreads its 128-lane batch words (128 candidates of one direction and
   /// one cost each, cheapest first, packed once per generation and memory
   /// entry value) over a bounded pool, all threads pruning against one
-  /// shared bound, and the winner's commit spreads the engine's items over
-  /// the same pool.  0 picks the hardware concurrency, 1 runs everything on
-  /// the calling thread.  The generated test is identical for every thread
-  /// count.
+  /// shared bound, and phase A's appends of the winner spread the engine's
+  /// items over the same pool.  0 picks the hardware concurrency, 1 runs
+  /// everything on the calling thread.  The generated test is identical for
+  /// every thread count.
   std::size_t gain_threads = 0;
   /// Threads for the persistent certification engine and everything that
-  /// runs on it: building the packed prefix state, replaying appended
-  /// suffixes (phase B), the minimizer's trials and rewinds (phase C), and
-  /// the final sync the coverage report reads its verdicts from.  Each
-  /// spreads the surviving instances over a bounded pool.  Same 0/1 convention as gain_threads; the generated
-  /// test, log and stats are identical for every thread count.
+  /// runs on it: building the packed prefix state, replaying the elements
+  /// CEGIS rounds append (phase B), and the minimizer's trials and rewinds
+  /// (phase C).  Each spreads the surviving instances over a bounded pool.
+  /// Same 0/1 convention as gain_threads; the generated test, log and stats
+  /// are identical for every thread count.
   std::size_t certify_threads = 0;
   /// Per-fault layout bound for every instantiation (working, certification,
   /// minimization and the final report); 0 = full enumeration.  Lets the

@@ -18,7 +18,7 @@ MarchTest minimize_test(const MarchTest& test, PrefixEngine& engine,
   // Every trial below replays only the suffix after its edit point; report
   // trial/rewind work, not the sync to `test`.
   engine.advance(test, pool);
-  const std::size_t replays_before = engine.stats().element_replays;
+  const std::size_t replays_before = engine.element_replays();
 
   // A trial keeps the removal iff the trial test is valid and every class
   // stays detected: element `edit` dropped (replacement == nullptr) or
@@ -74,7 +74,7 @@ MarchTest minimize_test(const MarchTest& test, PrefixEngine& engine,
   }
   if (stats != nullptr) {
     stats->element_replays +=
-        engine.stats().element_replays - replays_before;
+        engine.element_replays() - replays_before;
   }
   return current;
 }

@@ -293,13 +293,17 @@ std::vector<BehaviourClass> behaviour_classes(const FaultList& list,
   std::size_t index = 0;
   // Every layout of an FP fault has the same relative cell order: one class,
   // represented by the lowest layout {0..k-1} (the first instantiate() keeps
-  // under every cap), weighted by the analytic layout count.
+  // under every cap), weighted by the analytic layout count.  A fault with
+  // more cells than the memory has no layout and no class.
   const auto add_fp_fault = [&](const auto& fault) {
-    std::vector<std::size_t> lowest(layout_cells(fault, n));
-    std::iota(lowest.begin(), lowest.end(), std::size_t{0});
-    classes.push_back(BehaviourClass{
-        bind(fault, lowest, index),
-        static_cast<std::size_t>(kept_layouts(n, lowest.size(), cap))});
+    const auto k = static_cast<std::size_t>(fault.num_cells());
+    if (k <= n) {
+      std::vector<std::size_t> lowest(k);
+      std::iota(lowest.begin(), lowest.end(), std::size_t{0});
+      classes.push_back(BehaviourClass{
+          bind(fault, lowest, index),
+          static_cast<std::size_t>(kept_layouts(n, k, cap))});
+    }
     ++index;
   };
   for (const SimpleFault& fault : list.simple) add_fp_fault(fault);

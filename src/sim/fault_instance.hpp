@@ -109,7 +109,9 @@ struct BehaviourClass {
 /// in fault order and, within a fault, in order of first sampled instance;
 /// the weights sum to that call's instance count.  An FP fault is one class
 /// (all its layouts share their relative cell order), weighted by
-/// kept_layouts(); a decoder fault has at most two, split by bit `bit` of the
+/// kept_layouts(), or none when its layout needs more than n cells (where
+/// instantiate() throws), just as a decoder fault with no address in range
+/// has none; a decoder fault has at most two, split by bit `bit` of the
 /// corrupted address.  Over the whole address set (cap 0, or cap at least
 /// decoder_address_count()) both weights are counted in O(1); a smaller cap
 /// tallies decoder_sample(), O(cap) at any n.  Nothing is instantiated beyond

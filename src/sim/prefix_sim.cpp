@@ -45,48 +45,35 @@ void for_item_chunks(ThreadPool* pool, std::size_t count,
 
 }  // namespace
 
-PrefixEngine::PrefixEngine(std::size_t memory_size, bool record_checkpoints)
-    : memory_size_(memory_size), record_checkpoints_(record_checkpoints) {
-  any_before_.push_back(0);
-  checkpoint_offsets_.push_back(0);
-}
-
 PrefixEngine::PrefixEngine(std::size_t memory_size,
                            const std::vector<BehaviourClass>& classes,
                            const MarchTest& prefix, bool record_checkpoints,
                            ThreadPool* pool)
-    : PrefixEngine(memory_size, record_checkpoints) {
+    : record_checkpoints_(record_checkpoints),
+      prefix_(prefix),
+      any_before_{0},
+      checkpoint_offsets_{0} {
   items_.reserve(classes.size());
   for (const BehaviourClass& cls : classes) {
     const FaultInstance& instance = cls.representative;
-    require_addresses_fit(instance, memory_size_);
+    require_addresses_fit(instance, memory_size);
     Item item;
     item.fault_index = instance.fault_index;
     item.sim = PackedFaultSim(instance);
     item.weight = cls.weight;
     items_.push_back(std::move(item));
   }
-  prefix_ = prefix;
   append_plan(prefix, 0);
   sync_items(0, 0, pool);
-}
-
-bool PrefixEngine::all_detected(
-    const std::vector<PackedFaultSim::Lanes>& blocks) {
-  for (const PackedFaultSim::Lanes& block : blocks) {
-    if ((block.active & ~block.detected) != 0) return false;
-  }
-  return true;
 }
 
 void PrefixEngine::append_plan(const MarchTest& test, std::size_t from) {
   for (std::size_t e = from; e < test.elements().size(); ++e) {
     const MarchElement& element = test.elements()[e];
     traces_.push_back(compile_element_trace(element));
-    std::size_t any = any_before_.back();
-    const std::size_t scenarios = std::size_t{2} << any;
     checkpoint_offsets_.push_back(checkpoint_offsets_.back() +
-                                  (scenarios + 63) / 64);
+                                  checkpoint_blocks(e));
+    std::size_t any = any_before_.back();
     if (element.order() == AddressOrder::Any) {
       ordinals_.push_back(static_cast<int>(any));
       ++any;
@@ -135,7 +122,8 @@ void PrefixEngine::expand_blocks(std::vector<PackedFaultSim::Lanes>& blocks,
 std::size_t PrefixEngine::run_steps(
     const Item& item, std::vector<PackedFaultSim::Lanes>& blocks,
     std::size_t& combos, const Step* steps, std::size_t count,
-    std::vector<PackedFaultSim::Lanes>* checkpoints, Stats& local) const {
+    std::vector<PackedFaultSim::Lanes>* checkpoints,
+    std::size_t& replays) const {
   for (std::size_t s = 0; s < count; ++s) {
     if (checkpoints != nullptr) {
       checkpoints->insert(checkpoints->end(), blocks.begin(), blocks.end());
@@ -145,7 +133,7 @@ std::size_t PrefixEngine::run_steps(
       expand_blocks(blocks, combos);
       combos *= 2;
     }
-    ++local.element_replays;
+    ++replays;
     bool done = true;
     for (std::size_t b = 0; b < blocks.size(); ++b) {
       PackedFaultSim::Lanes& lanes = blocks[b];
@@ -166,9 +154,11 @@ std::size_t PrefixEngine::run_steps(
 void PrefixEngine::restore_checkpoint(
     const Item& item, std::size_t e,
     std::vector<PackedFaultSim::Lanes>& blocks) const {
-  const auto first = item.checkpoints.begin();
-  blocks.assign(first + static_cast<long>(checkpoint_offsets_[e]),
-                first + static_cast<long>(checkpoint_offsets_[e + 1]));
+  // The offset table may end at e (a rewind to a prefix of the recorded
+  // test restores its last checkpoint), so the length comes from the layout.
+  const auto first =
+      item.checkpoints.begin() + static_cast<long>(checkpoint_offsets_[e]);
+  blocks.assign(first, first + static_cast<long>(checkpoint_blocks(e)));
 }
 
 void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
@@ -181,7 +171,7 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
 
   std::atomic<std::size_t> replays{0};
   const auto sync = [&](std::size_t, std::size_t begin, std::size_t end) {
-    Stats local;
+    std::size_t local = 0;
     for (std::size_t i = begin; i < end; ++i) {
       Item& item = items_[i];
       if (item.excluded) continue;
@@ -215,11 +205,11 @@ void PrefixEngine::sync_items(std::size_t common, std::size_t previous_length,
         item.done = true;
       }
     }
-    replays += local.element_replays;
+    replays += local;
   };
 
   for_item_chunks(pool, items_.size(), sync);
-  stats_.element_replays += replays.load();
+  element_replays_ += replays.load();
 }
 
 std::size_t PrefixEngine::undetected_instances() const {
@@ -373,29 +363,7 @@ std::vector<std::size_t> PrefixEngine::gain_scan(const CandidateWords& packed,
   return gains;
 }
 
-void PrefixEngine::commit(const MarchElement& candidate,
-                          const ElementTrace& trace, ThreadPool* pool) {
-  approximate_ = true;
-  const std::uint64_t down =
-      candidate.order() == AddressOrder::Down ? ~std::uint64_t{0} : 0;
-  for_item_chunks(pool, items_.size(),
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      Item& item = items_[i];
-                      if (item.done) continue;
-                      for (PackedFaultSim::Lanes& block : item.blocks) {
-                        // Fully detected blocks stay frozen.
-                        if ((block.active & ~block.detected) == 0) continue;
-                        item.sim.run_element(block, candidate, trace, down);
-                      }
-                      item.done = all_detected(item.blocks);
-                    }
-                  });
-}
-
 void PrefixEngine::advance(const MarchTest& test, ThreadPool* pool) {
-  require(!approximate_,
-          "prefix engine: exact advance after a greedy commit()");
   const std::vector<MarchElement>& old_elements = prefix_.elements();
   const std::vector<MarchElement>& new_elements = test.elements();
   std::size_t common = 0;
@@ -417,29 +385,7 @@ void PrefixEngine::advance(const MarchTest& test, ThreadPool* pool) {
   sync_items(common, previous_length, pool);
 }
 
-PrefixEngine PrefixEngine::clone_undetected() const {
-  require(!approximate_,
-          "prefix engine: cloning requires exact prefix state");
-  PrefixEngine out(memory_size_, /*record_checkpoints=*/false);
-  out.prefix_ = prefix_;
-  out.traces_ = traces_;
-  out.ordinals_ = ordinals_;
-  out.any_before_ = any_before_;
-  out.checkpoint_offsets_ = checkpoint_offsets_;
-  for (const Item& item : items_) {
-    if (item.done) continue;
-    Item copy;
-    copy.fault_index = item.fault_index;
-    copy.sim = item.sim;
-    copy.weight = item.weight;
-    copy.blocks = item.blocks;
-    out.items_.push_back(std::move(copy));
-  }
-  return out;
-}
-
 PrefixEngine::Verdict PrefixEngine::verdict(std::size_t item) const {
-  require(!approximate_, "prefix engine: verdicts require exact state");
   const Item& it = items_.at(item);
   if (it.excluded) return Verdict::Excluded;
   return it.done ? Verdict::Detected : Verdict::Undetected;
@@ -456,8 +402,7 @@ std::size_t PrefixEngine::dropped_instances() const {
 bool PrefixEngine::trial_covers(std::size_t edit,
                                 const MarchElement* replacement,
                                 ThreadPool* pool) {
-  require(!approximate_ && record_checkpoints_,
-          "prefix engine: trials require exact state with checkpoints");
+  require(record_checkpoints_, "prefix engine: trials require checkpoints");
   require(edit < prefix_.elements().size(),
           "prefix engine: trial edit index out of range");
 
@@ -504,10 +449,9 @@ bool PrefixEngine::trial_covers(std::size_t edit,
       if (item.detected_at != kNever && item.detected_at < edit) continue;
       restore_checkpoint(item, edit, scratch);
       std::size_t combos = std::size_t{1} << any_before_[edit];
-      Stats local;
-      const bool escaped = run_steps(item, scratch, combos, plan.data(),
-                                     plan.size(), nullptr, local) == kNever;
-      trial_replays_[i] = local.element_replays;
+      const bool escaped =
+          run_steps(item, scratch, combos, plan.data(), plan.size(), nullptr,
+                    trial_replays_[i]) == kNever;
       if (escaped) {
         std::size_t seen = first_escape.load();
         while (i < seen && !first_escape.compare_exchange_weak(seen, i)) {
@@ -518,7 +462,7 @@ bool PrefixEngine::trial_covers(std::size_t edit,
   });
   const std::size_t escape = first_escape.load();
   const std::size_t counted = escape == kNever ? items_.size() : escape + 1;
-  stats_.element_replays +=
+  element_replays_ +=
       std::accumulate(trial_replays_.begin(),
                       trial_replays_.begin() + static_cast<long>(counted),
                       std::size_t{0});

@@ -1,9 +1,9 @@
 // The incremental prefix-state coverage engine: persistent packed lane state
 // for a set of fault instances at the end of a march-test prefix.
 //
-// This is the promoted generator GreedyEngine (formerly an anonymous class in
-// src/gen/generator.cpp), grown into the substrate for all three generator
-// phases:
+// One engine mode, always exact: the lane state is the state at the end of
+// prefix(), and every append goes through advance().  It is the substrate
+// for all three generator phases:
 //
 //  * Greedy construction (phase A): candidate march elements are scored
 //    against the tracked prefix state in one batched scan per round
@@ -14,9 +14,9 @@
 //    winner's gain exact.  The words depend only on the candidates, not on
 //    the lane state, so pack_candidates() builds them once and every round
 //    that scores the same candidates rescans them.
-//    The winner is appended with commit(), in parallel over items.  ⇕
-//    candidates are scored and committed in their ⇑ reading — the greedy
-//    approximation the certification pass repairs.
+//    The winner is appended with advance(), in parallel over items.  The
+//    generator's candidates are fixed-order (⇑/⇓), so the scored gain is
+//    the gain of that exact append.
 //  * Incremental certification (phase B, CEGIS): advance() replays only the
 //    elements appended since the last sync, with *exact* ⇕ resolution — when
 //    the suffix contains a ⇕ element the scenario lanes are expanded in
@@ -25,8 +25,8 @@
 //    the new scenarios agree with their parent scenario on the entire
 //    already-simulated prefix.  Instances detected under every scenario are
 //    dropped permanently (classic fault dropping — detection is sticky and
-//    appended elements can only add detections), so each CEGIS round scans
-//    only the survivors.
+//    appended elements can only add detections), so a CEGIS round runs the
+//    greedy loop on this engine in place and scans only the survivors.
 //  * Checkpointed minimization (phase C, on the same persistent engine as
 //    phase B): with record_checkpoints the engine snapshots every item's
 //    lane blocks at each element boundary, as plain-data copies appended to
@@ -45,7 +45,7 @@
 //    against the recorded prefix, so the generator reports coverage without
 //    re-simulating what the engine has already proved.
 //
-// Every entry point that walks the items (construction, advance, commit,
+// Every entry point that walks the items (construction, advance,
 // trial_covers) spreads them over a bounded ThreadPool in chunks of 32 when
 // given one.  Items are independent and every reduction runs in item
 // order, so results — verdicts, lane state and work counters — are
@@ -76,15 +76,6 @@ class PrefixEngine {
   /// "Not detected (yet)" marker for element indices.
   static constexpr std::size_t kNever = ~std::size_t{0};
 
-  /// Work counters, cumulative since construction.
-  struct Stats {
-    /// March elements replayed, counted per (instance, element) — the unit
-    /// the minimizer's trial-cost guarantee is stated in: a from-scratch
-    /// rescan of t trials costs ~ t × items × elements replays, a
-    /// checkpointed trial only the replayed suffix of the surviving items.
-    std::size_t element_replays = 0;
-  };
-
   /// Builds the engine from `classes` (behaviour_classes()): one item per
   /// class, in the given order, standing for its weight, simulated to the
   /// end of `prefix`.  Every representative must fit the packed
@@ -101,11 +92,8 @@ class PrefixEngine {
 
   // -- Prefix bookkeeping ----------------------------------------------------
 
-  /// The march-test prefix the lane state corresponds to.  commit() appends
-  /// greedy candidates to the state *without* extending this recorded prefix
-  /// (the greedy ⇕-as-⇑ reading is an approximation, see the file comment);
-  /// once commit() has been called the exact entry points below refuse to
-  /// run.
+  /// The march-test prefix the lane state corresponds to, exactly: every
+  /// append extends it (advance()).
   const MarchTest& prefix() const noexcept { return prefix_; }
 
   // -- Greedy interface (phase A and CEGIS extension rounds) -----------------
@@ -148,8 +136,9 @@ class PrefixEngine {
   /// pack_candidates.  Scenario granularity matters: an element can make
   /// progress on one power-on polarity only (the complementary polarity
   /// being handled by a later element), which instance-level counting would
-  /// miss and stall on.  ⇕ candidates are evaluated in their ⇑ reading (as
-  /// the scalar engine did); certification re-resolves ⇕ orders exactly.
+  /// miss and stall on.  A ⇕ candidate is scored in its ⇑ reading.  The
+  /// generator's candidates are fixed-order (⇑/⇓), so each gain it reads
+  /// equals the gain of appending that candidate with advance().
   ///
   /// The scan first collapses each live item's undetected lanes, across all
   /// of its blocks, into *units*: one lane state (uniform, val, armed) each,
@@ -188,31 +177,17 @@ class PrefixEngine {
     return gain_scan(pack_candidates(candidates, traces), pool);
   }
 
-  /// Appends the candidate to the tracked lane state in the greedy reading
-  /// (⇕ runs ⇑), replaying each live item's blocks in place, in parallel
-  /// over items on `pool` (inline when null).  Marks the engine
-  /// approximate: the recorded prefix no longer matches the lane state
-  /// exactly, so advance(), trial_covers() and clone_undetected() refuse to
-  /// run afterwards.
-  void commit(const MarchElement& candidate, const ElementTrace& trace,
-              ThreadPool* pool = nullptr);
-
   // -- Incremental certification (phase B) -----------------------------------
 
-  /// Syncs the lane state to `test`.  The fast path is the CEGIS shape —
-  /// `test` extends the recorded prefix and only the appended suffix is
-  /// replayed (with exact ⇕ expansion).  When `test` diverges from the
+  /// Syncs the lane state to `test`.  The fast path is the greedy and CEGIS
+  /// shape — `test` extends the recorded prefix and only the appended suffix
+  /// is replayed (with exact ⇕ expansion).  When `test` diverges from the
   /// recorded prefix (the minimizer removed elements or operations), items
   /// are restored from the checkpoint at the longest common prefix and the
   /// remainder is replayed; this requires record_checkpoints.  Items fully
   /// detected within the common prefix stay dropped: their detection
   /// replays unchanged.  `pool` spreads items over worker threads.
   void advance(const MarchTest& test, ThreadPool* pool = nullptr);
-
-  /// Clones the still-undetected (and non-excluded) items into a scratch
-  /// engine for a greedy extension round.  The clone starts exact at the
-  /// recorded prefix but does not record checkpoints.
-  PrefixEngine clone_undetected() const;
 
   /// Instances dropped because every scenario detected (excluded faults not
   /// counted).
@@ -236,7 +211,7 @@ class PrefixEngine {
   /// The verdict of item `item` (the class at that position of the
   /// constructor's `classes`) against prefix() — equal to
   /// FaultSimulator::detects(prefix(), representative) for every item not
-  /// excluded.  Requires an exact engine.
+  /// excluded.
   Verdict verdict(std::size_t item) const;
 
   // -- Checkpointed trials (phase C) -----------------------------------------
@@ -251,19 +226,23 @@ class PrefixEngine {
   /// `replacement` (the minimizer's drop-op-j trials).  Restores each item's
   /// checkpoint at `edit` and replays only the suffix, skipping items that
   /// were fully detected strictly before `edit`.  Requires
-  /// record_checkpoints and an exact engine; the tracked state is left
-  /// untouched.
+  /// record_checkpoints; the tracked state is left untouched.
   ///
   /// Items are spread over `pool` (inline when null).  The verdict is the
   /// AND over all items, so it does not depend on evaluation order.  An
   /// escape lowers a shared "first escape" index and items above it are
-  /// skipped, so the scan bails out early on every thread.  element_replays counts the replays of the
-  /// items up to the first escape only — exactly what an in-order scan that
-  /// stops there would count — so it is identical for every thread count.
+  /// skipped, so the scan bails out early on every thread.  A trial adds
+  /// to element_replays() the replays of the items up to the first escape
+  /// only — exactly what an in-order scan that stops there would count — so
+  /// the count is identical for every thread count.
   bool trial_covers(std::size_t edit, const MarchElement* replacement,
                     ThreadPool* pool = nullptr);
 
-  const Stats& stats() const noexcept { return stats_; }
+  /// March elements replayed since construction, counted per (item,
+  /// element) — the unit the minimizer's trial-cost guarantee is stated in:
+  /// a from-scratch rescan of t trials costs ~ t × items × elements replays,
+  /// a checkpointed trial only the replayed suffix of the surviving items.
+  std::size_t element_replays() const noexcept { return element_replays_; }
 
  private:
   struct Item {
@@ -296,8 +275,6 @@ class PrefixEngine {
     int ordinal = -1;
   };
 
-  static bool all_detected(const std::vector<PackedFaultSim::Lanes>& blocks);
-
   /// Duplicates every scenario of `blocks` into its ⇑/⇓ reading of a new ⇕
   /// element (ordinal = log2(old combos relative)), i.e. grows the scenario
   /// set from 2·combos to 4·combos lanes while preserving the power-on
@@ -309,19 +286,24 @@ class PrefixEngine {
   /// combinations), expanding at ⇕ steps and freezing fully detected
   /// blocks.  Returns the step offset whose replay completed detection, or
   /// kNever.  With `checkpoints` non-null, appends `blocks` to it before
-  /// every step.  `local` accumulates work counters (merged into stats_ by
-  /// the caller — run_steps runs on worker threads).
+  /// every step.  Adds the steps replayed to `replays`, a counter the
+  /// caller owns and later merges into element_replays_ (run_steps runs on
+  /// worker threads).
   std::size_t run_steps(
       const Item& item, std::vector<PackedFaultSim::Lanes>& blocks,
       std::size_t& combos, const Step* steps, std::size_t count,
-      std::vector<PackedFaultSim::Lanes>* checkpoints, Stats& local) const;
+      std::vector<PackedFaultSim::Lanes>* checkpoints,
+      std::size_t& replays) const;
+
+  /// Block count of checkpoint e: the layout before element e has
+  /// 2 · 2^any_before_[e] scenario lanes.
+  std::size_t checkpoint_blocks(std::size_t e) const {
+    return ((std::size_t{2} << any_before_[e]) + 63) / 64;
+  }
 
   /// Copies `item`'s checkpoint e into `blocks`, reusing its capacity.
   void restore_checkpoint(const Item& item, std::size_t e,
                           std::vector<PackedFaultSim::Lanes>& blocks) const;
-
-  /// Clone/internal constructor: prefix bookkeeping filled by the caller.
-  PrefixEngine(std::size_t memory_size, bool record_checkpoints);
 
   /// Appends bookkeeping (trace, ordinal) for the elements of test[from..].
   void append_plan(const MarchTest& test, std::size_t from);
@@ -333,21 +315,19 @@ class PrefixEngine {
   void sync_items(std::size_t common, std::size_t previous_length,
                   ThreadPool* pool);
 
-  std::size_t memory_size_ = 0;
   bool record_checkpoints_ = false;
-  bool approximate_ = false;  ///< a commit() happened; exact APIs refuse
 
   MarchTest prefix_;
   std::vector<ElementTrace> traces_;  ///< per prefix element
   std::vector<int> ordinals_;         ///< per prefix element: ⇕ ordinal or -1
   std::vector<std::size_t> any_before_;  ///< #⇕ in elements [0, e), e ≤ size
   /// Per e ≤ size: where checkpoint e starts in every item's `checkpoints`.
-  /// The layout before element e has 2 · 2^any_before_[e] scenario lanes,
-  /// so every item's checkpoint e has the same block count.
+  /// Every item's checkpoint e has the same block count,
+  /// checkpoint_blocks(e).
   std::vector<std::size_t> checkpoint_offsets_;
 
   std::vector<Item> items_;
-  Stats stats_;
+  std::size_t element_replays_ = 0;
   /// trial_covers scratch: per-item element replays of the last trial.
   std::vector<std::size_t> trial_replays_;
 };

@@ -153,6 +153,38 @@ TEST(IncrementalGenerator, VariantOptionsMatchPreIncrementalGoldens) {
             "{c(w0); ^(r0); ^(r0,w1,r1); ^(r1); ^(r1,w0,r0); ^(r0); "
             "v(r0,w1,w1,r1); ^(r1); v(r1,w1,r1,w0,w0,r0); ^(r0); "
             "v(r0,w0,r0,w1); ^(r1)}");
+
+  // List #1 on a two-cell working memory: its three-cell faults have no
+  // instance in phase A, and one CEGIS round extends the certification
+  // engine in place until they are covered.
+  GeneratorOptions two_cells;
+  two_cells.working_memory_size = 2;
+  const GenerationResult list1_two_cells =
+      generate_march_test(list_by_name("list1"), two_cells);
+  EXPECT_EQ(list1_two_cells.test.to_string(true),
+            "{^(w1); ^(r1,w0,r0); ^(r0,w1,w1,r1); ^(r1); v(r1,w0,w0,r0); "
+            "v(r0,w0,r0,w1,w1); ^(r1); ^(w0); v(r0,w1,r1,w0); ^(r0,w1,w0); "
+            "^(r0); ^(w1); ^(r1,w0,w1,w1); v(r1,w1)}");
+  EXPECT_EQ(list1_two_cells.test.complexity(), 35u);
+  EXPECT_TRUE(list1_two_cells.full_coverage);
+  EXPECT_EQ(list1_two_cells.stats.certify_iterations, 1u);
+  EXPECT_EQ(list1_two_cells.stats.minimize_trials, 142u);
+  EXPECT_EQ(list1_two_cells.stats.minimize_element_replays, 126552u);
+
+  // Decoder faults at working size 2 with single-op elements: the CEGIS
+  // round stalls and excludes what it cannot cover on the certification
+  // engine, so the next iteration finds nothing and phase C's trials only
+  // answer for the covered classes.
+  GeneratorOptions weak_decoder;
+  weak_decoder.working_memory_size = 2;
+  weak_decoder.max_element_length = 1;
+  const GenerationResult decoder =
+      generate_march_test(list_by_name("decoder"), weak_decoder);
+  EXPECT_EQ(decoder.test.to_string(true), "{c(w0); ^(r0); ^(w1); ^(r1)}");
+  EXPECT_EQ(decoder.uncoverable.size(), 54u);
+  EXPECT_EQ(decoder.stats.certify_iterations, 1u);
+  EXPECT_EQ(decoder.stats.minimize_trials, 24u);
+  EXPECT_EQ(decoder.stats.minimize_element_replays, 30u);
 }
 
 /// The generation log with the phase lap times cut off ("... done at t=").
@@ -194,46 +226,76 @@ void expect_same_generation(const GenerationResult& reference,
 }
 
 TEST(IncrementalGenerator, ThreadCountsDoNotChangeTheTest) {
-  // gain_threads parallelizes the greedy candidate scan and commits,
-  // certify_threads the persistent certification engine's item sync, the
-  // minimizer's trials and rewinds and the final report; both must keep
-  // the generated test, the log and every counter byte-identical (the
-  // scan's shared pruning bound only abandons candidates that cannot win or
-  // tie, and items are independent with in-order reductions).
-  for (const char* name : {"list2", "simple", "retention", "decoder"}) {
-    const FaultList list = list_by_name(name);
-    GeneratorOptions sequential;
-    sequential.gain_threads = 1;
-    sequential.certify_threads = 1;
-    const GenerationResult reference = generate_march_test(list, sequential);
+  // gain_threads parallelizes the greedy candidate scan and phase A's
+  // appends, certify_threads the persistent certification engine's item
+  // sync, the elements CEGIS rounds append to it and the minimizer's trials
+  // and rewinds; both must keep the generated test, the log and every
+  // counter byte-identical (the scan's shared pruning bound only abandons
+  // candidates that cannot win or tie, and items are independent with
+  // in-order reductions).
+  GeneratorOptions sequential;
+  sequential.gain_threads = 1;
+  sequential.certify_threads = 1;
+  // Decoder faults at working size 2 with single-op elements: CEGIS rounds
+  // run the greedy loop on the certification engine.
+  GeneratorOptions weak = sequential;
+  weak.working_memory_size = 2;
+  weak.max_element_length = 1;
+  const struct {
+    const char* name;
+    const char* list;
+    GeneratorOptions options;
+  } cases[] = {
+      {"list2", "list2", sequential},
+      {"simple", "simple", sequential},
+      {"retention", "retention", sequential},
+      {"decoder", "decoder", sequential},
+      {"decoder working=2 single ops", "decoder", weak},
+  };
+  for (const auto& c : cases) {
+    const FaultList list = list_by_name(c.list);
+    const GenerationResult reference = generate_march_test(list, c.options);
     const std::size_t pairs[][2] = {{2, 2}, {0, 0}, {1, 0}, {0, 1}};
     for (const auto& pair : pairs) {
-      GeneratorOptions options = sequential;
+      GeneratorOptions options = c.options;
       options.gain_threads = pair[0];
       options.certify_threads = pair[1];
       expect_same_generation(reference, generate_march_test(list, options),
-                             std::string(name) +
+                             std::string(c.name) +
                                  " gain_threads=" + std::to_string(pair[0]) +
                                  " certify_threads=" +
                                  std::to_string(pair[1]));
     }
+    if (c.options.working_memory_size == 2) {
+      EXPECT_GT(reference.stats.certify_iterations, 0u) << c.name;
+    }
   }
-  // The big list once, hardware-threaded against the sequential run and
-  // the golden (which the default-options test above already pins).
-  GeneratorOptions single;
-  single.gain_threads = 1;
-  single.certify_threads = 1;
+  // The big list, hardware-threaded against the sequential run: with
+  // default options against the golden (which the default-options test
+  // above already pins), and at working size 2, where a CEGIS round
+  // extends the certification engine in place.
   GeneratorOptions hw;
   hw.gain_threads = 0;
   hw.certify_threads = 0;
   const GenerationResult list1 =
       generate_march_test(list_by_name("list1"), hw);
-  expect_same_generation(generate_march_test(list_by_name("list1"), single),
-                         list1, "list1 hardware threads");
+  expect_same_generation(
+      generate_march_test(list_by_name("list1"), sequential), list1,
+      "list1 hardware threads");
   EXPECT_EQ(list1.test.to_string(true),
             "{c(w0); ^(r0,w1,r1); ^(r1,w0,r0); ^(r0); v(r0,w1,w1,r1); "
             "v(r1,w1,r1,w0); ^(r0); ^(w0); ^(r0,w0,r0,r0,w1); "
             "^(r1,w0,w0,w1); ^(r1); v(r1,w0,r0,w1); ^(r1)}");
+  GeneratorOptions two_cells = sequential;
+  two_cells.working_memory_size = 2;
+  GeneratorOptions two_cells_hw = hw;
+  two_cells_hw.working_memory_size = 2;
+  const GenerationResult list1_two_cells =
+      generate_march_test(list_by_name("list1"), two_cells_hw);
+  expect_same_generation(
+      generate_march_test(list_by_name("list1"), two_cells),
+      list1_two_cells, "list1 working=2 hardware threads");
+  EXPECT_GT(list1_two_cells.stats.certify_iterations, 0u);
 }
 
 /// Generates for `list` and expects the certification report to equal an
@@ -291,6 +353,15 @@ TEST(IncrementalGenerator, CertificationReportMatchesIndependentEvaluation) {
       list_by_name("decoder"), weak, "decoder working=2 single ops");
   EXPECT_GT(weak_decoder.stats.certify_iterations, 0u);
   EXPECT_FALSE(weak_decoder.uncoverable.empty());
+
+  // List #1 on a two-cell working memory: phase A sees no three-cell
+  // fault, and a CEGIS round extends the certification engine in place.
+  GeneratorOptions two_cells;
+  two_cells.working_memory_size = 2;
+  EXPECT_GE(expect_report_matches_evaluation(list_by_name("list1"), two_cells,
+                                             "list1 working=2")
+                .stats.certify_iterations,
+            1u);
 
   GeneratorOptions no_minimize;
   no_minimize.minimize = false;

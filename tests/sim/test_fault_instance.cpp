@@ -74,6 +74,35 @@ TEST(FaultInstance, MemoryTooSmall) {
   EXPECT_THROW(instantiate(lf, 1, 0), Error);
 }
 
+TEST(FaultInstance, ClassesSkipFaultsLargerThanTheMemory) {
+  // instantiate() throws for a fault with more cells than the memory;
+  // behaviour_classes() gives it no class, so a two-cell working memory
+  // still tracks List #1's one- and two-cell faults.
+  const FaultList list = fault_list_1();
+  const std::size_t n = 2;
+  const std::vector<BehaviourClass> classes = behaviour_classes(list, n);
+  std::size_t c = 0;
+  std::size_t index = 0;
+  std::size_t skipped = 0;
+  const auto check_fp_fault = [&](const auto& fault) {
+    if (static_cast<std::size_t>(fault.num_cells()) > n) {
+      EXPECT_THROW(instantiate(fault, n, index), Error);
+      ++skipped;
+    } else {
+      ASSERT_LT(c, classes.size());
+      EXPECT_EQ(classes[c].representative.fault_index, index);
+      EXPECT_EQ(classes[c].weight, instantiate(fault, n, index).size());
+      ++c;
+    }
+    ++index;
+  };
+  for (const SimpleFault& fault : list.simple) check_fp_fault(fault);
+  for (const LinkedFault& fault : list.linked) check_fp_fault(fault);
+  EXPECT_EQ(c, classes.size());
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(classes.size(), 0u);
+}
+
 TEST(FaultInstance, InstantiateAllIndexing) {
   FaultList list;
   list.name = "mixed";

@@ -1,10 +1,11 @@
 // Differential tests of the incremental prefix engine (sim/prefix_sim.hpp)
 // against the from-scratch simulator: element-by-element advance, scenario
 // lane expansion at mid-test ⇕ elements, checkpointed trials and rewinds,
-// undetected-item cloning, weighted instance collapsing, thread-count
-// invariance of the pooled sync, trials and commits, and the batched greedy
-// gain scan (its words packed once and rescanned) against its
-// per-candidate reference.
+// dropped items scoring like a fresh engine over the survivors (what an
+// in-place CEGIS round relies on), weighted instance collapsing,
+// thread-count invariance of the pooled sync, trials and appends, and the
+// batched greedy gain scan (its words packed once and rescanned) against
+// its per-candidate reference.
 #include "sim/prefix_sim.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "coverage_helpers.hpp"
 #include "fp/fault_list.hpp"
@@ -248,7 +248,10 @@ TEST(PrefixSim, ChainedRewindsMatchFromScratch) {
   }
 }
 
-TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
+TEST(PrefixSim, DroppedItemsScoreLikeAFreshEngineOverMissedInstances) {
+  // A CEGIS round extends the certification engine in place: its dropped
+  // items must neither score nor count, so the engine must behave like one
+  // built over the missed instances alone.
   const std::size_t n = 4;
   const FaultSimulator simulator(SimulatorOptions{n});
   // A prefix that covers only part of the list, so some instances survive.
@@ -267,16 +270,15 @@ TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
 
   PrefixEngine fresh(n, instance_classes(missed), prefix,
                      /*record_checkpoints=*/false);
-  PrefixEngine clone = engine.clone_undetected();
-  EXPECT_EQ(clone.undetected_instances(), fresh.undetected_instances());
+  EXPECT_EQ(engine.undetected_instances(), fresh.undetected_instances());
   // Every undetected lane's state feeds the pool's gains, so equal gains
-  // pin the clone's lane state, not just its counts.
-  EXPECT_EQ(pool_gains(clone), pool_gains(fresh));
-  EXPECT_EQ(clone.undetected_fault_indices(),
+  // pin the live lane state, not just its counts.
+  EXPECT_EQ(pool_gains(engine), pool_gains(fresh));
+  EXPECT_EQ(engine.undetected_fault_indices(),
             fresh.undetected_fault_indices());
 
   // Candidate gains agree — the greedy extension sees the same scores
-  // whether it starts from a clone or from a from-scratch rebuild.  One
+  // whether it runs in place or on a from-scratch rebuild.  One
   // candidate per scan leaves nothing to prune against, so every gain is
   // exact; the batched scan's winner must agree too.
   std::vector<MarchTest> ones;
@@ -294,29 +296,39 @@ TEST(PrefixSim, CloneUndetectedMatchesFreshEngineOverMissedInstances) {
   std::vector<const ElementTrace*> trace_ptrs;
   for (const ElementTrace& trace : traces) trace_ptrs.push_back(&trace);
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    EXPECT_EQ(clone.gain_scan({candidates[i]}, {trace_ptrs[i]}),
+    EXPECT_EQ(engine.gain_scan({candidates[i]}, {trace_ptrs[i]}),
               fresh.gain_scan({candidates[i]}, {trace_ptrs[i]}))
         << candidates[i]->to_string();
   }
-  const std::vector<std::size_t> clone_gains =
-      clone.gain_scan(candidates, trace_ptrs);
+  const std::vector<std::size_t> engine_gains =
+      engine.gain_scan(candidates, trace_ptrs);
   const std::vector<std::size_t> fresh_gains =
       fresh.gain_scan(candidates, trace_ptrs);
   std::size_t best = 0;
   for (std::size_t i = 1; i < candidates.size(); ++i) {
-    if (clone_gains[i] * candidates[best]->cost() >
-        clone_gains[best] * candidates[i]->cost()) {
+    if (engine_gains[i] * candidates[best]->cost() >
+        engine_gains[best] * candidates[i]->cost()) {
       best = i;
     }
   }
-  EXPECT_EQ(clone_gains[best], fresh_gains[best]);
+  EXPECT_EQ(engine_gains[best], fresh_gains[best]);
 
-  // Committing to the clone must not disturb the parent's exact state.
-  const MarchTest bridge = parse_march_test("{^(r0,w1)}", "bridge");
-  clone.commit(bridge.elements()[0],
-               compile_element_trace(bridge.elements()[0]));
-  EXPECT_EQ(engine.undetected_instances(),
-            undetected_by_simulator(simulator, prefix, instances).first);
+  // Appending the same elements keeps them in step, and the in-place
+  // engine stays exact over the whole instance set.
+  MarchTest extended = prefix;
+  for (const char* notation : {"^(r1,w0)", "v(r0,w1,r1)"}) {
+    extended.append(parse_march_test(std::string("{") + notation + "}",
+                                     "append")
+                        .elements()[0]);
+    engine.advance(extended);
+    fresh.advance(extended);
+    EXPECT_EQ(engine.undetected_instances(), fresh.undetected_instances())
+        << notation;
+    EXPECT_EQ(pool_gains(engine), pool_gains(fresh)) << notation;
+    EXPECT_EQ(engine.undetected_instances(),
+              undetected_by_simulator(simulator, extended, instances).first)
+        << notation;
+  }
 }
 
 /// Candidates for the gain-scan reference: a spread of the length-6 pool
@@ -713,13 +725,13 @@ TEST(PrefixSim, ParallelTrialsMatchInline) {
                                            const MarchElement* replacement,
                                            const std::string& trial) {
           const std::size_t inline_before =
-              inline_engine.stats().element_replays;
-          const std::size_t pooled_before = pooled.stats().element_replays;
+              inline_engine.element_replays();
+          const std::size_t pooled_before = pooled.element_replays();
           const bool verdict = inline_engine.trial_covers(edit, replacement);
           EXPECT_EQ(pooled.trial_covers(edit, replacement, &pool), verdict)
               << where << " " << trial;
-          EXPECT_EQ(pooled.stats().element_replays - pooled_before,
-                    inline_engine.stats().element_replays - inline_before)
+          EXPECT_EQ(pooled.element_replays() - pooled_before,
+                    inline_engine.element_replays() - inline_before)
               << where << " " << trial;
           (verdict ? covered : escaped) += 1;
         };
@@ -747,7 +759,7 @@ TEST(PrefixSim, ParallelTrialsMatchInline) {
 }
 
 /// The elements of List #1's generated test after its ⇕(w0) seed.
-std::vector<MarchElement> commit_sequence() {
+std::vector<MarchElement> append_sequence() {
   return parse_march_test(
              "{^(r0,w1,r1); ^(r1,w0,r0); ^(r0); v(r0,w1,w1,r1); "
              "v(r1,w1,r1,w0); ^(r0); c(w0); ^(r0,w0,r0,r0,w1); "
@@ -756,9 +768,10 @@ std::vector<MarchElement> commit_sequence() {
       .elements();
 }
 
-TEST(PrefixSim, ParallelCommitMatchesInline) {
-  // commit() on a pool replays each item in place; after every commit the
-  // lane state must equal the inline commit's.
+TEST(PrefixSim, ParallelAppendMatchesInline) {
+  // advance() on a pool replays each item in place; after every appended
+  // element (the mid-sequence ⇕ one expands the lanes) the lane state must
+  // equal the inline append's.
   const std::size_t n = 3;
   const MarchTest seed = parse_march_test("{c(w0)}", "seed");
   ThreadPool pool(3);
@@ -766,10 +779,11 @@ TEST(PrefixSim, ParallelCommitMatchesInline) {
     const auto classes = behaviour_classes(list, n);
     PrefixEngine inline_engine(n, classes, seed, /*record_checkpoints=*/false);
     PrefixEngine pooled(n, classes, seed, /*record_checkpoints=*/false);
-    for (const MarchElement& element : commit_sequence()) {
-      const ElementTrace trace = compile_element_trace(element);
-      inline_engine.commit(element, trace);
-      pooled.commit(element, trace, &pool);
+    MarchTest appended = seed;
+    for (const MarchElement& element : append_sequence()) {
+      appended.append(element);
+      inline_engine.advance(appended);
+      pooled.advance(appended, &pool);
       const std::string where = list.name + " " + element.to_string();
       EXPECT_EQ(pooled.undetected_instances(),
                 inline_engine.undetected_instances())
@@ -784,7 +798,7 @@ TEST(PrefixSim, ParallelCommitMatchesInline) {
 
 TEST(PrefixSim, PackedWordsServeEveryRound) {
   // The generator packs its candidates once and rescans the same words
-  // every greedy round: after each commit, scanning them must give the
+  // every greedy round: after each append, scanning them must give the
   // gains of a fresh packing.
   const std::size_t n = 3;
   const ShortCandidates candidates;
@@ -792,17 +806,18 @@ TEST(PrefixSim, PackedWordsServeEveryRound) {
       PrefixEngine::pack_candidates(candidates.elements, candidates.trace_ptrs);
   ASSERT_EQ(words.candidates, candidates.pool.size());
 
-  PrefixEngine engine(n, behaviour_classes(fault_list_1(), n),
-                      parse_march_test("{c(w0)}", "seed"),
+  MarchTest test = parse_march_test("{c(w0)}", "seed");
+  PrefixEngine engine(n, behaviour_classes(fault_list_1(), n), test,
                       /*record_checkpoints=*/false);
-  for (const MarchElement& element : commit_sequence()) {
+  for (const MarchElement& element : append_sequence()) {
     const std::vector<std::size_t> gains = engine.gain_scan(words);
     EXPECT_EQ(gains,
               engine.gain_scan(candidates.elements, candidates.trace_ptrs))
         << "before " << element.to_string();
     EXPECT_GT(*std::max_element(gains.begin(), gains.end()), 0u)
         << "before " << element.to_string();
-    engine.commit(element, compile_element_trace(element));
+    test.append(element);
+    engine.advance(test);
   }
 }
 
@@ -825,19 +840,6 @@ TEST(PrefixSim, ExcludedFaultsStayDroppedAcrossSyncs) {
   }
 }
 
-TEST(PrefixSim, CommitPoisonsExactness) {
-  const std::size_t n = 4;
-  const auto instances = instantiate_all(fault_list_2(), n);
-  const MarchTest test = march_abl1();
-  PrefixEngine engine(n, instance_classes(instances), prefix_of(test, 2),
-                      /*record_checkpoints=*/true);
-  const MarchElement candidate(AddressOrder::Up, {Op::R0});
-  engine.commit(candidate, compile_element_trace(candidate));
-  EXPECT_THROW(engine.advance(test), Error);
-  EXPECT_THROW(engine.trial_covers(0, nullptr), Error);
-  EXPECT_THROW(engine.clone_undetected(), Error);
-}
-
 TEST(PrefixSim, TrialCostIsProportionalToTheReplayedSuffix) {
   // The minimizer acceptance property at engine level: a trial at the last
   // element replays at most one element per live instance — not the whole
@@ -850,9 +852,9 @@ TEST(PrefixSim, TrialCostIsProportionalToTheReplayedSuffix) {
   const std::size_t last = test.elements().size() - 1;
 
   const auto trial_replays = [&](std::size_t edit) {
-    const std::size_t before = engine.stats().element_replays;
+    const std::size_t before = engine.element_replays();
     engine.trial_covers(edit, nullptr);
-    return engine.stats().element_replays - before;
+    return engine.element_replays() - before;
   };
 
   EXPECT_LE(trial_replays(last), engine.num_representatives())
